@@ -65,15 +65,14 @@ void BM_InterferenceEngineSymbol(benchmark::State& state) {
   RngStream process(kSeed, "int-engine-link");
   const link::OpticalLink link(victim_config(), process);
   const link::LinkEngine engine(link);
-  link::EngineScratch scratch;
   const auto aggressors = aggressor_pulses(link, Time::zero());
   RngStream tx(kSeed, "int-engine-tx");
   link::LinkRunStats stats;
   Time dead_until = Time::zero();
   const std::uint64_t draws_before = tx.draws();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.transmit_symbol(17, Time::zero(), aggressors,
-                                                    dead_until, stats, tx, scratch));
+    benchmark::DoNotOptimize(engine.transmit_symbol(17, Time::zero(), dead_until, stats, tx,
+                                                    {.aggressors = aggressors}));
     dead_until = Time::zero();
   }
   state.counters["rng_draws"] = benchmark::Counter(

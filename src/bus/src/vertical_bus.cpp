@@ -164,8 +164,6 @@ link::LinkRunStats VerticalBus::monte_carlo_upstream_contention(
         stack_.transmittance(talkers[k], config_.master, config_.led.wavelength));
   }
 
-  link::EngineScratch scratch;
-  scratch.reserve_sources(talkers.size());
   std::vector<link::SourcePulse> aggressors(aggressor_mean.size());
   link::LinkRunStats stats;
   util::RngStream tx = rng.fork("contention-tx");
@@ -181,7 +179,7 @@ link::LinkRunStats VerticalBus::monte_carlo_upstream_contention(
       aggressors[k] =
           link::SourcePulse{&led, aggressor_mean[k], t + link.ppm().encode(colliding)};
     }
-    (void)engine.transmit_symbol(symbol, t, aggressors, dead_until, stats, tx, scratch);
+    (void)engine.transmit_symbol(symbol, t, dead_until, stats, tx, {.aggressors = aggressors});
     t += link.symbol_period();
   }
   return stats;

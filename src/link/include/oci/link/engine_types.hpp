@@ -1,10 +1,11 @@
-// Shared vocabulary types between the LinkEngine and its multi-source
-// consumers (OpticalLink, WdmLink, bus::VerticalBus). They live in
-// their own header so OpticalLink can expose engine-typed entry points
-// without a circular include against link_engine.hpp.
+// Vocabulary types of the LinkEngine's two window entry points: the
+// per-symbol transmit_symbol (SourcePulse, RareSampling, WindowRequest)
+// used by WdmLink, bus::VerticalBus, oci::rare and the scenario runner,
+// and the batched simulate_windows (WindowResult, EngineBatchScratch).
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "oci/link/kernels.hpp"
@@ -29,38 +30,8 @@ struct SourcePulse {
   util::Time start;
 };
 
-/// Reusable working memory for the multi-source engine: the per-source
-/// lazy hazard states the k-way merge streams from. One scratch per
-/// calling thread; cleared-and-refilled each window, so a sweep loop
-/// runs allocation-free once the first window has sized the buffer.
-class EngineScratch {
- public:
-  EngineScratch() = default;
-
-  /// Pre-sizes the source-state buffer (optional; the first window
-  /// grows it on demand).
-  void reserve_sources(std::size_t n) { states_.reserve(n); }
-
- private:
-  friend class LinkEngine;
-
-  /// Lazy candidate stream of one thinned inhomogeneous source: the
-  /// cumulative hazard consumed so far and the next candidate time.
-  struct SourceState {
-    const photonics::MicroLed* led = nullptr;
-    double lambda = 0.0;   ///< mean avalanche candidates (photons x PDP)
-    double start_s = 0.0;  ///< absolute envelope start [s]
-    double hazard = 0.0;   ///< cumulative hazard consumed in [0, lambda)
-    double next_s = 0.0;   ///< next candidate arrival [s] (+inf = exhausted)
-    bool is_signal = false;
-    bool exhausted = false;
-  };
-
-  std::vector<SourceState> states_;
-};
-
 /// Proposal-distribution controls for rare-event accelerated symbols
-/// (LinkEngine::transmit_symbol_rare). The engine samples the window
+/// (WindowRequest::rare). The engine samples the window
 /// under the TILTED measure described here and accumulates the exact
 /// log likelihood-ratio of the trajectory in `log_weight`, so
 /// exp(log_weight) turns every tilted outcome back into an unbiased
@@ -82,8 +53,28 @@ struct RareSampling {
   double band_survival_lo = 1.0;  ///< S at the band's near (low-z) edge
   double band_survival_hi = 0.0;  ///< S at the band's far (high-z) edge
   /// Out: accumulated log likelihood-ratio (natural / proposal) of the
-  /// current symbol's trajectory. Reset by transmit_symbol_rare.
+  /// current symbol's trajectory. Reset by every transmit_symbol call
+  /// that carries it.
   double log_weight = 0.0;
+};
+
+/// Per-window options of LinkEngine::transmit_symbol. Every default is
+/// an exact no-op, so `{}` runs the plain single-source window draw for
+/// draw and the fields combine freely.
+struct WindowRequest {
+  /// Launched-pulse scale: 0 = dark window (the driver dropped the
+  /// pulse), (0,1) = flaky window (attenuated launch). Energy/period
+  /// accounting is unchanged -- the transmitter still spent the slot.
+  double signal_scale = 1.0;
+  /// Co-channel pulses merged with the victim's own (WDM leakage,
+  /// neighbour crosstalk, colliding bus talkers). An aggressor trigger
+  /// that wins the TDC conversion counts as a noise capture, exactly
+  /// like the reference pipeline's interference photons.
+  std::span<const SourcePulse> aggressors = {};
+  /// Tilted/conditioned proposal to sample the window under; its
+  /// log_weight is reset, then holds the window's log likelihood-ratio,
+  /// so exp(log_weight) re-weights the outcome to the natural measure.
+  RareSampling* rare = nullptr;
 };
 
 /// One lane of the batched single-source window path

@@ -44,9 +44,10 @@
 // statistical regression tests pin that agreement for the isolated,
 // interference, WDM and bus-contention paths.
 //
-// Concurrency: the engine owns mutable batch scratch, so the batched
-// drivers must not run concurrently on ONE engine instance. Build one
-// engine per thread (cheap; every in-repo call site already does).
+// Concurrency: the engine owns mutable scratch (the batch arrays and
+// transmit_symbol's source states), so no two calls may run
+// concurrently on ONE engine instance. Build one engine per thread
+// (cheap; every in-repo call site already does).
 #pragma once
 
 #include <algorithm>
@@ -70,48 +71,17 @@ class LinkEngine {
   /// engine caches the DCR-derived noise rate.
   explicit LinkEngine(const OpticalLink& link);
 
-  /// Sends one symbol starting at `start`; mirrors
-  /// OpticalLink::transmit_symbol exactly (same counters, same
-  /// dead-time carry semantics).
+  /// Sends one symbol window starting at absolute time `start`: returns
+  /// the decoded symbol and updates `stats` and `dead_until` (the SPAD's
+  /// blind carry into the next window). `request` scales the launched
+  /// pulse, merges aggressor pulses and/or samples under a rare-event
+  /// proposal (see WindowRequest); the default is the plain window.
+  /// After the first window sizes the source states, a loop of calls is
+  /// allocation-free.
   [[nodiscard]] std::uint64_t transmit_symbol(std::uint64_t symbol, util::Time start,
-                                              util::Time& dead_until, LinkRunStats& stats,
-                                              util::RngStream& rng) const;
-
-  /// Single-source symbol whose launched pulse is scaled by
-  /// `signal_scale` (0 = dark window: the driver dropped the pulse;
-  /// (0,1) = flaky window: attenuated launch). Energy/period accounting
-  /// is unchanged -- the transmitter still spent the slot. The fault
-  /// layer's dark/flaky window injection rides this entry point.
-  [[nodiscard]] std::uint64_t transmit_symbol(std::uint64_t symbol, util::Time start,
-                                              double signal_scale, util::Time& dead_until,
-                                              LinkRunStats& stats,
-                                              util::RngStream& rng) const;
-
-  /// Multi-source symbol: the victim's own pulse plus `aggressors`
-  /// (co-channel crosstalk, WDM leakage, colliding talkers) merged
-  /// with the flat noise/afterpulse streams. Aggressor triggers that
-  /// win the TDC conversion count as noise captures, exactly like the
-  /// reference pipeline's interference photons. `scratch` supplies the
-  /// per-source merge states; reuse one per thread and the loop is
-  /// allocation-free after the first window.
-  [[nodiscard]] std::uint64_t transmit_symbol(std::uint64_t symbol, util::Time start,
-                                              std::span<const SourcePulse> aggressors,
                                               util::Time& dead_until, LinkRunStats& stats,
                                               util::RngStream& rng,
-                                              EngineScratch& scratch) const;
-
-  /// Single-source symbol sampled under the tilted/conditioned proposal
-  /// in `ctl` (see RareSampling). Identical counters and dead-time
-  /// carry semantics to transmit_symbol; on return `ctl.log_weight`
-  /// holds the symbol's exact log likelihood-ratio, so
-  /// exp(ctl.log_weight) re-weights the outcome back to the natural
-  /// measure. The rare-event drivers in oci::rare call this per
-  /// symbol; the clean paths (plain transmit / batched SIMD) are
-  /// untouched -- their draw sequences do not change.
-  [[nodiscard]] std::uint64_t transmit_symbol_rare(std::uint64_t symbol, util::Time start,
-                                                   RareSampling& ctl, util::Time& dead_until,
-                                                   LinkRunStats& stats,
-                                                   util::RngStream& rng) const;
+                                              const WindowRequest& request = {}) const;
 
   /// Per-symbol outcome handed to run_symbols/run_sequence reducers.
   struct SymbolOutcome {
@@ -217,7 +187,17 @@ class LinkEngine {
     double last_fire_s = 0.0;       ///< pre-jitter time of the last avalanche
   };
 
-  using SourceState = EngineScratch::SourceState;
+  /// Lazy candidate stream of one thinned inhomogeneous source: the
+  /// cumulative hazard consumed so far and the next candidate time.
+  struct SourceState {
+    const photonics::MicroLed* led = nullptr;
+    double lambda = 0.0;   ///< mean avalanche candidates (photons x PDP)
+    double start_s = 0.0;  ///< absolute envelope start [s]
+    double hazard = 0.0;   ///< cumulative hazard consumed in [0, lambda)
+    double next_s = 0.0;   ///< next candidate arrival [s] (+inf = exhausted)
+    bool is_signal = false;
+    bool exhausted = false;
+  };
 
   /// Builds the victim's own pulse-candidate state for a pulse at
   /// `pulse_start_s` (lambda pre-multiplied at construction).
@@ -233,13 +213,6 @@ class LinkEngine {
   WindowEvents simulate_window(std::span<SourceState> sources, double window_start_s,
                                double window_end_s, double dead_in_s, double noise_rate,
                                util::RngStream& rng, RareSampling* rare = nullptr) const;
-
-  /// Shared back half of every transmit flavour: runs the window,
-  /// updates counters/dead carry, converts the first avalanche.
-  std::uint64_t finish_symbol(std::uint64_t symbol, util::Time start,
-                              std::span<SourceState> sources, util::Time& dead_until,
-                              LinkRunStats& stats, util::RngStream& rng,
-                              RareSampling* rare = nullptr) const;
 
   /// TDC conversion + PPM decision + error counting for the first
   /// avalanche observed at window-local `toa_s`; shared by the scalar
@@ -284,6 +257,9 @@ class LinkEngine {
   unsigned bits_per_symbol_ = 0;
   /// Batched-driver working memory (see the concurrency note above).
   mutable EngineBatchScratch batch_scratch_;
+  /// transmit_symbol's merge states, refilled every window (same
+  /// concurrency note).
+  mutable std::vector<SourceState> sources_;
 };
 
 }  // namespace oci::link

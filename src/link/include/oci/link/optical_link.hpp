@@ -7,11 +7,9 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "oci/link/budget.hpp"
-#include "oci/link/engine_types.hpp"
 #include "oci/link/tradeoff.hpp"
 #include "oci/modulation/frame.hpp"
 #include "oci/modulation/ppm.hpp"
@@ -124,34 +122,6 @@ class OpticalLink {
   /// WITHOUT recalibrating -- the drift the paper's periodic calibration
   /// must chase.
   void set_temperature(util::Temperature t);
-
-  /// Sends one symbol starting at absolute time `start`; returns the
-  /// decoded symbol and updates `stats`/`dead_until` (SPAD blind carry).
-  /// Runs on the allocation-free LinkEngine hot path.
-  [[nodiscard]] std::uint64_t transmit_symbol(std::uint64_t symbol, util::Time start,
-                                              util::Time& dead_until, LinkRunStats& stats,
-                                              util::RngStream& rng) const;
-
-  /// Same, with co-channel aggressor pulses (WDM leakage, neighbour
-  /// crosstalk, colliding bus talkers) described as SourcePulse
-  /// processes and merged by the multi-source LinkEngine -- the
-  /// allocation-free fast path every interference-bearing consumer
-  /// uses. Convenience wrapper: a hot loop should hold its own
-  /// LinkEngine and call it directly (this rebuilds the cached rate
-  /// products on every call).
-  [[nodiscard]] std::uint64_t transmit_symbol_with_interference(
-      std::uint64_t symbol, util::Time start, std::span<const SourcePulse> aggressors,
-      util::Time& dead_until, LinkRunStats& stats, util::RngStream& rng,
-      EngineScratch& scratch) const;
-
-  /// Materialised-photon flavour, retained as the statistical ORACLE:
-  /// an empty interference set takes the LinkEngine hot path; a
-  /// non-empty one runs the reference pipeline below. No bench or
-  /// sweep hot path calls this any more -- regression tests use it to
-  /// pin the engine's distributions.
-  [[nodiscard]] std::uint64_t transmit_symbol_with_interference(
-      std::uint64_t symbol, util::Time start, util::Time& dead_until, LinkRunStats& stats,
-      util::RngStream& rng, std::vector<photonics::PhotonArrival> interference) const;
 
   /// Reference implementation of one symbol window: materialises the
   /// photon set (PhotonStream), thins it through SpadArray-style

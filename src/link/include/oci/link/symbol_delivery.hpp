@@ -15,8 +15,8 @@
 //     return phy.deliver(p.payload_bytes, rng);
 //   };
 //
-// NOT thread-safe: deliver() mutates the cumulative counters, so like
-// EngineScratch this is one model per simulation/thread. Under a
+// NOT thread-safe: deliver() mutates the cumulative counters and the
+// engine's scratch, so this is one model per simulation/thread. Under a
 // BatchRunner sweep, construct the model inside the task body (each
 // task owns its network AND its phy model), never in shared state.
 #pragma once

@@ -251,15 +251,33 @@ LinkEngine::WindowEvents LinkEngine::simulate_window(std::span<SourceState> sour
   return result;
 }
 
-std::uint64_t LinkEngine::finish_symbol(std::uint64_t symbol, Time start,
-                                        std::span<SourceState> sources, Time& dead_until,
-                                        LinkRunStats& stats, RngStream& rng,
-                                        RareSampling* rare) const {
+std::uint64_t LinkEngine::transmit_symbol(std::uint64_t symbol, Time start, Time& dead_until,
+                                          LinkRunStats& stats, RngStream& rng,
+                                          const WindowRequest& request) const {
   const double window_start_s = start.seconds();
   const double window_end_s = window_start_s + window_s_;
 
-  const WindowEvents window = simulate_window(sources, window_start_s, window_end_s,
-                                              dead_until.seconds(), noise_rate_, rng, rare);
+  // Source 0 is the victim's own pulse; x1.0 leaves lambda exact.
+  SourceState signal = signal_state(window_start_s + link_->ppm().encode(symbol).seconds());
+  signal.lambda *= std::max(request.signal_scale, 0.0);
+  signal.exhausted = signal.lambda <= 0.0;
+  sources_.clear();
+  sources_.push_back(signal);
+  for (const SourcePulse& a : request.aggressors) {
+    SourceState s;
+    s.led = a.led;
+    s.lambda = a.mean_photons * pdp_;  // thinning: victim PDP pre-multiplied
+    s.start_s = a.start.seconds();
+    s.is_signal = false;
+    s.exhausted = s.lambda <= 0.0 || a.led == nullptr;
+    s.next_s = kInf;
+    sources_.push_back(s);
+  }
+  if (request.rare != nullptr) request.rare->log_weight = 0.0;
+
+  const WindowEvents window =
+      simulate_window(sources_, window_start_s, window_end_s, dead_until.seconds(),
+                      noise_rate_, rng, request.rare);
 
   // SPAD stays blind into the next window after its last avalanche.
   if (window.fired) {
@@ -305,57 +323,6 @@ std::uint64_t LinkEngine::decode_first_avalanche(std::uint64_t symbol, double to
     stats.bit_errors += modulation::PpmCodec::hamming(symbol, decoded);
   }
   return decoded;
-}
-
-std::uint64_t LinkEngine::transmit_symbol(std::uint64_t symbol, Time start, Time& dead_until,
-                                          LinkRunStats& stats, RngStream& rng) const {
-  SourceState signal =
-      signal_state(start.seconds() + link_->ppm().encode(symbol).seconds());
-  return finish_symbol(symbol, start, std::span<SourceState>(&signal, 1), dead_until,
-                       stats, rng);
-}
-
-std::uint64_t LinkEngine::transmit_symbol_rare(std::uint64_t symbol, Time start,
-                                               RareSampling& ctl, Time& dead_until,
-                                               LinkRunStats& stats, RngStream& rng) const {
-  ctl.log_weight = 0.0;
-  SourceState signal =
-      signal_state(start.seconds() + link_->ppm().encode(symbol).seconds());
-  return finish_symbol(symbol, start, std::span<SourceState>(&signal, 1), dead_until,
-                       stats, rng, &ctl);
-}
-
-std::uint64_t LinkEngine::transmit_symbol(std::uint64_t symbol, Time start,
-                                          double signal_scale, Time& dead_until,
-                                          LinkRunStats& stats, RngStream& rng) const {
-  SourceState signal =
-      signal_state(start.seconds() + link_->ppm().encode(symbol).seconds());
-  signal.lambda *= std::max(signal_scale, 0.0);
-  signal.exhausted = signal.lambda <= 0.0;
-  return finish_symbol(symbol, start, std::span<SourceState>(&signal, 1), dead_until,
-                       stats, rng);
-}
-
-std::uint64_t LinkEngine::transmit_symbol(std::uint64_t symbol, Time start,
-                                          std::span<const SourcePulse> aggressors,
-                                          Time& dead_until, LinkRunStats& stats,
-                                          RngStream& rng, EngineScratch& scratch) const {
-  std::vector<SourceState>& sources = scratch.states_;
-  sources.clear();
-  sources.reserve(aggressors.size() + 1);
-  sources.push_back(signal_state(start.seconds() + link_->ppm().encode(symbol).seconds()));
-  for (const SourcePulse& a : aggressors) {
-    SourceState s;
-    s.led = a.led;
-    s.lambda = a.mean_photons * pdp_;  // thinning: victim PDP pre-multiplied
-    s.start_s = a.start.seconds();
-    s.is_signal = false;
-    s.exhausted = s.lambda <= 0.0 || a.led == nullptr;
-    s.next_s = kInf;
-    sources.push_back(s);
-  }
-  return finish_symbol(symbol, start, std::span<SourceState>(sources), dead_until, stats,
-                       rng);
 }
 
 LinkRunStats LinkEngine::measure(std::uint64_t count, RngStream& rng) const {

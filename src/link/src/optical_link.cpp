@@ -180,30 +180,6 @@ void OpticalLink::set_temperature(util::Temperature t) {
   tdc_.line().set_conditions(t, tdc_.line().params().nominal_supply);
 }
 
-std::uint64_t OpticalLink::transmit_symbol(std::uint64_t symbol, Time start, Time& dead_until,
-                                           LinkRunStats& stats, RngStream& rng) const {
-  return LinkEngine(*this).transmit_symbol(symbol, start, dead_until, stats, rng);
-}
-
-std::uint64_t OpticalLink::transmit_symbol_with_interference(
-    std::uint64_t symbol, Time start, std::span<const SourcePulse> aggressors,
-    Time& dead_until, LinkRunStats& stats, RngStream& rng, EngineScratch& scratch) const {
-  return LinkEngine(*this).transmit_symbol(symbol, start, aggressors, dead_until, stats,
-                                           rng, scratch);
-}
-
-std::uint64_t OpticalLink::transmit_symbol_with_interference(
-    std::uint64_t symbol, Time start, Time& dead_until, LinkRunStats& stats, RngStream& rng,
-    std::vector<photonics::PhotonArrival> interference) const {
-  if (interference.empty()) {
-    // No co-channel aggressors: the streaming engine handles the
-    // window allocation-free.
-    return LinkEngine(*this).transmit_symbol(symbol, start, dead_until, stats, rng);
-  }
-  return transmit_symbol_reference(symbol, start, dead_until, stats, rng,
-                                   std::move(interference));
-}
-
 std::uint64_t OpticalLink::transmit_symbol_reference(
     std::uint64_t symbol, Time start, Time& dead_until, LinkRunStats& stats, RngStream& rng,
     std::vector<photonics::PhotonArrival> interference) const {

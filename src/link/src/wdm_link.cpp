@@ -89,9 +89,9 @@ WdmLink::RunResult WdmLink::transmit(const std::vector<std::vector<std::uint64_t
   RunResult result;
   result.per_channel.resize(links_.size());
   std::vector<Time> dead_until(links_.size(), Time::zero());
-  // Per-channel engines, one scratch and one aggressor buffer reused
-  // across every window: after the first window the whole run is
-  // allocation-free (modulo the decoded/erased output growth).
+  // Per-channel engines and one aggressor buffer reused across every
+  // window: after the first window the whole run is allocation-free
+  // (modulo the decoded/erased output growth).
   std::vector<LinkEngine> engines;
   engines.reserve(links_.size());
   for (const auto& l : links_) engines.emplace_back(*l);
@@ -99,7 +99,6 @@ WdmLink::RunResult WdmLink::transmit(const std::vector<std::vector<std::uint64_t
     chan.decoded.reserve(length);
     chan.erased.reserve(length);
   }
-  EngineScratch scratch;
   std::vector<SourcePulse> aggressors;
   aggressors.reserve(links_.size() > 0 ? links_.size() - 1 : 0);
   std::vector<Time> pulse_start(links_.size());
@@ -129,8 +128,8 @@ WdmLink::RunResult WdmLink::transmit(const std::vector<std::vector<std::uint64_t
       auto& chan = result.per_channel[i];
       const std::uint64_t erasures_before = chan.stats.erasures;
       chan.decoded.push_back(engines[i].transmit_symbol(symbols[i][w], window_start,
-                                                        aggressors, dead_until[i],
-                                                        chan.stats, rng, scratch));
+                                                        dead_until[i], chan.stats, rng,
+                                                        {.aggressors = aggressors}));
       chan.erased.push_back(chan.stats.erasures != erasures_before);
     }
     window_start += links_.front()->symbol_period();

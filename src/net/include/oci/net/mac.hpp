@@ -14,9 +14,9 @@
 //     no token ring and no global TDMA owner table.
 //
 // CAC allocations may span several WDM wavelengths, so one slot can
-// carry several clean transfers at once (one per wavelength). The
-// structured arbitrate_slot() entry point expresses that; the legacy
-// flat arbitrate() keeps the single-channel policies untouched.
+// carry several clean transfers at once (one per wavelength); every
+// policy reports its decision as a structured SlotOutcome so the
+// network never has to guess which transmitters collided.
 #pragma once
 
 #include <cstddef>
@@ -30,9 +30,7 @@
 
 namespace oci::net {
 
-/// Result of one slot's arbitration: which dies launch a pulse train.
-/// An empty list is an idle slot; more than one entry is a collision
-/// (possible only with random access).
+/// Die indices granted (or lost) in one slot.
 using SlotGrant = std::vector<std::size_t>;
 
 /// Structured arbitration result: `clean` dies transmit alone on their
@@ -46,29 +44,14 @@ struct SlotOutcome {
 };
 
 /// Abstract MAC policy. `backlogged[i]` says whether die i has a
-/// packet ready; the policy returns who transmits in this slot.
+/// packet ready; arbitrate_slot() returns who transmits in this slot,
+/// split into clean and collided transmitters (both empty = idle slot).
 class MacPolicy {
  public:
   virtual ~MacPolicy() = default;
-  [[nodiscard]] virtual SlotGrant arbitrate(std::uint64_t slot,
-                                            const std::vector<bool>& backlogged,
-                                            util::RngStream& rng) = 0;
-  /// Structured entry point StackNetwork drives. The default maps the
-  /// flat grant (1 entry = clean, > 1 = collision), so single-channel
-  /// policies keep their exact legacy semantics; wavelength-aware
-  /// policies (CacMac) override it.
   [[nodiscard]] virtual SlotOutcome arbitrate_slot(std::uint64_t slot,
                                                    const std::vector<bool>& backlogged,
-                                                   util::RngStream& rng) {
-    SlotOutcome out;
-    SlotGrant grant = arbitrate(slot, backlogged, rng);
-    if (grant.size() == 1) {
-      out.clean = std::move(grant);
-    } else if (grant.size() > 1) {
-      out.collided = std::move(grant);
-    }
-    return out;
-  }
+                                                   util::RngStream& rng) = 0;
   /// Human-readable policy name for reports.
   [[nodiscard]] virtual const char* name() const = 0;
 };
@@ -78,8 +61,9 @@ class MacPolicy {
 class TdmaMac final : public MacPolicy {
  public:
   explicit TdmaMac(bus::TdmaSchedule schedule);
-  [[nodiscard]] SlotGrant arbitrate(std::uint64_t slot, const std::vector<bool>& backlogged,
-                                    util::RngStream& rng) override;
+  [[nodiscard]] SlotOutcome arbitrate_slot(std::uint64_t slot,
+                                           const std::vector<bool>& backlogged,
+                                           util::RngStream& rng) override;
   [[nodiscard]] const char* name() const override { return "tdma"; }
 
  private:
@@ -92,8 +76,9 @@ class TdmaMac final : public MacPolicy {
 class TokenMac final : public MacPolicy {
  public:
   TokenMac(std::size_t participants, unsigned pass_slots = 0);
-  [[nodiscard]] SlotGrant arbitrate(std::uint64_t slot, const std::vector<bool>& backlogged,
-                                    util::RngStream& rng) override;
+  [[nodiscard]] SlotOutcome arbitrate_slot(std::uint64_t slot,
+                                           const std::vector<bool>& backlogged,
+                                           util::RngStream& rng) override;
   [[nodiscard]] const char* name() const override { return "token"; }
 
  private:
@@ -120,11 +105,8 @@ class SubsetMac final : public MacPolicy {
   /// `dies`); `inner` must be built for members.size() participants.
   SubsetMac(std::unique_ptr<MacPolicy> inner, std::vector<std::size_t> members,
             std::size_t dies);
-  [[nodiscard]] SlotGrant arbitrate(std::uint64_t slot, const std::vector<bool>& backlogged,
-                                    util::RngStream& rng) override;
-  /// Structured pass-through: delegates to the inner policy's
-  /// arbitrate_slot (preserving multi-wavelength clean grants) and
-  /// remaps both lists back to the full die space.
+  /// Delegates to the inner policy (preserving multi-wavelength clean
+  /// grants) and remaps both lists back to the full die space.
   [[nodiscard]] SlotOutcome arbitrate_slot(std::uint64_t slot,
                                            const std::vector<bool>& backlogged,
                                            util::RngStream& rng) override;
@@ -146,8 +128,9 @@ class SubsetMac final : public MacPolicy {
 class AlohaMac final : public MacPolicy {
  public:
   explicit AlohaMac(double attempt_probability);
-  [[nodiscard]] SlotGrant arbitrate(std::uint64_t slot, const std::vector<bool>& backlogged,
-                                    util::RngStream& rng) override;
+  [[nodiscard]] SlotOutcome arbitrate_slot(std::uint64_t slot,
+                                           const std::vector<bool>& backlogged,
+                                           util::RngStream& rng) override;
   [[nodiscard]] const char* name() const override { return "aloha"; }
   [[nodiscard]] double attempt_probability() const { return p_; }
 
@@ -175,12 +158,6 @@ class CacMac final : public MacPolicy {
   /// `allocation` must cover exactly the dies the network arbitrates
   /// (allocation.slots.size() participants).
   explicit CacMac(cac::Allocation allocation);
-  /// Legacy flat view: every die transmitting in this slot, clean or
-  /// not. Single-wavelength allocations keep the exact flat semantics
-  /// (1 entry = clean, > 1 = collision); multi-wavelength callers must
-  /// use arbitrate_slot, which the network drives.
-  [[nodiscard]] SlotGrant arbitrate(std::uint64_t slot, const std::vector<bool>& backlogged,
-                                    util::RngStream& rng) override;
   [[nodiscard]] SlotOutcome arbitrate_slot(std::uint64_t slot,
                                            const std::vector<bool>& backlogged,
                                            util::RngStream& rng) override;

@@ -8,11 +8,12 @@ namespace oci::net {
 
 TdmaMac::TdmaMac(bus::TdmaSchedule schedule) : schedule_(std::move(schedule)) {}
 
-SlotGrant TdmaMac::arbitrate(std::uint64_t slot, const std::vector<bool>& backlogged,
-                             util::RngStream& /*rng*/) {
+SlotOutcome TdmaMac::arbitrate_slot(std::uint64_t slot, const std::vector<bool>& backlogged,
+                                    util::RngStream& /*rng*/) {
+  SlotOutcome out;
   const std::size_t owner = schedule_.owner(slot);
-  if (owner < backlogged.size() && backlogged[owner]) return {owner};
-  return {};
+  if (owner < backlogged.size() && backlogged[owner]) out.clean.push_back(owner);
+  return out;
 }
 
 TokenMac::TokenMac(std::size_t participants, unsigned pass_slots)
@@ -20,15 +21,17 @@ TokenMac::TokenMac(std::size_t participants, unsigned pass_slots)
   if (participants_ == 0) throw std::invalid_argument("TokenMac: need >= 1 participant");
 }
 
-SlotGrant TokenMac::arbitrate(std::uint64_t /*slot*/, const std::vector<bool>& backlogged,
-                              util::RngStream& /*rng*/) {
+SlotOutcome TokenMac::arbitrate_slot(std::uint64_t /*slot*/,
+                                     const std::vector<bool>& backlogged,
+                                     util::RngStream& /*rng*/) {
   if (backlogged.size() != participants_) {
     throw std::invalid_argument("TokenMac: backlog vector size mismatch");
   }
+  SlotOutcome out;
   if (passing_ > 0) {
     // A token exchange is in flight; the medium is dead this slot.
     --passing_;
-    return {};
+    return out;
   }
   // Work-conserving scan: advance the token to the next backlogged die.
   for (std::size_t step = 0; step < participants_; ++step) {
@@ -39,13 +42,14 @@ SlotGrant TokenMac::arbitrate(std::uint64_t /*slot*/, const std::vector<bool>& b
         if (pass_slots_ > 0) {
           // The pass costs dead slots BEFORE the new holder may send.
           passing_ = pass_slots_ - 1;  // this slot is the first dead one
-          return {};
+          return out;
         }
       }
-      return {candidate};
+      out.clean.push_back(candidate);
+      return out;
     }
   }
-  return {};  // everyone idle; token stays put
+  return out;  // everyone idle; token stays put
 }
 
 SubsetMac::SubsetMac(std::unique_ptr<MacPolicy> inner, std::vector<std::size_t> members,
@@ -60,19 +64,6 @@ SubsetMac::SubsetMac(std::unique_ptr<MacPolicy> inner, std::vector<std::size_t> 
     }
   }
   inner_backlogged_.resize(members_.size());
-}
-
-SlotGrant SubsetMac::arbitrate(std::uint64_t slot, const std::vector<bool>& backlogged,
-                               util::RngStream& rng) {
-  if (backlogged.size() != dies_) {
-    throw std::invalid_argument("SubsetMac: backlog vector size mismatch");
-  }
-  for (std::size_t i = 0; i < members_.size(); ++i) {
-    inner_backlogged_[i] = backlogged[members_[i]];
-  }
-  SlotGrant grant = inner_->arbitrate(slot, inner_backlogged_, rng);
-  for (std::size_t& g : grant) g = members_[g];
-  return grant;
 }
 
 SlotOutcome SubsetMac::arbitrate_slot(std::uint64_t slot, const std::vector<bool>& backlogged,
@@ -95,13 +86,17 @@ AlohaMac::AlohaMac(double attempt_probability) : p_(attempt_probability) {
   }
 }
 
-SlotGrant AlohaMac::arbitrate(std::uint64_t /*slot*/, const std::vector<bool>& backlogged,
-                              util::RngStream& rng) {
-  SlotGrant grant;
+SlotOutcome AlohaMac::arbitrate_slot(std::uint64_t /*slot*/,
+                                     const std::vector<bool>& backlogged,
+                                     util::RngStream& rng) {
+  // One Bernoulli attempt per backlogged die, in die order; a lone
+  // attempt goes through, two or more collide.
+  SlotOutcome out;
   for (std::size_t i = 0; i < backlogged.size(); ++i) {
-    if (backlogged[i] && rng.bernoulli(p_)) grant.push_back(i);
+    if (backlogged[i] && rng.bernoulli(p_)) out.collided.push_back(i);
   }
-  return grant;
+  if (out.collided.size() == 1) out.clean.swap(out.collided);
+  return out;
 }
 
 CacMac::CacMac(cac::Allocation allocation)
@@ -154,19 +149,6 @@ SlotOutcome CacMac::arbitrate_slot(std::uint64_t slot, const std::vector<bool>& 
     begin = end;
   }
   return out;
-}
-
-SlotGrant CacMac::arbitrate(std::uint64_t slot, const std::vector<bool>& backlogged,
-                            util::RngStream& rng) {
-  const SlotOutcome out = arbitrate_slot(slot, backlogged, rng);
-  // Flat view: everyone pulsing this slot. Exact flat semantics for
-  // single-wavelength allocations; lossy (documented) beyond that.
-  SlotGrant all;
-  all.reserve(out.clean.size() + out.collided.size());
-  all.insert(all.end(), out.clean.begin(), out.clean.end());
-  all.insert(all.end(), out.collided.begin(), out.collided.end());
-  std::sort(all.begin(), all.end());
-  return all;
 }
 
 }  // namespace oci::net

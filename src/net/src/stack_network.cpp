@@ -176,8 +176,7 @@ NetworkRunResult StackNetwork::run(std::uint64_t slots, util::RngStream& rng) {
       backlogged[die] = !queues_[die].empty();
     }
     // Structured arbitration: single-channel policies yield at most one
-    // clean die (exactly the legacy flat semantics, same RNG draw
-    // order); a multi-wavelength CacMac can land several clean
+    // clean die; a multi-wavelength CacMac can land several clean
     // transfers in one slot, resolved in the policy's deterministic
     // grant order. All per-slot work below is proportional to the
     // grant sizes, never to the die count.

@@ -10,7 +10,8 @@
 // Policy vs mechanism: this module owns the POLICY -- which proposal,
 // which factors, which level schedule, how weights roll up into a
 // chunk. The MECHANISM (tilted window simulation with exact per-symbol
-// log likelihood-ratios) is link::LinkEngine::transmit_symbol_rare.
+// log likelihood-ratios) is link::LinkEngine::transmit_symbol with a
+// WindowRequest whose `rare` points at the proposal.
 // The scenario layer declares the policy via `variance.*` registry
 // keys (a rare::RareSpec on ScenarioSpec) and routes accelerated
 // points here from its p2p-symbols path.

@@ -25,6 +25,7 @@ void run_weighted(const link::LinkEngine& engine, const link::OpticalLink& link,
                   std::uint64_t count, RngStream& rng, ChunkResult& out) {
   const auto max_symbol = static_cast<std::int64_t>(link.ppm().slot_count()) - 1;
   link::RareSampling ctl = proposal;
+  const link::WindowRequest request{.rare = &ctl};
   for (std::uint64_t i = 0; i < count; ++i) {
     const auto symbol = static_cast<std::uint64_t>(rng.uniform_int(0, max_symbol));
     Time dead_until = Time::zero();  // i.i.d. windows: no cross-symbol carry
@@ -32,8 +33,7 @@ void run_weighted(const link::LinkEngine& engine, const link::OpticalLink& link,
     const std::uint64_t eras0 = out.stats.erasures;
     const std::uint64_t bits0 = out.stats.bit_errors;
     const std::uint64_t noise0 = out.stats.noise_captures;
-    (void)engine.transmit_symbol_rare(symbol, Time::zero(), ctl, dead_until, out.stats,
-                                      rng);
+    (void)engine.transmit_symbol(symbol, Time::zero(), dead_until, out.stats, rng, request);
     const double w = base_weight * std::exp(ctl.log_weight);
     out.weights.add(w);
     const bool sym_err = out.stats.symbol_errors != sym_err0;

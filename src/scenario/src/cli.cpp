@@ -1,8 +1,9 @@
 #include "oci/scenario/cli.hpp"
 
 #include <cstdlib>
-#include <cstring>
 #include <stdexcept>
+#include <string_view>
+#include <vector>
 
 namespace oci::scenario {
 
@@ -14,6 +15,42 @@ namespace {
 std::optional<std::uint64_t>& cli_seed_slot() {
   static std::optional<std::uint64_t> slot;
   return slot;
+}
+
+/// Removes every `FLAG=V` and `FLAG V` from argv, compacting and
+/// re-terminating it, and returns the values in argv order. A trailing
+/// bare FLAG with no value is left in place.
+std::vector<std::string> consume_flag(int& argc, char** argv, std::string_view flag) {
+  std::vector<std::string> values;
+  int write = 1;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg.starts_with(flag) && arg.size() > flag.size() && arg[flag.size()] == '=') {
+      values.emplace_back(arg.substr(flag.size() + 1));
+    } else if (arg == flag && i + 1 < argc) {
+      values.emplace_back(argv[++i]);
+    } else {
+      argv[write++] = argv[i];
+    }
+  }
+  if (write < argc) {
+    argc = write;
+    argv[argc] = nullptr;
+  }
+  return values;
+}
+
+/// Exports a CLI value as `var`, then re-reads it through the strict
+/// environment parser `parses`: an explicit override must never be
+/// silently dropped, so a rejected value is unset again and throws
+/// naming `flag`.
+void export_checked(const char* flag, const char* var, const std::string& value,
+                    const char* kind, bool (*parses)()) {
+  setenv(var, value.c_str(), 1);
+  if (parses()) return;
+  unsetenv(var);
+  throw std::invalid_argument(std::string("scenario: ") + flag + " needs a positive " + kind +
+                              ", got '" + value + "'");
 }
 
 }  // namespace
@@ -33,26 +70,11 @@ std::optional<std::uint64_t> seed_from_env() {
 
 std::optional<std::uint64_t> consume_seed_arg(int& argc, char** argv) {
   std::optional<std::uint64_t> out;
-  int write = 1;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* value = nullptr;
-    if (std::strncmp(arg, "--seed=", 7) == 0) {
-      value = arg + 7;
-    } else if (std::strcmp(arg, "--seed") == 0 && i + 1 < argc) {
-      value = argv[++i];
-    }
-    if (value != nullptr) {
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(value, &end, 10);
-      if (end != value && *end == '\0') out = static_cast<std::uint64_t>(v);
-      continue;  // consumed either way; a garbled value falls back
-    }
-    argv[write++] = argv[i];
-  }
-  if (write < argc) {
-    argc = write;
-    argv[argc] = nullptr;
+  // Consumed either way; a garbled value falls back.
+  for (const std::string& value : consume_flag(argc, argv, "--seed")) {
+    char* end = nullptr;
+    const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
+    if (end != value.c_str() && *end == '\0') out = static_cast<std::uint64_t>(v);
   }
   // Install the CLI seed as the in-process override so the documented
   // precedence (--seed beats OCI_SEED beats the spec) holds for EVERY
@@ -82,51 +104,15 @@ std::optional<std::uint64_t> max_samples_from_env() {
 }
 
 void consume_precision_args(int& argc, char** argv) {
-  int write = 1;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* var = nullptr;
-    const char* value = nullptr;
-    if (std::strncmp(arg, "--precision=", 12) == 0) {
-      var = "OCI_PRECISION";
-      value = arg + 12;
-    } else if (std::strcmp(arg, "--precision") == 0 && i + 1 < argc) {
-      var = "OCI_PRECISION";
-      value = argv[++i];
-    } else if (std::strncmp(arg, "--max-samples=", 14) == 0) {
-      var = "OCI_MAX_SAMPLES";
-      value = arg + 14;
-    } else if (std::strcmp(arg, "--max-samples") == 0 && i + 1 < argc) {
-      var = "OCI_MAX_SAMPLES";
-      value = argv[++i];
-    }
-    if (var != nullptr) {
-      // An explicit CLI override must never be silently dropped:
-      // validate with the same strict parsers the environment uses.
-      const std::string saved = value;
-      setenv(var, value, 1);
-      const bool ok = std::strcmp(var, "OCI_PRECISION") == 0
-                          ? precision_from_env().has_value()
-                          : max_samples_from_env().has_value();
-      if (!ok) {
-        unsetenv(var);
-        throw std::invalid_argument(
-            std::string("scenario: ") +
-            (std::strcmp(var, "OCI_PRECISION") == 0 ? "--precision"
-                                                    : "--max-samples") +
-            " needs a positive " +
-            (std::strcmp(var, "OCI_PRECISION") == 0 ? "number" : "integer") +
-            ", got '" + saved + "'");
-      }
-      // Exported (like the consumed seed) so EVERY later resolution in
-      // the process honours the CLI-beats-env-beats-spec precedence.
-      continue;
-    }
-    argv[write++] = argv[i];
+  // Exported (like the consumed seed) so EVERY later resolution in the
+  // process honours the CLI-beats-env-beats-spec precedence.
+  for (const std::string& value : consume_flag(argc, argv, "--precision")) {
+    export_checked("--precision", "OCI_PRECISION", value, "number",
+                   [] { return precision_from_env().has_value(); });
   }
-  if (write < argc) {
-    argc = write;
-    argv[argc] = nullptr;
+  for (const std::string& value : consume_flag(argc, argv, "--max-samples")) {
+    export_checked("--max-samples", "OCI_MAX_SAMPLES", value, "integer",
+                   [] { return max_samples_from_env().has_value(); });
   }
 }
 
@@ -183,24 +169,8 @@ ShardSpec parse_shard(const std::string& text) {
 
 std::optional<ShardSpec> consume_shard_arg(int& argc, char** argv) {
   std::optional<ShardSpec> out;
-  int write = 1;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* value = nullptr;
-    if (std::strncmp(arg, "--shard=", 8) == 0) {
-      value = arg + 8;
-    } else if (std::strcmp(arg, "--shard") == 0 && i + 1 < argc) {
-      value = argv[++i];
-    }
-    if (value != nullptr) {
-      out = parse_shard(value);  // strict: a garbled shard must not run the full sweep
-      continue;
-    }
-    argv[write++] = argv[i];
-  }
-  if (write < argc) {
-    argc = write;
-    argv[argc] = nullptr;
+  for (const std::string& value : consume_flag(argc, argv, "--shard")) {
+    out = parse_shard(value);  // strict: a garbled shard must not run the full sweep
   }
   return out;
 }
@@ -213,27 +183,11 @@ std::optional<std::string> cache_dir_from_env() {
 
 std::optional<std::string> consume_cache_arg(int& argc, char** argv) {
   std::optional<std::string> out;
-  int write = 1;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* value = nullptr;
-    if (std::strncmp(arg, "--cache=", 8) == 0) {
-      value = arg + 8;
-    } else if (std::strcmp(arg, "--cache") == 0 && i + 1 < argc) {
-      value = argv[++i];
+  for (const std::string& value : consume_flag(argc, argv, "--cache")) {
+    if (value.empty()) {
+      throw std::invalid_argument("scenario: --cache needs a directory, got ''");
     }
-    if (value != nullptr) {
-      if (*value == '\0') {
-        throw std::invalid_argument("scenario: --cache needs a directory, got ''");
-      }
-      out = std::string(value);
-      continue;
-    }
-    argv[write++] = argv[i];
-  }
-  if (write < argc) {
-    argc = write;
-    argv[argc] = nullptr;
+    out = value;
   }
   // Exported so every later resolve_cache_dir / run in the process
   // sees the CLI value -- same precedence story as seeds.

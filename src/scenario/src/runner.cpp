@@ -10,6 +10,7 @@
 #include <iomanip>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -108,7 +109,7 @@ PointResult run_p2p_symbols(const ScenarioSpec& s, std::uint64_t samples, RngStr
     // ratio-weighted counts into the SAME metric schema -- weighted
     // rates feed RateAccumulator as fractional successes. validate()
     // restricts active variance to plain symbol traffic, so the
-    // aggressor/window-fault branches below never coexist with this.
+    // aggressors and window faults below never coexist with this.
     const rare::ChunkResult cr =
         rare::run_chunk(link, s.variance, samples, point_index, rng);
     const auto n =
@@ -138,30 +139,8 @@ PointResult run_p2p_symbols(const ScenarioSpec& s, std::uint64_t samples, RngStr
   RngStream tx = rng.fork("tx");
 
   link::LinkRunStats stats;
-  if (fr != nullptr && fr->window_faults()) {
-    // Dark/flaky transmit windows: a per-symbol driver-health draw from
-    // a dedicated stream scales the launched pulse (0 = dropped). The
-    // clean batched path never sees this branch, so its draw sequence
-    // is untouched.
-    const link::LinkEngine engine(link);
-    RngStream wf = rng.fork("window-faults");
-    const auto max_symbol = static_cast<std::int64_t>(link.ppm().slot_count()) - 1;
-    Time dead_until = Time::zero();
-    Time start = Time::zero();
-    for (std::uint64_t i = 0; i < samples; ++i) {
-      const auto symbol = static_cast<std::uint64_t>(tx.uniform_int(0, max_symbol));
-      const double u = wf.uniform();
-      double scale = 1.0;
-      if (u < fr->dark_window_probability) {
-        scale = 0.0;
-      } else if (u < fr->dark_window_probability + fr->flaky_window_probability) {
-        scale = fr->flaky_scale;
-      }
-      (void)engine.transmit_symbol(symbol, start, scale, dead_until, stats, tx);
-      start = start + link.symbol_period();
-    }
-    fault_draws = wf.draws();
-  } else if (s.aggressors.empty()) {
+  const bool window_faults = fr != nullptr && fr->window_faults();
+  if (!window_faults && s.aggressors.empty()) {
     // Rides the batched SoA/SIMD window path: measure() hands the
     // chunk's samples to the engine in kEngineBatch-lane spans, so a
     // map_until chunk is simulated batch-by-batch by the dispatched
@@ -169,23 +148,37 @@ PointResult run_p2p_symbols(const ScenarioSpec& s, std::uint64_t samples, RngStr
     // kernels are bit-identical across ISAs and thread counts.
     stats = link.measure(samples, tx);
   } else {
+    // Per-symbol windows. Dark/flaky transmit windows draw a driver-
+    // health uniform per symbol from a dedicated stream and scale the
+    // launched pulse (0 = dropped); aggressor pulses join the victim's
+    // window. The clean batched path never sees this branch, so its
+    // draw sequence is untouched.
     const link::LinkEngine engine(link);
-    link::EngineScratch scratch;
+    std::optional<RngStream> wf;
+    if (window_faults) wf.emplace(rng.fork("window-faults"));
     std::vector<link::SourcePulse> pulses(s.aggressors.size());
-    const auto max_symbol =
-        static_cast<std::int64_t>(link.ppm().slot_count()) - 1;
+    const auto max_symbol = static_cast<std::int64_t>(link.ppm().slot_count()) - 1;
     Time dead_until = Time::zero();
     Time start = Time::zero();
     for (std::uint64_t i = 0; i < samples; ++i) {
       const auto symbol = static_cast<std::uint64_t>(tx.uniform_int(0, max_symbol));
       for (std::size_t a = 0; a < s.aggressors.size(); ++a) {
-        pulses[a] = link::SourcePulse{
-            &link.led(), s.aggressors[a].mean_photons,
-            start + Time::picoseconds(s.aggressors[a].offset_ps)};
+        pulses[a] = link::SourcePulse{&link.led(), s.aggressors[a].mean_photons,
+                                      start + Time::picoseconds(s.aggressors[a].offset_ps)};
       }
-      (void)engine.transmit_symbol(symbol, start, pulses, dead_until, stats, tx, scratch);
+      link::WindowRequest request{.aggressors = pulses};
+      if (wf) {
+        const double u = wf->uniform();
+        if (u < fr->dark_window_probability) {
+          request.signal_scale = 0.0;
+        } else if (u < fr->dark_window_probability + fr->flaky_window_probability) {
+          request.signal_scale = fr->flaky_scale;
+        }
+      }
+      (void)engine.transmit_symbol(symbol, start, dead_until, stats, tx, request);
       start = start + link.symbol_period();
     }
+    if (wf) fault_draws = wf->draws();
   }
 
   const auto sent = std::max<std::uint64_t>(stats.symbols_sent, 1);

@@ -130,7 +130,10 @@ GcReport cache_gc(const std::string& root, double max_age_days, bool dry_run) {
   // Dead revisions first: every top-level entry that is not the live
   // r<kEngineRevision> directory (older revisions, pre-revision legacy
   // hash dirs) is unreadable by current binaries -- remove wholesale.
-  const std::string live = "r" + std::to_string(kEngineRevision);
+  // Appended, not `"r" + ...`: GCC 12's -Wrestrict false positive
+  // (bug 105329) fires on the prepend at -O3.
+  std::string live = "r";
+  live += std::to_string(kEngineRevision);
   for (fs::directory_iterator it(root, ec), end; !ec && it != end; it.increment(ec)) {
     if (it->path().filename().string() == live) continue;
     if (it->is_directory(ec)) {

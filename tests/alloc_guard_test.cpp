@@ -80,7 +80,6 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::f
 namespace {
 
 using namespace oci;
-using link::EngineScratch;
 using link::LinkEngine;
 using link::LinkRunStats;
 using link::OpticalLink;
@@ -172,8 +171,7 @@ TEST(AllocGuard, MultiSourceInterferenceLoopIsAllocationFree) {
   RngStream tx(1217);
 
   // The WDM / bus-contention inner loop shape: a fixed-size aggressor
-  // set rebuilt per window, one scratch reused throughout.
-  EngineScratch scratch;
+  // set rebuilt per window; the engine reuses its source states.
   std::array<SourcePulse, 3> aggressors{};
   LinkRunStats stats;
   Time t = Time::zero();
@@ -186,13 +184,13 @@ TEST(AllocGuard, MultiSourceInterferenceLoopIsAllocationFree) {
         aggressors[k] = SourcePulse{&link.led(), 6.0,
                                     t + window * (0.2 + 0.25 * static_cast<double>(k))};
       }
-      (void)engine.transmit_symbol(static_cast<std::uint64_t>(i % 32), t, aggressors,
-                                   dead_until, stats, tx, scratch);
+      (void)engine.transmit_symbol(static_cast<std::uint64_t>(i % 32), t, dead_until, stats,
+                                   tx, {.aggressors = aggressors});
       t += link.symbol_period();
     }
   };
 
-  run_windows(16);  // warm-up: sizes the scratch source states
+  run_windows(16);  // warm-up: sizes the engine's source states
 
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
   run_windows(1024);

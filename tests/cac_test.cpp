@@ -10,7 +10,6 @@
 // pattern pins its delivery ratio.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -250,23 +249,6 @@ TEST(CacMacPolicy, FullBacklogCollisionsBoundedPerFrame) {
     for (std::size_t b = a + 1; b < dies; ++b) {
       EXPECT_LE(meetings[a][b], 1u) << "dies " << a << "," << b;
     }
-  }
-}
-
-TEST(CacMacPolicy, FlatArbitrateMatchesStructuredUnion) {
-  const std::size_t dies = 12;
-  auto mac = make_cac(dies, 1);
-  RngStream r1(kSeed, "mac");
-  RngStream r2(kSeed, "mac");
-  std::vector<bool> busy(dies, false);
-  for (const std::size_t d : {0u, 3u, 5u, 9u, 11u}) busy[d] = true;
-  for (std::uint64_t slot = 0; slot < 2 * mac->frame(); ++slot) {
-    const net::SlotGrant flat = mac->arbitrate(slot, busy, r1);
-    const net::SlotOutcome out = mac->arbitrate_slot(slot, busy, r2);
-    net::SlotGrant joined = out.clean;
-    joined.insert(joined.end(), out.collided.begin(), out.collided.end());
-    std::sort(joined.begin(), joined.end());
-    EXPECT_EQ(flat, joined) << "slot " << slot;
   }
 }
 

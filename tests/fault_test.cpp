@@ -203,7 +203,7 @@ TEST(Fault, SubsetMacGrantsOnlyLiveDies) {
   RngStream rng(233);
   const std::vector<bool> all(6, true);  // includes dead dies
   for (std::uint64_t slot = 0; slot < 6; ++slot) {
-    const net::SlotGrant g = mac.arbitrate(slot, all, rng);
+    const net::SlotGrant g = mac.arbitrate_slot(slot, all, rng).clean;
     ASSERT_EQ(g.size(), 1u);
     EXPECT_TRUE(g[0] == 0 || g[0] == 2 || g[0] == 5);
   }
@@ -212,7 +212,7 @@ TEST(Fault, SubsetMacGrantsOnlyLiveDies) {
   std::vector<bool> only5{false, true, false, true, true, true};
   only5[5] = true;
   for (std::uint64_t slot = 0; slot < 3; ++slot) {
-    const net::SlotGrant g = mac.arbitrate(slot, only5, rng);
+    const net::SlotGrant g = mac.arbitrate_slot(slot, only5, rng).clean;
     ASSERT_EQ(g.size(), 1u);
     EXPECT_EQ(g[0], 5u);
   }
@@ -226,7 +226,7 @@ TEST(Fault, SubsetMacTdmaReclaimsDeadSlots) {
   RngStream rng(239);
   const std::vector<bool> backlogged(4, true);
   for (std::uint64_t slot = 0; slot < 8; ++slot) {
-    const net::SlotGrant g = mac.arbitrate(slot, backlogged, rng);
+    const net::SlotGrant g = mac.arbitrate_slot(slot, backlogged, rng).clean;
     ASSERT_EQ(g.size(), 1u);
     EXPECT_TRUE(g[0] == 1 || g[0] == 2);
   }

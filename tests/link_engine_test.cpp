@@ -113,6 +113,7 @@ TEST_P(EngineGolden, PerSymbolLoopMatchesBatchedRunStatistically) {
   // and the deterministic accounting must agree exactly.
   RngStream process(823);
   const OpticalLink link(config(), process);
+  const LinkEngine engine(link);
   constexpr std::uint64_t n = 4000;
 
   // Old-style driver: one transmit_symbol call per window.
@@ -124,13 +125,12 @@ TEST_P(EngineGolden, PerSymbolLoopMatchesBatchedRunStatistically) {
   for (std::uint64_t i = 0; i < n; ++i) {
     const auto symbol = static_cast<std::uint64_t>(
         tx_loop.uniform_int(0, static_cast<std::int64_t>(max_symbol)));
-    (void)link.transmit_symbol(symbol, t, dead_until, loop_stats, tx_loop);
+    (void)engine.transmit_symbol(symbol, t, dead_until, loop_stats, tx_loop);
     t += link.symbol_period();
   }
 
-  // Batched driver: one engine, whole batches.
+  // Batched driver: same engine, whole batches.
   RngStream tx_batch(829);
-  const LinkEngine engine(link);
   const LinkRunStats batch_stats = engine.measure(n, tx_batch);
 
   EXPECT_EQ(loop_stats.symbols_sent, batch_stats.symbols_sent);

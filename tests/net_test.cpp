@@ -69,7 +69,7 @@ TEST(TdmaMacPolicy, GrantsOnlyTheSlotOwner) {
   RngStream rng(211);
   const std::vector<bool> all_busy(4, true);
   for (std::uint64_t slot = 0; slot < 8; ++slot) {
-    const auto grant = mac.arbitrate(slot, all_busy, rng);
+    const auto grant = mac.arbitrate_slot(slot, all_busy, rng).clean;
     ASSERT_EQ(grant.size(), 1u);
     EXPECT_EQ(grant.front(), slot % 4);
   }
@@ -79,8 +79,8 @@ TEST(TdmaMacPolicy, IdleOwnerWastesTheSlot) {
   TdmaMac mac(bus::TdmaSchedule::equal(2));
   RngStream rng(223);
   const std::vector<bool> only_one{false, true};
-  EXPECT_TRUE(mac.arbitrate(0, only_one, rng).empty());  // die 0 idle
-  EXPECT_EQ(mac.arbitrate(1, only_one, rng).size(), 1u);
+  EXPECT_TRUE(mac.arbitrate_slot(0, only_one, rng).clean.empty());  // die 0 idle
+  EXPECT_EQ(mac.arbitrate_slot(1, only_one, rng).clean.size(), 1u);
 }
 
 TEST(TokenMacPolicy, WorkConservingSkipsIdleDies) {
@@ -89,7 +89,7 @@ TEST(TokenMacPolicy, WorkConservingSkipsIdleDies) {
   // Only die 3 is backlogged: it gets every slot despite the rotation.
   const std::vector<bool> only_three{false, false, false, true};
   for (int i = 0; i < 5; ++i) {
-    const auto grant = mac.arbitrate(static_cast<std::uint64_t>(i), only_three, rng);
+    const auto grant = mac.arbitrate_slot(static_cast<std::uint64_t>(i), only_three, rng).clean;
     ASSERT_EQ(grant.size(), 1u);
     EXPECT_EQ(grant.front(), 3u);
   }
@@ -100,13 +100,13 @@ TEST(TokenMacPolicy, PassCostBurnsSlots) {
   RngStream rng(229);
   const std::vector<bool> only_one{false, true};
   // Token starts at die 0 (idle): the pass to die 1 costs 2 dead slots.
-  EXPECT_TRUE(mac.arbitrate(0, only_one, rng).empty());
-  EXPECT_TRUE(mac.arbitrate(1, only_one, rng).empty());
-  const auto grant = mac.arbitrate(2, only_one, rng);
+  EXPECT_TRUE(mac.arbitrate_slot(0, only_one, rng).clean.empty());
+  EXPECT_TRUE(mac.arbitrate_slot(1, only_one, rng).clean.empty());
+  const auto grant = mac.arbitrate_slot(2, only_one, rng).clean;
   ASSERT_EQ(grant.size(), 1u);
   EXPECT_EQ(grant.front(), 1u);
   // Holder now owns the medium with no further pass cost.
-  EXPECT_EQ(mac.arbitrate(3, only_one, rng).size(), 1u);
+  EXPECT_EQ(mac.arbitrate_slot(3, only_one, rng).clean.size(), 1u);
 }
 
 TEST(TokenMacPolicy, ValidatesInputs) {
@@ -114,15 +114,16 @@ TEST(TokenMacPolicy, ValidatesInputs) {
   TokenMac mac(3);
   RngStream rng(233);
   const std::vector<bool> wrong_size(2, true);
-  EXPECT_THROW((void)mac.arbitrate(0, wrong_size, rng), std::invalid_argument);
+  EXPECT_THROW((void)mac.arbitrate_slot(0, wrong_size, rng), std::invalid_argument);
 }
 
 TEST(AlohaMacPolicy, CertainAttemptCollidesWhenTwoBusy) {
   AlohaMac mac(1.0);
   RngStream rng(239);
   const std::vector<bool> two_busy{true, true, false};
-  const auto grant = mac.arbitrate(0, two_busy, rng);
-  EXPECT_EQ(grant.size(), 2u);  // both transmit -> collision
+  const auto out = mac.arbitrate_slot(0, two_busy, rng);
+  EXPECT_TRUE(out.clean.empty());
+  EXPECT_EQ(out.collided.size(), 2u);  // both transmit -> collision
 }
 
 TEST(AlohaMacPolicy, RejectsBadProbability) {

@@ -9,14 +9,16 @@
 // noise-capture / bit-error rates, for each interference-bearing
 // consumer path (raw interference, WDM, bus contention) at >= 3
 // configurations each. Golden bit-for-bit checks cover what MUST be
-// exact: an empty aggressor set degenerating to the single-source
-// engine, and determinism across identical seeds.
+// exact: every WindowRequest default (unit scale, empty aggressor set,
+// identity rare proposal) degenerating to the plain single-source
+// window, and determinism across identical seeds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "support/stat_assert.hpp"
@@ -30,7 +32,6 @@
 namespace {
 
 using namespace oci;
-using link::EngineScratch;
 using link::LinkEngine;
 using link::LinkRunStats;
 using link::OpticalLink;
@@ -122,7 +123,6 @@ std::vector<SourcePulse> aggressors_for(const InterferenceCase& c, const Optical
 LinkRunStats run_interference_engine(const InterferenceCase& c, const OpticalLink& link,
                                      RngStream& rng) {
   const LinkEngine engine(link);
-  EngineScratch scratch;
   LinkRunStats stats;
   Time t = Time::zero();
   Time dead_until = Time::zero();
@@ -131,7 +131,7 @@ LinkRunStats run_interference_engine(const InterferenceCase& c, const OpticalLin
     const auto symbol = static_cast<std::uint64_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(max_symbol)));
     const std::vector<SourcePulse> aggressors = aggressors_for(c, link, t);
-    (void)engine.transmit_symbol(symbol, t, aggressors, dead_until, stats, rng, scratch);
+    (void)engine.transmit_symbol(symbol, t, dead_until, stats, rng, {.aggressors = aggressors});
     t += link.symbol_period();
   }
   return stats;
@@ -183,27 +183,44 @@ INSTANTIATE_TEST_SUITE_P(Configs, InterferenceEngineVsReference,
                          ::testing::Values(0, 1, 2));
 
 TEST(MultiSourceEngine, EmptyAggressorSetMatchesSingleSourceBitForBit) {
+  // Every WindowRequest default is an exact no-op: a unit scale, an
+  // empty aggressor set and an identity rare proposal each replay the
+  // plain window draw for draw.
   const InterferenceCase c = interference_case(0);
   RngStream process(1031);
   const OpticalLink link(c.cfg, process);
   const LinkEngine engine(link);
 
-  LinkRunStats single, multi;
-  EngineScratch scratch;
-  RngStream tx_a(1033), tx_b(1033);
-  Time dead_a = Time::zero(), dead_b = Time::zero();
+  link::RareSampling identity;
+  const std::array<link::WindowRequest, 4> requests{{
+      {},
+      {.signal_scale = 1.0},
+      {.aggressors = {}},
+      {.rare = &identity},
+  }};
+  std::array<LinkRunStats, 4> stats{};
+  std::array<Time, 4> dead_until{};  // all Time::zero()
+  std::vector<RngStream> tx(requests.size(), RngStream(1033));
   Time t = Time::zero();
   for (int i = 0; i < 400; ++i) {
     const auto symbol = static_cast<std::uint64_t>(i % 32);
-    const std::uint64_t da =
-        engine.transmit_symbol(symbol, t, dead_a, single, tx_a);
-    const std::uint64_t db = engine.transmit_symbol(symbol, t, std::span<const SourcePulse>{},
-                                                    dead_b, multi, tx_b, scratch);
-    EXPECT_EQ(da, db);
+    identity.log_weight = 1.0;  // an output: must be reset, then stay 0
+    const std::uint64_t plain =
+        engine.transmit_symbol(symbol, t, dead_until[0], stats[0], tx[0], requests[0]);
+    for (std::size_t r = 1; r < requests.size(); ++r) {
+      EXPECT_EQ(engine.transmit_symbol(symbol, t, dead_until[r], stats[r], tx[r], requests[r]),
+                plain)
+          << "request " << r << ", symbol " << i;
+    }
+    EXPECT_EQ(identity.log_weight, 0.0);
     t += link.symbol_period();
   }
-  expect_identical(single, multi);
-  EXPECT_EQ(dead_a.seconds(), dead_b.seconds());
+  for (std::size_t r = 1; r < requests.size(); ++r) {
+    SCOPED_TRACE("request " + std::to_string(r));
+    expect_identical(stats[0], stats[r]);
+    EXPECT_EQ(dead_until[0].seconds(), dead_until[r].seconds());
+    EXPECT_EQ(tx[0].draws(), tx[r].draws());
+  }
 }
 
 TEST(MultiSourceEngine, StrongAggressorsRaiseNoiseCaptures) {

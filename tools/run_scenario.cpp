@@ -28,8 +28,6 @@
 //
 // cache-gc: removes cache entries older than --max-age-days.
 //
-// Back-compat: the old one-shot form `run_scenario SPEC [flags]` still
-// works (treated as `run`, with a deprecation note on stderr).
 // Exit codes: 0 success, 1 bad usage, 2 spec/run error.
 #include <cstdlib>
 #include <cstring>
@@ -86,10 +84,10 @@ void usage(std::ostream& os) {
         "  --dry-run        report what would be removed without removing\n";
 }
 
-int cmd_run(int argc, char** argv, const std::string& spec_path_arg) {
+int cmd_run(int argc, char** argv) {
   using namespace oci;
 
-  std::string spec_path = spec_path_arg;
+  std::string spec_path;
   std::string out_path;
   bool dump = false;
   scenario::ShardSpec shard;
@@ -384,15 +382,12 @@ int main(int argc, char** argv) {
   if (first == "run") {
     // Shift the subcommand out so cmd_run's flag loop (and the
     // consume_* helpers, which scan from argv[1]) see only its args.
-    return cmd_run(argc - 1, argv + 1, "");
+    return cmd_run(argc - 1, argv + 1);
   }
   if (first == "merge") return cmd_merge(argc, argv);
   if (first == "hash") return cmd_hash(argc, argv);
   if (first == "cache-gc") return cmd_cache_gc(argc, argv);
-  // Back-compat: the pre-service one-shot form `run_scenario SPEC
-  // [flags]`. Keep it working -- scripts and CI predate the
-  // subcommands -- but nudge toward the explicit spelling.
-  std::cerr << "run_scenario: note: implicit run is deprecated; use `run_scenario run "
-            << (first[0] == '-' ? "SPEC" : first) << " ...`\n";
-  return cmd_run(argc, argv, "");
+  std::cerr << "run_scenario: unknown subcommand '" << first << "'\n";
+  usage(std::cerr);
+  return 1;
 }
