@@ -4,9 +4,9 @@
 // net::StackNetwork -- optionally coupled through
 // link::SymbolDeliveryModel), fans the sweep's Cartesian product out
 // over a sim::BatchRunner pool with per-point deterministic RNG
-// streams, and emits a uniform RunReport: a metric table plus the
-// stable schema_version-1 BENCH_*.json trajectory document the CI diff
-// tooling already understands.
+// streams, and emits a uniform RunReport: a metric table that
+// report_io::save writes as the schema_version-2 BENCH_*.json
+// trajectory document the CI diff tooling understands.
 //
 // Determinism contract: a RunReport's coordinates, metrics, samples and
 // rng_draws are a pure function of (spec, resolved seed, repro scale) --
@@ -50,9 +50,31 @@ struct MetricDef {
 [[nodiscard]] MetricKind metric_kind_from_string(const std::string& name);
 
 /// The metric schema (names + kinds) the spec's topology and traffic
-/// mode resolve to -- the contract between dispatch, the adaptive
-/// accumulators, and the report columns.
+/// mode resolve to -- the contract between the workload's chunk
+/// values, the per-metric state, and the report columns.
 [[nodiscard]] std::vector<MetricDef> metrics_for(const ScenarioSpec& spec);
+
+/// One metric's pooled state: its kind plus the accumulator that kind
+/// needs. Chunks add into it, merge pools it, and every interval
+/// estimate is recomputed from it -- never averaged.
+struct MetricState {
+  explicit MetricState(MetricKind k) : kind(k) {}
+
+  MetricKind kind;
+  analysis::RateAccumulator rate;  ///< kRate: pooled successes/trials
+  analysis::MeanAccumulator mean;  ///< kMean: batch means over chunks
+  double value = 0.0;              ///< kCount: running total; kConstant: last value
+
+  /// Folds one chunk's value, observed over `samples` samples, in.
+  void add(double chunk_value, std::uint64_t samples);
+  /// Pools another run's state of the same metric in (independent
+  /// samples). False when a constant disagrees: the runs are not the
+  /// same experiment.
+  [[nodiscard]] bool merge(const MetricState& other);
+  /// Rate: Wilson; mean: Wald over batch means; count and constant: a
+  /// zero-width interval over the point's `samples`.
+  [[nodiscard]] analysis::Estimate estimate(double z, std::uint64_t samples) const;
+};
 
 /// One sweep point's outcome.
 struct RunPoint {
@@ -68,19 +90,13 @@ struct RunPoint {
   /// n_samples} for every metric. value always equals metrics[m];
   /// constant-kind metrics carry a zero-width interval.
   std::vector<analysis::Estimate> estimates;
-  /// Per-metric accumulator state, aligned with metrics. Only the slot
-  /// matching the metric's kind is meaningful (rates[m] for kRate,
-  /// means[m] for kMean, sums[m] for kCount, last[m] for kConstant).
-  /// This is what merge pools -- estimates are recomputed from merged
-  /// accumulators, never averaged.
-  std::vector<analysis::RateAccumulator> rates;
-  std::vector<analysis::MeanAccumulator> means;
-  std::vector<double> sums;
-  std::vector<double> last;
+  /// Per-metric pooled state, aligned with metrics. This is what merge
+  /// pools; refresh() derives estimates and metrics from it.
+  std::vector<MetricState> state;
   /// Likelihood-ratio weight state of a rare-event point (variance.kind
   /// != none): per-sample weight sum / sum-of-squares for n_eff and
   /// weight-CV diagnostics. Inactive (count == 0) on crude-MC points.
-  /// Pooled on merge like the accumulators above.
+  /// Pooled on merge like the metric state above.
   analysis::WeightStats weights;
   /// sum over samples of (weight x ser-error indicator)^2 -- the second
   /// moment behind the weighted-estimator variance diagnostic.
@@ -92,6 +108,8 @@ struct RunPoint {
 
   /// "jitter_ps=120/fec=hamming", or "-" for a sweep-less scenario.
   [[nodiscard]] std::string label(const std::vector<std::string>& axis_names) const;
+  /// Recomputes estimates and metrics from state at confidence `z`.
+  void refresh(double z);
 };
 
 /// Uniform result document of one scenario run (or of one shard of a
@@ -143,12 +161,6 @@ struct RunReport {
   [[nodiscard]] util::Table to_table(int precision = 4) const;
   /// Table plus a one-line run summary (deterministic output only).
   void print(std::ostream& os) const;
-
-  /// Writes the stable BENCH trajectory document (schema_version 2,
-  /// the shape tools/bench_diff.py consumes and gates on). Delegates to
-  /// report_io::save (report_io.hpp), kept as a method for the ported
-  /// benches and tests.
-  void write_bench_json(const std::string& path) const;
 };
 
 /// Execution options of one ScenarioRunner::run call.

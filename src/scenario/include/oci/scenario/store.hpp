@@ -48,7 +48,7 @@ struct ChunkKey {
   std::size_t chunk = 0;    ///< chunk ordinal within the point
 };
 
-/// One chunk's raw outcome: exactly what dispatch() returned for it.
+/// One chunk's raw outcome: what its workload's chunk function returned.
 struct ChunkRecord {
   std::uint64_t samples = 0;    ///< samples this chunk actually ran
   std::uint64_t rng_draws = 0;  ///< RNG draws the chunk consumed

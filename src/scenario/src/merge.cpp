@@ -23,66 +23,28 @@ void check_same(bool ok, const char* field) {
 
 /// Pools `from` into `into` (both observed the same sweep point under
 /// different seeds) and recomputes the estimates from the pooled state.
-void pool_point(RunPoint& into, const RunPoint& from,
-                const std::vector<MetricKind>& kinds, double z) {
-  const std::size_t n_metrics = kinds.size();
-  for (std::size_t m = 0; m < n_metrics; ++m) {
-    switch (kinds[m]) {
-      case MetricKind::kRate:
-        into.rates[m].merge(from.rates[m]);
-        break;
-      case MetricKind::kMean:
-        into.means[m].merge(from.means[m]);
-        break;
-      case MetricKind::kCount:
-        into.sums[m] += from.sums[m];
-        break;
-      case MetricKind::kConstant:
-        // Deterministic at the operating point: every run must have
-        // observed the bitwise-same value, or the reports are not from
-        // the same experiment (e.g. built by different binaries).
-        if (into.last[m] != from.last[m]) {
-          std::ostringstream os;
-          os << "constant metric #" << m << " differs across reports at point "
-             << into.point_index << " (" << into.last[m] << " vs " << from.last[m]
-             << ")";
-          fail(os.str());
-        }
-        break;
+void pool_point(RunPoint& into, const RunPoint& from, double z) {
+  for (std::size_t m = 0; m < into.state.size(); ++m) {
+    // A constant differing here means the reports are not from the same
+    // experiment (e.g. built by different binaries).
+    if (!into.state[m].merge(from.state[m])) {
+      std::ostringstream os;
+      os << "constant metric #" << m << " differs across reports at point "
+         << into.point_index << " (" << into.state[m].value << " vs "
+         << from.state[m].value << ")";
+      fail(os.str());
     }
   }
   into.samples += from.samples;
   into.chunks += from.chunks;
   into.rng_draws += from.rng_draws;
   into.wall_ns += from.wall_ns;
-  // Likelihood-ratio weight state pools exactly like the accumulators:
+  // Likelihood-ratio weight state pools exactly like the metric state:
   // sums of independent per-sample moments. n_eff/weight_cv are always
   // recomputed from the pooled state, never averaged.
   into.weights.merge(from.weights);
   into.err_weight_sq += from.err_weight_sq;
-  // Recompute the quartets from the POOLED accumulators -- mirroring
-  // the runner's estimate_of -- never by averaging the inputs'.
-  for (std::size_t m = 0; m < n_metrics; ++m) {
-    analysis::Estimate e;
-    switch (kinds[m]) {
-      case MetricKind::kRate:
-        e = into.rates[m].wilson(z);
-        break;
-      case MetricKind::kMean:
-        e = into.means[m].interval(z);
-        break;
-      case MetricKind::kCount:
-        e = analysis::Estimate{into.sums[m], into.sums[m], into.sums[m],
-                               into.samples};
-        break;
-      case MetricKind::kConstant:
-        e = analysis::Estimate{into.last[m], into.last[m], into.last[m],
-                               into.samples};
-        break;
-    }
-    into.estimates[m] = e;
-    into.metrics[m] = e.value;
-  }
+  into.refresh(z);
 }
 
 }  // namespace
@@ -105,8 +67,7 @@ RunReport merge_reports(const std::vector<RunReport>& parts,
     check_same(r.points_total == first.points_total, "points_total");
     check_same(r.confidence_z == first.confidence_z, "confidence_z");
     for (const RunPoint& p : r.points) {
-      if (p.rates.size() != n_metrics || p.means.size() != n_metrics ||
-          p.sums.size() != n_metrics || p.last.size() != n_metrics) {
+      if (p.state.size() != n_metrics) {
         fail("a report lacks per-metric accumulator state (not written by "
              "this version's report_io?)");
       }
@@ -125,7 +86,7 @@ RunReport merge_reports(const std::vector<RunReport>& parts,
       }
       auto [it, inserted] = merged.emplace(p.point_index, p);
       if (!inserted) {
-        pool_point(it->second, p, first.metric_kinds, first.confidence_z);
+        pool_point(it->second, p, first.confidence_z);
       }
     }
   }

@@ -144,33 +144,28 @@ void save(const RunReport& report, const std::string& path) {
       // The serializable accumulator state: what merge pools. Only
       // written when the report carries it (runner output always does).
       if (kinds_known) {
-        const MetricKind kind = report.metric_kinds[m];
-        os << ", \"kind\": \"" << to_string(kind) << "\"";
-        switch (kind) {
-          case MetricKind::kRate:
-            if (m < p.rates.size()) {
+        os << ", \"kind\": \"" << to_string(report.metric_kinds[m]) << "\"";
+        if (m < p.state.size()) {
+          const MetricState& st = p.state[m];
+          switch (st.kind) {
+            case MetricKind::kRate:
               os << ", \"successes\": ";
-              write_json_number(os, p.rates[m].successes());
-              os << ", \"trials\": " << p.rates[m].trials();
-            }
-            break;
-          case MetricKind::kMean:
-            if (m < p.means.size()) {
-              os << ", \"batch_count\": " << p.means[m].chunks()
-                 << ", \"batch_mean\": ";
-              write_json_number(os, p.means[m].mean());
+              write_json_number(os, st.rate.successes());
+              os << ", \"trials\": " << st.rate.trials();
+              break;
+            case MetricKind::kMean:
+              os << ", \"batch_count\": " << st.mean.chunks() << ", \"batch_mean\": ";
+              write_json_number(os, st.mean.mean());
               os << ", \"batch_m2\": ";
-              write_json_number(os, p.means[m].batch_m2());
-            }
-            break;
-          case MetricKind::kCount:
-            if (m < p.sums.size()) {
+              write_json_number(os, st.mean.batch_m2());
+              break;
+            case MetricKind::kCount:
               os << ", \"sum\": ";
-              write_json_number(os, p.sums[m]);
-            }
-            break;
-          case MetricKind::kConstant:
-            break;
+              write_json_number(os, st.value);
+              break;
+            case MetricKind::kConstant:
+              break;
+          }
         }
       }
       os << " }";
@@ -519,11 +514,6 @@ RunReport load(const std::string& path) {
       throw std::runtime_error("scenario report_io: " + path + ": result '" +
                                str_or(row, "name", "?", path) + "' has no metrics");
     }
-    const std::size_t n_metrics = metrics->obj.size();
-    p.rates.resize(n_metrics);
-    p.means.resize(n_metrics);
-    p.sums.resize(n_metrics, 0.0);
-    p.last.resize(n_metrics, 0.0);
     std::size_t m = 0;
     for (const auto& [name, entry] : metrics->obj) {
       if (entry.type != JValue::T::kObj) {
@@ -546,26 +536,27 @@ RunReport load(const std::string& path) {
       e.n_samples = uint_or(entry, "n_samples", p.samples, path);
       p.estimates.push_back(e);
       p.metrics.push_back(e.value);
-      switch (report.metric_kinds[m]) {
+      MetricState& st = p.state.emplace_back(report.metric_kinds[m]);
+      switch (st.kind) {
         case MetricKind::kRate:
-          p.rates[m] = analysis::RateAccumulator::from_counts(
+          st.rate = analysis::RateAccumulator::from_counts(
               num_or(entry, "successes", e.value * static_cast<double>(e.n_samples),
                      path),
               uint_or(entry, "trials", e.n_samples, path));
           break;
         case MetricKind::kMean:
-          p.means[m] = analysis::MeanAccumulator::from_state(
+          st.mean = analysis::MeanAccumulator::from_state(
               static_cast<std::size_t>(uint_or(entry, "batch_count", p.chunks, path)),
               num_or(entry, "batch_mean", e.value, path),
               num_or(entry, "batch_m2", 0.0, path), e.n_samples);
           break;
         case MetricKind::kCount:
-          p.sums[m] = num_or(entry, "sum", e.value, path);
+          st.value = num_or(entry, "sum", e.value, path);
           break;
         case MetricKind::kConstant:
+          st.value = e.value;
           break;
       }
-      p.last[m] = e.value;
       ++m;
     }
     if (m != report.metric_names.size()) {

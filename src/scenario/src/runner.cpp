@@ -17,7 +17,6 @@
 
 #include "oci/analysis/report.hpp"
 #include "oci/bus/vertical_bus.hpp"
-#include "oci/scenario/report_io.hpp"
 #include "oci/scenario/serialize.hpp"
 #include "oci/link/fec_link.hpp"
 #include "oci/link/link_engine.hpp"
@@ -34,17 +33,6 @@ namespace {
 
 using util::RngStream;
 using util::Time;
-
-/// Default-constructible task payload for BatchRunner::map.
-struct PointResult {
-  std::vector<double> metrics;
-  std::uint64_t rng_draws = 0;
-  /// Rare-event chunks only: per-sample likelihood-ratio weight state
-  /// (sum, sum of squares) plus the squared-weight mass on SER errors.
-  double weight_sum = 0.0;
-  double weight_sum_sq = 0.0;
-  double err_weight_sq = 0.0;
-};
 
 /// Index of the metric the stopping rule watches: the named metric, or
 /// the first rate-kind metric, or the first non-constant one.
@@ -85,11 +73,10 @@ std::vector<std::size_t> unravel(std::size_t flat, const std::vector<SweepAxis>&
   return idx;
 }
 
-PointResult run_p2p_symbols(const ScenarioSpec& s, std::uint64_t samples, RngStream& rng,
+ChunkRecord run_p2p_symbols(const ScenarioSpec& s, std::uint64_t samples, RngStream& rng,
                             const fault::Realisation* fr, std::size_t point_index) {
   RngStream process = rng.fork("process");
   link::OpticalLink link(s.device, process);
-  std::uint64_t fault_draws = 0;
   std::uint64_t recalibrations = 0;
   if (fr != nullptr && fr->tdc_drift_c != 0.0) {
     // The drift hits AFTER construction calibrated at the nominal
@@ -103,6 +90,15 @@ PointResult run_p2p_symbols(const ScenarioSpec& s, std::uint64_t samples, RngStr
       ++recalibrations;
     }
   }
+  // Both chunk flavours fill one metric vector from these counts:
+  // likelihood-ratio-weighted sums on a rare-event chunk, the plain
+  // counts as doubles (exact below 2^53) on a crude one.
+  ChunkRecord r;
+  link::LinkRunStats stats;
+  double ser_errors = 0.0;  // symbol errors + erasures
+  double bit_errors = 0.0;
+  double erasures = 0.0;
+  double noise_captures = 0.0;
   if (s.variance.active()) {
     // Rare-event acceleration: run the chunk as i.i.d. symbol windows
     // under the tilted/stratified proposal and fold the likelihood-
@@ -112,93 +108,87 @@ PointResult run_p2p_symbols(const ScenarioSpec& s, std::uint64_t samples, RngStr
     // aggressors and window faults below never coexist with this.
     const rare::ChunkResult cr =
         rare::run_chunk(link, s.variance, samples, point_index, rng);
-    const auto n =
-        static_cast<double>(std::max<std::uint64_t>(cr.stats.symbols_sent, 1));
-    const auto bits = static_cast<double>(
-        std::max<std::uint64_t>(cr.stats.total_bits, 1));
-    const double elapsed_s = cr.stats.elapsed.seconds();
-    PointResult r;
-    r.metrics = {(cr.w_symbol_errors + cr.w_erasures) / n,
-                 cr.w_bit_errors / bits,
-                 cr.w_erasures / n,
-                 cr.w_noise_captures / n,
-                 link.ppm().config().slot_width.picoseconds(),
-                 cr.stats.raw_throughput().bits_per_second(),
-                 elapsed_s > 0.0
-                     ? (static_cast<double>(cr.stats.total_bits) - cr.w_bit_errors) /
-                           elapsed_s
-                     : 0.0,
-                 cr.stats.energy_per_bit().joules(),
-                 static_cast<double>(recalibrations)};
-    r.rng_draws = process.draws() + cr.rng_draws + fault_draws;
+    stats = cr.stats;
+    ser_errors = cr.w_symbol_errors + cr.w_erasures;
+    bit_errors = cr.w_bit_errors;
+    erasures = cr.w_erasures;
+    noise_captures = cr.w_noise_captures;
+    r.rng_draws = cr.rng_draws;
     r.weight_sum = cr.weights.sum();
     r.weight_sum_sq = cr.weights.sum_sq();
     r.err_weight_sq = cr.err_weight_sq;
-    return r;
-  }
-  RngStream tx = rng.fork("tx");
-
-  link::LinkRunStats stats;
-  const bool window_faults = fr != nullptr && fr->window_faults();
-  if (!window_faults && s.aggressors.empty()) {
-    // Rides the batched SoA/SIMD window path: measure() hands the
-    // chunk's samples to the engine in kEngineBatch-lane spans, so a
-    // map_until chunk is simulated batch-by-batch by the dispatched
-    // kernel. Results stay a pure function of (spec, seed) -- the
-    // kernels are bit-identical across ISAs and thread counts.
-    stats = link.measure(samples, tx);
   } else {
-    // Per-symbol windows. Dark/flaky transmit windows draw a driver-
-    // health uniform per symbol from a dedicated stream and scale the
-    // launched pulse (0 = dropped); aggressor pulses join the victim's
-    // window. The clean batched path never sees this branch, so its
-    // draw sequence is untouched.
-    const link::LinkEngine engine(link);
-    std::optional<RngStream> wf;
-    if (window_faults) wf.emplace(rng.fork("window-faults"));
-    std::vector<link::SourcePulse> pulses(s.aggressors.size());
-    const auto max_symbol = static_cast<std::int64_t>(link.ppm().slot_count()) - 1;
-    Time dead_until = Time::zero();
-    Time start = Time::zero();
-    for (std::uint64_t i = 0; i < samples; ++i) {
-      const auto symbol = static_cast<std::uint64_t>(tx.uniform_int(0, max_symbol));
-      for (std::size_t a = 0; a < s.aggressors.size(); ++a) {
-        pulses[a] = link::SourcePulse{&link.led(), s.aggressors[a].mean_photons,
-                                      start + Time::picoseconds(s.aggressors[a].offset_ps)};
-      }
-      link::WindowRequest request{.aggressors = pulses};
-      if (wf) {
-        const double u = wf->uniform();
-        if (u < fr->dark_window_probability) {
-          request.signal_scale = 0.0;
-        } else if (u < fr->dark_window_probability + fr->flaky_window_probability) {
-          request.signal_scale = fr->flaky_scale;
+    RngStream tx = rng.fork("tx");
+    const bool window_faults = fr != nullptr && fr->window_faults();
+    if (!window_faults && s.aggressors.empty()) {
+      // Rides the batched SoA/SIMD window path: measure() hands the
+      // chunk's samples to the engine in kEngineBatch-lane spans, so a
+      // map_until chunk is simulated batch-by-batch by the dispatched
+      // kernel. Results stay a pure function of (spec, seed) -- the
+      // kernels are bit-identical across ISAs and thread counts.
+      stats = link.measure(samples, tx);
+    } else {
+      // Per-symbol windows. Dark/flaky transmit windows draw a driver-
+      // health uniform per symbol from a dedicated stream and scale the
+      // launched pulse (0 = dropped); aggressor pulses join the victim's
+      // window. The clean batched path never sees this branch, so its
+      // draw sequence is untouched.
+      const link::LinkEngine engine(link);
+      std::optional<RngStream> wf;
+      if (window_faults) wf.emplace(rng.fork("window-faults"));
+      std::vector<link::SourcePulse> pulses(s.aggressors.size());
+      const auto max_symbol = static_cast<std::int64_t>(link.ppm().slot_count()) - 1;
+      Time dead_until = Time::zero();
+      Time start = Time::zero();
+      for (std::uint64_t i = 0; i < samples; ++i) {
+        const auto symbol = static_cast<std::uint64_t>(tx.uniform_int(0, max_symbol));
+        for (std::size_t a = 0; a < s.aggressors.size(); ++a) {
+          pulses[a] = link::SourcePulse{&link.led(), s.aggressors[a].mean_photons,
+                                        start + Time::picoseconds(s.aggressors[a].offset_ps)};
         }
+        link::WindowRequest request{.aggressors = pulses};
+        if (wf) {
+          const double u = wf->uniform();
+          if (u < fr->dark_window_probability) {
+            request.signal_scale = 0.0;
+          } else if (u < fr->dark_window_probability + fr->flaky_window_probability) {
+            request.signal_scale = fr->flaky_scale;
+          }
+        }
+        (void)engine.transmit_symbol(symbol, start, dead_until, stats, tx, request);
+        start = start + link.symbol_period();
       }
-      (void)engine.transmit_symbol(symbol, start, dead_until, stats, tx, request);
-      start = start + link.symbol_period();
+      if (wf) r.rng_draws = wf->draws();
     }
-    if (wf) fault_draws = wf->draws();
+    ser_errors = static_cast<double>(stats.symbol_errors + stats.erasures);
+    bit_errors = static_cast<double>(stats.bit_errors);
+    erasures = static_cast<double>(stats.erasures);
+    noise_captures = static_cast<double>(stats.noise_captures);
+    // Counter-stream draws of the batched engine live in stats, not in
+    // the mt19937 streams; both are deterministic per (spec, seed).
+    r.rng_draws += tx.draws() + stats.rng_draws;
   }
 
-  const auto sent = std::max<std::uint64_t>(stats.symbols_sent, 1);
-  PointResult r;
-  r.metrics = {stats.symbol_error_rate(),
-               stats.bit_error_rate(),
-               static_cast<double>(stats.erasures) / static_cast<double>(sent),
-               static_cast<double>(stats.noise_captures) / static_cast<double>(sent),
+  const auto n = static_cast<double>(std::max<std::uint64_t>(stats.symbols_sent, 1));
+  const auto bits = static_cast<double>(std::max<std::uint64_t>(stats.total_bits, 1));
+  const double elapsed_s = stats.elapsed.seconds();
+  r.metrics = {ser_errors / n,
+               bit_errors / bits,
+               erasures / n,
+               noise_captures / n,
                link.ppm().config().slot_width.picoseconds(),
                stats.raw_throughput().bits_per_second(),
-               stats.goodput().bits_per_second(),
+               elapsed_s > 0.0
+                   ? (static_cast<double>(stats.total_bits) - bit_errors) / elapsed_s
+                   : 0.0,
                stats.energy_per_bit().joules(),
                static_cast<double>(recalibrations)};
-  // Counter-stream draws of the batched engine live in stats, not in
-  // the mt19937 streams; both are deterministic per (spec, seed).
-  r.rng_draws = process.draws() + tx.draws() + stats.rng_draws + fault_draws;
+  r.rng_draws += process.draws();
   return r;
 }
 
-PointResult run_p2p_frames(const ScenarioSpec& s, std::uint64_t transfers, RngStream& rng) {
+ChunkRecord run_p2p_frames(const ScenarioSpec& s, std::uint64_t transfers, RngStream& rng,
+                           const fault::Realisation*, std::size_t) {
   RngStream process = rng.fork("process");
   const link::OpticalLink link(s.device, process);
   RngStream tx = rng.fork("tx");
@@ -223,15 +213,15 @@ PointResult run_p2p_frames(const ScenarioSpec& s, std::uint64_t transfers, RngSt
   }
 
   const double n = static_cast<double>(std::max<std::uint64_t>(transfers, 1));
-  PointResult r;
+  ChunkRecord r;
   r.metrics = {static_cast<double>(ok) / n, static_cast<double>(corrections) / n,
                s.fec == FecKind::kHamming ? link::FecLink::code_rate() : 1.0};
   r.rng_draws = process.draws() + tx.draws();
   return r;
 }
 
-PointResult run_p2p_code_density(const ScenarioSpec& s, std::uint64_t samples,
-                                 RngStream& rng) {
+ChunkRecord run_p2p_code_density(const ScenarioSpec& s, std::uint64_t samples,
+                                 RngStream& rng, const fault::Realisation*, std::size_t) {
   RngStream process = rng.fork("process");
   const tdc::DelayLine line(s.device.delay_line, process);
   tdc::TdcConfig cfg;
@@ -246,15 +236,15 @@ PointResult run_p2p_code_density(const ScenarioSpec& s, std::uint64_t samples,
   RngStream hits = rng.fork("hits");
   const tdc::NonlinearityReport rep = tdc::code_density_test(tdc, samples, hits);
 
-  PointResult r;
+  ChunkRecord r;
   r.metrics = {rep.max_abs_dnl, rep.max_abs_inl, rep.lsb_s * 1e12,
                static_cast<double>(rep.codes)};
   r.rng_draws = process.draws() + hits.draws();
   return r;
 }
 
-PointResult run_wdm(const ScenarioSpec& s, std::uint64_t samples, RngStream& rng,
-                    const fault::Realisation* fr) {
+ChunkRecord run_wdm(const ScenarioSpec& s, std::uint64_t samples, RngStream& rng,
+                    const fault::Realisation* fr, std::size_t) {
   link::WdmLinkConfig wc;
   wc.grid = s.wdm.grid;
   wc.filter = s.wdm.filter;
@@ -281,7 +271,7 @@ PointResult run_wdm(const ScenarioSpec& s, std::uint64_t samples, RngStream& rng
   const double agg = run.aggregate_goodput().bits_per_second();
   const std::size_t n = wdm.channels();
 
-  PointResult r;
+  ChunkRecord r;
   r.metrics = {agg / 1e9,
                agg / static_cast<double>(n) / 1e6,
                run.worst_symbol_error_rate(),
@@ -292,7 +282,8 @@ PointResult run_wdm(const ScenarioSpec& s, std::uint64_t samples, RngStream& rng
   return r;
 }
 
-PointResult run_bus(const ScenarioSpec& s, std::uint64_t samples, RngStream& rng) {
+ChunkRecord run_bus(const ScenarioSpec& s, std::uint64_t samples, RngStream& rng,
+                    const fault::Realisation*, std::size_t) {
   bus::VerticalBusConfig bc;
   bc.die = s.bus.die;
   bc.dies = s.bus.dies;
@@ -315,7 +306,7 @@ PointResult run_bus(const ScenarioSpec& s, std::uint64_t samples, RngStream& rng
     sent += d.symbols_sent;
     errors += d.symbol_errors;
   }
-  PointResult r;
+  ChunkRecord r;
   r.metrics = {run.worst_symbol_error_rate(),
                sent > 0 ? static_cast<double>(errors) / static_cast<double>(sent) : 0.0,
                static_cast<double>(vbus.serviceable_dies()),
@@ -403,7 +394,7 @@ net::StackNetworkConfig noc_config(const NocSpec& n) {
   return cfg;
 }
 
-PointResult run_noc(const ScenarioSpec& s, std::uint64_t slots, RngStream& rng,
+ChunkRecord run_noc(const ScenarioSpec& s, std::uint64_t slots, RngStream& rng,
                     const fault::Realisation* fr, std::size_t point_index) {
   net::StackNetworkConfig cfg = noc_config(s.noc);
   if (fr != nullptr && fr->noc_faults()) {
@@ -500,7 +491,7 @@ PointResult run_noc(const ScenarioSpec& s, std::uint64_t slots, RngStream& rng,
                 static_cast<double>(std::max<std::uint64_t>(run.slots, 1))
           : 0.0;
 
-  PointResult r;
+  ChunkRecord r;
   r.metrics = {run.carried_load(),
                run.delivery_ratio(),
                transfer_p,
@@ -516,28 +507,81 @@ PointResult run_noc(const ScenarioSpec& s, std::uint64_t slots, RngStream& rng,
   return r;
 }
 
-PointResult dispatch(const ScenarioSpec& s, std::uint64_t samples, RngStream& rng,
-                     const fault::Realisation* fr, std::size_t point_index) {
-  // Pixel faults never reach here: they fold analytically into the
-  // point's SPAD parameters (Poisson thinning), so faulted specs still
-  // ride the batched SIMD kernels. fr carries only the realisations an
-  // engine must act on (windows, drift, channel scales, dead dies).
-  switch (s.topology) {
+/// One chunk of a workload: `samples` samples of the point-resolved
+/// spec on the chunk stream, returned as the record the result store
+/// saves (the runner fills in `samples`). Pixel faults never reach
+/// here: they fold analytically into the point's SPAD parameters
+/// (Poisson thinning), so faulted specs still ride the batched SIMD
+/// kernels. `fr` carries only the realisations an engine must act on
+/// (windows, drift, channel scales, dead dies).
+using ChunkFn = ChunkRecord (*)(const ScenarioSpec&, std::uint64_t samples, RngStream&,
+                                const fault::Realisation* fr, std::size_t point_index);
+
+/// A topology's metric table beside the chunk function whose
+/// ChunkRecord::metrics fill it, position for position.
+struct Workload {
+  std::vector<MetricDef> metrics;
+  ChunkFn run_chunk = nullptr;
+};
+
+Workload workload_for(const ScenarioSpec& spec) {
+  using K = MetricKind;
+  switch (spec.topology) {
     case Topology::kPointToPoint:
-      switch (s.resolved_mode()) {
+      switch (spec.resolved_mode()) {
         case TrafficMode::kFrames:
-          return run_p2p_frames(s, samples, rng);
+          return {{{"delivery_rate", K::kRate},
+                   {"corrections_per_transfer", K::kMean},
+                   {"code_rate", K::kConstant}},
+                  run_p2p_frames};
         case TrafficMode::kCodeDensity:
-          return run_p2p_code_density(s, samples, rng);
+          // Whole-run order statistics: never chunk-merged (validate()
+          // rejects adaptive precision for this mode).
+          return {{{"max_abs_dnl_lsb", K::kConstant},
+                   {"max_abs_inl_lsb", K::kConstant},
+                   {"lsb_ps", K::kConstant},
+                   {"codes", K::kConstant}},
+                  run_p2p_code_density};
         default:
-          return run_p2p_symbols(s, samples, rng, fr, point_index);
+          return {{{"ser", K::kRate},
+                   {"ber", K::kRate},
+                   {"erasure_rate", K::kRate},
+                   {"noise_capture_rate", K::kRate},
+                   {"slot_ps", K::kConstant},
+                   {"raw_tp_bps", K::kMean},
+                   {"goodput_bps", K::kMean},
+                   {"energy_per_bit_j", K::kMean},
+                   {"recalibrations", K::kCount}},
+                  run_p2p_symbols};
       }
     case Topology::kWdm:
-      return run_wdm(s, samples, rng, fr);
+      // worst_ser is a per-window order statistic: adaptive chunks
+      // treat each chunk's worst as one batch-means observation.
+      return {{{"aggregate_gbps", K::kMean},
+               {"per_channel_mbps", K::kMean},
+               {"worst_ser", K::kMean},
+               {"noise_captures", K::kCount},
+               {"collected_short", K::kConstant},
+               {"collected_long", K::kConstant}},
+              run_wdm};
     case Topology::kVerticalBus:
-      return run_bus(s, samples, rng);
+      return {{{"worst_ser", K::kMean},
+               {"mean_ser", K::kRate},
+               {"serviceable_dies", K::kConstant},
+               {"aggregate_goodput_gbps", K::kConstant}},
+              run_bus};
     case Topology::kStackNoc:
-      return run_noc(s, samples, rng, fr, point_index);
+      return {{{"carried_load", K::kRate},
+               {"delivery_ratio", K::kRate},
+               {"transfer_p", K::kRate},
+               {"mean_latency_slots", K::kMean},
+               {"p99_slots", K::kMean},
+               {"utilisation", K::kRate},
+               {"fairness", K::kMean},
+               {"hot_rate", K::kRate},
+               {"retry_drops", K::kCount},
+               {"queue_drops", K::kCount}},
+              run_noc};
   }
   throw std::logic_error("scenario: unhandled topology");
 }
@@ -567,59 +611,58 @@ MetricKind metric_kind_from_string(const std::string& name) {
 }
 
 std::vector<MetricDef> metrics_for(const ScenarioSpec& spec) {
-  using K = MetricKind;
-  switch (spec.topology) {
-    case Topology::kPointToPoint:
-      switch (spec.resolved_mode()) {
-        case TrafficMode::kFrames:
-          return {{"delivery_rate", K::kRate},
-                  {"corrections_per_transfer", K::kMean},
-                  {"code_rate", K::kConstant}};
-        case TrafficMode::kCodeDensity:
-          // Whole-run order statistics: never chunk-merged (validate()
-          // rejects adaptive precision for this mode).
-          return {{"max_abs_dnl_lsb", K::kConstant},
-                  {"max_abs_inl_lsb", K::kConstant},
-                  {"lsb_ps", K::kConstant},
-                  {"codes", K::kConstant}};
-        default:
-          return {{"ser", K::kRate},
-                  {"ber", K::kRate},
-                  {"erasure_rate", K::kRate},
-                  {"noise_capture_rate", K::kRate},
-                  {"slot_ps", K::kConstant},
-                  {"raw_tp_bps", K::kMean},
-                  {"goodput_bps", K::kMean},
-                  {"energy_per_bit_j", K::kMean},
-                  {"recalibrations", K::kCount}};
-      }
-    case Topology::kWdm:
-      // worst_ser is a per-window order statistic: adaptive chunks
-      // treat each chunk's worst as one batch-means observation.
-      return {{"aggregate_gbps", K::kMean},
-              {"per_channel_mbps", K::kMean},
-              {"worst_ser", K::kMean},
-              {"noise_captures", K::kCount},
-              {"collected_short", K::kConstant},
-              {"collected_long", K::kConstant}};
-    case Topology::kVerticalBus:
-      return {{"worst_ser", K::kMean},
-              {"mean_ser", K::kRate},
-              {"serviceable_dies", K::kConstant},
-              {"aggregate_goodput_gbps", K::kConstant}};
-    case Topology::kStackNoc:
-      return {{"carried_load", K::kRate},
-              {"delivery_ratio", K::kRate},
-              {"transfer_p", K::kRate},
-              {"mean_latency_slots", K::kMean},
-              {"p99_slots", K::kMean},
-              {"utilisation", K::kRate},
-              {"fairness", K::kMean},
-              {"hot_rate", K::kRate},
-              {"retry_drops", K::kCount},
-              {"queue_drops", K::kCount}};
+  return workload_for(spec).metrics;
+}
+
+void MetricState::add(double chunk_value, std::uint64_t samples) {
+  switch (kind) {
+    case MetricKind::kRate:
+      rate.add(chunk_value, samples);
+      break;
+    case MetricKind::kMean:
+      mean.add(chunk_value, samples);
+      break;
+    case MetricKind::kCount:
+      value += chunk_value;
+      break;
+    case MetricKind::kConstant:
+      value = chunk_value;
+      break;
   }
-  return {};
+}
+
+bool MetricState::merge(const MetricState& other) {
+  switch (kind) {
+    case MetricKind::kRate:
+      rate.merge(other.rate);
+      break;
+    case MetricKind::kMean:
+      mean.merge(other.mean);
+      break;
+    case MetricKind::kCount:
+      value += other.value;
+      break;
+    case MetricKind::kConstant:
+      // Deterministic at the operating point: every run must have
+      // observed the bitwise-same value.
+      return value == other.value;
+  }
+  return true;
+}
+
+analysis::Estimate MetricState::estimate(double z, std::uint64_t samples) const {
+  switch (kind) {
+    case MetricKind::kRate:
+      return rate.wilson(z);
+    case MetricKind::kMean:
+      return mean.interval(z);
+    case MetricKind::kCount:
+    case MetricKind::kConstant:
+      break;
+  }
+  // A count is the extensive total over every chunk run so far -- the
+  // same "whole run" semantics the fixed path reports.
+  return analysis::Estimate{value, value, value, samples};
 }
 
 std::string RunPoint::label(const std::vector<std::string>& axis_names) const {
@@ -630,6 +673,15 @@ std::string RunPoint::label(const std::vector<std::string>& axis_names) const {
     out += (a < axis_names.size() ? axis_names[a] : "axis") + "=" + coordinate[a];
   }
   return out;
+}
+
+void RunPoint::refresh(double z) {
+  estimates.clear();
+  metrics.clear();
+  for (const MetricState& s : state) {
+    estimates.push_back(s.estimate(z, samples));
+    metrics.push_back(estimates.back().value);
+  }
 }
 
 const RunPoint* RunReport::find(const std::string& label) const {
@@ -703,10 +755,6 @@ void RunReport::print(std::ostream& os) const {
   to_table().print(os);
 }
 
-void RunReport::write_bench_json(const std::string& path) const {
-  report_io::save(*this, path);
-}
-
 RunReport ScenarioRunner::run(const ScenarioSpec& spec) const {
   return run(spec, RunOptions{});
 }
@@ -737,7 +785,8 @@ RunReport ScenarioRunner::run(const ScenarioSpec& spec, const RunOptions& option
   report.confidence_z = base.precision.confidence_z;
   report.shard = options.shard;
   for (const SweepAxis& a : base.sweep) report.axis_names.push_back(a.param);
-  const std::vector<MetricDef> defs = metrics_for(base);
+  const Workload workload = workload_for(base);
+  const std::vector<MetricDef>& defs = workload.metrics;
   for (const MetricDef& d : defs) {
     report.metric_names.push_back(d.name);
     report.metric_kinds.push_back(d.kind);
@@ -749,9 +798,10 @@ RunReport ScenarioRunner::run(const ScenarioSpec& spec, const RunOptions& option
   const sim::BatchRunner runner(bc);
   report.threads = runner.threads();
 
-  // One accumulator per sweep point; the fixed-budget path is the
-  // adaptive path degenerated to a single mandatory chunk, so both
-  // produce the same estimate structure.
+  // One state per sweep point; the fixed-budget path is the adaptive
+  // path degenerated to a single mandatory chunk, so both produce the
+  // same estimate structure. Chunks accumulate straight into `out`, the
+  // RunPoint the report carries.
   struct PointState {
     bool init = false;
     ScenarioSpec point;
@@ -761,34 +811,10 @@ RunReport ScenarioRunner::run(const ScenarioSpec& spec, const RunOptions& option
     double z = 1.96;
     std::uint64_t chunk_size = 0;
     std::size_t target = 0;
-    std::vector<analysis::RateAccumulator> rates;
-    std::vector<analysis::MeanAccumulator> means;
-    std::vector<double> sums;
-    std::vector<double> last;
-    analysis::WeightStats weights;
-    double err_weight_sq = 0.0;
-    std::uint64_t samples = 0;
-    std::uint64_t chunks = 0;
-    std::uint64_t rng_draws = 0;
+    RunPoint out;
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;
     std::uint64_t cache_save_failures = 0;
-    double wall_ns = 0.0;
-  };
-  const auto estimate_of = [&defs](const PointState& st, std::size_t m) {
-    switch (defs[m].kind) {
-      case MetricKind::kRate:
-        return st.rates[m].wilson(st.z);
-      case MetricKind::kMean:
-        return st.means[m].interval(st.z);
-      case MetricKind::kCount:
-        // Extensive total over every chunk run so far -- the same
-        // "whole run" semantics the fixed path reports.
-        return analysis::Estimate{st.sums[m], st.sums[m], st.sums[m], st.samples};
-      case MetricKind::kConstant:
-        break;
-    }
-    return analysis::Estimate{st.last[m], st.last[m], st.last[m], st.samples};
   };
 
   const bool adaptive = base.precision.enabled;
@@ -805,11 +831,14 @@ RunReport ScenarioRunner::run(const ScenarioSpec& spec, const RunOptions& option
   auto results = runner.map_until<PointState>(
       point_ids, "scenario:" + base.name,
       [&](std::size_t i, std::size_t chunk, RngStream& rng, PointState& st) {
+        RunPoint& p = st.out;
         if (!st.init) {
           st.point = base;
+          p.point_index = i;
           const std::vector<std::size_t> idx = unravel(i, base.sweep);
           for (std::size_t a = 0; a < base.sweep.size(); ++a) {
             apply_axis_value(st.point, base.sweep[a], idx[a]);
+            p.coordinate.push_back(base.sweep[a].display(idx[a]));
           }
           // Re-validate after axis application: a sweep can push the
           // spec into an invalid corner (e.g. channels = 0).
@@ -856,10 +885,8 @@ RunReport ScenarioRunner::run(const ScenarioSpec& spec, const RunOptions& option
             st.chunk_size = st.point.budget.resolve();
             st.rule.max_samples = st.chunk_size;
           }
-          st.rates.resize(defs.size());
-          st.means.resize(defs.size());
-          st.sums.resize(defs.size(), 0.0);
-          st.last.resize(defs.size(), 0.0);
+          for (const MetricDef& d : defs) p.state.emplace_back(d.kind);
+          p.chunks = 0;  // RunPoint's default of 1 describes a finished fixed budget
           st.init = true;
         }
         // max_samples is a HARD cap: the final chunk shrinks to land on
@@ -867,8 +894,8 @@ RunReport ScenarioRunner::run(const ScenarioSpec& spec, const RunOptions& option
         // (A single short tail chunk is a negligible deviation from the
         // batch-means equal-size assumption.)
         std::uint64_t run_samples = st.chunk_size;
-        if (st.rule.max_samples > st.samples) {
-          run_samples = std::min(run_samples, st.rule.max_samples - st.samples);
+        if (st.rule.max_samples > p.samples) {
+          run_samples = std::min(run_samples, st.rule.max_samples - p.samples);
         }
         // Chunk (point i, ordinal `chunk`) is a pure function of the
         // store key: consult the cache, simulate only on miss. A hit
@@ -876,8 +903,7 @@ RunReport ScenarioRunner::run(const ScenarioSpec& spec, const RunOptions& option
         // repro scale or precision override re-keys via the hash, but a
         // corrupt/truncated entry must never slip through).
         ChunkKey key;
-        PointResult r;
-        bool cached = false;
+        std::optional<ChunkRecord> r;
         if (store != nullptr) {
           key = ChunkKey{report.spec_hash, base.seed, i, chunk};
           // A rare-event point's record must carry weight state (the
@@ -886,92 +912,52 @@ RunReport ScenarioRunner::run(const ScenarioSpec& spec, const RunOptions& option
           if (auto rec = store->load(key);
               rec && rec->samples == run_samples && rec->metrics.size() == defs.size() &&
               (!st.point.variance.active() || rec->weight_sum > 0.0)) {
-            r.metrics = std::move(rec->metrics);
-            r.rng_draws = rec->rng_draws;
-            r.weight_sum = rec->weight_sum;
-            r.weight_sum_sq = rec->weight_sum_sq;
-            r.err_weight_sq = rec->err_weight_sq;
-            cached = true;
+            r = std::move(rec);
           }
         }
-        if (cached) {
+        if (r) {
           ++st.cache_hits;
         } else {
           const auto t0 = std::chrono::steady_clock::now();
-          r = dispatch(st.point, run_samples, rng, st.faulted ? &st.fr : nullptr, i);
-          st.wall_ns += std::chrono::duration<double, std::nano>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
+          r = workload.run_chunk(st.point, run_samples, rng, st.faulted ? &st.fr : nullptr, i);
+          p.wall_ns += std::chrono::duration<double, std::nano>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count();
+          r->samples = run_samples;
           if (store != nullptr) {
             ++st.cache_misses;
-            if (!store->save(key, ChunkRecord{run_samples, r.rng_draws, r.metrics,
-                                              r.weight_sum, r.weight_sum_sq,
-                                              r.err_weight_sq})) {
+            if (!store->save(key, *r)) {
               ++st.cache_save_failures;
               warn_save_failure_once();
             }
           }
         }
         for (std::size_t m = 0; m < defs.size(); ++m) {
-          switch (defs[m].kind) {
-            case MetricKind::kRate:
-              st.rates[m].add(r.metrics[m], run_samples);
-              break;
-            case MetricKind::kMean:
-              st.means[m].add(r.metrics[m], run_samples);
-              break;
-            case MetricKind::kCount:
-              st.sums[m] += r.metrics[m];
-              break;
-            case MetricKind::kConstant:
-              break;
-          }
-          st.last[m] = r.metrics[m];
+          p.state[m].add(r->metrics[m], run_samples);
         }
-        if (r.weight_sum > 0.0) {
-          st.weights.merge(analysis::WeightStats::from_state(
-              r.weight_sum, r.weight_sum_sq, run_samples));
-          st.err_weight_sq += r.err_weight_sq;
+        if (r->weight_sum > 0.0) {
+          p.weights.merge(analysis::WeightStats::from_state(
+              r->weight_sum, r->weight_sum_sq, run_samples));
+          p.err_weight_sq += r->err_weight_sq;
         }
-        st.samples += run_samples;
-        ++st.chunks;
-        st.rng_draws += r.rng_draws;
+        p.samples += run_samples;
+        ++p.chunks;
+        p.rng_draws += r->rng_draws;
       },
       [&](std::size_t /*i*/, const PointState& st) {
-        return st.rule.should_stop(estimate_of(st, st.target));
+        return st.rule.should_stop(
+            st.out.state[st.target].estimate(st.z, st.out.samples));
       });
 
-  report.points.reserve(point_ids.size());
-  for (std::size_t slot = 0; slot < point_ids.size(); ++slot) {
-    PointState& st = results[slot];
-    RunPoint p;
-    p.point_index = point_ids[slot];
-    const std::vector<std::size_t> idx = unravel(p.point_index, base.sweep);
-    for (std::size_t a = 0; a < base.sweep.size(); ++a) {
-      p.coordinate.push_back(base.sweep[a].display(idx[a]));
-    }
-    p.estimates.reserve(defs.size());
-    p.metrics.reserve(defs.size());
-    for (std::size_t m = 0; m < defs.size(); ++m) {
-      p.estimates.push_back(estimate_of(st, m));
-      p.metrics.push_back(p.estimates.back().value);
-    }
-    // Export the accumulator state itself: merge pools THIS, then
-    // recomputes the intervals -- it never averages estimates.
-    p.rates = std::move(st.rates);
-    p.means = std::move(st.means);
-    p.sums = std::move(st.sums);
-    p.last = std::move(st.last);
-    p.weights = st.weights;
-    p.err_weight_sq = st.err_weight_sq;
-    p.rng_draws = st.rng_draws;
-    p.samples = st.samples;
-    p.chunks = st.chunks;
-    p.wall_ns = st.wall_ns;
+  // Export the pooled state itself, with its estimates: merge pools
+  // THIS, then recomputes the intervals -- it never averages estimates.
+  report.points.reserve(results.size());
+  for (PointState& st : results) {
+    st.out.refresh(st.z);
     report.cache_hits += st.cache_hits;
     report.cache_misses += st.cache_misses;
     report.cache_save_failures += st.cache_save_failures;
-    report.points.push_back(std::move(p));
+    report.points.push_back(std::move(st.out));
   }
   return report;
 }

@@ -32,7 +32,8 @@ class RngStream {
   [[nodiscard]] double uniform(double lo, double hi);
   /// Uniform integer in [lo, hi] inclusive.
   [[nodiscard]] std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
-  /// Standard normal draw scaled to (mean, sigma).
+  /// Standard normal draw scaled to (mean, sigma). Sigma 0 returns
+  /// `mean` and still consumes one draw.
   [[nodiscard]] double normal(double mean, double sigma);
   /// Exponential with the given mean (NOT rate).
   [[nodiscard]] double exponential_mean(double mean);

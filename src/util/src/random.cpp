@@ -37,6 +37,13 @@ std::int64_t RngStream::uniform_int(std::int64_t lo, std::int64_t hi) {
 
 double RngStream::normal(double mean, double sigma) {
   ++draws_;
+  if (sigma == 0.0) {
+    // std::normal_distribution requires sigma > 0. The polar method's
+    // engine draws do not depend on the parameters, so discarding one
+    // standard draw advances the engine exactly as sigma > 0 would.
+    (void)std::normal_distribution<double>()(engine_);
+    return mean;
+  }
   return std::normal_distribution<double>(mean, sigma)(engine_);
 }
 

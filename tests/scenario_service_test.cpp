@@ -36,6 +36,8 @@ using scenario::ChunkKey;
 using scenario::ChunkRecord;
 using scenario::FsResultStore;
 using scenario::MergeOptions;
+using scenario::MetricKind;
+using scenario::MetricState;
 using scenario::RunOptions;
 using scenario::RunPoint;
 using scenario::RunReport;
@@ -499,7 +501,12 @@ TEST(ScenarioService, WeightedChunksRoundTripThroughTheCache) {
 }
 
 TEST(ScenarioService, MergePoolsRunsFromDifferentSeeds) {
-  const ScenarioSpec spec = sweep_spec();
+  ScenarioSpec spec = sweep_spec();
+  // TDC drift with retraining makes the count column (recalibrations)
+  // nonzero, so its pooling is observable.
+  spec.device.calibrate = true;
+  spec.device.calibration_samples = 2000;
+  spec.fault.tdc_drift_c = 10.0;
   ScenarioSpec other = spec;
   other.seed = kSeed + 17;
   const RunReport a = ScenarioRunner(2).run(spec);
@@ -510,23 +517,49 @@ TEST(ScenarioService, MergePoolsRunsFromDifferentSeeds) {
   ASSERT_EQ(merged.points.size(), a.points.size());
   const std::size_t ser = 0;  // first point-to-point metric is "ser"
   ASSERT_EQ(merged.metric_names[ser], "ser");
+  std::set<MetricKind> kinds_seen;
   for (std::size_t i = 0; i < merged.points.size(); ++i) {
     const RunPoint& p = merged.points[i];
     EXPECT_EQ(p.samples, a.points[i].samples + b.points[i].samples);
-    // Pooled counts, not averaged estimates.
-    EXPECT_EQ(p.rates[ser].trials(),
-              a.points[i].rates[ser].trials() + b.points[i].rates[ser].trials());
-    EXPECT_EQ(p.rates[ser].successes(), a.points[i].rates[ser].successes() +
-                                            b.points[i].rates[ser].successes());
-    const analysis::Estimate pooled =
-        p.rates[ser].wilson(merged.confidence_z);
-    EXPECT_EQ(p.estimates[ser].value, pooled.value);
-    EXPECT_EQ(p.estimates[ser].ci_low, pooled.ci_low);
-    EXPECT_EQ(p.estimates[ser].ci_high, pooled.ci_high);
+    ASSERT_EQ(p.state.size(), merged.metric_names.size());
+    // Every column pools its state by kind -- never averaged estimates
+    // -- and its estimate is recomputed from the pooled state.
+    for (std::size_t m = 0; m < p.state.size(); ++m) {
+      const MetricState& pooled = p.state[m];
+      const MetricState& sa = a.points[i].state[m];
+      const MetricState& sb = b.points[i].state[m];
+      kinds_seen.insert(pooled.kind);
+      switch (pooled.kind) {
+        case MetricKind::kRate:
+          EXPECT_EQ(pooled.rate.successes(), sa.rate.successes() + sb.rate.successes())
+              << merged.metric_names[m];
+          EXPECT_EQ(pooled.rate.trials(), sa.rate.trials() + sb.rate.trials())
+              << merged.metric_names[m];
+          break;
+        case MetricKind::kMean:
+          EXPECT_EQ(pooled.mean.chunks(), sa.mean.chunks() + sb.mean.chunks())
+              << merged.metric_names[m];
+          break;
+        case MetricKind::kCount:
+          EXPECT_GT(sa.value, 0.0) << merged.metric_names[m];
+          EXPECT_EQ(pooled.value, sa.value + sb.value) << merged.metric_names[m];
+          break;
+        case MetricKind::kConstant:
+          EXPECT_EQ(pooled.value, sa.value) << merged.metric_names[m];
+          break;
+      }
+      const analysis::Estimate e = pooled.estimate(merged.confidence_z, p.samples);
+      EXPECT_EQ(p.estimates[m].value, e.value) << merged.metric_names[m];
+      EXPECT_EQ(p.estimates[m].ci_low, e.ci_low) << merged.metric_names[m];
+      EXPECT_EQ(p.estimates[m].ci_high, e.ci_high) << merged.metric_names[m];
+      EXPECT_EQ(p.metrics[m], e.value) << merged.metric_names[m];
+    }
     // More data can only tighten the interval.
     EXPECT_LE(p.estimates[ser].half_width(),
               a.points[i].estimates[ser].half_width() + 1e-12);
   }
+  // The point-to-point symbol schema exercises every kind.
+  EXPECT_EQ(kinds_seen.size(), 4u);
 }
 
 TEST(ScenarioService, MergeRejectsBadCombinations) {
@@ -551,6 +584,18 @@ TEST(ScenarioService, MergeRejectsBadCombinations) {
   changed.device.bits_per_symbol = 4;
   const RunReport other = ScenarioRunner(2).run(changed);
   EXPECT_THROW((void)scenario::merge_reports({full, other}), std::invalid_argument);
+  // A constant that differs by one ulp between seeds: not the same
+  // experiment, however close.
+  ScenarioSpec reseeded = spec;
+  reseeded.seed = kSeed + 17;
+  RunReport nudged = ScenarioRunner(2).run(reseeded);
+  const std::size_t slot = 4;  // the point-to-point symbol schema's constant
+  ASSERT_EQ(nudged.metric_names[slot], "slot_ps");
+  MetricState& slot_ps = nudged.points.front().state[slot];
+  ASSERT_EQ(slot_ps.kind, MetricKind::kConstant);
+  (void)scenario::merge_reports({full, nudged});  // poolable as run
+  slot_ps.value = std::nextafter(slot_ps.value, 2.0 * slot_ps.value);
+  EXPECT_THROW((void)scenario::merge_reports({full, nudged}), std::invalid_argument);
   // Nothing to merge at all.
   EXPECT_THROW((void)scenario::merge_reports({}), std::invalid_argument);
 }
@@ -586,21 +631,21 @@ TEST(ReportIo, EmptyAccumulatorStateRoundTrips) {
   const ScenarioSpec spec = adaptive_spec();
   RunReport report = ScenarioRunner(2).run(spec);
   ASSERT_FALSE(report.points.empty());
-  for (auto& m : report.points[0].means) m = analysis::MeanAccumulator();
-  for (auto& r : report.points[0].rates) r = analysis::RateAccumulator();
+  for (auto& st : report.points[0].state) {
+    st.mean = analysis::MeanAccumulator();
+    st.rate = analysis::RateAccumulator();
+  }
 
   const fs::path path = scratch_dir("report_io_empty") / "report.json";
   scenario::report_io::save(report, path.string());
   const RunReport back = scenario::report_io::load(path.string());
-  ASSERT_EQ(back.points[0].means.size(), report.points[0].means.size());
-  for (const auto& m : back.points[0].means) {
-    EXPECT_EQ(m.chunks(), 0u);
-    EXPECT_TRUE(std::isfinite(m.interval().value));
-    EXPECT_DOUBLE_EQ(m.interval().half_width(), 0.0);
-  }
-  for (const auto& r : back.points[0].rates) {
-    EXPECT_EQ(r.trials(), 0u);
-    EXPECT_TRUE(std::isfinite(r.wilson().ci_high));
+  ASSERT_EQ(back.points[0].state.size(), report.points[0].state.size());
+  for (const auto& st : back.points[0].state) {
+    EXPECT_EQ(st.mean.chunks(), 0u);
+    EXPECT_TRUE(std::isfinite(st.mean.interval().value));
+    EXPECT_DOUBLE_EQ(st.mean.interval().half_width(), 0.0);
+    EXPECT_EQ(st.rate.trials(), 0u);
+    EXPECT_TRUE(std::isfinite(st.rate.wilson().ci_high));
   }
 
   // And the reconstruction is live: pooling the emptied point with a

@@ -18,6 +18,7 @@
 #include "oci/analysis/report.hpp"
 #include "oci/link/optical_link.hpp"
 #include "oci/scenario/parse.hpp"
+#include "oci/scenario/report_io.hpp"
 #include "oci/scenario/runner.hpp"
 #include "oci/scenario/spec.hpp"
 #include "support/stat_assert.hpp"
@@ -443,7 +444,7 @@ TEST(ScenarioReport, TableAndJsonEmit) {
   EXPECT_NE(os.str().find("tiny_link"), std::string::npos);
 
   const std::string path = ::testing::TempDir() + "/scenario_test_bench.json";
-  report.write_bench_json(path);
+  scenario::report_io::save(report, path);
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::stringstream buf;

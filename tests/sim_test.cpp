@@ -3,13 +3,11 @@
 
 #include <vector>
 
-#include "oci/sim/component.hpp"
 #include "oci/sim/scheduler.hpp"
 #include "oci/sim/trace.hpp"
 
 namespace {
 
-using oci::sim::Component;
 using oci::sim::Scheduler;
 using oci::sim::Trace;
 using oci::util::Time;
@@ -145,24 +143,6 @@ TEST(Trace, RecordAndQuery) {
   EXPECT_DOUBLE_EQ(tr.last_value("missing", -1.0), -1.0);
   tr.clear();
   EXPECT_EQ(tr.size(), 0u);
-}
-
-TEST(Component, BindsToScheduler) {
-  Scheduler s;
-  class Blinker : public Component {
-   public:
-    using Component::Component;
-    void start() {
-      scheduler().schedule_in(Time::nanoseconds(5.0), [this] { ticks++; });
-    }
-    int ticks = 0;
-  };
-  Blinker b(s, "blinker");
-  EXPECT_EQ(b.name(), "blinker");
-  b.start();
-  s.run();
-  EXPECT_EQ(b.ticks, 1);
-  EXPECT_DOUBLE_EQ(b.now().nanoseconds(), 5.0);
 }
 
 }  // namespace

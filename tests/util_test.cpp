@@ -188,6 +188,15 @@ TEST(Random, NormalMoments) {
   EXPECT_NEAR(s.stddev(), 2.0, 0.05);
 }
 
+TEST(Random, NormalZeroSigmaReturnsMeanAndAdvancesLikeUnitSigma) {
+  RngStream rng(29);
+  RngStream twin(29);
+  EXPECT_EQ(rng.normal(4.5, 0.0), 4.5);
+  (void)twin.normal(4.5, 1.0);
+  EXPECT_EQ(rng.draws(), twin.draws());
+  EXPECT_EQ(rng.uniform(), twin.uniform());
+}
+
 TEST(Random, ExponentialMean) {
   RngStream rng(13);
   RunningStats s;

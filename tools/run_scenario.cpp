@@ -224,7 +224,7 @@ int cmd_run(int argc, char** argv) {
       }
       out += ".json";
     }
-    report.write_bench_json(out);
+    scenario::report_io::save(report, out);
     std::cout << "\nwrote " << out << "\n";
     return 0;
   } catch (const std::exception& e) {
@@ -274,7 +274,7 @@ int cmd_merge(int argc, char** argv) {
 
     const std::string out =
         out_path.empty() ? "BENCH_scenario_" + merged.scenario + ".json" : out_path;
-    merged.write_bench_json(out);
+    scenario::report_io::save(merged, out);
     std::cout << "\nmerged " << inputs.size() << " report(s) covering "
               << merged.points.size() << " of " << merged.points_total
               << " sweep point(s)\nwrote " << out << "\n";
