@@ -139,11 +139,10 @@ void BM_ReferenceSymbol(benchmark::State& state) {
 }
 BENCHMARK(BM_ReferenceSymbol);
 
-// One op = one kEngineBatch-lane batch through the dispatched SIMD
-// kernel (the ScenarioRunner chunk shape). The speedup gate divides
-// ns_per_op by kEngineBatch and compares against BM_EngineSymbol:
-// the batched window must come out >= 4x cheaper than the per-symbol
-// scalar walk. rng_draws is the summed per-lane counter-stream cost.
+// One op = one kEngineBatch-lane batch through the batched window
+// kernel (the ScenarioRunner chunk shape); divide ns_per_op by
+// windows_per_op to compare a window against BM_EngineSymbol.
+// rng_draws is the last lane's counter-stream draws per batch.
 void BM_EngineWindowBatch(benchmark::State& state) {
   RngStream process(kSeed, "batch-link");
   const link::OpticalLink link(bench_link_config(), process);

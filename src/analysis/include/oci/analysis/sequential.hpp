@@ -37,15 +37,9 @@ struct Estimate {
 [[nodiscard]] Estimate wilson_estimate(double successes, std::uint64_t trials,
                                        double z = 1.96);
 
-/// Wald (normal-approximation) interval for a proportion: p +/- z *
-/// sqrt(p(1-p)/n), clamped to [0, 1]. Cheap and familiar, but
-/// degenerate at p in {0, 1} -- prefer Wilson for rare events.
-[[nodiscard]] Estimate wald_estimate(double successes, std::uint64_t trials,
-                                     double z = 1.96);
-
 /// Streaming binomial-rate accumulator: chunks contribute (rate,
-/// trials) pairs and the accumulator answers with Wilson or Wald
-/// confidence intervals over the pooled counts.
+/// trials) pairs and the accumulator answers with Wilson confidence
+/// intervals over the pooled counts.
 class RateAccumulator {
  public:
   /// Folds one chunk in: `rate` over `trials` samples.
@@ -65,7 +59,6 @@ class RateAccumulator {
   [[nodiscard]] double successes() const { return successes_; }
   [[nodiscard]] double rate() const;
   [[nodiscard]] Estimate wilson(double z = 1.96) const;
-  [[nodiscard]] Estimate wald(double z = 1.96) const;
 
  private:
   double successes_ = 0.0;

@@ -35,19 +35,6 @@ Estimate wilson_estimate(double successes, std::uint64_t trials, double z) {
   return e;
 }
 
-Estimate wald_estimate(double successes, std::uint64_t trials, double z) {
-  Estimate e;
-  e.n_samples = trials;
-  if (trials == 0) return e;
-  const double n = static_cast<double>(trials);
-  const double p = safe_proportion(successes, n);
-  const double margin = z * std::sqrt(p * (1.0 - p) / n);
-  e.value = p;
-  e.ci_low = std::max(0.0, p - margin);
-  e.ci_high = std::min(1.0, p + margin);
-  return e;
-}
-
 void RateAccumulator::add(double rate, std::uint64_t trials) {
   successes_ += rate * static_cast<double>(trials);
   trials_ += trials;
@@ -76,10 +63,6 @@ double RateAccumulator::rate() const {
 
 Estimate RateAccumulator::wilson(double z) const {
   return wilson_estimate(successes_, trials_, z);
-}
-
-Estimate RateAccumulator::wald(double z) const {
-  return wald_estimate(successes_, trials_, z);
 }
 
 void MeanAccumulator::add(double chunk_mean, std::uint64_t chunk_samples) {

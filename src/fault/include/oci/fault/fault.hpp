@@ -6,8 +6,8 @@
 // -- the exact pixel counts, channel scales and node sets -- drawn from
 // a dedicated RNG stream the caller keys per sweep point. Because the
 // realisation is a pure function of (spec, stream), faulted runs stay
-// bit-identical across thread counts, shards and SIMD kernels: the
-// fault layer never touches the simulation streams.
+// bit-identical across thread counts and shards: the fault layer never
+// touches the simulation streams.
 //
 // Every fault kind is paired with a graceful-degradation response the
 // consuming layer applies (pixel masking, recalibration after drift,

@@ -8,7 +8,6 @@
 #include <span>
 #include <vector>
 
-#include "oci/link/kernels.hpp"
 #include "oci/util/units.hpp"
 
 namespace oci::photonics {
@@ -96,37 +95,21 @@ struct WindowResult {
   std::uint64_t rng_draws = 0;   ///< counter-RNG draws this lane consumed
 };
 
-/// Reusable SoA working memory for the batched window path: one scratch
-/// per calling thread (the engine also owns one for its run_symbols /
-/// run_sequence drivers). reserve() pre-sizes every array so steady-state
-/// batches are allocation-free; the first simulate_windows call grows on
-/// demand otherwise.
+/// Reusable staging of the batched symbol drivers (run_symbols /
+/// run_sequence): one scratch per calling thread, the engine owning its
+/// own. reserve() pre-sizes every buffer so steady-state batches are
+/// allocation-free. simulate_windows takes one for source compatibility
+/// but keeps every lane's state on the stack.
 class EngineBatchScratch {
  public:
   EngineBatchScratch() = default;
 
-  /// Pre-sizes every per-lane array for batches of up to `lanes`.
+  /// Pre-sizes every staging buffer for batches of up to `lanes`.
   void reserve(std::size_t lanes);
 
  private:
   friend class LinkEngine;
 
-  /// Resizes the arrays to `lanes` and returns the kernel view.
-  [[nodiscard]] kernels::BatchSoA soa(std::size_t lanes);
-
-  std::vector<std::uint64_t> rng_state_;
-  std::vector<std::uint64_t> rng_draws_;
-  std::vector<double> pulse_start_;
-  std::vector<double> dead_in_;
-  std::vector<std::uint8_t> fired_;
-  std::vector<std::uint8_t> first_is_signal_;
-  std::vector<double> first_fire_;
-  std::vector<double> first_observed_;
-  std::vector<double> last_fire_;
-  std::vector<double> dead_out_;
-  std::vector<double> pending_;  ///< lanes x kMaxPendingPerLane, row-major
-  std::vector<std::uint32_t> n_pending_;
-  // Staging for the batched symbol drivers.
   std::vector<WindowResult> windows_;
   std::vector<std::uint64_t> symbols_;
   std::vector<std::uint64_t> decoded_;

@@ -1,43 +1,25 @@
-// Compile-time ISA kernels for the batched window engine, dispatched at
-// runtime through a function-pointer table (the USE_SIMD_X86 pattern:
-// every ISA variant of one templated kernel is built into the binary
-// behind per-TU -m flags, and startup picks the widest one the CPU
-// actually supports).
+// The batched window kernel behind LinkEngine::simulate_windows: one
+// symbol window per lane, each lane a util::CounterRng stream keyed by
+// (stream root, lane index), simulated lane by lane.
 //
-//   scalar   always built -- the reference semantics and the CI floor
-//   sse4.2   2 lanes/register, x86-64 only
-//   avx2     4 lanes/register, x86-64 only
-//
-// Bit-exactness contract (pinned by engine_batch_test): every kernel in
-// the table produces BIT-IDENTICAL per-lane outputs and draw counts for
-// the same BatchSoA inputs. The kernels share one templated
-// implementation (kernels_impl.inc) that uses only exactly-rounded
-// operations (+, -, *, /, sqrt, min, compares, integer ops) plus
-// portable polynomial transcendentals -- never libm -- and every kernel
-// TU is compiled with -ffp-contract=off, so the instruction set cannot
-// change a single bit of the result.
-//
-// Selection: OCI_FORCE_SCALAR=1 (any non-"0" value) forces the scalar
-// kernel regardless of CPU -- the CI determinism legs diff a forced-
-// scalar run against the dispatched run to prove the contract end to
-// end. The Gaussian pulse envelope needs branchy tail polynomials and
-// is served by the scalar kernel under every table (same contract,
-// no vector speedup); rectangular and exponential envelopes -- the
-// common configurations -- take the SIMD path.
+// Bit-stability contract (pinned by engine_batch_test's golden lane
+// digests): the kernel uses only exactly-rounded operations (+, -, *,
+// /, sqrt, compares, integer ops) plus portable polynomial
+// transcendentals -- never libm -- and its translation unit is compiled
+// with -ffp-contract=off, so neither the compiler, nor -march, nor the
+// standard library can change a single bit of a lane's result.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <span>
 
+#include "oci/link/engine_types.hpp"
+#include "oci/util/batch_rng.hpp"
+
 namespace oci::link::kernels {
 
-/// Pending-afterpulse capacity per lane; mirrors the scalar engine's
-/// kMaxPending (overflow drops the release, documented there).
-inline constexpr std::size_t kMaxPendingPerLane = 64;
-
 /// Temporal envelope of the signal pulse, pre-resolved from
-/// photonics::PulseShape so the kernels stay free of model headers.
+/// photonics::PulseShape so the kernel stays free of model headers.
 enum class EnvelopeKind : int {
   kRectangular = 0,
   kExponential = 1,
@@ -59,67 +41,18 @@ struct BatchParams {
   bool passive_quench = false;
 };
 
-/// Structure-of-arrays view over one batch of lanes. All pointers are
-/// caller-owned (EngineBatchScratch) and sized to `lanes`, except
-/// `pending` which is lanes x kMaxPendingPerLane, row-major. Times are
-/// window-local seconds.
-struct BatchSoA {
-  std::size_t lanes = 0;
-  // Per-lane counter RNG (util::CounterRng state + draw count).
-  std::uint64_t* rng_state = nullptr;
-  std::uint64_t* rng_draws = nullptr;
-  // Inputs.
-  const double* pulse_start = nullptr;  ///< signal envelope start
-  const double* dead_in = nullptr;      ///< blind carry from the previous window
-  // Outputs.
-  std::uint8_t* fired = nullptr;
-  std::uint8_t* first_is_signal = nullptr;
-  double* first_fire = nullptr;     ///< pre-jitter first avalanche (+inf if none)
-  double* first_observed = nullptr; ///< jittered timestamp of the first avalanche
-  double* last_fire = nullptr;
-  double* dead_out = nullptr;       ///< final blind horizon of the lane
-  // Scratch.
-  double* pending = nullptr;        ///< afterpulse release times
-  std::uint32_t* n_pending = nullptr;
+/// Simulates windows[i] on the counter stream lanes.lane(first_lane + i):
+/// reads each lane's pulse_start_s / dead_in_s and writes its outputs
+/// (see WindowResult). Allocation-free.
+void simulate_windows(const BatchParams& p, std::span<WindowResult> windows,
+                      const util::BatchRngStream& lanes, std::uint64_t first_lane);
 
-  /// View of the lanes starting at `offset` (vector kernels hand their
-  /// remainder lanes to the scalar path through this).
-  [[nodiscard]] BatchSoA tail(std::size_t offset) const {
-    BatchSoA t = *this;
-    t.lanes = lanes - offset;
-    t.rng_state += offset;
-    t.rng_draws += offset;
-    t.pulse_start += offset;
-    t.dead_in += offset;
-    t.fired += offset;
-    t.first_is_signal += offset;
-    t.first_fire += offset;
-    t.first_observed += offset;
-    t.last_fire += offset;
-    t.dead_out += offset;
-    t.pending += offset * kMaxPendingPerLane;
-    t.n_pending += offset;
-    return t;
-  }
-};
-
-/// One ISA's entry points.
+/// The batched kernel's name, as benchmarks and run environments report it.
 struct KernelTable {
   const char* name = "scalar";
-  void (*simulate_windows)(const BatchParams&, const BatchSoA&) = nullptr;
 };
 
-/// The reference kernel; always available, on every architecture.
-[[nodiscard]] const KernelTable& scalar_kernels();
-
-/// The widest kernel this CPU supports (avx2 > sse4.2 > scalar), or the
-/// scalar kernel when OCI_FORCE_SCALAR is set to anything but "0".
-/// Resolved once per process.
+/// The one batched kernel ("scalar").
 [[nodiscard]] const KernelTable& active_kernels();
-
-/// Every kernel compiled into this binary that the running CPU can
-/// execute (scalar first). Tests iterate this to pin the cross-ISA
-/// bit-exactness contract on whatever hardware CI lands on.
-[[nodiscard]] std::span<const KernelTable* const> available_kernels();
 
 }  // namespace oci::link::kernels

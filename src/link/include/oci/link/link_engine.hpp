@@ -31,21 +31,20 @@
 //
 // A typical bright symbol costs ~5 RNG draws and no heap allocation.
 // The single-source drivers (run_symbols / run_sequence / measure) run
-// on a batched SoA path: simulate_windows() hands whole spans of symbol
-// windows to the ISA kernels in kernels.hpp (scalar / SSE4.2 / AVX2,
-// runtime-dispatched), each window a decomposable counter-RNG lane, and
-// dead-time carry across consecutive windows is speculated flat and
-// repaired by replaying the rare lane whose phantom first fire lands in
-// the true blind interval. Every kernel is bit-identical per lane to
-// the scalar kernel (engine_batch_test pins this), so batched results
-// do not depend on the CPU, the batch size, or the thread count.
+// on a batched path: simulate_windows() hands whole spans of symbol
+// windows to the kernel in kernels.hpp, each window a decomposable
+// counter-RNG lane, and dead-time carry across consecutive windows is
+// speculated flat and repaired by replaying the rare lane whose phantom
+// first fire lands in the true blind interval. A lane's result depends
+// only on (engine config, stream root, lane index) -- never on the
+// batch size or the thread count -- and engine_batch_test pins its bits.
 // Against the per-symbol API and the reference pipeline the batched
 // drivers are equivalent in distribution, not draw-for-draw;
 // statistical regression tests pin that agreement for the isolated,
 // interference, WDM and bus-contention paths.
 //
-// Concurrency: the engine owns mutable scratch (the batch arrays and
-// transmit_symbol's source states), so no two calls may run
+// Concurrency: the engine owns mutable scratch (the batched drivers'
+// staging and transmit_symbol's source states), so no two calls may run
 // concurrently on ONE engine instance. Build one engine per thread
 // (cheap; every in-repo call site already does).
 #pragma once
@@ -90,8 +89,8 @@ class LinkEngine {
     bool erased = false;  ///< no avalanche in the TOA window
   };
 
-  /// Lanes per batch of the batched drivers. Sized so the SoA working
-  /// set stays L1/L2-resident while amortising the kernel dispatch.
+  /// Lanes per batch of the batched drivers. Sized so the staged
+  /// windows stay L1/L2-resident between kernel and decode passes.
   static constexpr std::size_t kEngineBatch = 256;
 
   /// Batched single-source window physics: simulates one symbol window
@@ -99,13 +98,11 @@ class LinkEngine {
   /// WindowResult). Lane i draws from the counter stream keyed by
   /// `lanes.lane_key(first_lane + i)` -- results are a pure function of
   /// (engine config, stream root, lane index), never of the batch
-  /// geometry, and are bit-identical for every kernel in the dispatch
-  /// table. Pass `table` to pin a specific kernel (tests); nullptr uses
-  /// active_kernels(). Allocation-free once `scratch` has warmed up.
+  /// geometry. Allocation-free; the kernel keeps every lane's state on
+  /// the stack and does not touch `scratch`.
   void simulate_windows(std::span<WindowResult> windows,
                         const util::BatchRngStream& lanes, EngineBatchScratch& scratch,
-                        std::uint64_t first_lane = 0,
-                        const kernels::KernelTable* table = nullptr) const;
+                        std::uint64_t first_lane = 0) const;
 
   /// Streams `count` random symbols back-to-back and hands each outcome
   /// to `reduce(index, outcome)` -- the BatchRunner-friendly driver:
@@ -220,7 +217,7 @@ class LinkEngine {
   std::uint64_t decode_first_avalanche(std::uint64_t symbol, double toa_s,
                                        LinkRunStats& stats, util::RngStream& rng) const;
 
-  /// Engine constants of the batched kernels (envelope pre-resolved).
+  /// Engine constants of the batched kernel (envelope pre-resolved).
   [[nodiscard]] kernels::BatchParams batch_params() const;
 
   /// One batch of the batched drivers: simulates `symbols` as

@@ -3,53 +3,10 @@
 namespace oci::link {
 
 void EngineBatchScratch::reserve(std::size_t lanes) {
-  rng_state_.reserve(lanes);
-  rng_draws_.reserve(lanes);
-  pulse_start_.reserve(lanes);
-  dead_in_.reserve(lanes);
-  fired_.reserve(lanes);
-  first_is_signal_.reserve(lanes);
-  first_fire_.reserve(lanes);
-  first_observed_.reserve(lanes);
-  last_fire_.reserve(lanes);
-  dead_out_.reserve(lanes);
-  pending_.reserve(lanes * kernels::kMaxPendingPerLane);
-  n_pending_.reserve(lanes);
   windows_.reserve(lanes);
   symbols_.reserve(lanes);
   decoded_.reserve(lanes);
   erased_.reserve(lanes);
-}
-
-kernels::BatchSoA EngineBatchScratch::soa(std::size_t lanes) {
-  rng_state_.resize(lanes);
-  rng_draws_.resize(lanes);
-  pulse_start_.resize(lanes);
-  dead_in_.resize(lanes);
-  fired_.resize(lanes);
-  first_is_signal_.resize(lanes);
-  first_fire_.resize(lanes);
-  first_observed_.resize(lanes);
-  last_fire_.resize(lanes);
-  dead_out_.resize(lanes);
-  pending_.resize(lanes * kernels::kMaxPendingPerLane);
-  n_pending_.resize(lanes);
-
-  kernels::BatchSoA soa;
-  soa.lanes = lanes;
-  soa.rng_state = rng_state_.data();
-  soa.rng_draws = rng_draws_.data();
-  soa.pulse_start = pulse_start_.data();
-  soa.dead_in = dead_in_.data();
-  soa.fired = fired_.data();
-  soa.first_is_signal = first_is_signal_.data();
-  soa.first_fire = first_fire_.data();
-  soa.first_observed = first_observed_.data();
-  soa.last_fire = last_fire_.data();
-  soa.dead_out = dead_out_.data();
-  soa.pending = pending_.data();
-  soa.n_pending = n_pending_.data();
-  return soa;
 }
 
 }  // namespace oci::link

@@ -356,28 +356,9 @@ kernels::BatchParams LinkEngine::batch_params() const {
 
 void LinkEngine::simulate_windows(std::span<WindowResult> windows,
                                   const util::BatchRngStream& lanes,
-                                  EngineBatchScratch& scratch, std::uint64_t first_lane,
-                                  const kernels::KernelTable* table) const {
-  const std::size_t n = windows.size();
-  if (n == 0) return;
-  const kernels::BatchSoA soa = scratch.soa(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    soa.rng_state[i] = lanes.lane_key(first_lane + i);
-    soa.rng_draws[i] = 0;
-    scratch.pulse_start_[i] = windows[i].pulse_start_s;
-    scratch.dead_in_[i] = windows[i].dead_in_s;
-  }
-  const kernels::KernelTable& k = table != nullptr ? *table : kernels::active_kernels();
-  k.simulate_windows(batch_params(), soa);
-  for (std::size_t i = 0; i < n; ++i) {
-    windows[i].fired = soa.fired[i] != 0;
-    windows[i].first_is_signal = soa.first_is_signal[i] != 0;
-    windows[i].first_fire_s = soa.first_fire[i];
-    windows[i].first_observed_s = soa.first_observed[i];
-    windows[i].last_fire_s = soa.last_fire[i];
-    windows[i].dead_out_s = soa.dead_out[i];
-    windows[i].rng_draws = soa.rng_draws[i];
-  }
+                                  EngineBatchScratch& /*scratch*/,
+                                  std::uint64_t first_lane) const {
+  kernels::simulate_windows(batch_params(), windows, lanes, first_lane);
 }
 
 void LinkEngine::run_window_batch(std::span<const std::uint64_t> symbols,

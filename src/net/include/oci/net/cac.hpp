@@ -24,7 +24,7 @@
 // wavelength, until a full round changes nothing. The pass is a pure
 // function of (config, RNG stream): scenario runs key the stream as
 // (seed, "alloc/<point>") so allocations are bit-identical across
-// threads, shards and SIMD dispatch.
+// threads and shards.
 #pragma once
 
 #include <cstddef>

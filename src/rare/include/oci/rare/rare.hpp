@@ -35,7 +35,7 @@ namespace oci::rare {
 
 /// Which acceleration engine a point runs (scenario key: variance.kind).
 enum class Kind {
-  kNone,   ///< crude Monte Carlo (the default batched SIMD path)
+  kNone,   ///< crude Monte Carlo (the default batched window path)
   kTilt,   ///< importance sampling: jitter/noise exponential tilting
   kSplit,  ///< multilevel splitting: stratified decode-margin bands
 };
@@ -111,8 +111,8 @@ struct ChunkResult {
 /// proposal. All randomness forks off `rng` under "rare/<point>/..."
 /// labels (one stream per splitting band, keyed by level index), so
 /// the result is a pure function of (link config, spec, chunk stream):
-/// bit-identical across thread counts, shards, and -- the drivers are
-/// scalar per-symbol -- SIMD dispatch. Requires spec.active().
+/// bit-identical across thread counts and shards. Requires
+/// spec.active().
 [[nodiscard]] ChunkResult run_chunk(const link::OpticalLink& link, const RareSpec& spec,
                                     std::uint64_t samples, std::uint64_t point_index,
                                     util::RngStream& rng);

@@ -26,9 +26,10 @@ void save(const RunReport& report, const std::string& path);
 
 /// Parses a document save() wrote. Throws std::runtime_error naming the
 /// path and the defect for unreadable files, non-schema-2 documents, or
-/// missing required fields. Lenient toward ABSENT service-era fields
-/// (hand-built or older documents load with defaults) but strict about
-/// malformed ones.
+/// missing required fields -- including a metric's `kind` and that
+/// kind's accumulator state, which merge pools and load never invents.
+/// Lenient toward other ABSENT service-era fields (they load with
+/// defaults) but strict about malformed ones.
 [[nodiscard]] RunReport load(const std::string& path);
 
 }  // namespace report_io

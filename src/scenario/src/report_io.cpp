@@ -5,7 +5,9 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -408,6 +410,19 @@ std::uint64_t uint_or(const JValue& obj, std::string_view key, std::uint64_t fal
   return static_cast<std::uint64_t>(parsed);
 }
 
+/// Merge pools a metric's accumulator state, so load must not invent
+/// it: throws unless `entry` carries every field in `keys`.
+void require_state(const JValue& entry, std::initializer_list<std::string_view> keys,
+                   const std::string& metric, const std::string& path) {
+  for (const std::string_view key : keys) {
+    if (entry.find(key) == nullptr) {
+      throw std::runtime_error("scenario report_io: " + path + ": metric '" + metric +
+                               "' lacks accumulator state field '" + std::string(key) +
+                               "'");
+    }
+  }
+}
+
 std::string str_or(const JValue& obj, std::string_view key, std::string fallback,
                    const std::string& path) {
   const JValue* v = obj.find(key);
@@ -523,8 +538,8 @@ RunReport load(const std::string& path) {
       // Metric columns come from the FIRST row; later rows must agree.
       if (i == 0) {
         report.metric_names.push_back(name);
-        report.metric_kinds.push_back(
-            metric_kind_from_string(str_or(entry, "kind", "constant", path)));
+        require_state(entry, {"kind"}, name, path);
+        report.metric_kinds.push_back(metric_kind_from_string(str_or(entry, "kind", "", path)));
       } else if (m >= report.metric_names.size() || report.metric_names[m] != name) {
         throw std::runtime_error("scenario report_io: " + path +
                                  ": inconsistent metric columns across results");
@@ -537,21 +552,25 @@ RunReport load(const std::string& path) {
       p.estimates.push_back(e);
       p.metrics.push_back(e.value);
       MetricState& st = p.state.emplace_back(report.metric_kinds[m]);
+      // A non-finite double saves as null and loads back as NaN, which
+      // the from_* reconstructions sanitise.
+      constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
       switch (st.kind) {
         case MetricKind::kRate:
+          require_state(entry, {"successes", "trials"}, name, path);
           st.rate = analysis::RateAccumulator::from_counts(
-              num_or(entry, "successes", e.value * static_cast<double>(e.n_samples),
-                     path),
-              uint_or(entry, "trials", e.n_samples, path));
+              num_or(entry, "successes", kNaN, path), uint_or(entry, "trials", 0, path));
           break;
         case MetricKind::kMean:
+          require_state(entry, {"batch_count", "batch_mean", "batch_m2"}, name, path);
           st.mean = analysis::MeanAccumulator::from_state(
-              static_cast<std::size_t>(uint_or(entry, "batch_count", p.chunks, path)),
-              num_or(entry, "batch_mean", e.value, path),
-              num_or(entry, "batch_m2", 0.0, path), e.n_samples);
+              static_cast<std::size_t>(uint_or(entry, "batch_count", 0, path)),
+              num_or(entry, "batch_mean", kNaN, path), num_or(entry, "batch_m2", kNaN, path),
+              e.n_samples);
           break;
         case MetricKind::kCount:
-          st.value = num_or(entry, "sum", e.value, path);
+          require_state(entry, {"sum"}, name, path);
+          st.value = num_or(entry, "sum", kNaN, path);
           break;
         case MetricKind::kConstant:
           st.value = e.value;

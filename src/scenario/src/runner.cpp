@@ -121,11 +121,11 @@ ChunkRecord run_p2p_symbols(const ScenarioSpec& s, std::uint64_t samples, RngStr
     RngStream tx = rng.fork("tx");
     const bool window_faults = fr != nullptr && fr->window_faults();
     if (!window_faults && s.aggressors.empty()) {
-      // Rides the batched SoA/SIMD window path: measure() hands the
-      // chunk's samples to the engine in kEngineBatch-lane spans, so a
-      // map_until chunk is simulated batch-by-batch by the dispatched
-      // kernel. Results stay a pure function of (spec, seed) -- the
-      // kernels are bit-identical across ISAs and thread counts.
+      // Rides the batched window path: measure() hands the chunk's
+      // samples to the engine in kEngineBatch-lane spans, so a
+      // map_until chunk is simulated batch-by-batch by the window
+      // kernel. Results stay a pure function of (spec, seed) -- each
+      // lane is a counter stream, independent of thread count.
       stats = link.measure(samples, tx);
     } else {
       // Per-symbol windows. Dark/flaky transmit windows draw a driver-
@@ -511,8 +511,8 @@ ChunkRecord run_noc(const ScenarioSpec& s, std::uint64_t slots, RngStream& rng,
 /// spec on the chunk stream, returned as the record the result store
 /// saves (the runner fills in `samples`). Pixel faults never reach
 /// here: they fold analytically into the point's SPAD parameters
-/// (Poisson thinning), so faulted specs still ride the batched SIMD
-/// kernels. `fr` carries only the realisations an engine must act on
+/// (Poisson thinning), so faulted specs still ride the batched window
+/// kernel. `fr` carries only the realisations an engine must act on
 /// (windows, drift, channel scales, dead dies).
 using ChunkFn = ChunkRecord (*)(const ScenarioSpec&, std::uint64_t samples, RngStream&,
                                 const fault::Realisation* fr, std::size_t point_index);
@@ -862,7 +862,7 @@ RunReport ScenarioRunner::run(const ScenarioSpec& spec, const RunOptions& option
             if (st.point.fault.pixel_active()) {
               // Poisson thinning folds the faulted array into the SPAD
               // parameters, so pixel-faulted points keep riding the
-              // batched SIMD kernels untouched.
+              // batched window kernel untouched.
               auto& spad = st.point.device.spad;
               spad.pdp_peak *= st.fr.pixels.pdp_scale();
               spad.dcr_at_ref = util::Frequency::hertz(

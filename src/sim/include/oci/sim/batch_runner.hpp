@@ -1,11 +1,10 @@
 // Parallel Monte-Carlo sweep engine. BatchRunner fans a parameter
 // sweep out over a std::thread pool while keeping results bit-identical
 // for any thread count: every task draws from its own RngStream derived
-// purely from (root_seed, label, task index), results land in
-// index-addressed slots, and reductions merge partials in fixed index
-// order. Use it for embarrassingly parallel sweeps (per-node Monte
-// Carlo, per-design-point link sims); the discrete-event Scheduler
-// stays single-threaded inside each task.
+// purely from (root_seed, label, task index) and results land in
+// index-addressed slots. Use it for embarrassingly parallel sweeps
+// (per-node Monte Carlo, per-design-point link sims); the
+// discrete-event Scheduler stays single-threaded inside each task.
 #pragma once
 
 #include <cstddef>
@@ -17,7 +16,6 @@
 #include <vector>
 
 #include "oci/util/random.hpp"
-#include "oci/util/statistics.hpp"
 
 namespace oci::sim {
 
@@ -69,8 +67,8 @@ class BatchRunner {
                          Fn&& fn) const {
     using R = std::invoke_result_t<Fn&, std::size_t, util::RngStream&>;
     static_assert(!std::is_same_v<R, bool>,
-                  "map to a struct or use reduce(); vector<bool> slots are "
-                  "not thread-safe to write concurrently");
+                  "map to a struct; vector<bool> slots are not thread-safe "
+                  "to write concurrently");
     std::vector<R> out(tasks);
     for_each_index(tasks, [&](std::size_t i) {
       util::RngStream rng = task_stream(label, i);
@@ -80,34 +78,17 @@ class BatchRunner {
   }
 
   /// Chunked adaptive map: the incremental-reduce primitive behind
-  /// confidence-targeted Monte Carlo. Each task grows a
-  /// default-constructed accumulator Acc chunk by chunk --
-  /// step(index, chunk, rng, acc) folds one chunk in from its own
-  /// per-(label, index, chunk) stream -- until done(index, acc)
-  /// returns true, checked after every chunk. Results land in index
-  /// order. step/done run concurrently across tasks: they must be
+  /// confidence-targeted Monte Carlo. Slot s runs task task_ids[s],
+  /// growing a default-constructed accumulator Acc chunk by chunk --
+  /// step(id, chunk, rng, acc) folds one chunk in from its own
+  /// per-(label, id, chunk) stream -- until done(id, acc) returns true,
+  /// checked after every chunk. Streams derive from the GLOBAL id, not
+  /// the slot, so a subset of a sweep (a shard) produces accumulators
+  /// bit-identical to the same ids inside a full run. Results land in
+  /// slot order. step/done run concurrently across tasks: they must be
   /// pure functions of their arguments (no shared mutable state).
   /// done() MUST eventually return true for every task (bound it with
   /// a max-budget rule); the runner adds no iteration cap of its own.
-  template <typename Acc, typename Step, typename Done>
-  [[nodiscard]] std::vector<Acc> map_until(std::size_t tasks,
-                                           std::string_view label, Step&& step,
-                                           Done&& done) const {
-    std::vector<Acc> out(tasks);
-    for_each_index(tasks, [&](std::size_t i) {
-      for (std::size_t chunk = 0;; ++chunk) {
-        util::RngStream rng = task_stream(label, i, chunk);
-        step(i, chunk, rng, out[i]);
-        if (done(i, std::as_const(out[i]))) break;
-      }
-    });
-    return out;
-  }
-
-  /// map_until over an explicit task-id list: slot s runs task
-  /// task_ids[s] and derives its chunk streams from that GLOBAL id, so
-  /// a subset of a sweep (a shard) produces accumulators bit-identical
-  /// to the same ids inside a full run. Results land in slot order.
   template <typename Acc, typename Step, typename Done>
   [[nodiscard]] std::vector<Acc> map_until(
       const std::vector<std::size_t>& task_ids, std::string_view label,
@@ -122,23 +103,6 @@ class BatchRunner {
       }
     });
     return out;
-  }
-
-  /// Monte-Carlo reduction: each task accumulates samples into its own
-  /// RunningStats via fn(index, rng, stats); partials are merged in
-  /// index order so the result is identical for any thread count.
-  template <typename Fn>
-  [[nodiscard]] util::RunningStats reduce(std::size_t tasks,
-                                          std::string_view label,
-                                          Fn&& fn) const {
-    std::vector<util::RunningStats> partials(tasks);
-    for_each_index(tasks, [&](std::size_t i) {
-      util::RngStream rng = task_stream(label, i);
-      fn(i, rng, partials[i]);
-    });
-    util::RunningStats merged;
-    for (const util::RunningStats& p : partials) merged.merge(p);
-    return merged;
   }
 
  private:

@@ -1,9 +1,9 @@
-// Counter-based RNG for the batched (SoA/SIMD) engine hot path.
+// Counter-based RNG for the batched window engine's hot path.
 //
 // RngStream wraps std::mt19937_64 and std:: distributions: excellent
 // statistically, but each draw walks a 2.5 KB state and the library
-// transforms are neither vectorisable nor bit-stable across standard
-// library implementations. The batched window engine instead derives
+// transforms are not bit-stable across standard library
+// implementations. The batched window engine instead derives
 // one tiny counter-based stream PER WINDOW ("lane") from a single
 // 64-bit root:
 //
@@ -16,15 +16,15 @@
 //    batch is draw-for-draw identical to W one-window batches, and a
 //    repaired lane (re-simulated with a corrected dead-time carry)
 //    replays its stream from the key alone.
-//  * Vectorisability: the state is one u64 per lane and the update is
-//    add/xor/shift/multiply, so K lanes advance in one SIMD register;
-//    the uniform double uses only exactly-rounded operations, so the
-//    SIMD and scalar kernels produce bit-identical doubles.
+//  * Bit stability: the state is one u64 per lane, the update is
+//    add/xor/shift/multiply, and the uniform double uses only
+//    exactly-rounded operations, so a lane's draws are the same bits
+//    under every compiler and instruction set.
 //
 // Distribution transforms (exponential, normal, envelopes) do NOT live
-// here: they are implemented once in the link kernels from portable
-// exactly-rounded primitives so the scalar and SIMD paths cannot
-// diverge. This header is only keys, counters and uniforms.
+// here: they are implemented once in the link window kernel from
+// portable exactly-rounded primitives. This header is only keys,
+// counters and uniforms.
 #pragma once
 
 #include <cstdint>
@@ -52,10 +52,10 @@ class CounterRng {
   [[nodiscard]] std::uint64_t draws() const { return draws_; }
   [[nodiscard]] std::uint64_t state() const { return state_; }
 
-  /// The (0,1) mapping shared with the SIMD kernels: (hi52 + 0.5) *
-  /// 2^-52. hi52 < 2^52 so the int->double conversion is exact, the
-  /// +0.5 is exact (ulp at [2^51, 2^52) is 0.5) and the scale is a
-  /// power of two -- every step exactly rounded on every ISA.
+  /// The (0,1) mapping: (hi52 + 0.5) * 2^-52. hi52 < 2^52 so the
+  /// int->double conversion is exact, the +0.5 is exact (ulp at
+  /// [2^51, 2^52) is 0.5) and the scale is a power of two -- every
+  /// step exactly rounded on every ISA.
   [[nodiscard]] static double batch_uniform01(std::uint64_t x) {
     return (static_cast<double>(x >> 12) + 0.5) * 0x1p-52;
   }

@@ -76,19 +76,6 @@ class Histogram {
   std::uint64_t overflow_ = 0;
 };
 
-/// Wilson score interval for a binomial proportion; robust for the very
-/// small error probabilities typical of link error-rate measurements.
-struct ProportionEstimate {
-  double p = 0.0;     ///< point estimate successes/trials
-  double lo = 0.0;    ///< lower bound of the confidence interval
-  double hi = 0.0;    ///< upper bound of the confidence interval
-};
-
-/// z defaults to 1.96 (95% confidence).
-[[nodiscard]] ProportionEstimate wilson_interval(std::uint64_t successes,
-                                                 std::uint64_t trials,
-                                                 double z = 1.96);
-
 /// Linear interpolation of the q-quantile (0<=q<=1) of a sorted span.
 [[nodiscard]] double quantile_sorted(std::span<const double> sorted, double q);
 

@@ -89,21 +89,6 @@ double Histogram::fraction(std::size_t bin) const {
   return static_cast<double>(counts_.at(bin)) / static_cast<double>(total_);
 }
 
-ProportionEstimate wilson_interval(std::uint64_t successes, std::uint64_t trials, double z) {
-  ProportionEstimate e;
-  if (trials == 0) return e;
-  const double n = static_cast<double>(trials);
-  const double p = static_cast<double>(successes) / n;
-  const double z2 = z * z;
-  const double denom = 1.0 + z2 / n;
-  const double centre = p + z2 / (2.0 * n);
-  const double margin = z * std::sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n));
-  e.p = p;
-  e.lo = std::max(0.0, (centre - margin) / denom);
-  e.hi = std::min(1.0, (centre + margin) / denom);
-  return e;
-}
-
 double quantile_sorted(std::span<const double> sorted, double q) {
   if (sorted.empty()) throw std::invalid_argument("quantile_sorted: empty input");
   if (q <= 0.0) return sorted.front();

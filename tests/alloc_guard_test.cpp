@@ -137,7 +137,9 @@ TEST(AllocGuard, BatchedWindowKernelIsAllocationFree) {
   const util::BatchRngStream lanes(0xA110Cull, "alloc-guard");
 
   // Direct batched-kernel loop: the shape ScenarioRunner's chunked
-  // map drives. One scratch + one staging vector, reused per batch.
+  // map drives. One scratch + one staging vector, reused per batch. No
+  // warm-up: the kernel keeps every lane's state on the stack, so even
+  // the first batch must not allocate.
   link::EngineBatchScratch scratch;
   std::vector<link::WindowResult> windows(LinkEngine::kEngineBatch);
   const auto stage = [&](std::uint64_t first_lane) {
@@ -147,9 +149,6 @@ TEST(AllocGuard, BatchedWindowKernelIsAllocationFree) {
           link.ppm().encode((first_lane + i) % 32).seconds();
     }
   };
-
-  stage(0);
-  engine.simulate_windows(windows, lanes, scratch);  // warm-up sizes the SoA
 
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
   std::uint64_t fired = 0;

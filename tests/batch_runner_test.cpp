@@ -1,10 +1,11 @@
 // Unit tests for the parallel Monte-Carlo sweep engine: determinism
-// across thread counts, per-task stream independence, reduction
-// merging, and error propagation.
+// across thread counts, per-task stream independence, chunked adaptive
+// maps, and error propagation.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <numeric>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -13,14 +14,12 @@
 
 #include "oci/sim/batch_runner.hpp"
 #include "oci/util/random.hpp"
-#include "oci/util/statistics.hpp"
 
 namespace {
 
 using oci::sim::BatchConfig;
 using oci::sim::BatchRunner;
 using oci::util::RngStream;
-using oci::util::RunningStats;
 
 BatchRunner make_runner(std::size_t threads, std::uint64_t seed = 20080615) {
   BatchConfig cfg;
@@ -53,20 +52,6 @@ TEST(BatchRunner, MapIsBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(BatchRunner, ReduceMergesPartialsDeterministically) {
-  auto body = [](std::size_t i, RngStream& rng, RunningStats& stats) {
-    for (int k = 0; k < 50; ++k) stats.add(mc_task(i, rng));
-  };
-  const RunningStats serial = make_runner(1).reduce(16, "reduce", body);
-  const RunningStats parallel = make_runner(4).reduce(16, "reduce", body);
-  EXPECT_EQ(serial.count(), parallel.count());
-  EXPECT_EQ(serial.mean(), parallel.mean());
-  EXPECT_EQ(serial.variance(), parallel.variance());
-  EXPECT_EQ(serial.min(), parallel.min());
-  EXPECT_EQ(serial.max(), parallel.max());
-  EXPECT_EQ(serial.count(), 16u * 50u);
-}
-
 TEST(BatchRunner, TaskStreamsAreDecorrelatedAcrossIndexAndLabel) {
   const BatchRunner runner = make_runner(1);
   std::set<std::uint64_t> first_draws;
@@ -94,6 +79,13 @@ struct ChunkLog {
   std::vector<double> draws;
 };
 
+/// Task ids 0..n-1: a full sweep.
+std::vector<std::size_t> all_ids(std::size_t n) {
+  std::vector<std::size_t> ids(n);
+  std::iota(ids.begin(), ids.end(), std::size_t{0});
+  return ids;
+}
+
 TEST(BatchRunner, MapUntilIsBitIdenticalAcrossThreadCounts) {
   // Heterogeneous chunk counts (task i runs i%3 + 1 chunks) exercise
   // the scheduler: slow tasks must not perturb fast tasks' streams.
@@ -103,10 +95,10 @@ TEST(BatchRunner, MapUntilIsBitIdenticalAcrossThreadCounts) {
   auto done = [](std::size_t i, const ChunkLog& acc) {
     return acc.draws.size() >= i % 3 + 1;
   };
-  const auto serial = make_runner(1).map_until<ChunkLog>(24, "adaptive", step, done);
+  const auto serial = make_runner(1).map_until<ChunkLog>(all_ids(24), "adaptive", step, done);
   for (std::size_t threads : {2u, 8u}) {
     const auto parallel =
-        make_runner(threads).map_until<ChunkLog>(24, "adaptive", step, done);
+        make_runner(threads).map_until<ChunkLog>(all_ids(24), "adaptive", step, done);
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
       EXPECT_EQ(serial[i].draws, parallel[i].draws) << "task " << i;
@@ -115,7 +107,7 @@ TEST(BatchRunner, MapUntilIsBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(BatchRunner, IndexedMapUntilMatchesFullRunPerTask) {
-  // The explicit-id overload is the sharding primitive: running the id
+  // Explicit ids are the sharding primitive: running the id
   // subset {1, 4, 7, ...} must reproduce exactly those slots of the
   // full run, because streams derive from the GLOBAL id, not the slot.
   auto step = [](std::size_t, std::size_t, RngStream& rng, ChunkLog& acc) {
@@ -124,7 +116,7 @@ TEST(BatchRunner, IndexedMapUntilMatchesFullRunPerTask) {
   auto done = [](std::size_t i, const ChunkLog& acc) {
     return acc.draws.size() >= i % 3 + 1;
   };
-  const auto full = make_runner(2).map_until<ChunkLog>(12, "shard", step, done);
+  const auto full = make_runner(2).map_until<ChunkLog>(all_ids(12), "shard", step, done);
   std::vector<std::size_t> ids;
   for (std::size_t g = 1; g < 12; g += 3) ids.push_back(g);
   const auto subset = make_runner(4).map_until<ChunkLog>(ids, "shard", step, done);
@@ -142,10 +134,10 @@ TEST(BatchRunner, MapUntilChunksAreIndependentOfStoppingDecision) {
     acc.draws.push_back(rng.uniform());
   };
   const auto short_run = make_runner(2).map_until<ChunkLog>(
-      8, "stop", step,
+      all_ids(8), "stop", step,
       [](std::size_t, const ChunkLog& acc) { return acc.draws.size() >= 2; });
   const auto long_run = make_runner(2).map_until<ChunkLog>(
-      8, "stop", step,
+      all_ids(8), "stop", step,
       [](std::size_t, const ChunkLog& acc) { return acc.draws.size() >= 5; });
   for (std::size_t i = 0; i < short_run.size(); ++i) {
     ASSERT_EQ(short_run[i].draws.size(), 2u);

@@ -317,7 +317,7 @@ TEST(CacMacPolicy, OutCarriesTokenAtScaleWilsonSeparated) {
                                           cac_res.total_offered(), 1e-4);
   const auto tok_ci = test::rate_interval(tok_res.total_delivered(),
                                           tok_res.total_offered(), 1e-4);
-  EXPECT_GT(cac_ci.lo, tok_ci.hi)
+  EXPECT_GT(cac_ci.ci_low, tok_ci.ci_high)
       << "cac " << cac_res.delivery_ratio() << " vs token "
       << tok_res.delivery_ratio();
   // And in absolute packets/slot the multi-wavelength schedule clears

@@ -13,7 +13,9 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <regex>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -681,6 +683,32 @@ TEST(ReportIo, LoadRejectsMalformedDocuments) {
           "noresults.json",
           "{ \"schema_version\": 2, \"binary\": \"scenario_x\", \"config\": {} }")),
       std::runtime_error);
+
+  // A metric without its kind or accumulator state must not load:
+  // merge would pool invented state (a missing batch_m2 as zero
+  // spread). The error names the file and the metric.
+  const fs::path full = dir / "full.json";
+  scenario::report_io::save(ScenarioRunner(2).run(adaptive_spec()), full.string());
+  std::ostringstream text;
+  text << std::ifstream(full).rdbuf();
+  std::set<std::string> stripped;
+  for (const std::string field :
+       {"kind", "successes", "trials", "batch_count", "batch_mean", "batch_m2", "sum"}) {
+    const std::regex entry(", \"" + field + "\": [^,}]+");
+    const std::string doc = std::regex_replace(text.str(), entry, "");
+    if (doc == text.str()) continue;  // no metric of that kind here
+    stripped.insert(field);
+    const std::string path = write(("no_" + field + ".json").c_str(), doc);
+    try {
+      (void)scenario::report_io::load(path);
+      ADD_FAILURE() << "loaded a document without '" << field << "'";
+    } catch (const std::runtime_error& err) {
+      const std::string what = err.what();
+      EXPECT_NE(what.find(path), std::string::npos) << what;
+      EXPECT_NE(what.find("metric '"), std::string::npos) << what;
+    }
+  }
+  EXPECT_TRUE(stripped.count("kind") && stripped.count("successes")) << stripped.size();
 }
 
 // -- CLI helpers --------------------------------------------------------

@@ -1,6 +1,6 @@
 // Unit tests for the adaptive-precision statistics layer
-// (oci/analysis/sequential.hpp): Wilson and Wald intervals against
-// known values, the streaming rate/mean accumulators, and the stopping
+// (oci/analysis/sequential.hpp): Wilson intervals against known
+// values, the streaming rate/mean accumulators, and the stopping
 // rules that drive ScenarioRunner's chunked sampling.
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@ using oci::analysis::Estimate;
 using oci::analysis::MeanAccumulator;
 using oci::analysis::RateAccumulator;
 using oci::analysis::StoppingRule;
-using oci::analysis::wald_estimate;
 using oci::analysis::wilson_estimate;
 
 TEST(WilsonEstimate, MatchesKnownValues) {
@@ -56,20 +55,6 @@ TEST(WilsonEstimate, HandlesEdgeCases) {
   EXPECT_NEAR(full.ci_low, 1.0 - 3.8416 / 103.8416, 1e-4);
 }
 
-TEST(WaldEstimate, MatchesKnownValues) {
-  // 50/100 at 95%: 0.5 +/- 1.96 * 0.05.
-  const Estimate e = wald_estimate(50.0, 100);
-  EXPECT_DOUBLE_EQ(e.value, 0.5);
-  EXPECT_NEAR(e.ci_low, 0.402, 1e-3);
-  EXPECT_NEAR(e.ci_high, 0.598, 1e-3);
-}
-
-TEST(WaldEstimate, DegeneratesAtTheBoundary) {
-  // The known Wald failure mode: zero width at p-hat = 0.
-  const Estimate e = wald_estimate(0.0, 100);
-  EXPECT_DOUBLE_EQ(e.half_width(), 0.0);
-}
-
 TEST(RateAccumulator, PoolsChunkCounts) {
   RateAccumulator acc;
   acc.add(0.1, 1000);
@@ -83,9 +68,6 @@ TEST(RateAccumulator, PoolsChunkCounts) {
   EXPECT_DOUBLE_EQ(pooled.value, direct.value);
   EXPECT_DOUBLE_EQ(pooled.ci_low, direct.ci_low);
   EXPECT_DOUBLE_EQ(pooled.ci_high, direct.ci_high);
-
-  const Estimate wald = acc.wald();
-  EXPECT_NEAR(wald.half_width(), 1.96 * std::sqrt(0.2 * 0.8 / 2000.0), 1e-9);
 }
 
 TEST(RateAccumulator, EmptyIsSafe) {
@@ -147,14 +129,12 @@ TEST(RateAccumulator, FromCountsSanitizesGarbledState) {
 
 TEST(RateAccumulator, WilsonTreatsNonFiniteSuccessesAsZero) {
   // Direct estimator call, not just the accumulator path: std::clamp
-  // propagates NaN, so the estimators need their own finite guard.
+  // propagates NaN, so the estimator needs its own finite guard.
   const double inf = std::numeric_limits<double>::infinity();
   for (const double bad : {std::nan(""), inf, -inf}) {
     const Estimate w = wilson_estimate(bad, 50);
     EXPECT_TRUE(std::isfinite(w.value)) << bad;
     EXPECT_TRUE(std::isfinite(w.ci_low) && std::isfinite(w.ci_high)) << bad;
-    const Estimate a = wald_estimate(bad, 50);
-    EXPECT_TRUE(std::isfinite(a.ci_low) && std::isfinite(a.ci_high)) << bad;
   }
 }
 

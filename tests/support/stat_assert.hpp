@@ -21,24 +21,25 @@
 #include <cmath>
 #include <cstdint>
 
+#include "oci/analysis/sequential.hpp"
 #include "oci/util/math.hpp"
-#include "oci/util/statistics.hpp"
 
 namespace oci::test {
 
 /// Two-sided Wilson interval at significance alpha (confidence 1-alpha).
-inline util::ProportionEstimate rate_interval(std::uint64_t hits, std::uint64_t trials,
-                                              double alpha) {
-  return util::wilson_interval(hits, trials, util::normal_quantile(1.0 - alpha / 2.0));
+inline analysis::Estimate rate_interval(std::uint64_t hits, std::uint64_t trials,
+                                        double alpha) {
+  return analysis::wilson_estimate(static_cast<double>(hits), trials,
+                                   util::normal_quantile(1.0 - alpha / 2.0));
 }
 
 inline ::testing::AssertionResult RateNear(std::uint64_t hits, std::uint64_t trials,
                                            double p, double alpha) {
-  const util::ProportionEstimate ci = rate_interval(hits, trials, alpha);
-  if (p >= ci.lo && p <= ci.hi) return ::testing::AssertionSuccess();
+  const analysis::Estimate ci = rate_interval(hits, trials, alpha);
+  if (p >= ci.ci_low && p <= ci.ci_high) return ::testing::AssertionSuccess();
   return ::testing::AssertionFailure()
-         << "rate " << hits << "/" << trials << " = " << ci.p << " has Wilson CI ["
-         << ci.lo << ", " << ci.hi << "] at alpha=" << alpha
+         << "rate " << hits << "/" << trials << " = " << ci.value << " has Wilson CI ["
+         << ci.ci_low << ", " << ci.ci_high << "] at alpha=" << alpha
          << ", which excludes the expected " << p;
 }
 
@@ -46,21 +47,21 @@ inline ::testing::AssertionResult RateNear(std::uint64_t hits, std::uint64_t tri
 /// lower bound clears p, i.e. the data is significantly ABOVE the bound.
 inline ::testing::AssertionResult RateLt(std::uint64_t hits, std::uint64_t trials, double p,
                                          double alpha) {
-  const util::ProportionEstimate ci = rate_interval(hits, trials, alpha);
-  if (ci.lo < p) return ::testing::AssertionSuccess();
+  const analysis::Estimate ci = rate_interval(hits, trials, alpha);
+  if (ci.ci_low < p) return ::testing::AssertionSuccess();
   return ::testing::AssertionFailure()
-         << "rate " << hits << "/" << trials << " = " << ci.p << " is significantly >= " << p
-         << " (Wilson CI [" << ci.lo << ", " << ci.hi << "] at alpha=" << alpha << ")";
+         << "rate " << hits << "/" << trials << " = " << ci.value << " is significantly >= " << p
+         << " (Wilson CI [" << ci.ci_low << ", " << ci.ci_high << "] at alpha=" << alpha << ")";
 }
 
 /// Asserts the true rate is above p (mirror of RateLt).
 inline ::testing::AssertionResult RateGt(std::uint64_t hits, std::uint64_t trials, double p,
                                          double alpha) {
-  const util::ProportionEstimate ci = rate_interval(hits, trials, alpha);
-  if (ci.hi > p) return ::testing::AssertionSuccess();
+  const analysis::Estimate ci = rate_interval(hits, trials, alpha);
+  if (ci.ci_high > p) return ::testing::AssertionSuccess();
   return ::testing::AssertionFailure()
-         << "rate " << hits << "/" << trials << " = " << ci.p << " is significantly <= " << p
-         << " (Wilson CI [" << ci.lo << ", " << ci.hi << "] at alpha=" << alpha << ")";
+         << "rate " << hits << "/" << trials << " = " << ci.value << " is significantly <= " << p
+         << " (Wilson CI [" << ci.ci_low << ", " << ci.ci_high << "] at alpha=" << alpha << ")";
 }
 
 /// Pooled two-proportion z-test: are two binomial samples consistent

@@ -302,30 +302,6 @@ TEST(Stats, HistogramRejectsBadConstruction) {
   EXPECT_THROW(Histogram(2.0, 1.0, 4), std::invalid_argument);
 }
 
-TEST(Stats, WilsonIntervalBrackets) {
-  const auto e = wilson_interval(10, 1000);
-  EXPECT_NEAR(e.p, 0.01, 1e-12);
-  EXPECT_LT(e.lo, 0.01);
-  EXPECT_GT(e.hi, 0.01);
-  EXPECT_GE(e.lo, 0.0);
-  EXPECT_LE(e.hi, 1.0);
-}
-
-TEST(Stats, WilsonIntervalZeroTrials) {
-  const auto e = wilson_interval(0, 0);
-  EXPECT_DOUBLE_EQ(e.p, 0.0);
-  EXPECT_DOUBLE_EQ(e.lo, 0.0);
-  EXPECT_DOUBLE_EQ(e.hi, 0.0);
-}
-
-TEST(Stats, WilsonZeroSuccesses) {
-  const auto e = wilson_interval(0, 10000);
-  EXPECT_DOUBLE_EQ(e.p, 0.0);
-  EXPECT_DOUBLE_EQ(e.lo, 0.0);
-  EXPECT_GT(e.hi, 0.0);  // upper bound stays informative
-  EXPECT_LT(e.hi, 1e-3);
-}
-
 TEST(Stats, QuantileSorted) {
   const std::vector<double> v{1.0, 2.0, 3.0, 4.0, 5.0};
   EXPECT_DOUBLE_EQ(quantile_sorted(v, 0.0), 1.0);
