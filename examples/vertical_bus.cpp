@@ -11,7 +11,6 @@
 #include "oci/bus/arbitration.hpp"
 #include "oci/bus/vertical_bus.hpp"
 #include "oci/link/optical_link.hpp"
-#include "oci/sim/scheduler.hpp"
 #include "oci/util/table.hpp"
 
 int main(int argc, char** argv) {
@@ -49,9 +48,8 @@ int main(int argc, char** argv) {
             << util::si_format(vbus.broadcast_energy_per_delivered_bit().joules(), "J", 2)
             << "\n";
 
-  // --- event-driven frame exchange over the stack ---
+  // --- frame exchange over the stack, in time order ---
   std::cout << "\n== broadcast + TDMA upstream exchange ==\n";
-  sim::Scheduler sched;
   const photonics::MicroLed led(cfg.led);
   const spad::Spad det(cfg.spad, cfg.led.wavelength);
 
@@ -73,39 +71,31 @@ int main(int argc, char** argv) {
   const std::string msg = "BUS-EPOCH-0";
   beacon.payload.assign(msg.begin(), msg.end());
 
+  // At 1 us the master broadcasts the beacon to every die in turn.
   util::RngStream channel(seed, "bus-channel");
   int delivered = 0;
-  for (std::size_t i = 0; i < down.size(); ++i) {
-    sched.schedule_at(util::Time::microseconds(1.0), [&, i] {
-      const auto r = down[i]->transmit_frame(beacon, channel);
-      if (r.frame) ++delivered;
-    });
+  for (const auto& l : down) {
+    if (l->transmit_frame(beacon, channel).frame) ++delivered;
   }
 
-  // Upstream: equal-share TDMA across the 7 talker dies.
+  // From 5 us the dies answer upstream, each in its equal-share TDMA
+  // slot of 64 symbols; slot die - 1 keeps the loop in time order.
   const bus::TdmaSchedule tdma = bus::TdmaSchedule::equal(cfg.dies - 1);
-  std::vector<int> upstream_ok(cfg.dies - 1, 0);
+  int up_total = 0;
+  util::Time last = util::Time::microseconds(1.0);
   for (std::size_t die = 1; die < cfg.dies; ++die) {
     const std::uint64_t slot = tdma.next_slot(die - 1, 0);
-    const util::Time when =
-        util::Time::microseconds(5.0) +
-        down[die - 1]->symbol_period() * static_cast<double>(slot * 64);
-    sched.schedule_at(when, [&, die] {
-      modulation::Frame reply;
-      const std::string r = "ACK-die-" + std::to_string(die);
-      reply.payload.assign(r.begin(), r.end());
-      const auto res = down[die - 1]->transmit_frame(reply, channel);
-      if (res.frame) upstream_ok[die - 1] = 1;
-    });
+    last = util::Time::microseconds(5.0) +
+           down[die - 1]->symbol_period() * static_cast<double>(slot * 64);
+    modulation::Frame reply;
+    const std::string r = "ACK-die-" + std::to_string(die);
+    reply.payload.assign(r.begin(), r.end());
+    if (down[die - 1]->transmit_frame(reply, channel).frame) ++up_total;
   }
 
-  sched.run();
-  int up_total = 0;
-  for (int ok : upstream_ok) up_total += ok;
   std::cout << "broadcast frames delivered : " << delivered << " / " << down.size()
             << "\nupstream ACKs received     : " << up_total << " / " << down.size()
-            << "\nsimulated time             : "
-            << util::si_format(sched.now().seconds(), "s", 2) << " ("
-            << sched.executed() << " events)\n";
+            << "\nsimulated time             : " << util::si_format(last.seconds(), "s", 2)
+            << " (" << 2 * down.size() << " transfers)\n";
   return 0;
 }

@@ -176,8 +176,7 @@ link::LinkRunStats VerticalBus::monte_carlo_upstream_contention(
     for (std::size_t k = 0; k < aggressors.size(); ++k) {
       const auto colliding = static_cast<std::uint64_t>(
           tx.uniform_int(0, static_cast<std::int64_t>(max_symbol)));
-      aggressors[k] =
-          link::SourcePulse{&led, aggressor_mean[k], t + link.ppm().encode(colliding)};
+      aggressors[k] = link::SourcePulse{aggressor_mean[k], t + link.ppm().encode(colliding)};
     }
     (void)engine.transmit_symbol(symbol, t, dead_until, stats, tx, {.aggressors = aggressors});
     t += link.symbol_period();

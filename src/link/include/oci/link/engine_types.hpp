@@ -1,7 +1,8 @@
-// Vocabulary types of the LinkEngine's two window entry points: the
-// per-symbol transmit_symbol (SourcePulse, RareSampling, WindowRequest)
+// Vocabulary types of the LinkEngine's window simulator: the per-window
+// request of transmit_symbol (SourcePulse, RareSampling, WindowRequest)
 // used by WdmLink, bus::VerticalBus, oci::rare and the scenario runner,
-// and the batched simulate_windows (WindowResult, EngineBatchScratch).
+// the kernel lane's inputs and outputs (WindowResult), and the batched
+// drivers' staging (EngineBatchScratch).
 #pragma once
 
 #include <cstdint>
@@ -10,21 +11,18 @@
 
 #include "oci/util/units.hpp"
 
-namespace oci::photonics {
-class MicroLed;
-}  // namespace oci::photonics
-
 namespace oci::link {
 
-/// One pulsed photon source as the victim SPAD sees it: an LED envelope
+/// One pulsed photon source as the victim SPAD sees it: a pulse
 /// starting at `start` that delivers `mean_photons` photons (Poisson)
 /// to the victim's detector plane. The engine thins by the victim's PDP
 /// internally, so callers pass OPTICAL means: photons/pulse x the
 /// collected fraction along that aggressor's path (demux leakage,
-/// stack transmittance, coupling). `led` selects the temporal envelope
-/// and must outlive the engine call.
+/// stack transmittance, coupling). Every aggressor shares the victim
+/// LED's temporal envelope: the links that merge pulses (WDM channels,
+/// bus talkers) are built from one LED template, whose per-channel
+/// wavelength and peak power enter `mean_photons` only.
 struct SourcePulse {
-  const photonics::MicroLed* led = nullptr;
   double mean_photons = 0.0;
   util::Time start;
 };
@@ -76,10 +74,10 @@ struct WindowRequest {
   RareSampling* rare = nullptr;
 };
 
-/// One lane of the batched single-source window path
-/// (LinkEngine::simulate_windows). Times are WINDOW-LOCAL seconds: the
+/// One window-kernel lane (kernels::simulate_lane, and the batched
+/// LinkEngine::simulate_windows). Times are WINDOW-LOCAL seconds: the
 /// window spans [0, toa_window). The caller fills the input fields; the
-/// engine writes the outputs. `dead_in_s` may be non-positive (an inert
+/// kernel writes the outputs. `dead_in_s` may be non-positive (an inert
 /// carry), and `dead_out_s` reports the lane's final blind horizon.
 struct WindowResult {
   // Inputs.

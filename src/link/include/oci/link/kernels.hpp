@@ -1,6 +1,9 @@
-// The batched window kernel behind LinkEngine::simulate_windows: one
-// symbol window per lane, each lane a util::CounterRng stream keyed by
-// (stream root, lane index), simulated lane by lane.
+// The window kernel: the one simulator of a SPAD symbol window. One
+// lane simulates one window on its own util::CounterRng stream. Two
+// drivers key the lanes: the batched simulate_windows (lane i of a
+// (stream root, lane index) family, engine's own sources) and
+// LinkEngine's per-window transmit_symbol / probe_pulse (one lane keyed
+// by a raw draw of the caller's stream, with per-window sources).
 //
 // Bit-stability contract (pinned by engine_batch_test's golden lane
 // digests): the kernel uses only exactly-rounded operations (+, -, *,
@@ -26,11 +29,11 @@ enum class EnvelopeKind : int {
   kGaussian = 2,
 };
 
-/// Engine constants shared by every lane of a batch (one symbol window
-/// per lane, window-local time: the window spans [0, window_s)).
+/// Engine constants shared by every lane (window-local time: the window
+/// spans [0, window_s)). LinkEngine builds one at construction.
 struct BatchParams {
-  double lambda_signal = 0.0;   ///< mean avalanche candidates per pulse
-  double noise_rate = 0.0;      ///< flat candidate rate [Hz]
+  double lambda_signal = 0.0;   ///< engine's mean avalanche candidates per pulse
+  double noise_rate = 0.0;      ///< engine's flat candidate rate [Hz]
   double window_s = 0.0;        ///< TOA window length [s]
   double dead_s = 0.0;          ///< SPAD dead time [s]
   double afterpulse_p = 0.0;
@@ -41,18 +44,48 @@ struct BatchParams {
   bool passive_quench = false;
 };
 
-/// Simulates windows[i] on the counter stream lanes.lane(first_lane + i):
-/// reads each lane's pulse_start_s / dead_in_s and writes its outputs
-/// (see WindowResult). Allocation-free.
+/// Lazy candidate stream of one thinned pulse in a lane: the victim's
+/// own or a co-channel aggressor's. For an aggressor the caller fills
+/// start_s and lambda and the lane owns the hazard state behind them.
+/// Every pulse uses the victim's envelope.
+struct PulseSource {
+  double start_s = 0.0;  ///< window-local envelope start [s]
+  double lambda = 0.0;   ///< mean avalanche candidates (mean_photons x PDP)
+  double hazard = 0.0;   ///< cumulative hazard consumed in [0, lambda)
+  double next_s = 0.0;   ///< next candidate arrival [s] (+inf = exhausted)
+  bool exhausted = false;
+};
+
+/// Per-window sources of one lane beside the engine constants.
+struct LaneSources {
+  double lambda_signal = 0.0;  ///< victim's candidate mean (x signal_scale)
+  double noise_rate = 0.0;     ///< flat candidate rate [Hz]
+  std::span<PulseSource> aggressors = {};
+  /// Proposal to sample under; the lane resets and fills log_weight.
+  RareSampling* rare = nullptr;
+};
+
+/// Simulates one window on `rng`: reads w.pulse_start_s / w.dead_in_s
+/// and writes the outputs (see WindowResult). Draw order: the signal
+/// hazard (when lambda_signal > 0), each aggressor's (when its lambda >
+/// 0), then the first noise arrival (when noise_rate > 0). Ties go to
+/// the signal, then aggressors in order, then noise, then afterpulses.
+/// Allocation-free.
+void simulate_lane(const BatchParams& p, const LaneSources& in, WindowResult& w,
+                   util::CounterRng rng);
+
+/// Batched driver: simulates windows[i] on lanes.lane(first_lane + i)
+/// with the engine's own lambda and noise rate, no aggressors and no
+/// proposal.
 void simulate_windows(const BatchParams& p, std::span<WindowResult> windows,
                       const util::BatchRngStream& lanes, std::uint64_t first_lane);
 
-/// The batched kernel's name, as benchmarks and run environments report it.
+/// The window kernel's name, as benchmarks and run environments report it.
 struct KernelTable {
   const char* name = "scalar";
 };
 
-/// The one batched kernel ("scalar").
+/// The one window kernel ("scalar").
 [[nodiscard]] const KernelTable& active_kernels();
 
 }  // namespace oci::link::kernels

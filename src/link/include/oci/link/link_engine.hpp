@@ -4,48 +4,37 @@
 // materialises every photon of a pulse, Bernoulli-thins each one by the
 // SPAD's PDP and heap-merges the survivors -- for a bright micro-LED
 // pulse that is thousands of pow()/Bernoulli draws and several vector
-// allocations per symbol. The engine exploits two standard
-// point-process identities to collapse all of that:
+// allocations per symbol. The engine draws avalanche CANDIDATES
+// directly instead (thinned-Poisson hazard streams, see kernels.cpp):
+// a typical bright symbol costs ~5 RNG draws and no heap allocation.
 //
-//  * Thinning: a Poisson photon stream thinned per-photon with
-//    probability PDP is itself Poisson with the pre-multiplied rate
-//    photons/pulse x transmittance x PDP (cached here), so avalanche
-//    CANDIDATES can be drawn directly -- photons that would never
-//    trigger are never generated.
-//  * Restart: conditional on anything before time t, a Poisson
-//    process's arrivals after t are again Poisson. Candidate arrivals
-//    are therefore streamed lazily in time order (one Exp(1) hazard
-//    step + one inverse-CDF evaluation each), and under active quench
-//    the stream simply fast-forwards across the SPAD's dead time.
+// One simulator, two drivers. Every window -- batched, per-symbol or
+// training probe -- runs the kernel's lane function (kernels.hpp) on
+// its own counter-RNG lane; the drivers differ only in how lanes are
+// keyed:
 //
-// Both identities hold per source, so the engine generalises to K
-// merged inhomogeneous sources -- the victim's own pulse plus any
-// number of aggressor pulses (WDM leakage, neighbour-channel
-// crosstalk, colliding bus talkers), each an independent thinned
-// Poisson process with its own envelope and start time -- via a small
-// k-way merge over per-source lazy hazard states. A quiet aggressor
-// costs ONE Exp(1) draw per window (its first hazard step usually
-// overshoots the whole pulse mass); the reference pipeline pays a
-// Poisson count draw, an envelope inverse-CDF per photon, a sort, a
-// vector merge and a Bernoulli per photon for the same physics.
+//  * Per window: transmit_symbol and probe_pulse key one lane by one
+//    raw draw of the caller's stream, mixed like lane 0 of the batched
+//    drivers' lane family. transmit_symbol also merges any number of
+//    aggressor pulses (WDM leakage, neighbour-channel crosstalk,
+//    colliding bus talkers), scales the launched pulse, or samples
+//    under a rare-event proposal (WindowRequest).
+//  * Batched: run_symbols / run_sequence / measure draw one root and
+//    hand whole spans of windows to simulate_windows, lane i keyed by
+//    (root, i). Dead-time carry across consecutive windows is
+//    speculated flat and repaired by replaying the rare lane whose
+//    phantom first fire lands in the true blind interval. A lane's
+//    result depends only on (engine config, stream root, lane index)
+//    -- never on the batch size or the thread count.
 //
-// A typical bright symbol costs ~5 RNG draws and no heap allocation.
-// The single-source drivers (run_symbols / run_sequence / measure) run
-// on a batched path: simulate_windows() hands whole spans of symbol
-// windows to the kernel in kernels.hpp, each window a decomposable
-// counter-RNG lane, and dead-time carry across consecutive windows is
-// speculated flat and repaired by replaying the rare lane whose phantom
-// first fire lands in the true blind interval. A lane's result depends
-// only on (engine config, stream root, lane index) -- never on the
-// batch size or the thread count -- and engine_batch_test pins its bits.
-// Against the per-symbol API and the reference pipeline the batched
-// drivers are equivalent in distribution, not draw-for-draw;
-// statistical regression tests pin that agreement for the isolated,
-// interference, WDM and bus-contention paths.
+// engine_batch_test pins the lane bits and that a transmit_symbol
+// window equals the lane it keys; statistical regression tests pin the
+// engine against the reference pipeline for the isolated, interference,
+// WDM and bus-contention paths.
 //
 // Concurrency: the engine owns mutable scratch (the batched drivers'
-// staging and transmit_symbol's source states), so no two calls may run
-// concurrently on ONE engine instance. Build one engine per thread
+// staging and transmit_symbol's aggressor states), so no two calls may
+// run concurrently on ONE engine instance. Build one engine per thread
 // (cheap; every in-repo call site already does).
 #pragma once
 
@@ -53,6 +42,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "oci/link/engine_types.hpp"
@@ -74,9 +64,11 @@ class LinkEngine {
   /// the decoded symbol and updates `stats` and `dead_until` (the SPAD's
   /// blind carry into the next window). `request` scales the launched
   /// pulse, merges aggressor pulses and/or samples under a rare-event
-  /// proposal (see WindowRequest); the default is the plain window.
-  /// After the first window sizes the source states, a loop of calls is
-  /// allocation-free.
+  /// proposal (see WindowRequest); the default is the plain window. The
+  /// window runs one kernel lane keyed by one raw draw of `rng`; its
+  /// draws land in stats.rng_draws, and `rng` also serves the TDC
+  /// conversion. After the first window sizes the aggressor states, a
+  /// loop of calls is allocation-free.
   [[nodiscard]] std::uint64_t transmit_symbol(std::uint64_t symbol, util::Time start,
                                               util::Time& dead_until, LinkRunStats& stats,
                                               util::RngStream& rng,
@@ -93,13 +85,13 @@ class LinkEngine {
   /// windows stay L1/L2-resident between kernel and decode passes.
   static constexpr std::size_t kEngineBatch = 256;
 
-  /// Batched single-source window physics: simulates one symbol window
-  /// per lane of `windows` (inputs: pulse_start_s / dead_in_s; see
-  /// WindowResult). Lane i draws from the counter stream keyed by
-  /// `lanes.lane_key(first_lane + i)` -- results are a pure function of
-  /// (engine config, stream root, lane index), never of the batch
-  /// geometry. Allocation-free; the kernel keeps every lane's state on
-  /// the stack and does not touch `scratch`.
+  /// Batched window physics: simulates one symbol window per lane of
+  /// `windows` (inputs: pulse_start_s / dead_in_s; see WindowResult)
+  /// with the engine's own sources. Lane i draws from the counter
+  /// stream keyed by `lanes.lane_key(first_lane + i)` -- results are a
+  /// pure function of (engine config, stream root, lane index), never
+  /// of the batch geometry. Allocation-free; the kernel keeps every
+  /// lane's state on the stack and does not touch `scratch`.
   void simulate_windows(std::span<WindowResult> windows,
                         const util::BatchRngStream& lanes, EngineBatchScratch& scratch,
                         std::uint64_t first_lane = 0) const;
@@ -116,7 +108,7 @@ class LinkEngine {
                            Reducer&& reduce) const {
     LinkRunStats stats;
     const std::uint64_t root = rng.engine()();
-    const util::BatchRngStream lanes(root, "engine-windows");
+    const util::BatchRngStream lanes(root, kWindowLanes);
     util::CounterRng symbol_rng(util::BatchRngStream(root, "engine-symbols").lane_key(0));
     // PPM symbol counts are powers of two, so masking is exact.
     const std::uint64_t mask = (std::uint64_t{1} << bits_per_symbol_) - 1;
@@ -148,8 +140,7 @@ class LinkEngine {
   LinkRunStats run_sequence(std::span<const std::uint64_t> symbols, util::RngStream& rng,
                             Reducer&& reduce) const {
     LinkRunStats stats;
-    const std::uint64_t root = rng.engine()();
-    const util::BatchRngStream lanes(root, "engine-windows");
+    const util::BatchRngStream lanes(rng.engine()(), kWindowLanes);
     double carry_s = 0.0;
     std::size_t done = 0;
     while (done < symbols.size()) {
@@ -164,61 +155,38 @@ class LinkEngine {
     return stats;
   }
 
+  /// The kernel constants every lane of this engine runs with.
+  [[nodiscard]] const kernels::BatchParams& kernel_params() const { return params_; }
+
   /// Random-symbol error-rate measurement (run_symbols, no reducer).
   [[nodiscard]] LinkRunStats measure(std::uint64_t count, util::RngStream& rng) const;
 
   /// First avalanche of an isolated training pulse over [0, window):
   /// the observed (jittered) timestamp if the first trigger was a
-  /// signal photon, nullopt on no detection or a noise capture. Used by
+  /// signal photon, nullopt on no detection or a noise capture. One
+  /// kernel lane keyed like transmit_symbol's, with the dark-count rate
+  /// as its noise and no carry; the lane's draws, which rng.draws()
+  /// does not see, are added to `lane_draws`. Used by
   /// OpticalLink::recalibrate's data-aided offset training.
   [[nodiscard]] std::optional<util::Time> probe_pulse(util::Time pulse_start,
-                                                     util::RngStream& rng) const;
+                                                     util::RngStream& rng,
+                                                     std::uint64_t& lane_draws) const;
 
  private:
-  /// Scalar (multi-source) window outcome; the batched single-source
-  /// path uses the public link::WindowResult instead.
-  struct WindowEvents {
-    bool fired = false;
-    bool first_is_signal = false;
-    double first_observed_s = 0.0;  ///< jittered timestamp of the first avalanche
-    double last_fire_s = 0.0;       ///< pre-jitter time of the last avalanche
-  };
+  /// Label of the lane family every driver derives its lane keys from:
+  /// the batched drivers key lane i of (root, kWindowLanes), the
+  /// per-window calls lane 0 of (one raw draw, kWindowLanes).
+  static constexpr std::string_view kWindowLanes = "engine-windows";
 
-  /// Lazy candidate stream of one thinned inhomogeneous source: the
-  /// cumulative hazard consumed so far and the next candidate time.
-  struct SourceState {
-    const photonics::MicroLed* led = nullptr;
-    double lambda = 0.0;   ///< mean avalanche candidates (photons x PDP)
-    double start_s = 0.0;  ///< absolute envelope start [s]
-    double hazard = 0.0;   ///< cumulative hazard consumed in [0, lambda)
-    double next_s = 0.0;   ///< next candidate arrival [s] (+inf = exhausted)
-    bool is_signal = false;
-    bool exhausted = false;
-  };
-
-  /// Builds the victim's own pulse-candidate state for a pulse at
-  /// `pulse_start_s` (lambda pre-multiplied at construction).
-  [[nodiscard]] SourceState signal_state(double pulse_start_s) const;
-
-  /// Simulates the SPAD over [window_start, window_end) against the
-  /// merged candidate streams of `sources` (element 0 conventionally
-  /// the victim's pulse) plus flat-rate noise at `noise_rate` [Hz];
-  /// `dead_in_s` is the blind carry from the previous window. A
-  /// non-null `rare` tilts the noise rate / jitter proposal and
-  /// accumulates the trajectory's log likelihood-ratio (see
-  /// RareSampling); null reproduces the natural measure draw for draw.
-  WindowEvents simulate_window(std::span<SourceState> sources, double window_start_s,
-                               double window_end_s, double dead_in_s, double noise_rate,
-                               util::RngStream& rng, RareSampling* rare = nullptr) const;
+  /// The counter stream of one per-window call, keyed by one raw draw
+  /// of `rng`.
+  [[nodiscard]] static util::CounterRng window_lane(util::RngStream& rng);
 
   /// TDC conversion + PPM decision + error counting for the first
-  /// avalanche observed at window-local `toa_s`; shared by the scalar
-  /// and batched finish paths.
+  /// avalanche observed at window-local `toa_s`; shared by the
+  /// per-window and batched drivers.
   std::uint64_t decode_first_avalanche(std::uint64_t symbol, double toa_s,
                                        LinkRunStats& stats, util::RngStream& rng) const;
-
-  /// Engine constants of the batched kernel (envelope pre-resolved).
-  [[nodiscard]] kernels::BatchParams batch_params() const;
 
   /// One batch of the batched drivers: simulates `symbols` as
   /// consecutive windows (lane indices first_lane..), repairs the
@@ -232,31 +200,21 @@ class LinkEngine {
                         LinkRunStats& stats, util::RngStream& rng) const;
 
   const OpticalLink* link_;
-  const photonics::MicroLed* led_;
-  /// Cached PDP/transmittance product: mean avalanche candidates per
-  /// pulse = photons/pulse x transmittance x PDP.
-  double lambda_signal_ = 0.0;
+  /// Kernel constants (envelope pre-resolved), built once.
+  kernels::BatchParams params_;
   /// Victim PDP alone: thins aggressor SourcePulse optical means.
   double pdp_ = 0.0;
   /// Dark-count rate alone [Hz] -- the noise floor of a training probe.
   double dark_rate_ = 0.0;
-  /// Flat candidate rate [Hz]: DCR + PDP-thinned background flux.
-  double noise_rate_ = 0.0;
-  double window_s_ = 0.0;
-  double dead_s_ = 0.0;
-  bool passive_quench_ = false;
-  double afterpulse_probability_ = 0.0;
-  util::Time afterpulse_tau_;
-  util::Time jitter_sigma_;
   util::Time symbol_period_;
   util::Energy tx_pulse_energy_;
   util::Energy rx_energy_per_conversion_;
   unsigned bits_per_symbol_ = 0;
   /// Batched-driver working memory (see the concurrency note above).
   mutable EngineBatchScratch batch_scratch_;
-  /// transmit_symbol's merge states, refilled every window (same
-  /// concurrency note).
-  mutable std::vector<SourceState> sources_;
+  /// transmit_symbol's aggressor hazard states, refilled every window
+  /// (same concurrency note).
+  mutable std::vector<kernels::PulseSource> aggressors_;
 };
 
 }  // namespace oci::link

@@ -112,8 +112,10 @@ class OpticalLink {
   /// becomes the receiver's static TOA correction. This absorbs the
   /// brightness-dependent first-photon bias (a bright pulse fires the
   /// SPAD near its leading edge, not at the envelope mean) alongside
-  /// delay-line drift -- the paper's "regular calibration".
-  void recalibrate(std::uint64_t samples, util::RngStream& rng);
+  /// delay-line drift -- the paper's "regular calibration". Returns the
+  /// training windows' kernel-lane draws, which rng.draws() does not
+  /// count.
+  std::uint64_t recalibrate(std::uint64_t samples, util::RngStream& rng);
   /// Static TOA correction currently applied by the receiver.
   [[nodiscard]] util::Time detection_offset() const { return detection_offset_; }
   /// Code-density calibration LUT in force (invalid when calibrate=false).

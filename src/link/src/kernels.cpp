@@ -1,4 +1,4 @@
-// The batched window kernel. Compiled with -ffp-contract=off (see
+// The window kernel. Compiled with -ffp-contract=off (see
 // src/link/CMakeLists.txt): GCC contracts a*b+c into FMA by default,
 // which would make a lane's bits depend on -march.
 //
@@ -8,11 +8,15 @@
 // to a few ulp / ~1e-7 -- statistically indistinguishable for Monte
 // Carlo sampling, and identical under every compiler and flag set.
 //
-// The per-window algorithm mirrors link_engine.cpp's simulate_window
-// for the single-signal-source case exactly (same event loop, same
-// quench/afterpulse/dead-time semantics); only the RNG differs (a
-// counter stream per lane instead of one shared mt19937_64 -- see
-// util/batch_rng.hpp for why that is the batching contract).
+// Two point-process identities make a window cheap. Thinning: a
+// Poisson photon stream thinned per photon by PDP is Poisson at the
+// pre-multiplied rate, so avalanche CANDIDATES are drawn directly.
+// Restart: after any time t a Poisson process is again Poisson, so
+// each source's candidates stream lazily in time order (one Exp(1)
+// hazard step + one inverse-CDF each) and, under active quench,
+// fast-forward across the SPAD's dead time. A window merges the
+// victim's pulse, any aggressor pulses, flat noise and afterpulse
+// releases by a linear min-scan.
 #include "oci/link/kernels.hpp"
 
 #include <algorithm>
@@ -27,9 +31,10 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Afterpulse releases pending inside one window; mirrors
-/// link_engine.cpp's kMaxPending (overflow drops the release,
-/// documented there).
+/// Afterpulse releases pending inside one window. Each entry needs an
+/// avalanche AND an afterpulse coin success, and firings are at least a
+/// dead time apart, so 64 concurrent pendings would need ~64 improbable
+/// coin hits in one window. Overflow drops the release (negligible).
 constexpr std::size_t kMaxPending = 64;
 
 // ---------------------------------------------------------------------
@@ -89,9 +94,9 @@ double pm_exp(double x) {
   return std::bit_cast<double>(bits);
 }
 
-/// Giles (2012) inverse error function with pm_log.
-double pm_erfinv(double x) {
-  const double w = -pm_log((1.0 - x) * (1.0 + x));
+/// Giles (2012) inverse error function polynomial at x, given
+/// w = -log(1 - x^2).
+double giles_erfinv(double w, double x) {
   double p = 0.0;
   if (w < 5.0) {
     const double ww = w - 2.5;
@@ -121,7 +126,33 @@ double pm_erfinv(double x) {
 
 /// Standard normal quantile of u in (0, 1) (jitter and Gaussian-envelope
 /// sampling).
-double pm_probit(double u) { return 1.4142135623730951 * pm_erfinv(2.0 * u - 1.0); }
+double pm_probit(double u) {
+  const double x = 2.0 * u - 1.0;
+  return 1.4142135623730951 * giles_erfinv(-pm_log((1.0 - x) * (1.0 + x)), x);
+}
+
+/// Upper-tail normal quantile: z with Q(z) = u for u in (0, 0.5] (the
+/// split driver's band magnitudes). 1 - x^2 = 4u(1 - u) comes from u
+/// itself -- through x = 2u - 1 it would lose relative precision below
+/// u ~ 1e-12. Giles' polynomial holds ~1e-7 only inside its fit range;
+/// past w = 12 (u < ~1.5e-6) it drifts (z off by 4e-4 at u = 1e-9, by
+/// 0.8 at u = 1e-16), so there z starts from the asymptotic
+/// sqrt(a - log a - log 2pi), a = -2 log u, and takes four Newton steps
+/// on log Q(z) = log u, with Q = phi x the Mills ratio's continued
+/// fraction: machine precision down to u ~ 1e-300.
+double pm_tail_quantile(double u) {
+  const double w = -pm_log(4.0 * u * (1.0 - u));
+  if (w <= 12.0) return -1.4142135623730951 * giles_erfinv(w, 2.0 * u - 1.0);
+  const double log_u = pm_log(u);
+  const double a = -2.0 * log_u;
+  double z = std::sqrt(a - pm_log(a) - 1.8378770664093453);
+  for (int i = 0; i < 4; ++i) {
+    double t = z;  // 1 / Mills ratio = z + 1/(z + 2/(z + 3/(...)))
+    for (double k = 40.0; k >= 1.0; k -= 1.0) t = z + k / t;
+    z += (-0.5 * z * z - 0.91893853320467274 - pm_log(t) - log_u) / t;
+  }
+  return z;
+}
 
 /// Complementary error function, Abramowitz & Stegun 7.1.26 (~1.5e-7
 /// absolute) -- Gaussian-envelope mass fast-forward.
@@ -137,8 +168,8 @@ double pm_erfc(double x) {
 }
 
 // ---------------------------------------------------------------------
-// Envelope transforms (see photonics::MicroLed::sample_emission_time /
-// emission_cdf -- same distributions, portable primitives).
+// Envelope transforms (photonics::MicroLed::sample_emission_time's
+// distributions, portable primitives).
 
 /// Inverse CDF of the envelope at mass fraction `frac` in [0, 1).
 template <EnvelopeKind E>
@@ -171,42 +202,72 @@ double env_cdf(const BatchParams& p, double x) {
 }
 
 // ---------------------------------------------------------------------
-// One lane: simulate_window's event loop on the lane's counter stream.
-// `pending` is afterpulse scratch; its contents on entry are ignored.
-template <EnvelopeKind E>
-void simulate_lane(const BatchParams& p, WindowResult& w, util::CounterRng rng,
-                   std::array<double, kMaxPending>& pending) {
+// One lane. `pending` is afterpulse scratch; its contents on entry are
+// ignored. The plain instantiation (kMerged = false: the batched
+// driver's, and any window without aggressors or proposal) sees neither
+// at compile time, so their code folds away from the hot loop.
+
+template <EnvelopeKind E, bool kMerged>
+void run_lane(const BatchParams& p, const LaneSources& in, WindowResult& w,
+              util::CounterRng rng, std::array<double, kMaxPending>& pending) {
+  const std::span<PulseSource> aggressors = kMerged ? in.aggressors : std::span<PulseSource>();
+  RareSampling* const rare = kMerged ? in.rare : nullptr;
   const auto exp1 = [&rng] { return -pm_log(rng.uniform()); };
 
-  // First draws: the signal hazard step (only when there is a signal),
-  // then the first noise arrival (only when there is noise).
-  const double lambda = p.lambda_signal;
-  const double pulse_start = w.pulse_start_s;
-  double sig_hazard = 0.0;
-  double sig_next = kInf;
-  if (lambda > 0.0) {
-    sig_hazard = exp1();
-    sig_next =
-        sig_hazard >= lambda ? kInf : pulse_start + env_inv<E>(p, sig_hazard / lambda);
-  }
-  double noise_next = kInf;
-  if (p.noise_rate > 0.0) noise_next = exp1() / p.noise_rate;
-
-  bool exhausted = !(sig_next < kInf);
-  const auto advance_sig = [&] {
-    if (exhausted) return;
-    sig_hazard += exp1();
-    if (sig_hazard >= lambda) {
-      exhausted = true;
-      sig_next = kInf;
+  // Each pulse's hazard walks the cumulative mass [0, lambda); the
+  // envelope's inverse CDF maps it back to a time. The victim's stream
+  // lives here, the aggressors' in the caller's scratch.
+  const auto advance = [&](PulseSource& s) {
+    if (s.exhausted) return;
+    s.hazard += exp1();
+    if (s.hazard >= s.lambda) {
+      s.exhausted = true;
+      s.next_s = kInf;
       return;
     }
-    sig_next = pulse_start + env_inv<E>(p, sig_hazard / lambda);
+    s.next_s = s.start_s + env_inv<E>(p, s.hazard / s.lambda);
   };
+  const auto reset = [](PulseSource& s) {
+    s.hazard = 0.0;
+    s.next_s = kInf;
+    s.exhausted = !(s.lambda > 0.0);
+  };
+
+  PulseSource sig;
+  sig.start_s = w.pulse_start_s;
+  sig.lambda = in.lambda_signal;
+  reset(sig);
+  advance(sig);
+  for (PulseSource& a : aggressors) {
+    reset(a);
+    advance(a);
+  }
+
+  // Rare-event proposal: the flat noise stream runs at the TILTED rate
+  // and pays the likelihood ratio per realised gap. Each re-arm
+  // realises the previous draw (a candidate the loop fired on or
+  // fast-forwarded across): log(nat/tilt) for the point plus the
+  // exponential-gap density ratio. The draw outstanding at window end
+  // only told the loop "no candidate before window_s", so it pays that
+  // event's probability ratio instead of its density -- charging the
+  // density would cost every window a factor ~(nat/tilt)*e.
+  if (rare != nullptr) rare->log_weight = 0.0;
+  const double noise_nat = in.noise_rate;
+  const bool tilt_noise = rare != nullptr && rare->noise_scale != 1.0 && noise_nat > 0.0;
+  const double noise_rate = tilt_noise ? noise_nat * rare->noise_scale : noise_nat;
+  const double noise_log_ratio = tilt_noise ? -pm_log(rare->noise_scale) : 0.0;  // log(nat/tilt)
+  double noise_next = kInf;
+  double noise_from = 0.0;  // origin of the outstanding draw
   const auto advance_noise = [&](double from) {
-    if (p.noise_rate <= 0.0) return;
-    noise_next = from + exp1() / p.noise_rate;
+    if (noise_rate <= 0.0) return;
+    if (tilt_noise && noise_next < kInf) {
+      rare->log_weight +=
+          noise_log_ratio + (noise_rate - noise_nat) * (noise_next - noise_from);
+    }
+    noise_from = from;
+    noise_next = from + exp1() / noise_rate;
   };
+  advance_noise(0.0);
 
   double dead = w.dead_in_s;
   std::uint32_t np = 0;
@@ -216,21 +277,29 @@ void simulate_lane(const BatchParams& p, WindowResult& w, util::CounterRng rng,
   double first_obs = 0.0;
   double last = 0.0;
 
-  enum class Kind { kPulse, kNoise, kAfterpulse };
+  const auto fast_forward = [&](PulseSource& s) {
+    // Restart property: the stream resumes from the envelope mass
+    // already emitted by `dead`; the loop guards against the Gaussian
+    // envelope's approximate CDF/inverse-CDF pair.
+    while (!s.exhausted && s.next_s < dead) {
+      const double consumed = s.lambda * env_cdf<E>(p, dead - s.start_s);
+      s.hazard = std::max(s.hazard, consumed);
+      s.next_s = kInf;
+      if (s.hazard >= s.lambda) {
+        s.exhausted = true;
+        break;
+      }
+      advance(s);
+    }
+  };
+
+  enum class Kind { kSignal, kAggressor, kNoise, kAfterpulse };
   while (true) {
     if (!p.passive_quench) {
-      // Active quench: fast-forward every stream across the blind
-      // interval (restart property -- see simulate_window).
-      while (!exhausted && sig_next < dead) {
-        const double consumed = lambda * env_cdf<E>(p, dead - pulse_start);
-        sig_hazard = std::max(sig_hazard, consumed);
-        sig_next = kInf;
-        if (sig_hazard >= lambda) {
-          exhausted = true;
-          break;
-        }
-        advance_sig();
-      }
+      // Active quench: nothing fires before `dead` and absorbed
+      // carriers have no effect, so every stream fast-forwards.
+      fast_forward(sig);
+      for (PulseSource& a : aggressors) fast_forward(a);
       if (noise_next < dead) advance_noise(dead);
       for (std::uint32_t i = 0; i < np;) {
         if (pending[i] < dead) {
@@ -241,9 +310,16 @@ void simulate_lane(const BatchParams& p, WindowResult& w, util::CounterRng rng,
       }
     }
 
-    double t = sig_next;
-    Kind kind = Kind::kPulse;
-    std::uint32_t pidx = 0;
+    double t = sig.next_s;
+    Kind kind = Kind::kSignal;
+    std::size_t winner = 0;
+    for (std::size_t i = 0; i < aggressors.size(); ++i) {
+      if (aggressors[i].next_s < t) {
+        t = aggressors[i].next_s;
+        kind = Kind::kAggressor;
+        winner = i;
+      }
+    }
     if (noise_next < t) {
       t = noise_next;
       kind = Kind::kNoise;
@@ -252,21 +328,24 @@ void simulate_lane(const BatchParams& p, WindowResult& w, util::CounterRng rng,
       if (pending[i] < t) {
         t = pending[i];
         kind = Kind::kAfterpulse;
-        pidx = i;
+        winner = i;
       }
     }
     if (t >= p.window_s) break;
 
     const auto consume = [&] {
       switch (kind) {
-        case Kind::kPulse:
-          advance_sig();
+        case Kind::kSignal:
+          advance(sig);
+          break;
+        case Kind::kAggressor:
+          advance(aggressors[winner]);
           break;
         case Kind::kNoise:
           advance_noise(noise_next);
           break;
         case Kind::kAfterpulse:
-          pending[pidx] = pending[--np];
+          pending[winner] = pending[--np];
           break;
       }
     };
@@ -277,11 +356,35 @@ void simulate_lane(const BatchParams& p, WindowResult& w, util::CounterRng rng,
       continue;
     }
 
+    // Avalanche fires. Only the first detection's timestamp reaches the
+    // TDC, so the jitter draw is spent on that one alone.
     if (!fired) {
       fired = true;
-      first_sig = kind == Kind::kPulse;
+      first_sig = kind == Kind::kSignal;
       first_fire = t;
-      first_obs = t + p.jitter_sigma_s * pm_probit(rng.uniform());
+      const double sigma = p.jitter_sigma_s;
+      if (rare != nullptr && sigma > 0.0 && rare->condition_jitter) {
+        // Stratified splitting: magnitude from the half-normal
+        // conditioned to the band (S_hi, S_lo) of the two-sided
+        // survival S(z) = P(|Z| >= z); the band mass is the DRIVER's
+        // weight, so no likelihood-ratio term lands here. The uniform
+        // is never 0, so s stays strictly above the far edge.
+        const double s = rare->band_survival_hi +
+                         rng.uniform() * (rare->band_survival_lo - rare->band_survival_hi);
+        const double z = pm_tail_quantile(0.5 * s);
+        const double sign = rng.uniform() < 0.5 ? 1.0 : -1.0;
+        first_obs = t + sign * std::max(z, 0.0) * sigma;
+      } else if (rare != nullptr && sigma > 0.0 && rare->jitter_scale != 1.0) {
+        // Exponential tilt of the jitter variance: sample from
+        // N(0, (g*sigma)^2) and pay the exact Gaussian density ratio.
+        const double g = rare->jitter_scale;
+        const double x = sigma * g * pm_probit(rng.uniform());
+        rare->log_weight +=
+            pm_log(g) + x * x * (1.0 / (g * g) - 1.0) / (2.0 * sigma * sigma);
+        first_obs = t + x;
+      } else {
+        first_obs = t + sigma * pm_probit(rng.uniform());
+      }
     }
     last = t;
     dead = t + p.dead_s;
@@ -295,6 +398,10 @@ void simulate_lane(const BatchParams& p, WindowResult& w, util::CounterRng rng,
     consume();
   }
 
+  if (tilt_noise && noise_next < kInf) {
+    rare->log_weight += (noise_rate - noise_nat) * std::max(p.window_s - noise_from, 0.0);
+  }
+
   w.fired = fired;
   w.first_is_signal = first_sig;
   w.first_fire_s = first_fire;
@@ -304,29 +411,41 @@ void simulate_lane(const BatchParams& p, WindowResult& w, util::CounterRng rng,
   w.rng_draws = rng.draws();
 }
 
-template <EnvelopeKind E>
-void simulate_lanes(const BatchParams& p, std::span<WindowResult> windows,
-                    const util::BatchRngStream& lanes, std::uint64_t first_lane) {
-  std::array<double, kMaxPending> pending{};
-  for (std::size_t i = 0; i < windows.size(); ++i) {
-    simulate_lane<E>(p, windows[i], lanes.lane(first_lane + i), pending);
+/// run_lane on the engine's envelope.
+template <bool kMerged>
+void dispatch_lane(const BatchParams& p, const LaneSources& in, WindowResult& w,
+                   util::CounterRng rng, std::array<double, kMaxPending>& pending) {
+  switch (p.envelope) {
+    case EnvelopeKind::kRectangular:
+      run_lane<EnvelopeKind::kRectangular, kMerged>(p, in, w, rng, pending);
+      break;
+    case EnvelopeKind::kExponential:
+      run_lane<EnvelopeKind::kExponential, kMerged>(p, in, w, rng, pending);
+      break;
+    case EnvelopeKind::kGaussian:
+      run_lane<EnvelopeKind::kGaussian, kMerged>(p, in, w, rng, pending);
+      break;
   }
 }
 
 }  // namespace
 
+void simulate_lane(const BatchParams& p, const LaneSources& in, WindowResult& w,
+                   util::CounterRng rng) {
+  std::array<double, kMaxPending> pending{};
+  if (in.aggressors.empty() && in.rare == nullptr) {
+    dispatch_lane<false>(p, in, w, rng, pending);
+  } else {
+    dispatch_lane<true>(p, in, w, rng, pending);
+  }
+}
+
 void simulate_windows(const BatchParams& p, std::span<WindowResult> windows,
                       const util::BatchRngStream& lanes, std::uint64_t first_lane) {
-  switch (p.envelope) {
-    case EnvelopeKind::kRectangular:
-      simulate_lanes<EnvelopeKind::kRectangular>(p, windows, lanes, first_lane);
-      break;
-    case EnvelopeKind::kExponential:
-      simulate_lanes<EnvelopeKind::kExponential>(p, windows, lanes, first_lane);
-      break;
-    case EnvelopeKind::kGaussian:
-      simulate_lanes<EnvelopeKind::kGaussian>(p, windows, lanes, first_lane);
-      break;
+  const LaneSources own{.lambda_signal = p.lambda_signal, .noise_rate = p.noise_rate};
+  std::array<double, kMaxPending> pending{};
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    dispatch_lane<false>(p, own, windows[i], lanes.lane(first_lane + i), pending);
   }
 }
 

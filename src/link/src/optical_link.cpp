@@ -145,7 +145,7 @@ OpticalLink::OpticalLink(const OpticalLinkConfig& config, RngStream& process_rng
 
 BitRate OpticalLink::analytic_throughput() const { return throughput(config_.design); }
 
-void OpticalLink::recalibrate(std::uint64_t samples, RngStream& rng) {
+std::uint64_t OpticalLink::recalibrate(std::uint64_t samples, RngStream& rng) {
   const tdc::NonlinearityReport rep = tdc::code_density_test(tdc_, samples, rng);
   lut_ = tdc::CalibrationLut(rep);
 
@@ -159,10 +159,11 @@ void OpticalLink::recalibrate(std::uint64_t samples, RngStream& rng) {
   const Time window = tdc_.toa_window();
   double residual_sum_s = 0.0;
   std::int64_t training_hits = 0;
+  std::uint64_t lane_draws = 0;
   for (int i = 0; i < kTrainingPulses; ++i) {
     // Random positions over most of the window average out local INL.
     const Time pulse_start = rng.uniform_time(window * 0.75);
-    const std::optional<Time> first = engine.probe_pulse(pulse_start, rng);
+    const std::optional<Time> first = engine.probe_pulse(pulse_start, rng, lane_draws);
     if (!first) continue;  // no detection, or a noise capture
     const tdc::TdcReading reading = tdc_.convert(*first, rng);
     const Time calibrated =
@@ -173,6 +174,7 @@ void OpticalLink::recalibrate(std::uint64_t samples, RngStream& rng) {
   if (training_hits > 0) {
     detection_offset_ = Time::seconds(residual_sum_s / static_cast<double>(training_hits));
   }
+  return lane_draws;
 }
 
 void OpticalLink::set_temperature(util::Temperature t) {

@@ -120,7 +120,6 @@ WdmLink::RunResult WdmLink::transmit(const std::vector<std::vector<std::uint64_t
       for (std::size_t j = 0; j < links_.size(); ++j) {
         if (j == i) continue;
         aggressors.push_back(SourcePulse{
-            &links_[j]->led(),
             links_[j]->led().photons_per_pulse() * collected_fraction(i, j),
             pulse_start[j]});
       }

@@ -57,14 +57,10 @@ class MicroLed {
   [[nodiscard]] double envelope(Time t) const;
 
   /// Inverse-CDF sample of an emission time within the pulse envelope,
-  /// given a uniform u in [0,1). Used by PhotonStream.
+  /// given a uniform u in [0,1). Used by PhotonStream; the link's window
+  /// kernel (link/src/kernels.cpp) samples the same distribution with
+  /// its own portable primitives.
   [[nodiscard]] Time sample_emission_time(double u) const;
-
-  /// Fraction of the pulse's photons emitted by time t from pulse start
-  /// (the CDF that sample_emission_time inverts). Monotone in t, 0 for
-  /// t <= 0, -> 1 for t beyond the envelope. Used by the link engine to
-  /// fast-forward its arrival stream over SPAD dead time.
-  [[nodiscard]] double emission_cdf(Time t) const;
 
  private:
   MicroLedParams params_;

@@ -83,22 +83,4 @@ Time MicroLed::sample_emission_time(double u) const {
   return Time::zero();
 }
 
-double MicroLed::emission_cdf(Time t) const {
-  const double w = params_.pulse_width.seconds();
-  const double x = t.seconds();
-  if (x <= 0.0) return 0.0;
-  switch (params_.shape) {
-    case PulseShape::kRectangular:
-      return x >= w ? 1.0 : x / w;
-    case PulseShape::kExponential:
-      return 1.0 - std::exp(-x / w);
-    case PulseShape::kGaussian: {
-      const double sigma = w / kGaussianWidthSigmas;
-      const double mu = w / 2.0;
-      return 0.5 * std::erfc(-(x - mu) / (sigma * std::sqrt(2.0)));
-    }
-  }
-  return 1.0;
-}
-
 }  // namespace oci::photonics

@@ -104,7 +104,9 @@ struct ChunkResult {
   double err_weight_sq = 0.0;
   analysis::WeightStats weights;  ///< every per-symbol weight
   link::LinkRunStats stats;
-  std::uint64_t rng_draws = 0;  ///< draws on the driver's forked streams
+  /// Draws on the driver's forked streams plus the windows' kernel-lane
+  /// draws (stats.rng_draws).
+  std::uint64_t rng_draws = 0;
 };
 
 /// Runs one chunk of `samples` i.i.d. symbol windows under the spec's

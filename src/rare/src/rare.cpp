@@ -57,7 +57,7 @@ ChunkResult run_tilted(const link::OpticalLink& link, const RareSpec& spec,
   ChunkResult out;
   RngStream stream = rng.fork("rare/" + std::to_string(point_index) + "/tilt");
   run_weighted(engine, link, proposal, 1.0, samples, stream, out);
-  out.rng_draws = stream.draws();
+  out.rng_draws = stream.draws() + out.stats.rng_draws;
   return out;
 }
 
@@ -96,6 +96,7 @@ ChunkResult run_split(const link::OpticalLink& link, const RareSpec& spec,
     run_weighted(engine, link, proposal, weight, n_b, stream, out);
     out.rng_draws += stream.draws();
   }
+  out.rng_draws += out.stats.rng_draws;
   return out;
 }
 

@@ -242,8 +242,15 @@ struct ScenarioSpec {
 /// `sweep.jitter_ps = 40, 80` and `jitter_ps = 40` touch the same
 /// field. set_param parses `value` (numeric or categorical depending on
 /// the key) and applies it; unknown keys or unparseable values throw
-/// std::invalid_argument naming the key and the supported set.
+/// std::invalid_argument naming the key and the supported set. Numbers
+/// must be finite; counts must be integers no larger than kMaxSpecCount
+/// and fit their field.
 void set_param(ScenarioSpec& spec, const std::string& key, const std::string& value);
+
+/// Largest count a spec may state, 2^53 - 1: counts are parsed through a
+/// double, which holds every integer up to here exactly and rounds
+/// anything larger (2^53 + 1 reads as 2^53).
+inline constexpr double kMaxSpecCount = 0x1p53 - 1.0;
 
 /// True when the registry knows `key`.
 [[nodiscard]] bool is_known_param(const std::string& key);

@@ -38,7 +38,13 @@ namespace oci::scenario {
 ///   5  CAC MAC + distributed slot/wavelength allocation (noc.alloc_*
 ///      in the canonical text; new incast/broadcast-storm patterns;
 ///      the NoC slot loop arbitrates through structured SlotOutcomes)
-inline constexpr unsigned kEngineRevision = 5;
+///   6  one window simulator: per-symbol windows (transmit_symbol) and
+///      training probes run the counter-RNG kernel lane instead of an
+///      mt19937 copy, so every calibrated link's detection offset and
+///      every per-symbol path moves within sampling noise; rare-event
+///      and WDM chunks, and a fault point's retraining, count their
+///      lane draws in rng_draws
+inline constexpr unsigned kEngineRevision = 6;
 
 /// Address of one simulation chunk.
 struct ChunkKey {

@@ -1,6 +1,7 @@
 #include "oci/scenario/parse.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <istream>
@@ -34,11 +35,12 @@ std::vector<std::string> split_commas(const std::string& s) {
   return out;
 }
 
+/// A finite number and nothing else (NaN and infinities are not).
 bool is_number(const std::string& s) {
   if (s.empty()) return false;
   char* end = nullptr;
-  (void)std::strtod(s.c_str(), &end);
-  return end != s.c_str() && *end == '\0';
+  const double v = std::strtod(s.c_str(), &end);
+  return end != s.c_str() && *end == '\0' && std::isfinite(v);
 }
 
 /// `linear(lo, hi, n)` / `log(lo, hi, n)` range expression, or empty
@@ -60,8 +62,8 @@ std::optional<SweepAxis> parse_range(const std::string& param, const std::string
   const double lo = std::strtod(parts[0].c_str(), nullptr);
   const double hi = std::strtod(parts[1].c_str(), nullptr);
   const double n = std::strtod(parts[2].c_str(), nullptr);
-  if (n < 1.0 || n != static_cast<double>(static_cast<std::size_t>(n))) {
-    fail(source, line, "range point count must be a positive integer");
+  if (n < 1.0 || n > kMaxSpecCount || n != std::floor(n)) {
+    fail(source, line, "range point count must be an integer in [1, 2^53)");
   }
   try {
     return lin ? SweepAxis::linear(param, lo, hi, static_cast<std::size_t>(n))
@@ -76,12 +78,15 @@ SweepAxis parse_axis(const std::string& param, const std::string& value,
   if (auto range = parse_range(param, value, source, line)) return *range;
   const std::vector<std::string> parts = split_commas(value);
   if (parts.empty()) fail(source, line, "sweep axis '" + param + "' has no points");
-  bool numeric = true;
+  const bool categorical = is_categorical_param(param);
   for (const std::string& p : parts) {
     if (p.empty()) fail(source, line, "sweep axis '" + param + "' has an empty point");
-    numeric = numeric && is_number(p);
+    if (!categorical && !is_number(p)) {
+      fail(source, line,
+           "sweep axis '" + param + "' point '" + p + "' is not a finite number");
+    }
   }
-  if (numeric && !is_categorical_param(param)) {
+  if (!categorical) {
     std::vector<double> values;
     values.reserve(parts.size());
     for (const std::string& p : parts) values.push_back(std::strtod(p.c_str(), nullptr));

@@ -78,6 +78,7 @@ ChunkRecord run_p2p_symbols(const ScenarioSpec& s, std::uint64_t samples, RngStr
   RngStream process = rng.fork("process");
   link::OpticalLink link(s.device, process);
   std::uint64_t recalibrations = 0;
+  std::uint64_t training_draws = 0;  // retraining's kernel lanes
   if (fr != nullptr && fr->tdc_drift_c != 0.0) {
     // The drift hits AFTER construction calibrated at the nominal
     // temperature: the delay line walks out from under the trained
@@ -86,7 +87,7 @@ ChunkRecord run_p2p_symbols(const ScenarioSpec& s, std::uint64_t samples, RngStr
         util::Temperature::celsius(s.device.temperature.celsius() + fr->tdc_drift_c));
     if (fr->recalibrate && s.device.calibrate) {
       // Graceful degradation: retrain at the operating point.
-      link.recalibrate(s.device.calibration_samples, process);
+      training_draws = link.recalibrate(s.device.calibration_samples, process);
       ++recalibrations;
     }
   }
@@ -143,7 +144,7 @@ ChunkRecord run_p2p_symbols(const ScenarioSpec& s, std::uint64_t samples, RngStr
       for (std::uint64_t i = 0; i < samples; ++i) {
         const auto symbol = static_cast<std::uint64_t>(tx.uniform_int(0, max_symbol));
         for (std::size_t a = 0; a < s.aggressors.size(); ++a) {
-          pulses[a] = link::SourcePulse{&link.led(), s.aggressors[a].mean_photons,
+          pulses[a] = link::SourcePulse{s.aggressors[a].mean_photons,
                                         start + Time::picoseconds(s.aggressors[a].offset_ps)};
         }
         link::WindowRequest request{.aggressors = pulses};
@@ -164,7 +165,7 @@ ChunkRecord run_p2p_symbols(const ScenarioSpec& s, std::uint64_t samples, RngStr
     bit_errors = static_cast<double>(stats.bit_errors);
     erasures = static_cast<double>(stats.erasures);
     noise_captures = static_cast<double>(stats.noise_captures);
-    // Counter-stream draws of the batched engine live in stats, not in
+    // The window kernel's counter-stream draws live in stats, not in
     // the mt19937 streams; both are deterministic per (spec, seed).
     r.rng_draws += tx.draws() + stats.rng_draws;
   }
@@ -183,7 +184,7 @@ ChunkRecord run_p2p_symbols(const ScenarioSpec& s, std::uint64_t samples, RngStr
                    : 0.0,
                stats.energy_per_bit().joules(),
                static_cast<double>(recalibrations)};
-  r.rng_draws += process.draws();
+  r.rng_draws += process.draws() + training_draws;
   return r;
 }
 
@@ -267,7 +268,11 @@ ChunkRecord run_wdm(const ScenarioSpec& s, std::uint64_t samples, RngStream& rng
   const auto run = wdm.measure(samples, tx);
 
   std::uint64_t captures = 0;
-  for (const auto& chan : run.per_channel) captures += chan.stats.noise_captures;
+  std::uint64_t lane_draws = 0;
+  for (const auto& chan : run.per_channel) {
+    captures += chan.stats.noise_captures;
+    lane_draws += chan.stats.rng_draws;
+  }
   const double agg = run.aggregate_goodput().bits_per_second();
   const std::size_t n = wdm.channels();
 
@@ -278,7 +283,7 @@ ChunkRecord run_wdm(const ScenarioSpec& s, std::uint64_t samples, RngStream& rng
                static_cast<double>(captures),
                wdm.collected_fraction(0, 0),
                wdm.collected_fraction(n - 1, n - 1)};
-  r.rng_draws = process.draws() + tx.draws();
+  r.rng_draws = process.draws() + tx.draws() + lane_draws;
   return r;
 }
 

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -33,23 +34,37 @@ double parse_double(const std::string& key, const std::string& value) {
     throw std::invalid_argument("scenario: parameter '" + key +
                                 "' expects a number, got '" + value + "'");
   }
-  // Allow trailing whitespace only.
+  // Allow trailing whitespace only; NaN and infinities are not numbers
+  // a spec can mean.
+  bool junk = !std::isfinite(v);
   for (std::size_t i = consumed; i < value.size(); ++i) {
-    if (!std::isspace(static_cast<unsigned char>(value[i]))) {
-      throw std::invalid_argument("scenario: parameter '" + key +
-                                  "' expects a number, got '" + value + "'");
-    }
+    junk = junk || !std::isspace(static_cast<unsigned char>(value[i]));
+  }
+  if (junk) {
+    throw std::invalid_argument("scenario: parameter '" + key +
+                                "' expects a finite number, got '" + value + "'");
   }
   return v;
 }
 
 std::uint64_t parse_count(const std::string& key, const std::string& value) {
   const double v = parse_double(key, value);
-  if (v < 0.0 || v != std::floor(v)) {
+  if (v < 0.0 || v != std::floor(v) || v > kMaxSpecCount) {
     throw std::invalid_argument("scenario: parameter '" + key +
-                                "' expects a non-negative integer, got '" + value + "'");
+                                "' expects an integer in [0, 2^53), got '" + value + "'");
   }
   return static_cast<std::uint64_t>(v);
+}
+
+/// `v` as the narrower field type T, or an error naming the key.
+template <typename T>
+T narrow(const std::string& key, std::uint64_t v) {
+  if (v > std::numeric_limits<T>::max()) {
+    throw std::invalid_argument("scenario: parameter '" + key + "' must be at most " +
+                                std::to_string(std::numeric_limits<T>::max()) + ", got " +
+                                std::to_string(v));
+  }
+  return static_cast<T>(v);
 }
 
 [[noreturn]] void bad_choice(const std::string& key, const std::string& value,
@@ -156,7 +171,7 @@ const std::map<std::string, Param>& registry() {
     // -- device: TDC design ------------------------------------------
     cnt("fine_elements", [](S& s, std::uint64_t v) { s.device.design.fine_elements = v; });
     cnt("coarse_bits", [](S& s, std::uint64_t v) {
-      s.device.design.coarse_bits = static_cast<unsigned>(v);
+      s.device.design.coarse_bits = narrow<unsigned>("coarse_bits", v);
     });
     num("delay_element_ps", [](S& s, double v) {
       s.device.design.element_delay = Time::picoseconds(v);
@@ -177,7 +192,7 @@ const std::map<std::string, Param>& registry() {
 
     // -- device: modulation / traffic --------------------------------
     cnt("bits_per_symbol", [](S& s, std::uint64_t v) {
-      s.device.bits_per_symbol = static_cast<unsigned>(v);
+      s.device.bits_per_symbol = narrow<unsigned>("bits_per_symbol", v);
     });
     cat("labeling", [](S& s, const std::string& v) {
       if (v == "gray") s.device.labeling = modulation::SlotLabeling::kGray;
@@ -259,7 +274,7 @@ const std::map<std::string, Param>& registry() {
     });
     cnt("alloc.frame", [](S& s, std::uint64_t v) { s.noc.alloc_frame = v; });
     cnt("alloc.rounds", [](S& s, std::uint64_t v) {
-      s.noc.alloc_rounds = static_cast<unsigned>(v);
+      s.noc.alloc_rounds = narrow<unsigned>("alloc.rounds", v);
     });
     num("offered_load", [](S& s, double v) { s.noc.offered_load = v; });
     cnt("hot_die", [](S& s, std::uint64_t v) { s.noc.hot_die = static_cast<std::size_t>(v); });
@@ -270,7 +285,7 @@ const std::map<std::string, Param>& registry() {
       s.noc.queue_capacity = static_cast<std::size_t>(v);
     });
     cnt("max_attempts", [](S& s, std::uint64_t v) {
-      s.noc.max_attempts = static_cast<unsigned>(v);
+      s.noc.max_attempts = narrow<unsigned>("max_attempts", v);
     });
     cat("delivery", [](S& s, const std::string& v) {
       if (v == "scalar") s.noc.delivery = NocDelivery::kScalar;
@@ -334,7 +349,7 @@ const std::map<std::string, Param>& registry() {
       s.variance.levels = v;
     });
     cnt("variance.split_levels", [](S& s, std::uint64_t v) {
-      s.variance.split_levels = static_cast<std::uint32_t>(v);
+      s.variance.split_levels = narrow<std::uint32_t>("variance.split_levels", v);
     });
 
     return r;

@@ -3,8 +3,8 @@
 // for any thread count: every task draws from its own RngStream derived
 // purely from (root_seed, label, task index) and results land in
 // index-addressed slots. Use it for embarrassingly parallel sweeps
-// (per-node Monte Carlo, per-design-point link sims); the
-// discrete-event Scheduler stays single-threaded inside each task.
+// (per-node Monte Carlo, per-design-point link sims); each task runs
+// single-threaded.
 #pragma once
 
 #include <cstddef>

@@ -1,11 +1,11 @@
-// Counter-based RNG for the batched window engine's hot path.
+// Counter-based RNG for the link window kernel's hot path.
 //
 // RngStream wraps std::mt19937_64 and std:: distributions: excellent
 // statistically, but each draw walks a 2.5 KB state and the library
 // transforms are not bit-stable across standard library
-// implementations. The batched window engine instead derives
-// one tiny counter-based stream PER WINDOW ("lane") from a single
-// 64-bit root:
+// implementations. The window kernel instead derives one tiny
+// counter-based stream PER WINDOW ("lane") from a single 64-bit root
+// (a batch's root, or one raw draw of a per-window caller's stream):
 //
 //   root --lane_key(i)--> key_i --splitmix64 walk--> u64, u64, ...
 //

@@ -5,11 +5,13 @@
 // and ZERO heap traffic, so BatchRunner sweeps scale with arithmetic,
 // not with the allocator. This binary replaces global operator
 // new/delete with counting wrappers and pins that property for the
-// three hot loops sweeps actually run:
+// hot loops sweeps actually run:
 //
-//   * the single-source run_symbols driver (abl_scaling, abl_fec),
+//   * the single-source run_symbols driver (abl_scaling, abl_fec) and
+//     the batched window kernel under it,
 //   * the multi-source interference window loop (WdmLink / bus
 //     contention inner loop),
+//   * the rare-event proposal window loop (oci::rare drivers),
 //   * the LinkEngine-coupled NoC delivery model (StackNetwork sweeps).
 //
 // After a warm-up pass (which may size scratch buffers), the loops
@@ -180,8 +182,8 @@ TEST(AllocGuard, MultiSourceInterferenceLoopIsAllocationFree) {
   const auto run_windows = [&](int count) {
     for (int i = 0; i < count; ++i) {
       for (std::size_t k = 0; k < aggressors.size(); ++k) {
-        aggressors[k] = SourcePulse{&link.led(), 6.0,
-                                    t + window * (0.2 + 0.25 * static_cast<double>(k))};
+        aggressors[k] =
+            SourcePulse{6.0, t + window * (0.2 + 0.25 * static_cast<double>(k))};
       }
       (void)engine.transmit_symbol(static_cast<std::uint64_t>(i % 32), t, dead_until, stats,
                                    tx, {.aggressors = aggressors});
@@ -197,6 +199,39 @@ TEST(AllocGuard, MultiSourceInterferenceLoopIsAllocationFree) {
 
   EXPECT_EQ(stats.symbols_sent, 16u + 1024u);
   expect_no_allocations(before, after, "multi-source window loop");
+}
+
+TEST(AllocGuard, RareProposalSymbolLoopIsAllocationFree) {
+  RngStream process(1237);
+  const OpticalLink link(guard_config(), process);
+  const LinkEngine engine(link);
+  RngStream tx(1239);
+
+  // oci::rare's inner loop shape: i.i.d. windows under a jitter and
+  // noise tilt, the log likelihood-ratio read back per window.
+  link::RareSampling proposal;
+  proposal.jitter_scale = 2.0;
+  proposal.noise_scale = 3.0;
+  LinkRunStats stats;
+  double log_weight_sum = 0.0;
+  const auto run_windows = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      Time dead_until = Time::zero();
+      (void)engine.transmit_symbol(static_cast<std::uint64_t>(i % 32), Time::zero(),
+                                   dead_until, stats, tx, {.rare = &proposal});
+      log_weight_sum += proposal.log_weight;
+    }
+  };
+
+  run_windows(16);  // warm-up
+
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  run_windows(1024);
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+
+  EXPECT_EQ(stats.symbols_sent, 16u + 1024u);
+  EXPECT_NE(log_weight_sum, 0.0);  // the proposal really tilted
+  expect_no_allocations(before, after, "rare-proposal window loop");
 }
 
 TEST(AllocGuard, NocDeliveryModelLoopIsAllocationFree) {

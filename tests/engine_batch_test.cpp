@@ -1,11 +1,17 @@
-// Batched window engine contracts (LinkEngine::simulate_windows and the
-// batched drivers), pinned bit-for-bit:
+// Window kernel contracts (kernels::simulate_lane, LinkEngine's batched
+// simulate_windows and drivers, and its per-window transmit_symbol),
+// pinned bit-for-bit:
 //
-//  * Golden lanes -- every lane's outputs and draw count hash to a
-//    digest fixed across commits. The kernel is built from
-//    exactly-rounded operations only, in a -ffp-contract=off TU, so a
-//    changed digest means changed physics or RNG consumption, which
-//    needs a kEngineRevision bump.
+//  * Golden lanes -- every lane's outputs, draw count and (under a
+//    proposal) log likelihood-ratio hash to a digest fixed across
+//    commits: plain lanes, lanes with two aggressor pulses, and lanes
+//    under tilted or band-conditioned proposals. The kernel is built
+//    from exactly-rounded operations only, in a -ffp-contract=off TU,
+//    so a changed digest means changed physics or RNG consumption,
+//    which needs a kEngineRevision bump.
+//  * One simulator -- a transmit_symbol window IS the kernel lane keyed
+//    by one raw draw of the caller's stream: same outcome, carry and
+//    draw count as that lane run through simulate_windows.
 //  * Lane decomposability -- a lane's result is a pure function of
 //    (engine config, stream root, lane index): batches can be split,
 //    sharded across threads, or replayed lane-by-lane without changing
@@ -20,11 +26,14 @@
 // link.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <thread>
 #include <vector>
 
+#include "oci/link/kernels.hpp"
 #include "oci/link/link_engine.hpp"
 #include "oci/link/optical_link.hpp"
 #include "oci/util/batch_rng.hpp"
@@ -108,9 +117,10 @@ void expect_same_windows(const std::vector<WindowResult>& a,
   }
 }
 
-/// 64-bit FNV-1a over every lane's outputs and draw count, doubles by
-/// bit pattern.
-std::uint64_t lane_digest(const std::vector<WindowResult>& ws) {
+/// 64-bit FNV-1a over every lane's outputs and draw count, then every
+/// `extra` value (log likelihood-ratios), doubles by bit pattern.
+std::uint64_t lane_digest(const std::vector<WindowResult>& ws,
+                          std::span<const double> extra = {}) {
   std::uint64_t h = 0xcbf29ce484222325ull;
   const auto mix = [&h](std::uint64_t v) {
     for (int byte = 0; byte < 8; ++byte) {
@@ -127,13 +137,15 @@ std::uint64_t lane_digest(const std::vector<WindowResult>& ws) {
     mix(std::bit_cast<std::uint64_t>(w.last_fire_s));
     mix(std::bit_cast<std::uint64_t>(w.dead_out_s));
   }
+  for (const double x : extra) mix(std::bit_cast<std::uint64_t>(x));
   return h;
 }
 
 class EngineBatch : public ::testing::TestWithParam<int> {};
 
 TEST_P(EngineBatch, GoldenLaneDigest) {
-  // Captured from the kernel at kEngineRevision 5; see the file header.
+  // Captured from the kernel at kEngineRevision 5 and held since; see the
+  // file header.
   constexpr std::uint64_t kGolden[] = {
       0xf683901fddc7e2e3ull,  // bright rectangular
       0xf99c06460d27627cull,  // photon-starved and noisy
@@ -151,6 +163,127 @@ TEST_P(EngineBatch, GoldenLaneDigest) {
   engine.simulate_windows(ws, lanes, scratch);
   EXPECT_EQ(lane_digest(ws), kGolden[GetParam()])
       << std::hex << "digest 0x" << lane_digest(ws);
+
+  // The same lanes through the lane function with per-window sources.
+  // Captured at kEngineRevision 6.
+  constexpr std::uint64_t kGoldenAggressors[] = {
+      0x97da90d1698a0424ull,  // bright rectangular
+      0x2c472b592440a581ull,  // photon-starved and noisy
+      0xd58fa06e31c47bc6ull,  // passive quench + heavy afterpulsing
+      0x230ffe34dcf2a3afull,  // exponential envelope
+      0xd3b2b60094737486ull,  // Gaussian envelope
+  };
+  constexpr std::uint64_t kGoldenProposals[] = {
+      0xa6ed4f4cedd4d135ull,  // bright rectangular
+      0x8ae10c3f13c5ea03ull,  // photon-starved and noisy
+      0xe952665c7d342752ull,  // passive quench + heavy afterpulsing
+      0xebb4074fb8f372afull,  // exponential envelope
+      0xe256719eb5225547ull,  // Gaussian envelope
+  };
+  const link::kernels::BatchParams& p = engine.kernel_params();
+  const double window_s = link.toa_window().seconds();
+
+  // Two aggressors with the victim's envelope: an early bright one and
+  // a late dim one.
+  std::vector<WindowResult> agg = make_windows(link, 261);
+  for (std::size_t i = 0; i < agg.size(); ++i) {
+    std::array<link::kernels::PulseSource, 2> aggressors{};
+    aggressors[0].start_s = 0.25 * window_s;
+    aggressors[0].lambda = 3.0;
+    aggressors[1].start_s = 0.6 * window_s;
+    aggressors[1].lambda = 0.8;
+    const link::kernels::LaneSources in{.lambda_signal = p.lambda_signal,
+                                        .noise_rate = p.noise_rate,
+                                        .aggressors = aggressors};
+    link::kernels::simulate_lane(p, in, agg[i], lanes.lane(i));
+  }
+  EXPECT_EQ(lane_digest(agg), kGoldenAggressors[GetParam()])
+      << std::hex << "aggressor digest 0x" << lane_digest(agg);
+
+  // Even lanes: jitter x1.5 and noise x3 tilt (scales off powers of two,
+  // so the log ratios run pm_log's polynomial); odd lanes: jitter
+  // conditioned to a deep band.
+  std::vector<WindowResult> tilted = make_windows(link, 261);
+  std::vector<double> log_weights;
+  for (std::size_t i = 0; i < tilted.size(); ++i) {
+    link::RareSampling proposal;
+    if (i % 2 == 0) {
+      proposal.jitter_scale = 1.5;
+      proposal.noise_scale = 3.0;
+    } else {
+      proposal.condition_jitter = true;
+      proposal.band_survival_lo = 1e-6;
+      proposal.band_survival_hi = 1e-14;
+    }
+    const link::kernels::LaneSources in{.lambda_signal = p.lambda_signal,
+                                        .noise_rate = p.noise_rate,
+                                        .rare = &proposal};
+    link::kernels::simulate_lane(p, in, tilted[i], lanes.lane(i));
+    log_weights.push_back(proposal.log_weight);
+  }
+  EXPECT_EQ(lane_digest(tilted, log_weights), kGoldenProposals[GetParam()])
+      << std::hex << "proposal digest 0x" << lane_digest(tilted, log_weights);
+}
+
+TEST_P(EngineBatch, TransmitSymbolWindowIsTheLaneItKeys) {
+  // Paper-exact windows (no guard) so dead-time carries cross windows.
+  OpticalLinkConfig cfg = config_for(GetParam());
+  cfg.inter_symbol_guard = Time::zero();
+  RngStream process(1039);
+  const OpticalLink link(cfg, process);
+  const LinkEngine engine(link);
+  const Time dead_time = link.detector().params().dead_time;
+  const std::uint64_t max_symbol = (std::uint64_t{1} << link.bits_per_symbol()) - 1;
+
+  EngineBatchScratch scratch;
+  RngStream tx(1049);
+  LinkRunStats stats;
+  Time start = Time::zero();
+  Time dead_until = Time::zero();
+  std::uint64_t carried = 0;
+  for (std::uint64_t i = 0; i < 400; ++i) {
+    SCOPED_TRACE("window " + std::to_string(i));
+    const std::uint64_t symbol = (i * 13) & max_symbol;
+    // The lane the window keys: one raw draw of a copy of the caller's
+    // stream, mixed like lane 0 of the batched drivers' lane family.
+    RngStream copy = tx;
+    const BatchRngStream lanes(copy.engine()(), "engine-windows");
+    WindowResult lane;
+    lane.pulse_start_s = link.ppm().encode(symbol).seconds();
+    lane.dead_in_s = (dead_until - start).seconds();
+    carried += lane.dead_in_s > 0.0 ? 1 : 0;
+    engine.simulate_windows({&lane, 1}, lanes, scratch);
+
+    const LinkRunStats before = stats;
+    const Time dead_before = dead_until;
+    const std::uint64_t decoded =
+        engine.transmit_symbol(symbol, start, dead_until, stats, tx);
+
+    EXPECT_EQ(stats.rng_draws - before.rng_draws, lane.rng_draws);
+    EXPECT_EQ(stats.erasures - before.erasures, lane.fired ? 0u : 1u);
+    EXPECT_EQ(stats.noise_captures - before.noise_captures,
+              lane.fired && !lane.first_is_signal ? 1u : 0u);
+    if (lane.fired) {
+      EXPECT_EQ(dead_until.seconds(),
+                (start + Time::seconds(lane.last_fire_s) + dead_time).seconds());
+      // The TDC conversion runs on the caller's stream right after the
+      // key draw: decode the lane's timestamp the same way on the copy.
+      const tdc::TdcReading reading =
+          link.tdc().convert(Time::seconds(lane.first_observed_s), copy);
+      const tdc::CalibrationLut& lut = link.calibration_lut();
+      Time corrected =
+          (lut.valid() ? lut.correct(reading, link.tdc().clock_period()) : reading.estimate) -
+          link.detection_offset();
+      if (corrected < Time::zero()) corrected = Time::zero();
+      EXPECT_EQ(decoded, link.ppm().decode(corrected));
+    } else {
+      EXPECT_EQ(dead_until.seconds(), dead_before.seconds());
+      EXPECT_EQ(decoded, 0u);
+    }
+    EXPECT_TRUE(copy.engine() == tx.engine());  // same caller-stream consumption
+    start += link.symbol_period();
+  }
+  EXPECT_GT(carried, 0u);  // some windows started inside a blind carry
 }
 
 TEST_P(EngineBatch, LanesDecomposeToSingleWindowBatches) {

@@ -7,12 +7,14 @@
 //    (Per-lane bit-exactness of the batched path itself -- across ISA
 //    kernels, batch sizes and thread counts -- is pinned separately in
 //    engine_batch_test.)
-//  * STATISTICAL -- the per-symbol mt19937 API, the batched
-//    counter-RNG drivers, and the reference per-photon pipeline
-//    (transmit_symbol_reference) consume RNG draws differently by
-//    design, so cross-path agreement is asserted with two-proportion
-//    z-tests on erasure/error/noise-capture rates across link
-//    configurations.
+//  * STATISTICAL -- the per-window transmit_symbol loop and the
+//    batched drivers run the same window kernel on differently keyed
+//    lanes, and the reference per-photon pipeline
+//    (transmit_symbol_reference) draws differently by design, so
+//    cross-path agreement is asserted with two-proportion z-tests on
+//    erasure/error/noise-capture rates across link configurations.
+//    (That a transmit_symbol window IS the lane it keys is pinned
+//    bit-for-bit in engine_batch_test.)
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -107,16 +109,17 @@ TEST_P(EngineGolden, MeasureMatchesExplicitEngineBitForBit) {
 }
 
 TEST_P(EngineGolden, PerSymbolLoopMatchesBatchedRunStatistically) {
-  // The batched drivers replaced the per-symbol mt19937 walk with
-  // counter-RNG window lanes, so the two paths are equivalent in
-  // distribution, not draw-for-draw: rates must agree statistically
-  // and the deterministic accounting must agree exactly.
+  // Both drivers run the window kernel, but a transmit_symbol loop
+  // keys each lane by a draw of its stream while the batched driver
+  // keys lanes by index, so the two agree in distribution, not draw
+  // for draw: rates must agree statistically and the deterministic
+  // accounting must agree exactly.
   RngStream process(823);
   const OpticalLink link(config(), process);
   const LinkEngine engine(link);
   constexpr std::uint64_t n = 4000;
 
-  // Old-style driver: one transmit_symbol call per window.
+  // Per-window driver: one transmit_symbol call per window.
   RngStream tx_loop(827);
   LinkRunStats loop_stats;
   Time t = Time::zero();
@@ -281,8 +284,9 @@ TEST(LinkEngine, ProbePulseReturnsSignalHitOnBrightLink) {
   const LinkEngine engine(link);
   RngStream rng(971);
   int hits = 0;
+  std::uint64_t lane_draws = 0;
   for (int i = 0; i < 100; ++i) {
-    const auto first = engine.probe_pulse(Time::nanoseconds(10.0), rng);
+    const auto first = engine.probe_pulse(Time::nanoseconds(10.0), rng, lane_draws);
     if (first) {
       ++hits;
       // First detection of a bright pulse sits near the pulse start
@@ -291,6 +295,7 @@ TEST(LinkEngine, ProbePulseReturnsSignalHitOnBrightLink) {
     }
   }
   EXPECT_GT(hits, 95);  // detection probability ~ 1 on this budget
+  EXPECT_GE(lane_draws, 100u);  // every lane draws its signal hazard at least
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // Multi-source LinkEngine regression suite.
 //
-// The engine streams each co-channel aggressor as a lazily-advanced
-// thinned-Poisson hazard state and k-way-merges the candidates, where
-// the reference pipeline materialises, sorts and per-photon-thins the
-// leaked photons. The two consume RNG draws completely differently, so
-// agreement is pinned statistically: pooled two-proportion z-tests
+// The window kernel streams each co-channel aggressor as a
+// lazily-advanced thinned-Poisson hazard state and merges the
+// candidates, where the reference pipeline materialises, sorts and
+// per-photon-thins the leaked photons. The two consume RNG draws
+// completely differently, so agreement is pinned statistically: pooled two-proportion z-tests
 // (tests/support/stat_assert.hpp) on erasure / symbol-error /
 // noise-capture / bit-error rates, for each interference-bearing
 // consumer path (raw interference, WDM, bus contention) at >= 3
@@ -114,8 +114,8 @@ std::vector<SourcePulse> aggressors_for(const InterferenceCase& c, const Optical
   std::vector<SourcePulse> out;
   const Time window = link.toa_window();
   for (std::size_t k = 0; k < c.aggressor_means.size(); ++k) {
-    out.push_back(SourcePulse{&link.led(), c.aggressor_means[k],
-                              window_start + window * c.aggressor_fractions[k]});
+    out.push_back(
+        SourcePulse{c.aggressor_means[k], window_start + window * c.aggressor_fractions[k]});
   }
   return out;
 }

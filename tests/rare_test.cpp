@@ -1,5 +1,6 @@
 // The rare-event acceleration subsystem: level-schedule parsing, band
-// resolution, likelihood-ratio weight invariants, agreement of the
+// resolution, deep-band jitter conditioning in the window kernel,
+// likelihood-ratio weight invariants, agreement of the
 // tilted/split estimators with crude MC in the overlap region (and with
 // each other at a deep point crude MC cannot reach), and the end-to-end
 // scenario contract -- thread-count invariance, zero-success Wilson
@@ -13,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "oci/link/kernels.hpp"
+#include "oci/link/link_engine.hpp"
 #include "oci/link/optical_link.hpp"
 #include "oci/rare/rare.hpp"
 #include "oci/scenario/runner.hpp"
@@ -181,6 +184,48 @@ TEST(RareChunk, SplitWeightsSumToSampleCountExactly) {
   const auto r = run_rare(link, split, 10000, 21);
   EXPECT_NEAR(r.weights.sum(), static_cast<double>(r.samples),
               1e-9 * static_cast<double>(r.samples));
+}
+
+TEST(RareChunk, SplitJitterStaysInsideADeepBand) {
+  // A band 7..8 sigma out, where a single-precision erfinv polynomial
+  // is off by 0.04-0.5 sigma: every conditioned jitter magnitude must
+  // land inside the band, and half of them above its median.
+  RngStream process(14, "process");
+  const link::OpticalLink link(deep_config(60.0), process);
+  const link::LinkEngine engine(link);
+  const link::kernels::BatchParams& p = engine.kernel_params();
+  const auto survival = [](double z) { return std::erfc(z / std::sqrt(2.0)); };
+  link::RareSampling proposal;
+  proposal.condition_jitter = true;
+  proposal.band_survival_lo = survival(7.0);
+  proposal.band_survival_hi = survival(8.0);
+  const double median_s = 0.5 * (proposal.band_survival_lo + proposal.band_survival_hi);
+  double lo = 7.0;
+  double hi = 8.0;
+  for (int i = 0; i < 100; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    (survival(mid) > median_s ? lo : hi) = mid;
+  }
+  const double z_median = 0.5 * (lo + hi);
+
+  const util::BatchRngStream lanes(15, "deep-band");
+  const link::kernels::LaneSources in{
+      .lambda_signal = p.lambda_signal, .noise_rate = p.noise_rate, .rare = &proposal};
+  std::uint64_t fired = 0;
+  std::uint64_t above = 0;
+  for (std::uint64_t i = 0; i < 4000; ++i) {
+    link::WindowResult w;
+    w.pulse_start_s = 1e-9;
+    link::kernels::simulate_lane(p, in, w, lanes.lane(i));
+    if (!w.fired) continue;
+    ++fired;
+    const double z = std::abs(w.first_observed_s - w.first_fire_s) / p.jitter_sigma_s;
+    ASSERT_GE(z, 7.0 - 1e-6) << "lane " << i;
+    ASSERT_LE(z, 8.0 + 1e-6) << "lane " << i;
+    above += z > z_median ? 1 : 0;
+  }
+  EXPECT_GT(fired, 3900u);  // a bright pulse: the first fire is there
+  EXPECT_RATE_NEAR(above, fired, 0.5, 1e-4);
 }
 
 TEST(RareChunk, TiltAgreesWithCrudeAcrossOverlapConfigs) {

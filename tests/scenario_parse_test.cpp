@@ -111,6 +111,42 @@ TEST(ScenarioParse, ErrorsCarryLineNumbers) {
   EXPECT_THROW((void)parse_spec_file("/nonexistent/x.spec"), std::runtime_error);
 }
 
+TEST(ScenarioParse, RejectsNonFiniteNumbersAndOversizedCounts) {
+  // Each of these once parsed and ran: NaN as a SER-1 link, a count
+  // wrapped into its 32-bit field (4294967300 -> 4), or an out-of-range
+  // double cast to an integer. Each must now fail with file:line.
+  const char* const bad[] = {
+      "jitter_ps = nan",
+      "sweep.jitter_ps = nan, 40",
+      "sweep.jitter_ps = 40, inf",
+      "bits_per_symbol = 4294967300",
+      "coarse_bits = 4294967296",
+      "alloc.rounds = 4294967296",
+      "max_attempts = 4294967296",
+      "variance.split_levels = 4294967296",
+      "samples = inf",
+      "samples = 1e30",
+      "sweep.jitter_ps = linear(40, 80, 1e30)",
+      "sweep.jitter_ps = linear(nan, 80, 3)",
+      "sweep.jitter_ps = log(40, inf, 3)",
+      "fault.salt = 9007199254740993",
+  };
+  for (const char* line : bad) {
+    SCOPED_TRACE(line);
+    try {
+      (void)parse_spec_text(std::string("name = ok\n") + line + "\n", "bad.spec");
+      ADD_FAILURE() << "expected a parse error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("bad.spec:2"), std::string::npos) << e.what();
+    }
+  }
+  // The largest exact count still parses, and the narrowed field keeps
+  // its full range.
+  EXPECT_EQ(parse_spec_text("fault.salt = 9007199254740991\n").fault.salt,
+            9007199254740991u);
+  EXPECT_EQ(parse_spec_text("max_attempts = 4294967295\n").noc.max_attempts, 4294967295u);
+}
+
 TEST(ScenarioParse, PrecisionKeysParse) {
   const ScenarioSpec spec = parse_spec_text(
       "name = adaptive\n"
