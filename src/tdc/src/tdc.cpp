@@ -42,6 +42,7 @@ Time Tdc::lsb() const {
 
 TdcReading Tdc::finish(Time toa, unsigned coarse, std::size_t fine_taps) const {
   const std::size_t taps_per_period = line_.elements_used(clock_period_);
+  const double lsb_s = clock_period_.seconds() / static_cast<double>(taps_per_period);
   // The fine count can exceed taps_per_period when mismatch shortens the
   // head of the chain; clamp so the reconstruction stays in-window.
   fine_taps = std::min(fine_taps, taps_per_period);
@@ -63,8 +64,7 @@ TdcReading Tdc::finish(Time toa, unsigned coarse, std::size_t fine_taps) const {
     clamped = static_cast<std::int64_t>(max_code);
   }
   r.code = static_cast<std::uint64_t>(clamped);
-  r.estimate = Time::seconds(static_cast<double>(r.code) * lsb().seconds() +
-                             0.5 * lsb().seconds());
+  r.estimate = Time::seconds(static_cast<double>(r.code) * lsb_s + 0.5 * lsb_s);
   r.saturated = toa < Time::zero() || toa >= toa_window();
   return r;
 }
