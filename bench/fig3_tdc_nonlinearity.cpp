@@ -80,31 +80,6 @@ void print_reproduction() {
             << (rep.max_abs_inl < 1.0 ? "PASS" : "FAIL") << "\n";
 }
 
-// ---- google-benchmark timings of the underlying hot paths ----
-
-void BM_CodeDensityCalibration(benchmark::State& state) {
-  const tdc::Tdc tdc = make_paper_tdc(kSeed);
-  RngStream rng(kSeed, "bm-cal");
-  for (auto _ : state) {
-    const auto rep =
-        tdc::code_density_test(tdc, static_cast<std::uint64_t>(state.range(0)), rng);
-    benchmark::DoNotOptimize(rep.max_abs_dnl);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_CodeDensityCalibration)->Arg(10000)->Arg(100000);
-
-void BM_SingleConversion(benchmark::State& state) {
-  const tdc::Tdc tdc = make_paper_tdc(kSeed);
-  RngStream rng(kSeed, "bm-conv");
-  for (auto _ : state) {
-    const Time toa = rng.uniform_time(tdc.toa_window());
-    benchmark::DoNotOptimize(tdc.convert(toa, rng).code);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SingleConversion);
-
 }  // namespace
 
 int main(int argc, char** argv) {

@@ -178,8 +178,10 @@ std::uint64_t OpticalLink::recalibrate(std::uint64_t samples, RngStream& rng) {
 }
 
 void OpticalLink::set_temperature(util::Temperature t) {
-  spad_.set_temperature(t);
+  // The delay line first: it rejects a temperature that gives it a
+  // non-positive delay, and then nothing has changed.
   tdc_.line().set_conditions(t, tdc_.line().params().nominal_supply);
+  spad_.set_temperature(t);
 }
 
 std::uint64_t OpticalLink::transmit_symbol_reference(

@@ -44,7 +44,11 @@ namespace oci::scenario {
 ///      every per-symbol path moves within sampling noise; rare-event
 ///      and WDM chunks, and a fault point's retraining, count their
 ///      lane draws in rng_draws
-inline constexpr unsigned kEngineRevision = 6;
+///   7  exact code-density calibration: the histogram is drawn from the
+///      code distribution as one binomial per code instead of hit by
+///      hit, so every calibrated link's LUT and detection offset, and
+///      code-density traffic, move within sampling noise
+inline constexpr unsigned kEngineRevision = 7;
 
 /// Address of one simulation chunk.
 struct ChunkKey {

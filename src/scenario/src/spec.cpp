@@ -619,6 +619,14 @@ void ScenarioSpec::validate() const {
     if (fault.pixel_active() && fault.array_pixels == 0) {
       err("fault: pixel faults need array_pixels >= 1");
     }
+    // The drift moves the delay line to T + drift; a chain that cold has
+    // a non-positive delay (DelayLine::set_conditions would throw).
+    const double drifted_c = device.temperature.celsius() + fault.tdc_drift_c;
+    if (1.0 + device.delay_line.temperature_coefficient * (drifted_c - 20.0) <= 0.0) {
+      err("fault.tdc_drift_c = " + format_axis_value(fault.tdc_drift_c) +
+          " puts the delay line at " + format_axis_value(drifted_c) +
+          " C, where its delay scale 1 + tc * (T - 20 C) is not positive");
+    }
 
     if (fault.any() && m == TrafficMode::kCodeDensity) {
       err("fault injection does not apply to code-density traffic (no photons fly)");

@@ -25,14 +25,33 @@ enum class ThermometerDecode {
 [[nodiscard]] std::size_t decode_thermometer(const ThermometerCode& code,
                                              ThermometerDecode method);
 
-/// Fused DelayLine::sample + decode_thermometer. Exploits the latch
-/// structure: outside the metastability window of the hit edge every
-/// tap bit is determined by a binary search over the (sorted) tap
-/// boundaries, so only the few racing taps are resolved with RNG draws
-/// and no thermometer code is materialised. Consumes RNG draws in the
-/// same order as sample() and returns the identical decoded tap count
-/// (a property test pins this), at O(log N) instead of O(N) per
-/// conversion with zero allocation -- the TDC/code-density hot path.
+/// The three latch regimes of a chain latched `interval` after the hit:
+/// taps [0, ones) read a settled 1, the next `racing` taps switched
+/// within the metastability window of the edge and resolve randomly,
+/// and the rest read a settled 0.
+struct LatchRegimes {
+  std::size_t ones = 0;
+  std::size_t racing = 0;
+};
+
+/// Finds the latch regimes with a binary search over the (sorted) tap
+/// boundaries, reproducing DelayLine::sample()'s per-tap comparisons
+/// exactly for the given metastability half-window.
+[[nodiscard]] LatchRegimes latch_regimes(const DelayLine& line, Time interval,
+                                         Time metastability_window);
+
+/// Decodes a latched chain of `taps` taps, `ones` settled 1s followed
+/// by the racing taps' resolved bits (one 0/1 byte each, in tap order),
+/// exactly as decode_thermometer decodes the materialised code.
+[[nodiscard]] std::size_t decode_latched(std::size_t taps, std::size_t ones,
+                                         std::span<const std::uint8_t> racing_bits,
+                                         ThermometerDecode method);
+
+/// Fused DelayLine::sample + decode_thermometer: latch_regimes, one coin
+/// per racing tap, decode_latched. No thermometer code is materialised.
+/// Consumes RNG draws in the same order as sample() and returns the
+/// identical decoded tap count (a property test pins this), at O(log N)
+/// instead of O(N) per conversion -- the TDC conversion hot path.
 [[nodiscard]] std::size_t sample_and_decode(const DelayLine& line, Time interval,
                                             RngStream& rng, ThermometerDecode method);
 

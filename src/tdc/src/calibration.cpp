@@ -1,8 +1,10 @@
 #include "oci/tdc/calibration.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 
 namespace oci::tdc {
@@ -38,6 +40,52 @@ NonlinearityReport nonlinearity_from_widths(const std::vector<double>& widths_s)
   return rep;
 }
 
+namespace {
+
+/// Most racing taps code_probabilities enumerates per segment (2^8
+/// patterns). Every technology-ladder node races at most one tap at the
+/// default 4 ps window; only windows spanning several taps exceed it.
+constexpr std::size_t kMaxRacingTaps = 8;
+
+}  // namespace
+
+std::optional<std::vector<double>> code_probabilities(const Tdc& tdc,
+                                                      bool with_metastability) {
+  const DelayLine& line = tdc.line();
+  const double period = tdc.clock_period().seconds();
+  const std::size_t used = line.elements_used(tdc.clock_period());
+  const Time meta = with_metastability ? line.params().metastability_window : Time::zero();
+
+  // Between consecutive cut points (each switching instant ± the
+  // window) the latch regimes are constant.
+  const std::span<const double> b = line.boundaries_seconds();
+  std::vector<double> cuts = {0.0, period};
+  for (std::size_t i = 1; i < b.size(); ++i) {
+    for (const double cut : {b[i] - meta.seconds(), b[i] + meta.seconds()}) {
+      if (cut > 0.0 && cut < period) cuts.push_back(cut);
+    }
+  }
+  std::sort(cuts.begin(), cuts.end());
+
+  std::vector<double> pi(used, 0.0);
+  std::array<std::uint8_t, kMaxRacingTaps> bits{};
+  for (std::size_t j = 0; j + 1 < cuts.size(); ++j) {
+    const double width = cuts[j + 1] - cuts[j];
+    if (width <= 0.0) continue;
+    const LatchRegimes r = latch_regimes(line, Time::seconds(cuts[j] + width / 2.0), meta);
+    if (r.racing > kMaxRacingTaps) return std::nullopt;
+    const std::size_t patterns = std::size_t{1} << r.racing;
+    const double mass = width / period / static_cast<double>(patterns);
+    for (std::size_t pattern = 0; pattern < patterns; ++pattern) {
+      for (std::size_t i = 0; i < r.racing; ++i) bits[i] = (pattern >> i) & 1U;
+      const std::size_t code = decode_latched(line.size(), r.ones,
+                                              {bits.data(), r.racing}, tdc.config().decode);
+      pi[std::min(code, used - 1)] += mass;
+    }
+  }
+  return pi;
+}
+
 NonlinearityReport code_density_test(const Tdc& tdc, std::uint64_t samples,
                                      util::RngStream& rng, bool with_metastability) {
   if (samples == 0) throw std::invalid_argument("code_density_test: samples must be > 0");
@@ -45,19 +93,30 @@ NonlinearityReport code_density_test(const Tdc& tdc, std::uint64_t samples,
   const std::size_t used = tdc.line().elements_used(period);
 
   std::vector<std::uint64_t> counts(used, 0);
-  for (std::uint64_t i = 0; i < samples; ++i) {
-    const Time interval = rng.uniform_time(period);
-    std::size_t code;
-    if (with_metastability) {
-      // Fused sample+decode: same draws/result as materialising the
-      // thermometer code, O(log N) per hit -- this loop is the bulk of
-      // every calibration and of the abl_scaling mismatch sweep.
-      code = sample_and_decode(tdc.line(), interval, rng, tdc.config().decode);
-    } else {
-      code = tdc.line().ideal_code(interval);
+  if (const auto pi = code_probabilities(tdc, with_metastability)) {
+    // Multinomial(samples, π) as sequential binomials: code k takes its
+    // share of the hits left over, with probability π_k over the mass of
+    // codes k and above (summed from the top so the last code with mass
+    // sees exactly 1 and takes the rest without a draw).
+    std::vector<double> mass_from(used + 1, 0.0);
+    for (std::size_t k = used; k-- > 0;) mass_from[k] = mass_from[k + 1] + (*pi)[k];
+    std::uint64_t left = samples;
+    for (std::size_t k = 0; k < used && left > 0; ++k) {
+      counts[k] = rng.binomial(left, (*pi)[k] / mass_from[k]);
+      left -= counts[k];
     }
-    if (code >= used) code = used - 1;
-    ++counts[code];
+  } else {
+    for (std::uint64_t i = 0; i < samples; ++i) {
+      const Time interval = rng.uniform_time(period);
+      std::size_t code;
+      if (with_metastability) {
+        code = sample_and_decode(tdc.line(), interval, rng, tdc.config().decode);
+      } else {
+        code = tdc.line().ideal_code(interval);
+      }
+      if (code >= used) code = used - 1;
+      ++counts[code];
+    }
   }
 
   std::vector<double> widths(used, 0.0);

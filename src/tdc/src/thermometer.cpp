@@ -62,88 +62,59 @@ std::size_t count_bubbles(const ThermometerCode& code) {
 
 bool is_clean(const ThermometerCode& code) { return count_bubbles(code) == 0; }
 
-std::size_t sample_and_decode(const DelayLine& line, Time interval, RngStream& rng,
-                              ThermometerDecode method) {
+LatchRegimes latch_regimes(const DelayLine& line, Time interval, Time metastability_window) {
   const std::span<const double> b = line.boundaries_seconds();  // size N+1
-  const std::size_t n = line.size();
   const double t = interval.seconds();
-  const double meta = line.params().metastability_window.seconds();
+  const double meta = metastability_window.seconds();
 
   // Tap i switches at b[i+1]; its margin t - b[i+1] is (weakly)
   // monotone decreasing in i, so the three latch regimes form a
   // deterministic-1 prefix, a metastable middle, and a deterministic-0
-  // suffix. The partition predicates reproduce sample()'s per-tap
-  // comparisons exactly, including the |margin| == meta edge.
+  // suffix. The predicates reproduce sample()'s per-tap comparisons
+  // exactly, including the |margin| == meta edge. The metastable middle
+  // is short (at most one tap at the default window) and each of its
+  // taps costs a coin anyway, so a forward scan finds its end.
   const double* first = b.data() + 1;
-  const double* last = first + n;
+  const double* last = first + line.size();
   const double* ones_end = std::partition_point(first, last, [&](double sw) {
     const double margin = t - sw;
     return meta > 0.0 ? margin >= meta : margin > 0.0;
   });
-  const double* meta_end =
-      std::partition_point(ones_end, last, [&](double sw) { return t - sw > -meta; });
-  const auto ones = static_cast<std::size_t>(ones_end - first);
-  const auto zero_from = static_cast<std::size_t>(meta_end - first);
-  const std::size_t m = zero_from - ones;
+  const double* meta_end = ones_end;
+  while (meta_end != last && t - *meta_end > -meta) ++meta_end;
+  return {static_cast<std::size_t>(ones_end - first),
+          static_cast<std::size_t>(meta_end - ones_end)};
+}
+
+std::size_t decode_latched(std::size_t taps, std::size_t ones,
+                           std::span<const std::uint8_t> bits, ThermometerDecode method) {
+  const std::size_t zero_from = ones + bits.size();
 
   // Degenerate chains fall back to population count, as majority_window
-  // does; ones-count just adds the racing taps' coin flips.
+  // does; ones-count just adds the racing taps' resolved 1s.
   if (method == ThermometerDecode::kOnesCount ||
-      (method == ThermometerDecode::kMajorityWindow && n < 3)) {
-    std::size_t random_ones = 0;
-    for (std::size_t i = 0; i < m; ++i) {
-      if (rng.bernoulli(0.5)) ++random_ones;
-    }
-    return ones + random_ones;
+      (method == ThermometerDecode::kMajorityWindow && taps < 3)) {
+    return ones + ones_count(bits);
   }
-
-  if (method == ThermometerDecode::kLeadingOnes) {
-    // All m racing taps draw (RNG parity with sample()), even past the
-    // first zero.
-    std::size_t run = 0;
-    bool stopped = false;
-    for (std::size_t i = 0; i < m; ++i) {
-      const bool bit = rng.bernoulli(0.5);
-      if (!stopped) {
-        if (bit) {
-          ++run;
-        } else {
-          stopped = true;
-        }
-      }
-    }
-    return ones + run;
-  }
+  if (method == ThermometerDecode::kLeadingOnes) return ones + leading_ones(bits);
 
   // kMajorityWindow: only positions whose 3-tap neighbourhood touches a
   // racing tap can deviate from the clean prefix/suffix; evaluate just
-  // those against the sampled bits and count the rest analytically.
-  constexpr std::size_t kInlineBits = 64;
-  std::array<std::uint8_t, kInlineBits> inline_bits{};
-  std::vector<std::uint8_t> spill_bits;
-  std::uint8_t* bits = inline_bits.data();
-  if (m > kInlineBits) {
-    spill_bits.resize(m);
-    bits = spill_bits.data();
-  }
-  for (std::size_t i = 0; i < m; ++i) {
-    bits[i] = rng.bernoulli(0.5) ? 1 : 0;
-  }
-
+  // those against the racing bits and count the rest analytically.
   const auto bit_at = [&](std::ptrdiff_t i) -> int {
     // Edge replication, as the full filter applies at the chain ends.
     if (i < 0) i = 0;
-    if (i >= static_cast<std::ptrdiff_t>(n)) i = static_cast<std::ptrdiff_t>(n) - 1;
+    if (i >= static_cast<std::ptrdiff_t>(taps)) i = static_cast<std::ptrdiff_t>(taps) - 1;
     const auto u = static_cast<std::size_t>(i);
     if (u < ones) return 1;
     if (u >= zero_from) return 0;
     return bits[u - ones];
   };
 
-  // Positions 0 .. ones-2 filter to 1, positions zero_from+1 .. n-1 to 0.
+  // Positions 0 .. ones-2 filter to 1, positions zero_from+1 .. taps-1 to 0.
   std::size_t filtered_ones = ones >= 2 ? ones - 1 : 0;
   const std::size_t lo = ones == 0 ? 0 : ones - 1;
-  const std::size_t hi = std::min(zero_from, n - 1);
+  const std::size_t hi = std::min(zero_from, taps - 1);
   for (std::size_t p = lo; p <= hi; ++p) {
     if (bit_at(static_cast<std::ptrdiff_t>(p) - 1) + bit_at(static_cast<std::ptrdiff_t>(p)) +
             bit_at(static_cast<std::ptrdiff_t>(p) + 1) >=
@@ -152,6 +123,25 @@ std::size_t sample_and_decode(const DelayLine& line, Time interval, RngStream& r
     }
   }
   return filtered_ones;
+}
+
+std::size_t sample_and_decode(const DelayLine& line, Time interval, RngStream& rng,
+                              ThermometerDecode method) {
+  const LatchRegimes r = latch_regimes(line, interval, line.params().metastability_window);
+  constexpr std::size_t kInlineBits = 64;
+  std::array<std::uint8_t, kInlineBits> inline_bits{};
+  std::vector<std::uint8_t> spill_bits;
+  std::uint8_t* bits = inline_bits.data();
+  if (r.racing > kInlineBits) {
+    spill_bits.resize(r.racing);
+    bits = spill_bits.data();
+  }
+  // One coin per racing tap, in tap order -- sample()'s draws exactly,
+  // whatever the decode method later reads of them.
+  for (std::size_t i = 0; i < r.racing; ++i) {
+    bits[i] = rng.bernoulli(0.5) ? 1 : 0;
+  }
+  return decode_latched(line.size(), r.ones, {bits, r.racing}, method);
 }
 
 }  // namespace oci::tdc

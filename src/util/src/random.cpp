@@ -65,6 +65,13 @@ bool RngStream::bernoulli(double p) {
   return std::bernoulli_distribution(p)(engine_);
 }
 
+std::uint64_t RngStream::binomial(std::uint64_t n, double p) {
+  if (n == 0 || p <= 0.0) return 0;
+  if (p >= 1.0) return n;
+  ++draws_;
+  return std::binomial_distribution<std::uint64_t>(n, p)(engine_);
+}
+
 Time RngStream::uniform_time(Time range) {
   return Time::seconds(uniform(0.0, range.seconds()));
 }

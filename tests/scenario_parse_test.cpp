@@ -213,6 +213,20 @@ TEST(ScenarioParse, FaultKeysParse) {
   EXPECT_THROW(bad.validate(), std::invalid_argument);
 }
 
+TEST(ScenarioParse, ImpossibleTdcDriftNamesTheKey) {
+  // 1 + 2e-3 * (20 - 700 - 20) < 0: the drifted delay line would have a
+  // non-positive delay. validate() must say so before any worker runs.
+  const ScenarioSpec bad = parse_spec_text("name = cold\nfault.tdc_drift_c = -700\n");
+  try {
+    bad.validate();
+    FAIL() << "expected validate() to reject fault.tdc_drift_c = -700";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("fault.tdc_drift_c"), std::string::npos) << e.what();
+  }
+  // Cold but physical drifts stay valid.
+  EXPECT_NO_THROW(parse_spec_text("name = cool\nfault.tdc_drift_c = -400\n").validate());
+}
+
 TEST(ScenarioParse, VarianceKeysParse) {
   const ScenarioSpec spec = parse_spec_text(
       "name = rare\n"

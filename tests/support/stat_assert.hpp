@@ -14,6 +14,10 @@
 //   EXPECT_RATE_GT(hits, trials, p, alpha)     CI not entirely <= p
 //   EXPECT_RATES_CONSISTENT(h1, n1, h2, n2, alpha)
 //       two-sample pooled z-test that two binomial rates agree
+//   EXPECT_Z_NEAR(observed, expected, sd, alpha)
+//       two-sided z-test of an estimate with known standard deviation
+//
+// chi_square_quantile gives the critical value of a goodness-of-fit test.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -94,6 +98,28 @@ inline ::testing::AssertionResult RatesConsistent(std::uint64_t h1, std::uint64_
          << " at alpha=" << alpha;
 }
 
+/// Two-sided z-test: is `observed` consistent with an estimator of mean
+/// `expected` and standard deviation `sd`? Used for sample means and
+/// variances whose sampling spread is known in closed form.
+inline ::testing::AssertionResult ZNear(double observed, double expected, double sd,
+                                        double alpha) {
+  const double z = (observed - expected) / sd;
+  const double z_crit = util::normal_quantile(1.0 - alpha / 2.0);
+  if (std::abs(z) <= z_crit) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure() << "observed " << observed << " vs expected " << expected
+                                       << " (sd " << sd << ") gives |z| = " << std::abs(z)
+                                       << " > " << z_crit << " at alpha=" << alpha;
+}
+
+/// p-quantile of the chi-square distribution with `dof` degrees of
+/// freedom, by the Wilson-Hilferty cube-root normal approximation
+/// (relative error well under 1% for dof >= 10).
+inline double chi_square_quantile(double dof, double p) {
+  const double c = 2.0 / (9.0 * dof);
+  const double root = 1.0 - c + util::normal_quantile(p) * std::sqrt(c);
+  return dof * root * root * root;
+}
+
 }  // namespace oci::test
 
 #define EXPECT_RATE_NEAR(hits, trials, p, alpha) \
@@ -104,3 +130,5 @@ inline ::testing::AssertionResult RatesConsistent(std::uint64_t h1, std::uint64_
   EXPECT_TRUE(::oci::test::RateGt((hits), (trials), (p), (alpha)))
 #define EXPECT_RATES_CONSISTENT(h1, n1, h2, n2, alpha) \
   EXPECT_TRUE(::oci::test::RatesConsistent((h1), (n1), (h2), (n2), (alpha)))
+#define EXPECT_Z_NEAR(observed, expected, sd, alpha) \
+  EXPECT_TRUE(::oci::test::ZNear((observed), (expected), (sd), (alpha)))

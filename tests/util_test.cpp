@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <sstream>
+#include <utility>
 
 #include "oci/util/math.hpp"
 #include "oci/util/random.hpp"
@@ -11,6 +12,7 @@
 #include "oci/util/statistics.hpp"
 #include "oci/util/table.hpp"
 #include "oci/util/units.hpp"
+#include "support/stat_assert.hpp"
 
 namespace {
 
@@ -220,6 +222,50 @@ TEST(Random, BernoulliEdges) {
   int hits = 0;
   for (int i = 0; i < 10000; ++i) hits += rng.bernoulli(0.3) ? 1 : 0;
   EXPECT_NEAR(hits / 10000.0, 0.3, 0.02);
+}
+
+TEST(Random, BinomialDegenerateInputsLeaveEngineAlone) {
+  RngStream rng(31);
+  RngStream twin(31);
+  EXPECT_EQ(rng.binomial(0, 0.5), 0u);
+  EXPECT_EQ(rng.binomial(1000, 0.0), 0u);
+  EXPECT_EQ(rng.binomial(1000, -0.5), 0u);
+  EXPECT_EQ(rng.binomial(1000, 1.0), 1000u);
+  EXPECT_EQ(rng.binomial(1000, 1.5), 1000u);
+  EXPECT_EQ(rng.draws(), 0u);
+  EXPECT_EQ(rng.engine()(), twin.engine()());
+}
+
+TEST(Random, BinomialCountsOneDrawPerCall) {
+  RngStream rng(37);
+  for (const std::uint64_t n : {1ull, 5ull, 100ull, 1000000ull}) {
+    const std::uint64_t before = rng.draws();
+    EXPECT_LE(rng.binomial(n, 0.3), n);
+    EXPECT_EQ(rng.draws(), before + 1);
+  }
+}
+
+// Mean and variance z-checks on both libstdc++ regimes: the waiting-time
+// method (n * min(p, 1-p) < 8) and the rejection method above it.
+TEST(Random, BinomialMoments) {
+  constexpr int kDraws = 40000;
+  constexpr double kAlpha = 1e-4;
+  RngStream rng(41);
+  for (const auto& [n, p] : {std::pair<std::uint64_t, double>{10, 0.3}, {200, 0.02},
+                             {100000, 0.01}, {100000, 0.97}}) {
+    RunningStats s;
+    for (int i = 0; i < kDraws; ++i) s.add(static_cast<double>(rng.binomial(n, p)));
+    const double nd = static_cast<double>(n);
+    const double var = nd * p * (1.0 - p);
+    // Fourth central moment of Binomial(n, p), for the sample variance's
+    // spread: n p q (1 + 3 (n - 2) p q).
+    const double mu4 = var * (1.0 + 3.0 * (nd - 2.0) * p * (1.0 - p));
+    const double k = kDraws;
+    EXPECT_Z_NEAR(s.mean(), nd * p, std::sqrt(var / k), kAlpha) << "n=" << n << " p=" << p;
+    EXPECT_Z_NEAR(s.variance(), var, std::sqrt((mu4 - var * var * (k - 3.0) / (k - 1.0)) / k),
+                  kAlpha)
+        << "n=" << n << " p=" << p;
+  }
 }
 
 TEST(Random, TimeDraws) {
