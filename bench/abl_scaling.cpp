@@ -16,9 +16,9 @@
 // All three sweeps fan out over a sim::BatchRunner thread pool; the
 // per-node RNG streams derive purely from (seed, label, node index),
 // so the tables are bit-identical for any OCI_BATCH_THREADS setting.
-// The mismatch Monte Carlo (the heavy sweep) is declared as a
-// scenario::ScenarioSpec -- code-density traffic with a categorical
-// tech_node axis -- and executed by ScenarioRunner.
+// The mismatch Monte Carlo is declared as a scenario::ScenarioSpec --
+// code-density traffic with a categorical tech_node axis -- and
+// executed by ScenarioRunner.
 #include <benchmark/benchmark.h>
 
 #include <iostream>
@@ -137,11 +137,11 @@ void energy_scaling_table() {
 
 void mismatch_table() {
   // Monte Carlo the delay line at each node's mismatch and report the
-  // uncalibrated DNL spread the periodic calibration has to absorb.
-  // This is the heaviest sweep here -- one 200k-sample code-density
-  // test per node -- declared as a scenario: the tech_node axis sets
-  // each point's delay element and mismatch sigma from the ladder, and
-  // ScenarioRunner fans the points out over the pool.
+  // uncalibrated DNL spread the periodic calibration has to absorb:
+  // one 200k-sample code-density test per node, declared as a
+  // scenario. The tech_node axis sets each point's delay element and
+  // mismatch sigma from the ladder, and ScenarioRunner fans the points
+  // out over the pool.
   const auto& ladder = electrical::technology_ladder();
   std::vector<std::string> nodes;
   for (const TechnologyNode& node : ladder) nodes.emplace_back(node.name);
