@@ -18,8 +18,11 @@
 // naming the line number.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "oci/scenario/spec.hpp"
 
@@ -35,5 +38,11 @@ namespace oci::scenario {
 /// Loads and parses a spec file; throws std::runtime_error when the
 /// file cannot be opened.
 [[nodiscard]] ScenarioSpec parse_spec_file(const std::string& path);
+
+/// Strict unsigned decimal for text that comes from outside the process
+/// (spec seeds, CLI flags, environment variables, cache entries, report
+/// documents): digits only, with no sign, no whitespace, nothing
+/// trailing and no overflow. nullopt otherwise.
+[[nodiscard]] std::optional<std::uint64_t> parse_uint(std::string_view text);
 
 }  // namespace oci::scenario

@@ -136,7 +136,9 @@ struct GcReport {
 /// with N != kEngineRevision, and pre-revision legacy layouts -- are
 /// removed wholesale regardless of age: no running binary can ever
 /// read them again. `dry_run` reports without deleting. A missing root
-/// yields an all-zero report.
+/// yields an all-zero report. A NaN or negative `max_age_days` throws
+/// std::invalid_argument; an age no file can reach (+inf included)
+/// removes nothing by age.
 [[nodiscard]] GcReport cache_gc(const std::string& root, double max_age_days,
                                 bool dry_run = false);
 

@@ -5,6 +5,8 @@
 #include <string_view>
 #include <vector>
 
+#include "oci/scenario/parse.hpp"
+
 namespace oci::scenario {
 
 namespace {
@@ -61,20 +63,15 @@ std::optional<std::uint64_t> seed_override() { return cli_seed_slot(); }
 
 std::optional<std::uint64_t> seed_from_env() {
   const char* env = std::getenv("OCI_SEED");
-  if (env == nullptr || *env == '\0') return std::nullopt;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(env, &end, 10);
-  if (end == env || *end != '\0') return std::nullopt;
-  return static_cast<std::uint64_t>(v);
+  if (env == nullptr) return std::nullopt;
+  return parse_uint(env);
 }
 
 std::optional<std::uint64_t> consume_seed_arg(int& argc, char** argv) {
   std::optional<std::uint64_t> out;
   // Consumed either way; a garbled value falls back.
   for (const std::string& value : consume_flag(argc, argv, "--seed")) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-    if (end != value.c_str() && *end == '\0') out = static_cast<std::uint64_t>(v);
+    if (const auto v = parse_uint(value)) out = v;
   }
   // Install the CLI seed as the in-process override so the documented
   // precedence (--seed beats OCI_SEED beats the spec) holds for EVERY
@@ -96,11 +93,9 @@ std::optional<double> precision_from_env() {
 
 std::optional<std::uint64_t> max_samples_from_env() {
   const char* env = std::getenv("OCI_MAX_SAMPLES");
-  if (env == nullptr || *env == '\0' || env[0] == '-') return std::nullopt;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(env, &end, 10);
-  if (end == env || *end != '\0' || v == 0) return std::nullopt;
-  return static_cast<std::uint64_t>(v);
+  if (env == nullptr) return std::nullopt;
+  if (const auto v = parse_uint(env); v && *v > 0) return v;
+  return std::nullopt;
 }
 
 void consume_precision_args(int& argc, char** argv) {
@@ -152,18 +147,13 @@ ShardSpec parse_shard(const std::string& text) {
     return std::invalid_argument("scenario: --shard needs i/N with i < N, got '" +
                                  text + "'");
   };
-  if (slash == std::string::npos || slash == 0 || slash + 1 >= text.size()) throw bad();
-  const std::string lhs = text.substr(0, slash);
-  const std::string rhs = text.substr(slash + 1);
-  char* end = nullptr;
-  const unsigned long long index = std::strtoull(lhs.c_str(), &end, 10);
-  if (end == lhs.c_str() || *end != '\0' || lhs[0] == '-') throw bad();
-  const unsigned long long count = std::strtoull(rhs.c_str(), &end, 10);
-  if (end == rhs.c_str() || *end != '\0' || rhs[0] == '-') throw bad();
-  if (count == 0 || index >= count) throw bad();
+  if (slash == std::string::npos) throw bad();
+  const auto index = parse_uint(std::string_view(text).substr(0, slash));
+  const auto count = parse_uint(std::string_view(text).substr(slash + 1));
+  if (!index || !count || *count == 0 || *index >= *count) throw bad();
   ShardSpec s;
-  s.index = static_cast<std::size_t>(index);
-  s.count = static_cast<std::size_t>(count);
+  s.index = static_cast<std::size_t>(*index);
+  s.count = static_cast<std::size_t>(*count);
   return s;
 }
 

@@ -1,6 +1,7 @@
 #include "oci/scenario/parse.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -142,6 +143,14 @@ ScenarioSpec parse_spec_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("scenario: cannot open spec file '" + path + "'");
   return parse_spec(in, path);
+}
+
+std::optional<std::uint64_t> parse_uint(std::string_view text) {
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return v;
 }
 
 }  // namespace oci::scenario

@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "oci/scenario/parse.hpp"
 #include "oci/scenario/runner.hpp"
 
 namespace oci::scenario::report_io {
@@ -397,17 +398,14 @@ std::uint64_t uint_or(const JValue& obj, std::string_view key, std::uint64_t fal
                       const std::string& path) {
   const JValue* v = obj.find(key);
   if (v == nullptr || v->type == JValue::T::kNull) return fallback;
-  if (v->type != JValue::T::kNum) {
+  // Parse the raw token, not the double: a 64-bit seed is exact where
+  // the double is not, and a sign, fraction or exponent is no count.
+  const auto parsed = v->type == JValue::T::kNum ? parse_uint(v->text) : std::nullopt;
+  if (!parsed) {
     throw std::runtime_error("scenario report_io: " + path + ": field '" +
-                             std::string(key) + "' is not a number");
+                             std::string(key) + "' is not an unsigned integer");
   }
-  // Re-parse the raw token: a 64-bit seed is exact where the double is not.
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v->text.c_str(), &end, 10);
-  if (end == v->text.c_str() || *end != '\0') {
-    return static_cast<std::uint64_t>(v->num);
-  }
-  return static_cast<std::uint64_t>(parsed);
+  return *parsed;
 }
 
 /// Merge pools a metric's accumulator state, so load must not invent

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <functional>
 #include <limits>
 #include <map>
@@ -14,6 +12,7 @@
 #include "oci/analysis/report.hpp"
 #include "oci/electrical/scaling.hpp"
 #include "oci/net/cac.hpp"          // frame feasibility of mac = cac specs
+#include "oci/scenario/parse.hpp"   // parse_uint: the seed key
 #include "oci/scenario/runner.hpp"  // metrics_for: precision.metric validation
 
 namespace oci::scenario {
@@ -104,17 +103,13 @@ const std::map<std::string, Param>& registry() {
     // Seeds use the full uint64 range; routing through double would
     // round above 2^53 and overflow casting near 2^64.
     r["seed"] = Param{false, [](S& s, const std::string& v) {
-                        char* end = nullptr;
-                        errno = 0;
-                        const unsigned long long parsed =
-                            std::strtoull(v.c_str(), &end, 10);
-                        if (end == v.c_str() || *end != '\0' || errno == ERANGE ||
-                            v.find('-') != std::string::npos) {
+                        const auto parsed = parse_uint(v);
+                        if (!parsed) {
                           throw std::invalid_argument(
                               "scenario: parameter 'seed' expects an unsigned "
                               "integer, got '" + v + "'");
                         }
-                        s.seed = static_cast<std::uint64_t>(parsed);
+                        s.seed = *parsed;
                       }};
     cat("topology", [](S& s, const std::string& v) {
       if (v == "point-to-point" || v == "p2p") s.topology = Topology::kPointToPoint;

@@ -4,8 +4,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -13,6 +13,8 @@
 #include <string_view>
 #include <system_error>
 #include <vector>
+
+#include "oci/scenario/parse.hpp"
 
 namespace oci::scenario {
 
@@ -55,10 +57,9 @@ std::optional<ChunkRecord> FsResultStore::load(const ChunkKey& key) const {
                            std::uint64_t& out) {
     const std::string prefix = std::string(name) + "=";
     if (kv.rfind(prefix, 0) != 0) return false;
-    char* end = nullptr;
-    const char* text = kv.c_str() + prefix.size();
-    out = std::strtoull(text, &end, 10);
-    return end != text && *end == '\0';
+    const auto v = parse_uint(std::string_view(kv).substr(prefix.size()));
+    if (v) out = *v;
+    return v.has_value();
   };
   ChunkRecord rec;
   std::uint64_t metric_count = 0;
@@ -67,9 +68,12 @@ std::optional<ChunkRecord> FsResultStore::load(const ChunkKey& key) const {
       !value_of(metrics_kv, "metrics", metric_count)) {
     return std::nullopt;
   }
-  rec.metrics.resize(metric_count);
+  // Grows with the values actually read, never with the header's
+  // count: a corrupt count must read as a miss, not allocate.
   for (std::uint64_t m = 0; m < metric_count; ++m) {
-    if (!(in >> rec.metrics[m])) return std::nullopt;  // truncated = corrupt = miss
+    double v = 0.0;
+    if (!(in >> v)) return std::nullopt;  // truncated = corrupt = miss
+    rec.metrics.push_back(v);
   }
   // Optional trailing rare-event weight state:
   //   weights <sum> <sum_sq> <err_weight_sq>
@@ -123,6 +127,10 @@ bool FsResultStore::save(const ChunkKey& key, const ChunkRecord& record) const {
 }
 
 GcReport cache_gc(const std::string& root, double max_age_days, bool dry_run) {
+  if (std::isnan(max_age_days) || max_age_days < 0.0) {
+    throw std::invalid_argument("scenario cache_gc: max_age_days must be a non-negative "
+                                "number");
+  }
   GcReport report;
   std::error_code ec;
   if (!fs::is_directory(root, ec)) return report;
@@ -160,8 +168,10 @@ GcReport cache_gc(const std::string& root, double max_age_days, bool dry_run) {
   if (!fs::is_directory(live_root, ec)) return report;
   ec.clear();
   const auto now = fs::file_time_type::clock::now();
-  const auto max_age = std::chrono::duration_cast<fs::file_time_type::duration>(
-      std::chrono::duration<double, std::ratio<86400>>(max_age_days));
+  // Ages compare in floating-point days: converting max_age_days to the
+  // clock's integer ticks instead would overflow past about 106,751
+  // days (and at +inf), and no file is older than the clock's range.
+  using Days = std::chrono::duration<double, std::ratio<86400>>;
   for (fs::recursive_directory_iterator it(live_root, ec), end; !ec && it != end;
        it.increment(ec)) {
     if (!it->is_regular_file(ec)) continue;
@@ -172,7 +182,7 @@ GcReport cache_gc(const std::string& root, double max_age_days, bool dry_run) {
       ++report.kept;
       continue;
     }
-    if (now - mtime > max_age) {
+    if (Days(now - mtime).count() > max_age_days) {
       ++report.removed;
       report.bytes_freed += it->file_size(ec);
       if (!dry_run) fs::remove(it->path(), ec);

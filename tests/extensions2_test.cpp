@@ -1,15 +1,8 @@
-// Tests for the second wave of extension modules: intra-chip
-// waveguides, analytic pile-up models, symbol synchronisation, and the
-// FEC-protected link.
+// Tests for the intra-chip waveguide model and the FEC-protected link.
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "oci/link/fec_link.hpp"
-#include "oci/link/sync.hpp"
 #include "oci/photonics/waveguide.hpp"
-#include "oci/spad/pileup.hpp"
-#include "oci/spad/spad.hpp"
 
 namespace {
 
@@ -70,165 +63,6 @@ TEST(Waveguide, RejectsNegativeLoss) {
   auto p = wg_params();
   p.propagation_loss_db_per_cm = -1.0;
   EXPECT_THROW(photonics::Waveguide{p}, std::invalid_argument);
-}
-
-// ---------- pile-up ----------
-
-TEST(Pileup, NonParalyzableFormula) {
-  const Time tau = Time::nanoseconds(40.0);
-  // r = 1/tau: R = r/2.
-  const Frequency r = Frequency::hertz(1.0 / tau.seconds());
-  EXPECT_NEAR(spad::nonparalyzable_rate(r, tau).hertz(), r.hertz() / 2.0, 1.0);
-  // Low flux: R ~ r.
-  EXPECT_NEAR(spad::nonparalyzable_rate(Frequency::kilohertz(1.0), tau).hertz(), 1000.0,
-              0.1);
-}
-
-TEST(Pileup, ParalyzablePeaksAtInverseTau) {
-  const Time tau = Time::nanoseconds(40.0);
-  const Frequency peak_in = spad::paralyzable_peak_input(tau);
-  const double at_peak = spad::paralyzable_rate(peak_in, tau).hertz();
-  const double below = spad::paralyzable_rate(peak_in * 0.5, tau).hertz();
-  const double above = spad::paralyzable_rate(peak_in * 2.0, tau).hertz();
-  EXPECT_GT(at_peak, below);
-  EXPECT_GT(at_peak, above);
-  // Peak value is 1/(e*tau).
-  EXPECT_NEAR(at_peak, 1.0 / (std::exp(1.0) * tau.seconds()), 1.0);
-}
-
-TEST(Pileup, SaturationAndLoss) {
-  const Time tau = Time::nanoseconds(40.0);
-  EXPECT_NEAR(spad::nonparalyzable_saturation(tau).megahertz(), 25.0, 1e-9);
-  EXPECT_NEAR(spad::nonparalyzable_loss_fraction(Frequency::megahertz(25.0), tau), 0.5,
-              1e-9);
-  EXPECT_DOUBLE_EQ(spad::nonparalyzable_loss_fraction(Frequency::hertz(0.0), tau), 0.0);
-}
-
-TEST(Pileup, CorrectionInvertsForward) {
-  const Time tau = Time::nanoseconds(40.0);
-  const Frequency truth = Frequency::megahertz(10.0);
-  const Frequency measured = spad::nonparalyzable_rate(truth, tau);
-  EXPECT_NEAR(spad::correct_nonparalyzable(measured, tau).hertz(), truth.hertz(), 1.0);
-  EXPECT_THROW((void)spad::correct_nonparalyzable(Frequency::megahertz(25.0), tau),
-               std::invalid_argument);
-}
-
-TEST(Pileup, MonteCarloMatchesNonParalyzable) {
-  // Validate the analytic law against the exact Monte Carlo detector.
-  spad::SpadParams p;
-  p.pdp_peak = 0.999;
-  p.dcr_at_ref = Frequency::hertz(0.0);
-  p.afterpulse_probability = 0.0;
-  p.jitter_sigma = Time::zero();
-  p.dead_time = Time::nanoseconds(40.0);
-  const spad::Spad det(p, util::Wavelength::nanometres(480.0));
-  RngStream rng(811);
-
-  const Frequency incident = Frequency::megahertz(20.0);
-  const Time window = Time::microseconds(200.0);
-  std::vector<photonics::PhotonArrival> photons;
-  const auto n = rng.poisson(incident.hertz() * window.seconds());
-  for (std::int64_t i = 0; i < n; ++i) photons.push_back({rng.uniform_time(window), true});
-  std::sort(photons.begin(), photons.end(),
-            [](const auto& a, const auto& b) { return a.time < b.time; });
-  const auto dets = det.detect(photons, Time::zero(), window, rng);
-
-  const double predicted =
-      spad::nonparalyzable_rate(incident, p.dead_time).hertz() * window.seconds();
-  EXPECT_NEAR(static_cast<double>(dets.size()), predicted, predicted * 0.05);
-}
-
-// ---------- synchronisation ----------
-
-link::SyncConfig sync_config() {
-  link::SyncConfig c;
-  c.symbol_period = Time::nanoseconds(56.576);
-  c.slot_width = Time::nanoseconds(1.7);
-  return c;
-}
-
-std::pair<std::vector<Time>, std::vector<std::uint64_t>> make_preamble(
-    Time phase, double ppm, double jitter_ps, std::size_t n, RngStream& rng,
-    const link::SyncConfig& cfg) {
-  std::vector<Time> toas;
-  std::vector<std::uint64_t> slots;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t slot = (i % 2 == 0) ? 0 : 31;
-    const double t = phase.seconds() +
-                     static_cast<double>(i) * cfg.symbol_period.seconds() * (1.0 + ppm * 1e-6) +
-                     (static_cast<double>(slot) + 0.5) * cfg.slot_width.seconds() +
-                     rng.normal(0.0, jitter_ps * 1e-12);
-    toas.push_back(Time::seconds(t));
-    slots.push_back(slot);
-  }
-  return {toas, slots};
-}
-
-TEST(Sync, RecoversPhaseExactlyWithoutNoise) {
-  const auto cfg = sync_config();
-  RngStream rng(821);
-  const auto [toas, slots] =
-      make_preamble(Time::nanoseconds(3.7), 0.0, 0.0, 8, rng, cfg);
-  const auto r = link::acquire_sync(toas, slots, cfg);
-  EXPECT_TRUE(r.locked);
-  EXPECT_NEAR(r.phase.nanoseconds(), 3.7, 1e-6);
-  EXPECT_NEAR(r.frequency_error_ppm, 0.0, 1e-6);
-  EXPECT_LT(r.residual_rms_s, 1e-15);
-}
-
-TEST(Sync, EstimatesFrequencyError) {
-  const auto cfg = sync_config();
-  RngStream rng(823);
-  const auto [toas, slots] =
-      make_preamble(Time::nanoseconds(1.0), 250.0, 0.0, 16, rng, cfg);
-  const auto r = link::acquire_sync(toas, slots, cfg);
-  EXPECT_NEAR(r.frequency_error_ppm, 250.0, 0.01);
-}
-
-TEST(Sync, LocksUnderRealisticJitter) {
-  const auto cfg = sync_config();
-  RngStream rng(827);
-  const auto [toas, slots] =
-      make_preamble(Time::nanoseconds(2.0), 50.0, 120.0, 32, rng, cfg);
-  const auto r = link::acquire_sync(toas, slots, cfg);
-  EXPECT_TRUE(r.locked);
-  EXPECT_NEAR(r.phase.nanoseconds(), 2.0, 0.2);
-  EXPECT_NEAR(r.frequency_error_ppm, 50.0, 50.0);  // short preamble: coarse
-}
-
-TEST(Sync, RefusesToLockOnGarbage) {
-  const auto cfg = sync_config();
-  RngStream rng(829);
-  std::vector<Time> toas;
-  std::vector<std::uint64_t> slots;
-  for (int i = 0; i < 16; ++i) {
-    toas.push_back(rng.uniform_time(Time::microseconds(1.0)));
-    slots.push_back(static_cast<std::uint64_t>(i % 2 == 0 ? 0 : 31));
-  }
-  const auto r = link::acquire_sync(toas, slots, cfg);
-  EXPECT_FALSE(r.locked);
-}
-
-TEST(Sync, ValidatesInputs) {
-  const auto cfg = sync_config();
-  std::vector<Time> one{Time::zero()};
-  std::vector<std::uint64_t> one_slot{0};
-  EXPECT_THROW((void)link::acquire_sync(one, one_slot, cfg), std::invalid_argument);
-  std::vector<Time> two{Time::zero(), Time::zero()};
-  EXPECT_THROW((void)link::acquire_sync(two, one_slot, cfg), std::invalid_argument);
-}
-
-TEST(Sync, PhaseTrackerConverges) {
-  link::PhaseTracker tracker(0.2);
-  // Constant residual of 100 ps: the integrator walks towards it.
-  const Time target = Time::picoseconds(100.0);
-  for (int i = 0; i < 60; ++i) {
-    (void)tracker.update(target - tracker.phase());
-  }
-  EXPECT_NEAR(tracker.phase().picoseconds(), 100.0, 1.0);
-  EXPECT_EQ(tracker.updates(), 60u);
-  EXPECT_THROW(link::PhaseTracker(0.0), std::invalid_argument);
-  EXPECT_THROW(link::PhaseTracker(1.5), std::invalid_argument);
 }
 
 // ---------- FEC link ----------

@@ -4,7 +4,9 @@
 // run round trip.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -145,6 +147,24 @@ TEST(ScenarioParse, RejectsNonFiniteNumbersAndOversizedCounts) {
   EXPECT_EQ(parse_spec_text("fault.salt = 9007199254740991\n").fault.salt,
             9007199254740991u);
   EXPECT_EQ(parse_spec_text("max_attempts = 4294967295\n").noc.max_attempts, 4294967295u);
+}
+
+TEST(ScenarioParse, UnsignedIntegersParseStrictly) {
+  // One parser for every unsigned value from outside the process:
+  // digits only, no sign, no padding, nothing trailing, no overflow.
+  EXPECT_EQ(scenario::parse_uint("0"), std::optional<std::uint64_t>(0));
+  EXPECT_EQ(scenario::parse_uint("18446744073709551615"),
+            std::optional<std::uint64_t>(UINT64_MAX));
+  for (const char* bad : {"", "-7", "+7", " 7", "7 ", "7x", "1.5", "1e3", "0x10",
+                          "18446744073709551616"}) {
+    EXPECT_FALSE(scenario::parse_uint(bad).has_value()) << bad;
+  }
+  // The spec's seed key is that parser.
+  EXPECT_EQ(parse_spec_text("seed = 18446744073709551615\n").seed, UINT64_MAX);
+  for (const char* bad : {"seed = -1", "seed = +5", "seed = 1.5",
+                          "seed = 18446744073709551616"}) {
+    EXPECT_THROW((void)parse_spec_text(bad), std::runtime_error) << bad;
+  }
 }
 
 TEST(ScenarioParse, PrecisionKeysParse) {

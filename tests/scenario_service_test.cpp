@@ -12,11 +12,13 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <regex>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "oci/analysis/report.hpp"
@@ -258,6 +260,16 @@ TEST(ResultStore, CorruptEntriesReadAsMiss) {
     out << "not a chunk at all\n";
   }
   EXPECT_FALSE(store.load(key).has_value());
+  // Header counts that are no count: a metric count far past the file
+  // must not be allocated up front, and a negative or overflowing
+  // sample count must not wrap to 2^64 - 1.
+  for (const char* header :
+       {"oci-chunk-v1 samples=100 rng_draws=5 metrics=18446744073709551615\n1.0\n2.0\n",
+        "oci-chunk-v1 samples=-1 rng_draws=5 metrics=2\n1.0\n2.0\n",
+        "oci-chunk-v1 samples=18446744073709551616 rng_draws=5 metrics=2\n1.0\n2.0\n"}) {
+    std::ofstream(store.path_of(key)) << header;
+    EXPECT_FALSE(store.load(key).has_value()) << header;
+  }
 }
 
 TEST(ResultStore, GcRemovesOnlyOldEntries) {
@@ -285,6 +297,20 @@ TEST(ResultStore, GcRemovesOnlyOldEntries) {
   EXPECT_FALSE(store.load(old).has_value());
   EXPECT_TRUE(store.load(young).has_value());
   EXPECT_FALSE(fs::exists(dir / "old"));  // emptied dirs pruned
+
+  // A day count past the file clock's range (about 106,751 days) once
+  // overflowed the tick conversion and removed every entry. NaN and
+  // negative ages are no ages.
+  for (const double days : {1e6, 1e300, std::numeric_limits<double>::infinity()}) {
+    const auto keep = scenario::cache_gc(dir.string(), days);
+    EXPECT_EQ(keep.removed, 0u) << days;
+    EXPECT_EQ(keep.kept, 1u) << days;
+  }
+  EXPECT_TRUE(store.load(young).has_value());
+  for (const double days : {std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    EXPECT_THROW((void)scenario::cache_gc(dir.string(), days), std::invalid_argument) << days;
+  }
+  EXPECT_TRUE(store.load(young).has_value());
 }
 
 // -- Cache semantics ----------------------------------------------------
@@ -709,6 +735,30 @@ TEST(ReportIo, LoadRejectsMalformedDocuments) {
     }
   }
   EXPECT_TRUE(stripped.count("kind") && stripped.count("successes")) << stripped.size();
+
+  // Unsigned fields take unsigned integers only. A sign, a fraction, an
+  // exponent or an overflow throws naming the field; each once loaded
+  // as 2^64 - 1, as 1 or through an undefined double cast.
+  const std::pair<std::string, std::string> bad_uints[] = {
+      {"seed", "-1"},
+      {"trials", "-1"},
+      {"point_index", "1.5"},
+      {"iterations", "1e300"},
+      {"rng_draws", "18446744073709551616"},
+  };
+  for (const auto& [field, value] : bad_uints) {
+    const std::regex entry("\"" + field + "\": [0-9]+");
+    const std::string doc = std::regex_replace(text.str(), entry, "\"" + field + "\": " + value);
+    ASSERT_NE(doc, text.str()) << field;
+    const std::string path = write(("bad_" + field + ".json").c_str(), doc);
+    try {
+      (void)scenario::report_io::load(path);
+      ADD_FAILURE() << "loaded " << field << " = " << value;
+    } catch (const std::runtime_error& err) {
+      EXPECT_NE(std::string(err.what()).find("'" + field + "'"), std::string::npos)
+          << err.what();
+    }
+  }
 }
 
 // -- CLI helpers --------------------------------------------------------
@@ -720,7 +770,8 @@ TEST(ScenarioCli, ParsesShardSpecs) {
   EXPECT_TRUE(s.active());
   EXPECT_FALSE(scenario::parse_shard("0/1").active());
   for (const char* bad : {"", "2", "a/2", "1/b", "1/2x", "-1/2", "1/-2", "2/2",
-                          "3/2", "0/0", "1/", "/2"}) {
+                          "3/2", "0/0", "1/", "/2", "+1/2", " 1/2", "1/ 2",
+                          "0/18446744073709551616"}) {
     EXPECT_THROW((void)scenario::parse_shard(bad), std::invalid_argument) << bad;
   }
 }

@@ -706,11 +706,15 @@ TEST(ScenarioPrecision, EnvOverridesArmAdaptiveMode) {
   EXPECT_DOUBLE_EQ(loose.precision.target_relative, 0.0);
   EXPECT_DOUBLE_EQ(loose.precision.stop_below, 0.0);
 
-  // Garbled values read as unset.
+  // Garbled values read as unset; an overflowing cap is garbled too,
+  // not 2^64 - 1.
   ASSERT_EQ(setenv("OCI_PRECISION", "tight", 1), 0);
   EXPECT_FALSE(scenario::precision_from_env().has_value());
   unsetenv("OCI_PRECISION");
   EXPECT_FALSE(scenario::max_samples_from_env().has_value());
+  ASSERT_EQ(setenv("OCI_MAX_SAMPLES", "18446744073709551616", 1), 0);
+  EXPECT_FALSE(scenario::max_samples_from_env().has_value());
+  unsetenv("OCI_MAX_SAMPLES");
 }
 
 TEST(ScenarioPrecision, CliArgsConsumedAndExported) {
@@ -740,11 +744,15 @@ TEST(ScenarioPrecision, CliArgsConsumedAndExported) {
                std::invalid_argument);
   EXPECT_FALSE(scenario::precision_from_env().has_value());
   char g2[] = "--max-samples=-3";
-  char* argv_bad2[] = {a0, g2, nullptr};
-  int argc_bad2 = 2;
-  EXPECT_THROW(scenario::consume_precision_args(argc_bad2, argv_bad2),
-               std::invalid_argument);
-  EXPECT_FALSE(scenario::max_samples_from_env().has_value());
+  char g3[] = "--max-samples=18446744073709551616";
+  for (char* garbled : {g2, g3}) {
+    char* argv_bad2[] = {a0, garbled, nullptr};
+    int argc_bad2 = 2;
+    EXPECT_THROW(scenario::consume_precision_args(argc_bad2, argv_bad2),
+                 std::invalid_argument)
+        << garbled;
+    EXPECT_FALSE(scenario::max_samples_from_env().has_value());
+  }
 }
 
 TEST(ScenarioSeed, EnvOverrideBeatsSpecSeed) {
@@ -755,11 +763,14 @@ TEST(ScenarioSeed, EnvOverrideBeatsSpecSeed) {
   unsetenv("OCI_SEED");
   EXPECT_EQ(report.seed, 777u);
 
-  // Garbled values fall back to the spec seed.
-  ASSERT_EQ(setenv("OCI_SEED", "not-a-seed", 1), 0);
-  const RunReport fallback = ScenarioRunner().run(spec);
-  unsetenv("OCI_SEED");
-  EXPECT_EQ(fallback.seed, kSeed);
+  // Garbled values fall back to the spec seed. A sign or an overflow
+  // is garbled too, not a seed near 2^64.
+  for (const char* garbled : {"not-a-seed", "-7", "18446744073709551616"}) {
+    ASSERT_EQ(setenv("OCI_SEED", garbled, 1), 0);
+    const RunReport fallback = ScenarioRunner().run(spec);
+    unsetenv("OCI_SEED");
+    EXPECT_EQ(fallback.seed, kSeed) << garbled;
+  }
 }
 
 TEST(ScenarioSeed, CliArgConsumedAndWins) {
@@ -801,6 +812,14 @@ TEST(ScenarioSeed, CliArgConsumedAndWins) {
   char* argv3[] = {a0, nullptr};
   int argc3 = 1;
   EXPECT_EQ(scenario::resolve_seed(7, argc3, argv3), 7u);
+
+  // A garbled flag is consumed and falls back; -7 is not 2^64 - 7.
+  char c1[] = "--seed=-7";
+  char* argv4[] = {a0, c1, nullptr};
+  int argc4 = 2;
+  EXPECT_EQ(scenario::resolve_seed(7, argc4, argv4), 7u);
+  EXPECT_EQ(argc4, 1);
+  EXPECT_FALSE(scenario::seed_override().has_value());
 }
 
 }  // namespace

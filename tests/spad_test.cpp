@@ -1,6 +1,7 @@
 // Unit tests for the SPAD detector model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "oci/spad/pdp.hpp"
@@ -131,6 +132,29 @@ TEST(Spad, ParalyzableDeadTimeExtends) {
   }
   const auto dets = spad.detect(photons, Time::zero(), Time::nanoseconds(400.0), rng);
   EXPECT_EQ(dets.size(), 1u);
+}
+
+TEST(Spad, PoissonCountRateMatchesNonParalyzableLaw) {
+  // Under Poisson arrivals at rate r, an active-quench detector with
+  // dead time tau counts at R = r / (1 + r tau).
+  SpadParams p = quiet_spad();
+  p.pdp_peak = 0.999;
+  p.dead_time = Time::nanoseconds(40.0);
+  const Spad spad(p, Wavelength::nanometres(480.0));
+  RngStream rng(811);
+
+  const Frequency incident = Frequency::megahertz(20.0);
+  const Time window = Time::microseconds(200.0);
+  std::vector<PhotonArrival> photons;
+  const auto n = rng.poisson(incident.hertz() * window.seconds());
+  for (std::int64_t i = 0; i < n; ++i) photons.push_back({rng.uniform_time(window), true});
+  std::sort(photons.begin(), photons.end(),
+            [](const auto& a, const auto& b) { return a.time < b.time; });
+  const auto dets = spad.detect(photons, Time::zero(), window, rng);
+
+  const double r = incident.hertz();
+  const double predicted = r / (1.0 + r * p.dead_time.seconds()) * window.seconds();
+  EXPECT_NEAR(static_cast<double>(dets.size()), predicted, predicted * 0.05);
 }
 
 TEST(Spad, DarkCountsAtExpectedRate) {

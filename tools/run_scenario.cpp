@@ -29,6 +29,7 @@
 // cache-gc: removes cache entries older than --max-age-days.
 //
 // Exit codes: 0 success, 1 bad usage, 2 spec/run error.
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
@@ -336,9 +337,10 @@ int cmd_cache_gc(int argc, char** argv) {
       char* end = nullptr;
       const std::string value = arg.substr(15);
       max_age_days = std::strtod(value.c_str(), &end);
-      if (value.empty() || end != value.c_str() + value.size() || max_age_days < 0) {
-        std::cerr << "run_scenario: --max-age-days expects a non-negative number, got '"
-                  << value << "'\n";
+      if (value.empty() || end != value.c_str() + value.size() ||
+          !std::isfinite(max_age_days) || max_age_days < 0) {
+        std::cerr << "run_scenario: --max-age-days expects a finite non-negative "
+                  << "number, got '" << value << "'\n";
         return 1;
       }
     } else if (arg == "--dry-run") {
