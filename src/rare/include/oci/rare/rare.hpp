@@ -12,7 +12,7 @@
 // chunk. The MECHANISM (tilted window simulation with exact per-symbol
 // log likelihood-ratios) is link::LinkEngine::transmit_symbol with a
 // WindowRequest whose `rare` points at the proposal.
-// The scenario layer declares the policy via `variance.*` registry
+// The scenario layer declares the policy via `variance.*` spec
 // keys (a rare::RareSpec on ScenarioSpec) and routes accelerated
 // points here from its p2p-symbols path.
 //
@@ -39,10 +39,6 @@ enum class Kind {
   kTilt,   ///< importance sampling: jitter/noise exponential tilting
   kSplit,  ///< multilevel splitting: stratified decode-margin bands
 };
-
-[[nodiscard]] const char* to_string(Kind kind);
-/// Throws std::invalid_argument on an unknown name.
-[[nodiscard]] Kind kind_from_string(const std::string& name);
 
 /// Declarative rare-event policy carried by ScenarioSpec (all knobs
 /// sweepable; validation lives in ScenarioSpec::validate()).

@@ -102,26 +102,6 @@ ChunkResult run_split(const link::OpticalLink& link, const RareSpec& spec,
 
 }  // namespace
 
-const char* to_string(Kind kind) {
-  switch (kind) {
-    case Kind::kNone:
-      return "none";
-    case Kind::kTilt:
-      return "tilt";
-    case Kind::kSplit:
-      return "split";
-  }
-  return "unknown";
-}
-
-Kind kind_from_string(const std::string& name) {
-  if (name == "none") return Kind::kNone;
-  if (name == "tilt") return Kind::kTilt;
-  if (name == "split") return Kind::kSplit;
-  throw std::invalid_argument("rare: unknown variance kind '" + name +
-                              "' (expected none|tilt|split)");
-}
-
 std::vector<double> parse_levels(const std::string& text) {
   std::vector<double> levels;
   if (text.empty()) return levels;

@@ -5,17 +5,17 @@
 //   name        = link_jitter
 //   topology    = point-to-point
 //   seed        = 20260726
-//   jitter_ps   = 120            # any parameter-registry key
+//   jitter_ps   = 120            # any key of the spec table
 //   samples     = 4000
 //   sweep.jitter_ps = 40, 80, 120, 160        # list axis
 //   sweep.offered_load = linear(0.2, 1.2, 6)  # linear(lo, hi, n)
 //   sweep.channels = log(1, 16, 5)            # log(lo, hi, n)
 //   sweep.mac = tdma, token, aloha            # categorical axis
 //
-// Scalar keys go through scenario::set_param (one registry for files,
-// sweeps, and code); `sweep.<key>` lines append an axis. Axes sweep in
-// file order, first line slowest. Parse errors throw std::runtime_error
-// naming the line number.
+// Scalar keys go through scenario::set_param (one spec table, spec.hpp,
+// for files, sweeps, and code); `sweep.<key>` lines append an axis.
+// Axes sweep in file order, first line slowest. Parse errors throw
+// std::runtime_error naming the line number.
 #pragma once
 
 #include <cstdint>

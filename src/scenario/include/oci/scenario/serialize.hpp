@@ -1,13 +1,14 @@
-// Canonical spec serialization and the content hash behind the result
-// store (store.hpp). canonical_spec_text renders EVERY semantic field
-// of a ScenarioSpec -- device, traffic, sweep axes, budgets, precision
-// rule, ambient repro scale -- as a fixed-order "key = value" listing,
-// and spec_hash is the SHA-256 of that text. Two specs share a hash
+// The content hash behind the result store (store.hpp). spec_hash is
+// the SHA-256 of canonical_spec_text (spec.hpp), which the spec table
+// renders from EVERY semantic field of a ScenarioSpec -- device,
+// traffic, sweep axes, budgets, precision rule, ambient repro scale --
+// as a fixed-order "name = value" listing. Two specs share a hash
 // exactly when the runner would execute the same simulation chunks for
 // them, so cached chunks keyed by (spec_hash, seed, point, chunk) are
 // bit-identical to recomputation.
 //
-// Deliberately EXCLUDED from the canonical text:
+// Deliberately EXCLUDED from the canonical text (table rows with a key
+// but no canonical name):
 //  - seed: part of the store key itself, so one spec's cache serves
 //    every seed, and cross-seed partial reports can assert they pool
 //    the same experiment by comparing hashes.
@@ -27,11 +28,6 @@
 #include "oci/scenario/spec.hpp"
 
 namespace oci::scenario {
-
-/// Fixed-order "key = value\n" rendering of every semantic spec field
-/// (doubles at full 17-digit round-trip precision). Whitespace, key
-/// order, and comments in the source text file never affect it.
-[[nodiscard]] std::string canonical_spec_text(const ScenarioSpec& spec);
 
 /// 64-hex-digit SHA-256 of canonical_spec_text(spec).
 [[nodiscard]] std::string spec_hash(const ScenarioSpec& spec);

@@ -4,7 +4,7 @@
 // it onto the right engine path. The spec is plain data: it can be
 // built in code (the ported abl_* benches), parsed from a text file
 // (tools/run_scenario + parse.hpp), validated up front, and swept one
-// axis value at a time through the shared parameter registry, so every
+// axis value at a time through the spec table's keys, so every
 // experiment in the repo speaks one vocabulary instead of hand-wiring
 // OpticalLinkConfig/BatchRunner/Table per bench.
 #pragma once
@@ -237,8 +237,16 @@ struct ScenarioSpec {
   [[nodiscard]] std::size_t sweep_points() const;
 };
 
-/// -- Parameter registry ----------------------------------------------
-/// One key space shared by sweep axes and the text-spec parser, so
+/// -- The spec table --------------------------------------------------
+/// One table in spec.cpp lists the spec's keys and its canonical text
+/// together. A row per hashed field, in canonical order, names the field
+/// by its member path and, when a spec line sets it, the key with its
+/// unit or labels; keys that are no single field (seed, description,
+/// dies, tech_node, the precision targets, ...) are rows of their own.
+/// A new field is one new row: it is then settable, sweepable and part
+/// of the hash at once.
+///
+/// Keys are shared by sweep axes and the text-spec parser, so
 /// `sweep.jitter_ps = 40, 80` and `jitter_ps = 40` touch the same
 /// field. set_param parses `value` (numeric or categorical depending on
 /// the key) and applies it; unknown keys or unparseable values throw
@@ -252,22 +260,27 @@ void set_param(ScenarioSpec& spec, const std::string& key, const std::string& va
 /// anything larger (2^53 + 1 reads as 2^53).
 inline constexpr double kMaxSpecCount = 0x1p53 - 1.0;
 
-/// True when the registry knows `key`.
+/// True when the table has a row for `key`.
 [[nodiscard]] bool is_known_param(const std::string& key);
 
-/// True when `key` takes categorical (string) values: mac, fec,
-/// tech_node, labeling, topology, pattern, delivery, mode.
+/// True when `key` takes categorical (string) values: name, description,
+/// topology, mode, fec, tech_node, labeling, mac, pattern, delivery,
+/// precision.metric, variance.kind and variance.levels.
 [[nodiscard]] bool is_categorical_param(const std::string& key);
 
-/// Sorted list of every registry key (error messages, docs).
+/// Sorted list of every key (error messages, docs).
 [[nodiscard]] std::vector<std::string> known_params();
+
+/// Fixed-order "name = value\n" rendering of every hashed row (doubles at
+/// full 17-digit round-trip precision): the text spec_hash (serialize.hpp)
+/// digests. Whitespace, key order, and comments in the source text file
+/// never affect it.
+[[nodiscard]] std::string canonical_spec_text(const ScenarioSpec& spec);
 
 /// Applies point `index` of `axis` to the spec via set_param.
 void apply_axis_value(ScenarioSpec& spec, const SweepAxis& axis, std::size_t index);
 
-/// String names of the enums (reports, parsing).
+/// The topology's label in the spec table (reports).
 [[nodiscard]] const char* to_string(Topology t);
-[[nodiscard]] const char* to_string(TrafficMode m);
-[[nodiscard]] const char* to_string(FecKind f);
 
 }  // namespace oci::scenario

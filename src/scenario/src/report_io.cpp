@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <initializer_list>
@@ -21,12 +23,33 @@ namespace oci::scenario::report_io {
 
 namespace {
 
+/// A JSON string body: quotes and backslashes escaped, and every byte
+/// below 0x20 too (strict readers such as Python's json reject them raw).
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
   for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
+    const auto byte = static_cast<unsigned char>(c);
+    if (c == '"' || c == '\\') {
+      out.push_back('\\');
+      out.push_back(c);
+    } else if (byte >= 0x20) {
+      out.push_back(c);
+    } else if (c == '\n') {
+      out += "\\n";
+    } else if (c == '\t') {
+      out += "\\t";
+    } else if (c == '\r') {
+      out += "\\r";
+    } else if (c == '\b') {
+      out += "\\b";
+    } else if (c == '\f') {
+      out += "\\f";
+    } else {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(byte));
+      out += buf;
+    }
   }
   return out;
 }
@@ -321,11 +344,23 @@ class JsonParser {
           case '/':
             out.push_back(esc);
             break;
+          case 'b':
+            out.push_back('\b');
+            break;
+          case 'f':
+            out.push_back('\f');
+            break;
           case 'n':
             out.push_back('\n');
             break;
+          case 'r':
+            out.push_back('\r');
+            break;
           case 't':
             out.push_back('\t');
+            break;
+          case 'u':
+            out.push_back(ascii_escape());
             break;
           default:
             fail(std::string("unsupported escape '\\") + esc + "'");
@@ -334,6 +369,21 @@ class JsonParser {
         out.push_back(c);
       }
     }
+  }
+
+  /// The four hex digits of a backslash-u escape. save() writes those
+  /// for control bytes only; code points beyond ASCII would need UTF-8
+  /// and are rejected.
+  char ascii_escape() {
+    const char* const first = text_.data() + pos_;
+    const char* const last = first + std::min<std::size_t>(4, text_.size() - pos_);
+    unsigned code = 0;
+    const auto [ptr, ec] = std::from_chars(first, last, code, 16);
+    if (ec != std::errc() || ptr != first + 4 || code >= 0x80) {
+      fail("unsupported escape '\\u" + std::string(first, last) + "'");
+    }
+    pos_ += 4;
+    return static_cast<char>(code);
   }
 
   JValue keyword() {

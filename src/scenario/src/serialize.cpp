@@ -5,10 +5,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
-#include <type_traits>
-
-#include "oci/analysis/report.hpp"
 
 namespace oci::scenario {
 
@@ -120,209 +116,7 @@ struct Sha256 {
   }
 };
 
-// ---------------------------------------------------------------------
-// Canonical text writer.
-
-/// Shortest exact round-trip rendering of a double (%.17g guarantees
-/// the bits survive text -> double).
-std::string fmt(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-class Canon {
- public:
-  void kv(std::string_view key, const std::string& value) {
-    out_ << key << " = " << value << "\n";
-  }
-  void kv(std::string_view key, const char* value) { out_ << key << " = " << value << "\n"; }
-  void kv(std::string_view key, double value) { kv(key, fmt(value)); }
-  void kv(std::string_view key, bool value) { kv(key, value ? "1" : "0"); }
-  template <typename Int>
-    requires std::is_integral_v<Int>
-  void kv(std::string_view key, Int value) {
-    out_ << key << " = " << value << "\n";
-  }
-  template <typename Enum>
-    requires std::is_enum_v<Enum>
-  void kv(std::string_view key, Enum value) {
-    kv(key, static_cast<long long>(value));
-  }
-
-  [[nodiscard]] std::string str() const { return out_.str(); }
-
- private:
-  std::ostringstream out_;
-};
-
 }  // namespace
-
-std::string canonical_spec_text(const ScenarioSpec& s) {
-  // Every semantic field below is enumerated by hand: when the spec
-  // grows a field, add it HERE (and nowhere else) -- a missed field
-  // means two different experiments share a cache key. The format line
-  // re-keys every cache if the rendering itself ever changes.
-  Canon c;
-  c.kv("format", "oci-spec-canonical-v1");
-  c.kv("name", s.name);
-  c.kv("topology", to_string(s.topology));
-  c.kv("mode", to_string(s.mode));
-  c.kv("fec", to_string(s.fec));
-  c.kv("payload_bytes", s.payload_bytes);
-  // Ambient repro scale: it rescales every resolved budget, so two runs
-  // at different scales execute different chunks.
-  c.kv("repro_scale", analysis::repro_scale());
-
-  const auto& d = s.device;
-  c.kv("device.design.fine_elements", d.design.fine_elements);
-  c.kv("device.design.coarse_bits", d.design.coarse_bits);
-  c.kv("device.design.element_delay", d.design.element_delay.raw());
-  c.kv("device.bits_per_symbol", d.bits_per_symbol);
-  c.kv("device.labeling", d.labeling);
-  c.kv("device.led.wavelength", d.led.wavelength.raw());
-  c.kv("device.led.pulse_width", d.led.pulse_width.raw());
-  c.kv("device.led.shape", d.led.shape);
-  c.kv("device.led.peak_power", d.led.peak_power.raw());
-  c.kv("device.led.wall_plug_efficiency", d.led.wall_plug_efficiency);
-  c.kv("device.led.driver_load", d.led.driver_load.raw());
-  c.kv("device.led.supply", d.led.supply.raw());
-  c.kv("device.led.footprint", d.led.footprint.raw());
-  c.kv("device.spad.pdp_peak", d.spad.pdp_peak);
-  c.kv("device.spad.excess_bias", d.spad.excess_bias.raw());
-  c.kv("device.spad.nominal_excess_bias", d.spad.nominal_excess_bias.raw());
-  c.kv("device.spad.dead_time", d.spad.dead_time.raw());
-  c.kv("device.spad.quench", d.spad.quench);
-  c.kv("device.spad.dcr_at_ref", d.spad.dcr_at_ref.raw());
-  c.kv("device.spad.dcr_ref_temperature", d.spad.dcr_ref_temperature.raw());
-  c.kv("device.spad.dcr_doubling_kelvin", d.spad.dcr_doubling_kelvin);
-  c.kv("device.spad.afterpulse_probability", d.spad.afterpulse_probability);
-  c.kv("device.spad.afterpulse_tau", d.spad.afterpulse_tau.raw());
-  c.kv("device.spad.jitter_sigma", d.spad.jitter_sigma.raw());
-  c.kv("device.spad.footprint", d.spad.footprint.raw());
-  c.kv("device.delay_line.elements", d.delay_line.elements);
-  c.kv("device.delay_line.nominal_delay", d.delay_line.nominal_delay.raw());
-  c.kv("device.delay_line.mismatch_sigma", d.delay_line.mismatch_sigma);
-  c.kv("device.delay_line.odd_even_skew", d.delay_line.odd_even_skew);
-  c.kv("device.delay_line.temperature_coefficient",
-       d.delay_line.temperature_coefficient);
-  c.kv("device.delay_line.voltage_coefficient", d.delay_line.voltage_coefficient);
-  c.kv("device.delay_line.nominal_supply", d.delay_line.nominal_supply.raw());
-  c.kv("device.delay_line.metastability_window",
-       d.delay_line.metastability_window.raw());
-  c.kv("device.decode", d.decode);
-  c.kv("device.channel_transmittance", d.channel_transmittance);
-  c.kv("device.background_rate", d.background_rate.raw());
-  c.kv("device.temperature", d.temperature.raw());
-  c.kv("device.calibrate", d.calibrate);
-  c.kv("device.calibration_samples", d.calibration_samples);
-  c.kv("device.inter_symbol_guard", d.inter_symbol_guard.raw());
-  c.kv("device.rx_energy_per_conversion", d.rx_energy_per_conversion.raw());
-
-  c.kv("aggressors", s.aggressors.size());
-  for (std::size_t i = 0; i < s.aggressors.size(); ++i) {
-    const std::string p = "aggressor." + std::to_string(i);
-    c.kv(p + ".mean_photons", s.aggressors[i].mean_photons);
-    c.kv(p + ".offset_ps", s.aggressors[i].offset_ps);
-  }
-
-  c.kv("wdm.grid.center", s.wdm.grid.center.raw());
-  c.kv("wdm.grid.spacing", s.wdm.grid.spacing.raw());
-  c.kv("wdm.grid.channels", s.wdm.grid.channels);
-  c.kv("wdm.filter.passband_transmittance", s.wdm.filter.passband_transmittance);
-  c.kv("wdm.filter.adjacent_isolation_db", s.wdm.filter.adjacent_isolation_db);
-  c.kv("wdm.filter.rolloff_db_per_channel", s.wdm.filter.rolloff_db_per_channel);
-  c.kv("wdm.filter.isolation_floor_db", s.wdm.filter.isolation_floor_db);
-  c.kv("wdm.path_transmittance", s.wdm.path_transmittance);
-  c.kv("wdm.stack_dies", s.wdm.stack_dies);
-  c.kv("wdm.from_die", s.wdm.from_die);
-  c.kv("wdm.to_die", s.wdm.to_die);
-
-  c.kv("bus.dies", s.bus.dies);
-  c.kv("bus.master", s.bus.master);
-  c.kv("bus.die.thickness", s.bus.die.thickness.raw());
-  c.kv("bus.die.interface_coupling", s.bus.die.interface_coupling);
-  c.kv("bus.min_detection_probability", s.bus.min_detection_probability);
-
-  c.kv("noc.dies", s.noc.dies);
-  c.kv("noc.pattern", s.noc.pattern);
-  c.kv("noc.offered_load", s.noc.offered_load);
-  c.kv("noc.hot_die", s.noc.hot_die);
-  c.kv("noc.hot_load", s.noc.hot_load);
-  c.kv("noc.master_load", s.noc.master_load);
-  c.kv("noc.worker_load", s.noc.worker_load);
-  c.kv("noc.mac", s.noc.mac);
-  c.kv("noc.alloc_weight", s.noc.alloc_weight);
-  c.kv("noc.alloc_wavelengths", s.noc.alloc_wavelengths);
-  c.kv("noc.alloc_frame", s.noc.alloc_frame);
-  c.kv("noc.alloc_rounds", s.noc.alloc_rounds);
-  c.kv("noc.queue_capacity", s.noc.queue_capacity);
-  c.kv("noc.max_attempts", s.noc.max_attempts);
-  c.kv("noc.delivery", s.noc.delivery);
-  c.kv("noc.delivery_probability", s.noc.delivery_probability);
-  c.kv("noc.payload_bytes", s.noc.payload_bytes);
-  c.kv("noc.probe_transfers", s.noc.probe_transfers);
-
-  c.kv("sweep.axes", s.sweep.size());
-  for (std::size_t a = 0; a < s.sweep.size(); ++a) {
-    const SweepAxis& axis = s.sweep[a];
-    const std::string p = "sweep." + std::to_string(a);
-    c.kv(p + ".param", axis.param);
-    if (axis.categorical()) {
-      c.kv(p + ".labels", axis.labels.size());
-      for (std::size_t i = 0; i < axis.labels.size(); ++i) {
-        c.kv(p + ".label." + std::to_string(i), axis.labels[i]);
-      }
-    } else {
-      c.kv(p + ".values", axis.values.size());
-      for (std::size_t i = 0; i < axis.values.size(); ++i) {
-        c.kv(p + ".value." + std::to_string(i), axis.values[i]);
-      }
-    }
-  }
-
-  c.kv("budget.samples", s.budget.samples);
-  c.kv("budget.floor", s.budget.floor);
-  c.kv("budget.repro_scaled", s.budget.repro_scaled);
-
-  c.kv("precision.enabled", s.precision.enabled);
-  c.kv("precision.metric", s.precision.metric);
-  c.kv("precision.target_half_width", s.precision.target_half_width);
-  c.kv("precision.target_relative", s.precision.target_relative);
-  c.kv("precision.stop_below", s.precision.stop_below);
-  c.kv("precision.confidence_z", s.precision.confidence_z);
-  c.kv("precision.chunk", s.precision.chunk);
-  c.kv("precision.min_samples", s.precision.min_samples);
-  c.kv("precision.max_samples", s.precision.max_samples);
-
-  c.kv("fault.dead_pixel_fraction", s.fault.dead_pixel_fraction);
-  c.kv("fault.hot_pixel_fraction", s.fault.hot_pixel_fraction);
-  c.kv("fault.hot_pixel_dcr_hz", s.fault.hot_pixel_dcr_hz);
-  c.kv("fault.array_pixels", s.fault.array_pixels);
-  c.kv("fault.mask_hot_pixels", s.fault.mask_hot_pixels);
-  c.kv("fault.dark_window_probability", s.fault.dark_window_probability);
-  c.kv("fault.flaky_window_probability", s.fault.flaky_window_probability);
-  c.kv("fault.flaky_attenuation_db", s.fault.flaky_attenuation_db);
-  c.kv("fault.tdc_drift_c", s.fault.tdc_drift_c);
-  c.kv("fault.recalibrate", s.fault.recalibrate);
-  c.kv("fault.dead_channel_fraction", s.fault.dead_channel_fraction);
-  c.kv("fault.channel_attenuation_db", s.fault.channel_attenuation_db);
-  c.kv("fault.dead_node_fraction", s.fault.dead_node_fraction);
-  c.kv("fault.link_failure_probability", s.fault.link_failure_probability);
-  c.kv("fault.reroute", s.fault.reroute);
-  c.kv("fault.mac_reclaim", s.fault.mac_reclaim);
-  c.kv("fault.salt", s.fault.salt);
-
-  // Rare-event acceleration changes the estimator's proposal measure,
-  // so every variance.* knob must re-key the result cache.
-  c.kv("variance.kind", std::string(rare::to_string(s.variance.kind)));
-  c.kv("variance.jitter_tilt", s.variance.jitter_tilt);
-  c.kv("variance.noise_tilt", s.variance.noise_tilt);
-  c.kv("variance.levels", s.variance.levels);
-  c.kv("variance.split_levels", s.variance.split_levels);
-
-  return c.str();
-}
 
 std::string sha256_hex(std::string_view data) {
   Sha256 sha;

@@ -3,11 +3,16 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <cstdio>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <map>
+#include <span>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
 
 #include "oci/analysis/report.hpp"
 #include "oci/electrical/scaling.hpp"
@@ -24,14 +29,18 @@ using util::Power;
 using util::Time;
 using util::Wavelength;
 
-double parse_double(const std::string& key, const std::string& value) {
+/// "scenario: parameter 'key'", the start of every value error. Keys
+/// stay C strings until an error needs the text: set_param runs per
+/// spec line and per sweep point.
+std::string param(const char* key) { return std::string("scenario: parameter '") + key + "'"; }
+
+double parse_double(const char* key, const std::string& value) {
   std::size_t consumed = 0;
   double v = 0.0;
   try {
     v = std::stod(value, &consumed);
   } catch (const std::exception&) {
-    throw std::invalid_argument("scenario: parameter '" + key +
-                                "' expects a number, got '" + value + "'");
+    throw std::invalid_argument(param(key) + " expects a number, got '" + value + "'");
   }
   // Allow trailing whitespace only; NaN and infinities are not numbers
   // a spec can mean.
@@ -40,316 +49,472 @@ double parse_double(const std::string& key, const std::string& value) {
     junk = junk || !std::isspace(static_cast<unsigned char>(value[i]));
   }
   if (junk) {
-    throw std::invalid_argument("scenario: parameter '" + key +
-                                "' expects a finite number, got '" + value + "'");
+    throw std::invalid_argument(param(key) + " expects a finite number, got '" + value + "'");
   }
   return v;
 }
 
-std::uint64_t parse_count(const std::string& key, const std::string& value) {
+std::uint64_t parse_count(const char* key, const std::string& value) {
   const double v = parse_double(key, value);
   if (v < 0.0 || v != std::floor(v) || v > kMaxSpecCount) {
-    throw std::invalid_argument("scenario: parameter '" + key +
-                                "' expects an integer in [0, 2^53), got '" + value + "'");
+    throw std::invalid_argument(param(key) + " expects an integer in [0, 2^53), got '" +
+                                value + "'");
   }
   return static_cast<std::uint64_t>(v);
 }
 
 /// `v` as the narrower field type T, or an error naming the key.
 template <typename T>
-T narrow(const std::string& key, std::uint64_t v) {
+T narrow(const char* key, std::uint64_t v) {
   if (v > std::numeric_limits<T>::max()) {
-    throw std::invalid_argument("scenario: parameter '" + key + "' must be at most " +
+    throw std::invalid_argument(param(key) + " must be at most " +
                                 std::to_string(std::numeric_limits<T>::max()) + ", got " +
                                 std::to_string(v));
   }
   return static_cast<T>(v);
 }
 
-[[noreturn]] void bad_choice(const std::string& key, const std::string& value,
-                             const std::string& choices) {
-  throw std::invalid_argument("scenario: parameter '" + key + "' must be one of {" +
-                              choices + "}, got '" + value + "'");
-}
+// -- The spec table -----------------------------------------------------
+//
+// One row per line of the canonical spec text, in that text's order, and
+// one per spec key. A field row is named by its member path below
+// ScenarioSpec, which is also its name in the canonical text; when a spec
+// line sets the field, the row also holds the key and the key's unit or
+// labels. Canonical lines that are no single field (the format, the
+// ambient repro scale, the aggressor list, the sweep axes) are rows that
+// only render. Keys that set several fields, check more than their type,
+// or stay out of the hash are rows with their own setter and no name.
 
-/// Registry entry: applies a raw string value to the spec.
-struct Param {
-  bool categorical = false;
-  std::function<void(ScenarioSpec&, const std::string&)> apply;
+/// One label of a categorical key. An enum field takes the index of its
+/// label as its value.
+struct Label {
+  const char* name;
+  const char* alias = nullptr;  ///< a second spelling specs may use
 };
 
-const std::map<std::string, Param>& registry() {
-  using S = ScenarioSpec;
-  static const std::map<std::string, Param> params = [] {
-    std::map<std::string, Param> r;
-    auto num = [&r](const std::string& key, std::function<void(S&, double)> fn) {
-      r[key] = Param{false, [key, fn](S& s, const std::string& v) {
-                       fn(s, parse_double(key, v));
-                     }};
-    };
-    auto cnt = [&r](const std::string& key, std::function<void(S&, std::uint64_t)> fn) {
-      r[key] = Param{false, [key, fn](S& s, const std::string& v) {
-                       fn(s, parse_count(key, v));
-                     }};
-    };
-    auto cat = [&r](const std::string& key,
-                    std::function<void(S&, const std::string&)> fn) {
-      r[key] = Param{true, std::move(fn)};
-    };
+constexpr Label kTopologies[] = {
+    {"point-to-point", "p2p"}, {"wdm"}, {"vertical-bus", "bus"}, {"stack-noc", "noc"}};
+constexpr Label kModes[] = {{"auto"}, {"symbols"}, {"frames"}, {"code-density"}, {"packets"}};
+constexpr Label kFecs[] = {{"none"}, {"hamming"}};
+constexpr Label kLabelings[] = {{"binary"}, {"gray"}};
+constexpr Label kPatterns[] = {
+    {"uniform"}, {"hotspot"}, {"master-broadcast"}, {"incast"}, {"broadcast-storm"}};
+constexpr Label kDeliveries[] = {{"scalar"}, {"fec-probe"}, {"engine"}};
+constexpr Label kMacs[] = {{"tdma"}, {"token"}, {"token+pass"}, {"aloha"}, {"cac"}};
+constexpr Label kVarianceKinds[] = {{"none"}, {"tilt"}, {"split"}};
 
-    // -- general ------------------------------------------------------
-    cat("name", [](S& s, const std::string& v) { s.name = v; });
-    cat("description", [](S& s, const std::string& v) { s.description = v; });
+// The canonical text spells these enums by label, so each needs one.
+static_assert(std::size(kTopologies) == static_cast<std::size_t>(Topology::kStackNoc) + 1);
+static_assert(std::size(kModes) == static_cast<std::size_t>(TrafficMode::kPackets) + 1);
+static_assert(std::size(kFecs) == static_cast<std::size_t>(FecKind::kHamming) + 1);
+static_assert(std::size(kVarianceKinds) == static_cast<std::size_t>(rare::Kind::kSplit) + 1);
+
+using S = ScenarioSpec;
+struct Row;
+using Setter = void (*)(const Row&, S&, const std::string& value);
+using Renderer = void (*)(const Row&, const S&, std::string& out);
+
+struct Row {
+  const char* name = nullptr;  ///< canonical name; nullptr: renders nothing
+  const char* key = nullptr;   ///< spec key; nullptr: no spec line sets it
+  bool categorical = false;    ///< the key takes labels, not numbers
+  std::span<const Label> labels = {};  ///< the labels it takes; empty: any text
+  Setter set = nullptr;
+  Renderer render = nullptr;
+};
+
+/// Appends `v` as the canonical text spells it: doubles to 17 significant
+/// digits (they survive text -> double exactly), quantities in SI base
+/// units, flags as 0/1 and enums as their number.
+template <typename T>
+void put(std::string& out, const T& v) {
+  if constexpr (std::is_same_v<T, double>) {
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    out += buf;
+  } else if constexpr (std::is_same_v<T, bool>) {
+    out += v ? '1' : '0';
+  } else if constexpr (std::is_enum_v<T>) {
+    out += std::to_string(static_cast<long long>(v));
+  } else if constexpr (std::is_integral_v<T>) {
+    out += std::to_string(v);
+  } else if constexpr (std::is_convertible_v<const T&, std::string_view>) {
+    out += std::string_view(v);
+  } else {
+    put(out, v.raw());
+  }
+}
+
+template <typename T>
+void line(std::string& out, std::string_view name, const T& v) {
+  out += name;
+  out += " = ";
+  put(out, v);
+  out += '\n';
+}
+
+/// `path` below ScenarioSpec, as a row's canonical name and its accessor.
+#define OCI_SPEC_FIELD(path) #path, [](auto& s) -> auto& { return s.path; }
+
+/// A field that no spec line sets: it only renders.
+template <typename Get>
+constexpr Row field(const char* name, Get) {
+  return {.name = name, .render = [](const Row& r, const S& s, std::string& out) {
+            line(out, r.name, Get{}(s));
+          }};
+}
+
+// The units a key states its number in.
+constexpr double plain(double v) { return v; }
+constexpr Time ps(double v) { return Time::picoseconds(v); }
+constexpr Time ns(double v) { return Time::nanoseconds(v); }
+constexpr Wavelength nm(double v) { return Wavelength::nanometres(v); }
+constexpr Power uw(double v) { return Power::microwatts(v); }
+constexpr Frequency hz(double v) { return Frequency::hertz(v); }
+constexpr Frequency mhz(double v) { return Frequency::megahertz(v); }
+
+/// A number field `key` sets in the key's unit (ps for jitter_ps); a
+/// dimensionless field takes the number as it is.
+template <auto Unit = plain, typename Get>
+constexpr Row num(const char* name, Get get, const char* key) {
+  Row r = field(name, get);
+  r.key = key;
+  r.set = [](const Row& row, S& s, const std::string& v) {
+    Get{}(s) = Unit(parse_double(row.key, v));
+  };
+  return r;
+}
+
+/// A count field `key` sets; a flag is on for any count but 0.
+template <typename Get>
+constexpr Row cnt(const char* name, Get get, const char* key) {
+  Row r = field(name, get);
+  r.key = key;
+  r.set = [](const Row& row, S& s, const std::string& v) {
+    auto& f = Get{}(s);
+    using T = std::remove_reference_t<decltype(f)>;
+    const std::uint64_t n = parse_count(row.key, v);
+    if constexpr (std::is_same_v<T, bool>) {
+      f = n != 0;
+    } else {
+      f = narrow<T>(row.key, n);
+    }
+  };
+  return r;
+}
+
+/// Index of `v` among the row's labels, or the error that lists them.
+std::size_t label_index(const Row& row, const std::string& v) {
+  for (std::size_t i = 0; i < row.labels.size(); ++i) {
+    const Label& l = row.labels[i];
+    if (v == l.name || (l.alias != nullptr && v == l.alias)) return i;
+  }
+  std::string choices;
+  for (const Label& l : row.labels) choices += (choices.empty() ? "" : ", ") + std::string(l.name);
+  throw std::invalid_argument(param(row.key) + " must be one of {" + choices + "}, got '" +
+                              v + "'");
+}
+
+/// A text or enum field `key` sets by label. With labels the value must
+/// be one of them; without, any text goes.
+template <typename Get>
+constexpr Row cat(const char* name, Get get, const char* key,
+                  std::span<const Label> labels = {}) {
+  Row r = field(name, get);
+  r.key = key;
+  r.categorical = true;
+  r.labels = labels;
+  r.set = [](const Row& row, S& s, const std::string& v) {
+    auto& f = Get{}(s);
+    using T = std::remove_reference_t<decltype(f)>;
+    if constexpr (std::is_enum_v<T>) {
+      f = static_cast<T>(label_index(row, v));
+    } else {
+      if (!row.labels.empty()) (void)label_index(row, v);
+      f = v;
+    }
+  };
+  return r;
+}
+
+/// An enum field the canonical text spells by label, not by number.
+template <typename Get>
+constexpr Row named(const char* name, Get get, const char* key,
+                    std::span<const Label> labels) {
+  Row r = cat(name, get, key, labels);
+  r.render = [](const Row& row, const S& s, std::string& out) {
+    line(out, row.name, row.labels[static_cast<std::size_t>(Get{}(s))].name);
+  };
+  return r;
+}
+
+/// A key with its own setter and no canonical line.
+constexpr Row keyed(const char* key, bool categorical, Setter set) {
+  return {.key = key, .categorical = categorical, .set = set};
+}
+
+/// A precision target: setting it also arms adaptive mode.
+template <double PrecisionSpec::*Target>
+constexpr Row target(const char* key) {
+  return keyed(key, false, [](const Row& row, S& s, const std::string& v) {
+    s.precision.*Target = parse_double(row.key, v);
+    s.precision.enabled = true;
+  });
+}
+
+/// A canonical line that is no field of the spec.
+constexpr Row text(const char* name, Renderer render) {
+  return {.name = name, .render = render};
+}
+
+void render_aggressors(const Row& row, const S& s, std::string& out) {
+  line(out, row.name, s.aggressors.size());
+  for (std::size_t i = 0; i < s.aggressors.size(); ++i) {
+    const std::string p = "aggressor." + std::to_string(i);
+    line(out, p + ".mean_photons", s.aggressors[i].mean_photons);
+    line(out, p + ".offset_ps", s.aggressors[i].offset_ps);
+  }
+}
+
+void render_sweep(const Row& row, const S& s, std::string& out) {
+  line(out, row.name, s.sweep.size());
+  for (std::size_t a = 0; a < s.sweep.size(); ++a) {
+    const SweepAxis& axis = s.sweep[a];
+    const std::string p = "sweep." + std::to_string(a);
+    line(out, p + ".param", axis.param);
+    if (axis.categorical()) {
+      line(out, p + ".labels", axis.labels.size());
+      for (std::size_t i = 0; i < axis.labels.size(); ++i) {
+        line(out, p + ".label." + std::to_string(i), axis.labels[i]);
+      }
+    } else {
+      line(out, p + ".values", axis.values.size());
+      for (std::size_t i = 0; i < axis.values.size(); ++i) {
+        line(out, p + ".value." + std::to_string(i), axis.values[i]);
+      }
+    }
+  }
+}
+
+constexpr Row kRows[] = {
+    // The format line re-keys every cache if the rendering itself changes.
+    text("format",
+         [](const Row& row, const S&, std::string& out) {
+           line(out, row.name, "oci-spec-canonical-v1");
+         }),
+    cat(OCI_SPEC_FIELD(name), "name"),
+    keyed("description", true,
+          [](const Row&, S& s, const std::string& v) { s.description = v; }),
     // Seeds use the full uint64 range; routing through double would
     // round above 2^53 and overflow casting near 2^64.
-    r["seed"] = Param{false, [](S& s, const std::string& v) {
-                        const auto parsed = parse_uint(v);
-                        if (!parsed) {
-                          throw std::invalid_argument(
-                              "scenario: parameter 'seed' expects an unsigned "
-                              "integer, got '" + v + "'");
-                        }
-                        s.seed = *parsed;
-                      }};
-    cat("topology", [](S& s, const std::string& v) {
-      if (v == "point-to-point" || v == "p2p") s.topology = Topology::kPointToPoint;
-      else if (v == "wdm") s.topology = Topology::kWdm;
-      else if (v == "vertical-bus" || v == "bus") s.topology = Topology::kVerticalBus;
-      else if (v == "stack-noc" || v == "noc") s.topology = Topology::kStackNoc;
-      else bad_choice("topology", v, "point-to-point, wdm, vertical-bus, stack-noc");
-    });
-    cat("mode", [](S& s, const std::string& v) {
-      if (v == "auto") s.mode = TrafficMode::kAuto;
-      else if (v == "symbols") s.mode = TrafficMode::kSymbols;
-      else if (v == "frames") s.mode = TrafficMode::kFrames;
-      else if (v == "code-density") s.mode = TrafficMode::kCodeDensity;
-      else if (v == "packets") s.mode = TrafficMode::kPackets;
-      else bad_choice("mode", v, "auto, symbols, frames, code-density, packets");
-    });
-    cat("fec", [](S& s, const std::string& v) {
-      if (v == "none") s.fec = FecKind::kNone;
-      else if (v == "hamming") s.fec = FecKind::kHamming;
-      else bad_choice("fec", v, "none, hamming");
-    });
-    cnt("payload_bytes", [](S& s, std::uint64_t v) {
-      s.payload_bytes = static_cast<std::size_t>(v);
-      s.noc.payload_bytes = static_cast<std::size_t>(v);
-    });
+    keyed("seed", false,
+          [](const Row&, S& s, const std::string& v) {
+            const auto parsed = parse_uint(v);
+            if (!parsed) {
+              throw std::invalid_argument(
+                  "scenario: parameter 'seed' expects an unsigned integer, got '" + v + "'");
+            }
+            s.seed = *parsed;
+          }),
+    named(OCI_SPEC_FIELD(topology), "topology", kTopologies),
+    named(OCI_SPEC_FIELD(mode), "mode", kModes),
+    named(OCI_SPEC_FIELD(fec), "fec", kFecs),
+    field(OCI_SPEC_FIELD(payload_bytes)),
+    keyed("payload_bytes", false,
+          [](const Row& row, S& s, const std::string& v) {
+            s.payload_bytes = narrow<std::size_t>(row.key, parse_count(row.key, v));
+            s.noc.payload_bytes = s.payload_bytes;
+          }),
+    // Ambient repro scale: it rescales every resolved budget, so two runs
+    // at different scales execute different chunks.
+    text("repro_scale",
+         [](const Row& row, const S&, std::string& out) {
+           line(out, row.name, analysis::repro_scale());
+         }),
 
-    // -- budget -------------------------------------------------------
-    cnt("samples", [](S& s, std::uint64_t v) { s.budget.samples = v; });
-    cnt("sample_floor", [](S& s, std::uint64_t v) { s.budget.floor = v; });
-    cnt("repro_scaled", [](S& s, std::uint64_t v) { s.budget.repro_scaled = v != 0; });
+    // -- device: TDC design ---------------------------------------------
+    cnt(OCI_SPEC_FIELD(device.design.fine_elements), "fine_elements"),
+    cnt(OCI_SPEC_FIELD(device.design.coarse_bits), "coarse_bits"),
+    field(OCI_SPEC_FIELD(device.design.element_delay)),
+    keyed("delay_element_ps", false,
+          [](const Row& row, S& s, const std::string& v) {
+            s.device.design.element_delay = ps(parse_double(row.key, v));
+            s.device.delay_line.nominal_delay = s.device.design.element_delay;
+          }),
+    cnt(OCI_SPEC_FIELD(device.bits_per_symbol), "bits_per_symbol"),
+    cat(OCI_SPEC_FIELD(device.labeling), "labeling", kLabelings),
 
-    // -- adaptive precision ------------------------------------------
+    // -- device: LED / SPAD ---------------------------------------------
+    num<nm>(OCI_SPEC_FIELD(device.led.wavelength), "wavelength_nm"),
+    num<ps>(OCI_SPEC_FIELD(device.led.pulse_width), "pulse_width_ps"),
+    field(OCI_SPEC_FIELD(device.led.shape)),
+    num<uw>(OCI_SPEC_FIELD(device.led.peak_power), "peak_power_uw"),
+    field(OCI_SPEC_FIELD(device.led.wall_plug_efficiency)),
+    field(OCI_SPEC_FIELD(device.led.driver_load)),
+    field(OCI_SPEC_FIELD(device.led.supply)),
+    field(OCI_SPEC_FIELD(device.led.footprint)),
+    num(OCI_SPEC_FIELD(device.spad.pdp_peak), "pdp_peak"),
+    field(OCI_SPEC_FIELD(device.spad.excess_bias)),
+    field(OCI_SPEC_FIELD(device.spad.nominal_excess_bias)),
+    num<ns>(OCI_SPEC_FIELD(device.spad.dead_time), "dead_time_ns"),
+    field(OCI_SPEC_FIELD(device.spad.quench)),
+    num<hz>(OCI_SPEC_FIELD(device.spad.dcr_at_ref), "dcr_hz"),
+    field(OCI_SPEC_FIELD(device.spad.dcr_ref_temperature)),
+    field(OCI_SPEC_FIELD(device.spad.dcr_doubling_kelvin)),
+    num(OCI_SPEC_FIELD(device.spad.afterpulse_probability), "afterpulse_probability"),
+    field(OCI_SPEC_FIELD(device.spad.afterpulse_tau)),
+    num<ps>(OCI_SPEC_FIELD(device.spad.jitter_sigma), "jitter_ps"),
+    field(OCI_SPEC_FIELD(device.spad.footprint)),
+
+    // -- device: delay line and channel ---------------------------------
+    cnt(OCI_SPEC_FIELD(device.delay_line.elements), "delay_line_elements"),
+    field(OCI_SPEC_FIELD(device.delay_line.nominal_delay)),
+    num(OCI_SPEC_FIELD(device.delay_line.mismatch_sigma), "mismatch_sigma"),
+    keyed("tech_node", true,
+          [](const Row&, S& s, const std::string& v) {
+            const auto& node = electrical::node_by_name(v);  // throws on unknown name
+            s.device.design.element_delay = node.delay_element;
+            s.device.delay_line.nominal_delay = node.delay_element;
+            s.device.delay_line.mismatch_sigma = node.mismatch_sigma;
+            s.device.led.driver_load = node.led_driver_load;
+            s.device.led.supply = node.supply;
+          }),
+    field(OCI_SPEC_FIELD(device.delay_line.odd_even_skew)),
+    field(OCI_SPEC_FIELD(device.delay_line.temperature_coefficient)),
+    field(OCI_SPEC_FIELD(device.delay_line.voltage_coefficient)),
+    field(OCI_SPEC_FIELD(device.delay_line.nominal_supply)),
+    field(OCI_SPEC_FIELD(device.delay_line.metastability_window)),
+    field(OCI_SPEC_FIELD(device.decode)),
+    num(OCI_SPEC_FIELD(device.channel_transmittance), "channel_transmittance"),
+    num<mhz>(OCI_SPEC_FIELD(device.background_rate), "background_mhz"),
+    field(OCI_SPEC_FIELD(device.temperature)),
+    cnt(OCI_SPEC_FIELD(device.calibrate), "calibrate"),
+    cnt(OCI_SPEC_FIELD(device.calibration_samples), "calibration_samples"),
+    num<ns>(OCI_SPEC_FIELD(device.inter_symbol_guard), "guard_ns"),
+    field(OCI_SPEC_FIELD(device.rx_energy_per_conversion)),
+    text("aggressors", render_aggressors),
+
+    // -- WDM -----------------------------------------------------------
+    num<nm>(OCI_SPEC_FIELD(wdm.grid.center), "grid_center_nm"),
+    num<nm>(OCI_SPEC_FIELD(wdm.grid.spacing), "grid_spacing_nm"),
+    cnt(OCI_SPEC_FIELD(wdm.grid.channels), "channels"),
+    num(OCI_SPEC_FIELD(wdm.filter.passband_transmittance), "passband_transmittance"),
+    field(OCI_SPEC_FIELD(wdm.filter.adjacent_isolation_db)),
+    // The demux spec knob the abl_wdm sweep turns: the floor tracks the
+    // adjacent isolation (scattering bounds it ~20 dB deeper, never
+    // better than 45 dB).
+    keyed("isolation_db", false,
+          [](const Row& row, S& s, const std::string& v) {
+            const double db = parse_double(row.key, v);
+            s.wdm.filter.adjacent_isolation_db = db;
+            s.wdm.filter.isolation_floor_db = std::max(db + 20.0, 45.0);
+          }),
+    field(OCI_SPEC_FIELD(wdm.filter.rolloff_db_per_channel)),
+    num(OCI_SPEC_FIELD(wdm.filter.isolation_floor_db), "isolation_floor_db"),
+    num(OCI_SPEC_FIELD(wdm.path_transmittance), "path_transmittance"),
+    cnt(OCI_SPEC_FIELD(wdm.stack_dies), "stack_dies"),
+    cnt(OCI_SPEC_FIELD(wdm.from_die), "from_die"),
+    cnt(OCI_SPEC_FIELD(wdm.to_die), "to_die"),
+
+    // -- bus / NoC -------------------------------------------------------
+    field(OCI_SPEC_FIELD(bus.dies)),
+    keyed("dies", false,
+          [](const Row& row, S& s, const std::string& v) {
+            s.bus.dies = narrow<std::size_t>(row.key, parse_count(row.key, v));
+            s.noc.dies = s.bus.dies;
+          }),
+    cnt(OCI_SPEC_FIELD(bus.master), "master"),
+    field(OCI_SPEC_FIELD(bus.die.thickness)),
+    field(OCI_SPEC_FIELD(bus.die.interface_coupling)),
+    field(OCI_SPEC_FIELD(bus.min_detection_probability)),
+    field(OCI_SPEC_FIELD(noc.dies)),
+    cat(OCI_SPEC_FIELD(noc.pattern), "pattern", kPatterns),
+    num(OCI_SPEC_FIELD(noc.offered_load), "offered_load"),
+    cnt(OCI_SPEC_FIELD(noc.hot_die), "hot_die"),
+    num(OCI_SPEC_FIELD(noc.hot_load), "hot_load"),
+    num(OCI_SPEC_FIELD(noc.master_load), "master_load"),
+    num(OCI_SPEC_FIELD(noc.worker_load), "worker_load"),
+    cat(OCI_SPEC_FIELD(noc.mac), "mac", kMacs),
+    cnt(OCI_SPEC_FIELD(noc.alloc_weight), "alloc.weight"),
+    cnt(OCI_SPEC_FIELD(noc.alloc_wavelengths), "alloc.wavelengths"),
+    cnt(OCI_SPEC_FIELD(noc.alloc_frame), "alloc.frame"),
+    cnt(OCI_SPEC_FIELD(noc.alloc_rounds), "alloc.rounds"),
+    cnt(OCI_SPEC_FIELD(noc.queue_capacity), "queue_capacity"),
+    cnt(OCI_SPEC_FIELD(noc.max_attempts), "max_attempts"),
+    cat(OCI_SPEC_FIELD(noc.delivery), "delivery", kDeliveries),
+    num(OCI_SPEC_FIELD(noc.delivery_probability), "delivery_probability"),
+    field(OCI_SPEC_FIELD(noc.payload_bytes)),
+    cnt(OCI_SPEC_FIELD(noc.probe_transfers), "probe_transfers"),
+    text("sweep.axes", render_sweep),
+
+    // -- budget and adaptive precision -----------------------------------
+    cnt(OCI_SPEC_FIELD(budget.samples), "samples"),
+    cnt(OCI_SPEC_FIELD(budget.floor), "sample_floor"),
+    cnt(OCI_SPEC_FIELD(budget.repro_scaled), "repro_scaled"),
     // Setting any precision target arms adaptive mode; precision.enabled
     // can switch it back off (order matters -- put it last in a file).
-    num("precision.half_width", [](S& s, double v) {
-      s.precision.target_half_width = v;
-      s.precision.enabled = true;
-    });
-    num("precision.relative", [](S& s, double v) {
-      s.precision.target_relative = v;
-      s.precision.enabled = true;
-    });
-    num("precision.stop_below", [](S& s, double v) {
-      s.precision.stop_below = v;
-      s.precision.enabled = true;
-    });
-    cat("precision.metric", [](S& s, const std::string& v) { s.precision.metric = v; });
-    num("precision.confidence_z", [](S& s, double v) { s.precision.confidence_z = v; });
-    cnt("precision.chunk", [](S& s, std::uint64_t v) { s.precision.chunk = v; });
-    cnt("precision.min_samples", [](S& s, std::uint64_t v) { s.precision.min_samples = v; });
-    cnt("precision.max_samples", [](S& s, std::uint64_t v) { s.precision.max_samples = v; });
-    cnt("precision.enabled", [](S& s, std::uint64_t v) { s.precision.enabled = v != 0; });
+    cnt(OCI_SPEC_FIELD(precision.enabled), "precision.enabled"),
+    cat(OCI_SPEC_FIELD(precision.metric), "precision.metric"),
+    field(OCI_SPEC_FIELD(precision.target_half_width)),
+    target<&PrecisionSpec::target_half_width>("precision.half_width"),
+    field(OCI_SPEC_FIELD(precision.target_relative)),
+    target<&PrecisionSpec::target_relative>("precision.relative"),
+    field(OCI_SPEC_FIELD(precision.stop_below)),
+    target<&PrecisionSpec::stop_below>("precision.stop_below"),
+    num(OCI_SPEC_FIELD(precision.confidence_z), "precision.confidence_z"),
+    cnt(OCI_SPEC_FIELD(precision.chunk), "precision.chunk"),
+    cnt(OCI_SPEC_FIELD(precision.min_samples), "precision.min_samples"),
+    cnt(OCI_SPEC_FIELD(precision.max_samples), "precision.max_samples"),
 
-    // -- device: TDC design ------------------------------------------
-    cnt("fine_elements", [](S& s, std::uint64_t v) { s.device.design.fine_elements = v; });
-    cnt("coarse_bits", [](S& s, std::uint64_t v) {
-      s.device.design.coarse_bits = narrow<unsigned>("coarse_bits", v);
-    });
-    num("delay_element_ps", [](S& s, double v) {
-      s.device.design.element_delay = Time::picoseconds(v);
-      s.device.delay_line.nominal_delay = Time::picoseconds(v);
-    });
-    cnt("delay_line_elements", [](S& s, std::uint64_t v) {
-      s.device.delay_line.elements = static_cast<std::size_t>(v);
-    });
-    num("mismatch_sigma", [](S& s, double v) { s.device.delay_line.mismatch_sigma = v; });
-    cat("tech_node", [](S& s, const std::string& v) {
-      const auto& node = electrical::node_by_name(v);  // throws on unknown name
-      s.device.design.element_delay = node.delay_element;
-      s.device.delay_line.nominal_delay = node.delay_element;
-      s.device.delay_line.mismatch_sigma = node.mismatch_sigma;
-      s.device.led.driver_load = node.led_driver_load;
-      s.device.led.supply = node.supply;
-    });
+    // -- fault injection -------------------------------------------------
+    num(OCI_SPEC_FIELD(fault.dead_pixel_fraction), "fault.dead_pixel_fraction"),
+    num(OCI_SPEC_FIELD(fault.hot_pixel_fraction), "fault.hot_pixel_fraction"),
+    num(OCI_SPEC_FIELD(fault.hot_pixel_dcr_hz), "fault.hot_pixel_dcr_hz"),
+    cnt(OCI_SPEC_FIELD(fault.array_pixels), "fault.array_pixels"),
+    cnt(OCI_SPEC_FIELD(fault.mask_hot_pixels), "fault.mask_hot_pixels"),
+    num(OCI_SPEC_FIELD(fault.dark_window_probability), "fault.dark_window_probability"),
+    num(OCI_SPEC_FIELD(fault.flaky_window_probability), "fault.flaky_window_probability"),
+    num(OCI_SPEC_FIELD(fault.flaky_attenuation_db), "fault.flaky_attenuation_db"),
+    num(OCI_SPEC_FIELD(fault.tdc_drift_c), "fault.tdc_drift_c"),
+    cnt(OCI_SPEC_FIELD(fault.recalibrate), "fault.recalibrate"),
+    num(OCI_SPEC_FIELD(fault.dead_channel_fraction), "fault.dead_channel_fraction"),
+    num(OCI_SPEC_FIELD(fault.channel_attenuation_db), "fault.channel_attenuation_db"),
+    num(OCI_SPEC_FIELD(fault.dead_node_fraction), "fault.dead_node_fraction"),
+    num(OCI_SPEC_FIELD(fault.link_failure_probability), "fault.link_failure_probability"),
+    cnt(OCI_SPEC_FIELD(fault.reroute), "fault.reroute"),
+    cnt(OCI_SPEC_FIELD(fault.mac_reclaim), "fault.mac_reclaim"),
+    cnt(OCI_SPEC_FIELD(fault.salt), "fault.salt"),
 
-    // -- device: modulation / traffic --------------------------------
-    cnt("bits_per_symbol", [](S& s, std::uint64_t v) {
-      s.device.bits_per_symbol = narrow<unsigned>("bits_per_symbol", v);
-    });
-    cat("labeling", [](S& s, const std::string& v) {
-      if (v == "gray") s.device.labeling = modulation::SlotLabeling::kGray;
-      else if (v == "binary") s.device.labeling = modulation::SlotLabeling::kBinary;
-      else bad_choice("labeling", v, "gray, binary");
-    });
+    // -- rare-event acceleration -----------------------------------------
+    named(OCI_SPEC_FIELD(variance.kind), "variance.kind", kVarianceKinds),
+    num(OCI_SPEC_FIELD(variance.jitter_tilt), "variance.jitter_tilt"),
+    num(OCI_SPEC_FIELD(variance.noise_tilt), "variance.noise_tilt"),
+    field(OCI_SPEC_FIELD(variance.levels)),
+    // Syntax check at set time so a typo'd schedule fails with the spec
+    // file:line; validate() re-checks semantics (monotonicity against
+    // the kind).
+    keyed("variance.levels", true,
+          [](const Row&, S& s, const std::string& v) {
+            (void)rare::parse_levels(v);
+            s.variance.levels = v;
+          }),
+    cnt(OCI_SPEC_FIELD(variance.split_levels), "variance.split_levels"),
+};
 
-    // -- device: LED / channel / SPAD --------------------------------
-    num("peak_power_uw", [](S& s, double v) { s.device.led.peak_power = Power::microwatts(v); });
-    num("pulse_width_ps", [](S& s, double v) { s.device.led.pulse_width = Time::picoseconds(v); });
-    num("wavelength_nm", [](S& s, double v) {
-      s.device.led.wavelength = Wavelength::nanometres(v);
-    });
-    num("channel_transmittance", [](S& s, double v) { s.device.channel_transmittance = v; });
-    num("background_mhz", [](S& s, double v) {
-      s.device.background_rate = Frequency::megahertz(v);
-    });
-    num("jitter_ps", [](S& s, double v) { s.device.spad.jitter_sigma = Time::picoseconds(v); });
-    num("dcr_hz", [](S& s, double v) { s.device.spad.dcr_at_ref = Frequency::hertz(v); });
-    num("dead_time_ns", [](S& s, double v) { s.device.spad.dead_time = Time::nanoseconds(v); });
-    num("afterpulse_probability", [](S& s, double v) {
-      s.device.spad.afterpulse_probability = v;
-    });
-    num("pdp_peak", [](S& s, double v) { s.device.spad.pdp_peak = v; });
-    cnt("calibrate", [](S& s, std::uint64_t v) { s.device.calibrate = v != 0; });
-    cnt("calibration_samples", [](S& s, std::uint64_t v) { s.device.calibration_samples = v; });
-    num("guard_ns", [](S& s, double v) { s.device.inter_symbol_guard = Time::nanoseconds(v); });
+#undef OCI_SPEC_FIELD
 
-    // -- WDM ----------------------------------------------------------
-    cnt("channels", [](S& s, std::uint64_t v) {
-      s.wdm.grid.channels = static_cast<std::size_t>(v);
-    });
-    num("grid_center_nm", [](S& s, double v) { s.wdm.grid.center = Wavelength::nanometres(v); });
-    num("grid_spacing_nm", [](S& s, double v) { s.wdm.grid.spacing = Wavelength::nanometres(v); });
-    num("isolation_db", [](S& s, double v) {
-      // The demux spec knob the abl_wdm sweep turns: the floor tracks
-      // the adjacent isolation (scattering bounds it ~20 dB deeper,
-      // never better than 45 dB).
-      s.wdm.filter.adjacent_isolation_db = v;
-      s.wdm.filter.isolation_floor_db = std::max(v + 20.0, 45.0);
-    });
-    num("isolation_floor_db", [](S& s, double v) { s.wdm.filter.isolation_floor_db = v; });
-    num("passband_transmittance", [](S& s, double v) {
-      s.wdm.filter.passband_transmittance = v;
-    });
-    num("path_transmittance", [](S& s, double v) { s.wdm.path_transmittance = v; });
-    cnt("stack_dies", [](S& s, std::uint64_t v) {
-      s.wdm.stack_dies = static_cast<std::size_t>(v);
-    });
-    cnt("from_die", [](S& s, std::uint64_t v) { s.wdm.from_die = static_cast<std::size_t>(v); });
-    cnt("to_die", [](S& s, std::uint64_t v) { s.wdm.to_die = static_cast<std::size_t>(v); });
-
-    // -- bus / NoC ----------------------------------------------------
-    cnt("dies", [](S& s, std::uint64_t v) {
-      s.bus.dies = static_cast<std::size_t>(v);
-      s.noc.dies = static_cast<std::size_t>(v);
-    });
-    cnt("master", [](S& s, std::uint64_t v) { s.bus.master = static_cast<std::size_t>(v); });
-    cat("mac", [](S& s, const std::string& v) {
-      if (v != "tdma" && v != "token" && v != "token+pass" && v != "aloha" && v != "cac") {
-        bad_choice("mac", v, "tdma, token, token+pass, aloha, cac");
+/// The keyed rows by key, built once: set_param stays a map lookup.
+const std::map<std::string, const Row*, std::less<>>& rows_by_key() {
+  static const auto keys = [] {
+    std::map<std::string, const Row*, std::less<>> m;
+    for (const Row& r : kRows) {
+      if (r.key != nullptr && !m.emplace(r.key, &r).second) {
+        throw std::logic_error(std::string("scenario: spec key '") + r.key + "' is listed twice");
       }
-      s.noc.mac = v;
-    });
-    cat("pattern", [](S& s, const std::string& v) {
-      if (v == "uniform") s.noc.pattern = NocPattern::kUniform;
-      else if (v == "hotspot") s.noc.pattern = NocPattern::kHotspot;
-      else if (v == "master-broadcast") s.noc.pattern = NocPattern::kMasterBroadcast;
-      else if (v == "incast") s.noc.pattern = NocPattern::kIncast;
-      else if (v == "broadcast-storm") s.noc.pattern = NocPattern::kBroadcastStorm;
-      else bad_choice("pattern", v,
-                      "uniform, hotspot, master-broadcast, incast, broadcast-storm");
-    });
-    cnt("alloc.weight", [](S& s, std::uint64_t v) {
-      s.noc.alloc_weight = static_cast<std::size_t>(v);
-    });
-    cnt("alloc.wavelengths", [](S& s, std::uint64_t v) {
-      s.noc.alloc_wavelengths = static_cast<std::size_t>(v);
-    });
-    cnt("alloc.frame", [](S& s, std::uint64_t v) { s.noc.alloc_frame = v; });
-    cnt("alloc.rounds", [](S& s, std::uint64_t v) {
-      s.noc.alloc_rounds = narrow<unsigned>("alloc.rounds", v);
-    });
-    num("offered_load", [](S& s, double v) { s.noc.offered_load = v; });
-    cnt("hot_die", [](S& s, std::uint64_t v) { s.noc.hot_die = static_cast<std::size_t>(v); });
-    num("hot_load", [](S& s, double v) { s.noc.hot_load = v; });
-    num("master_load", [](S& s, double v) { s.noc.master_load = v; });
-    num("worker_load", [](S& s, double v) { s.noc.worker_load = v; });
-    cnt("queue_capacity", [](S& s, std::uint64_t v) {
-      s.noc.queue_capacity = static_cast<std::size_t>(v);
-    });
-    cnt("max_attempts", [](S& s, std::uint64_t v) {
-      s.noc.max_attempts = narrow<unsigned>("max_attempts", v);
-    });
-    cat("delivery", [](S& s, const std::string& v) {
-      if (v == "scalar") s.noc.delivery = NocDelivery::kScalar;
-      else if (v == "fec-probe") s.noc.delivery = NocDelivery::kFecProbe;
-      else if (v == "engine") s.noc.delivery = NocDelivery::kEngine;
-      else bad_choice("delivery", v, "scalar, fec-probe, engine");
-    });
-    num("delivery_probability", [](S& s, double v) { s.noc.delivery_probability = v; });
-    cnt("probe_transfers", [](S& s, std::uint64_t v) { s.noc.probe_transfers = v; });
-
-    // -- fault injection ---------------------------------------------
-    num("fault.dead_pixel_fraction", [](S& s, double v) {
-      s.fault.dead_pixel_fraction = v;
-    });
-    num("fault.hot_pixel_fraction", [](S& s, double v) { s.fault.hot_pixel_fraction = v; });
-    num("fault.hot_pixel_dcr_hz", [](S& s, double v) { s.fault.hot_pixel_dcr_hz = v; });
-    cnt("fault.array_pixels", [](S& s, std::uint64_t v) { s.fault.array_pixels = v; });
-    cnt("fault.mask_hot_pixels", [](S& s, std::uint64_t v) {
-      s.fault.mask_hot_pixels = v != 0;
-    });
-    num("fault.dark_window_probability", [](S& s, double v) {
-      s.fault.dark_window_probability = v;
-    });
-    num("fault.flaky_window_probability", [](S& s, double v) {
-      s.fault.flaky_window_probability = v;
-    });
-    num("fault.flaky_attenuation_db", [](S& s, double v) {
-      s.fault.flaky_attenuation_db = v;
-    });
-    num("fault.tdc_drift_c", [](S& s, double v) { s.fault.tdc_drift_c = v; });
-    cnt("fault.recalibrate", [](S& s, std::uint64_t v) { s.fault.recalibrate = v != 0; });
-    num("fault.dead_channel_fraction", [](S& s, double v) {
-      s.fault.dead_channel_fraction = v;
-    });
-    num("fault.channel_attenuation_db", [](S& s, double v) {
-      s.fault.channel_attenuation_db = v;
-    });
-    num("fault.dead_node_fraction", [](S& s, double v) { s.fault.dead_node_fraction = v; });
-    num("fault.link_failure_probability", [](S& s, double v) {
-      s.fault.link_failure_probability = v;
-    });
-    cnt("fault.reroute", [](S& s, std::uint64_t v) { s.fault.reroute = v != 0; });
-    cnt("fault.mac_reclaim", [](S& s, std::uint64_t v) { s.fault.mac_reclaim = v != 0; });
-    cnt("fault.salt", [](S& s, std::uint64_t v) { s.fault.salt = v; });
-
-    // -- rare-event acceleration -------------------------------------
-    cat("variance.kind", [](S& s, const std::string& v) {
-      try {
-        s.variance.kind = rare::kind_from_string(v);
-      } catch (const std::invalid_argument&) {
-        bad_choice("variance.kind", v, "none, tilt, split");
-      }
-    });
-    num("variance.jitter_tilt", [](S& s, double v) { s.variance.jitter_tilt = v; });
-    num("variance.noise_tilt", [](S& s, double v) { s.variance.noise_tilt = v; });
-    cat("variance.levels", [](S& s, const std::string& v) {
-      // Syntax check at set time so a typo'd schedule fails with the
-      // spec file:line; validate() re-checks semantics (monotonicity
-      // against the kind).
-      (void)rare::parse_levels(v);
-      s.variance.levels = v;
-    });
-    cnt("variance.split_levels", [](S& s, std::uint64_t v) {
-      s.variance.split_levels = narrow<std::uint32_t>("variance.split_levels", v);
-    });
-
-    return r;
+    }
+    return m;
   }();
-  return params;
+  return keys;
 }
 
 }  // namespace
@@ -760,27 +925,36 @@ void ScenarioSpec::validate() const {
 }
 
 void set_param(ScenarioSpec& spec, const std::string& key, const std::string& value) {
-  const auto it = registry().find(key);
-  if (it == registry().end()) {
+  const auto it = rows_by_key().find(key);
+  if (it == rows_by_key().end()) {
     std::string msg = "scenario: unknown parameter '" + key + "'; known parameters:";
     for (const std::string& k : known_params()) msg += " " + k;
     throw std::invalid_argument(msg);
   }
-  it->second.apply(spec, value);
+  const Row& row = *it->second;
+  row.set(row, spec, value);
 }
 
-bool is_known_param(const std::string& key) { return registry().count(key) != 0; }
+bool is_known_param(const std::string& key) { return rows_by_key().contains(key); }
 
 bool is_categorical_param(const std::string& key) {
-  const auto it = registry().find(key);
-  return it != registry().end() && it->second.categorical;
+  const auto it = rows_by_key().find(key);
+  return it != rows_by_key().end() && it->second->categorical;
 }
 
 std::vector<std::string> known_params() {
   std::vector<std::string> keys;
-  keys.reserve(registry().size());
-  for (const auto& [k, v] : registry()) keys.push_back(k);
+  keys.reserve(rows_by_key().size());
+  for (const auto& [k, row] : rows_by_key()) keys.push_back(k);
   return keys;
+}
+
+std::string canonical_spec_text(const ScenarioSpec& spec) {
+  std::string out;
+  for (const Row& row : kRows) {
+    if (row.render != nullptr) row.render(row, spec, out);
+  }
+  return out;
 }
 
 void apply_axis_value(ScenarioSpec& spec, const SweepAxis& axis, std::size_t index) {
@@ -796,32 +970,7 @@ void apply_axis_value(ScenarioSpec& spec, const SweepAxis& axis, std::size_t ind
 }
 
 const char* to_string(Topology t) {
-  switch (t) {
-    case Topology::kPointToPoint: return "point-to-point";
-    case Topology::kWdm: return "wdm";
-    case Topology::kVerticalBus: return "vertical-bus";
-    case Topology::kStackNoc: return "stack-noc";
-  }
-  return "?";
-}
-
-const char* to_string(TrafficMode m) {
-  switch (m) {
-    case TrafficMode::kAuto: return "auto";
-    case TrafficMode::kSymbols: return "symbols";
-    case TrafficMode::kFrames: return "frames";
-    case TrafficMode::kCodeDensity: return "code-density";
-    case TrafficMode::kPackets: return "packets";
-  }
-  return "?";
-}
-
-const char* to_string(FecKind f) {
-  switch (f) {
-    case FecKind::kNone: return "none";
-    case FecKind::kHamming: return "hamming";
-  }
-  return "?";
+  return kTopologies[static_cast<std::size_t>(t)].name;
 }
 
 }  // namespace oci::scenario

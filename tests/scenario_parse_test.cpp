@@ -1,11 +1,12 @@
 // Tests for the scenario text-spec parser: the key=value format,
 // sweep axis expressions (lists, linear/log ranges, categorical
-// detection), error reporting with line numbers, and a parsed-spec ->
-// run round trip.
+// detection), error reporting with line numbers, a parsed-spec -> run
+// round trip, and the reference page's coverage of every key.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -77,7 +78,7 @@ TEST(ScenarioParse, CategoricalAxisDetection) {
 
 TEST(ScenarioParse, CategoricalParamWithNumericLookingValues) {
   // tech_node names can be digit-led ("65nm"); the axis must stay
-  // categorical because the registry says the key is categorical.
+  // categorical because the spec table says the key is categorical.
   const ScenarioSpec spec = parse_spec_text("sweep.tech_node = 65nm, 45nm\n");
   ASSERT_EQ(spec.sweep.size(), 1u);
   EXPECT_TRUE(spec.sweep[0].categorical());
@@ -358,6 +359,36 @@ TEST(ScenarioParse, CheckedInSpecFilesParseAndValidate) {
 #else
   GTEST_SKIP() << "OCI_SOURCE_DIR not defined";
 #endif
+}
+
+TEST(ScenarioParse, ReferencePageDocumentsEveryKey) {
+  // docs/scenario-spec-reference.md has one table row per key,
+  // "| `key` | type | meaning |". Every key needs its row, and the row
+  // says `cat` exactly when the key takes labels.
+  const std::string page = std::string(OCI_SOURCE_DIR) + "/docs/scenario-spec-reference.md";
+  std::ifstream in(page);
+  ASSERT_TRUE(in) << "cannot open " << page;
+  std::map<std::string, std::string> type_of;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("| `", 0) != 0) continue;
+    const std::size_t tick = line.find('`', 3);
+    const std::size_t bar = line.find('|', tick);
+    const std::size_t end = line.find('|', bar + 1);
+    ASSERT_NE(end, std::string::npos) << line;
+    std::string type = line.substr(bar + 1, end - bar - 1);
+    type.erase(0, type.find_first_not_of(' '));
+    type.erase(type.find_last_not_of(' ') + 1);
+    type_of[line.substr(3, tick - 3)] = type;
+  }
+  for (const std::string& key : scenario::known_params()) {
+    const auto row = type_of.find(key);
+    if (row == type_of.end()) {
+      ADD_FAILURE() << "key '" << key << "' has no row in " << page;
+      continue;
+    }
+    EXPECT_EQ(row->second == "cat", scenario::is_categorical_param(key))
+        << "key '" << key << "' is typed '" << row->second << "' in " << page;
+  }
 }
 
 }  // namespace

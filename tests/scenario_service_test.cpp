@@ -1,4 +1,5 @@
-// Tests for the scenario service layer: canonical spec hashing, the
+// Tests for the scenario service layer: canonical spec hashing (every
+// key, the checked-in specs' pinned hashes, SHA-256 vectors), the
 // content-addressed result store (round trip, corruption-as-miss,
 // age-based GC), cache-hit bit-identity and checkpoint/resume, sharded
 // sweeps whose union merges back to the unsharded report exactly,
@@ -6,6 +7,7 @@
 // and the shard/cache CLI helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -13,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <optional>
 #include <regex>
 #include <set>
@@ -170,41 +173,56 @@ TEST(SpecHash, IgnoresSeedAndDescription) {
 }
 
 TEST(SpecHash, ChangesOnEverySemanticField) {
-  const std::string base = scenario::spec_hash(sweep_spec());
-  std::set<std::string> hashes{base};
+  // Every key but seed and description re-keys the cache: set each to a
+  // value its field does not hold by default.
+  ScenarioSpec base;
+  base.sweep.push_back(SweepAxis::list("jitter_ps", {40.0, 90.0}));
+  const std::string base_hash = scenario::spec_hash(base);
+  const std::map<std::string, std::string> labels = {
+      {"name", "other"},          {"description", "other words"},
+      {"topology", "wdm"},        {"mode", "symbols"},
+      {"fec", "hamming"},         {"tech_node", "65nm"},
+      {"labeling", "binary"},     {"mac", "tdma"},
+      {"pattern", "hotspot"},     {"delivery", "engine"},
+      {"variance.kind", "tilt"},  {"variance.levels", "3:2:1"},
+      {"precision.metric", "ser"}};
+  // Flags that default to 1.
+  const std::set<std::string> flags_on = {
+      "calibrate",         "repro_scaled",  "fault.mask_hot_pixels",
+      "fault.recalibrate", "fault.reroute", "fault.mac_reclaim"};
+  std::set<std::string> hashes;
+  std::size_t hashed_keys = 0;
+  for (const std::string& key : scenario::known_params()) {
+    std::string value = flags_on.contains(key) ? "0" : "7";
+    if (scenario::is_categorical_param(key)) {
+      ASSERT_TRUE(labels.contains(key)) << "no mutation label for '" << key << "'";
+      value = labels.at(key);
+    }
+    ScenarioSpec s = base;
+    scenario::set_param(s, key, value);
+    const std::string h = scenario::spec_hash(s);
+    if (key == "seed" || key == "description") {
+      EXPECT_EQ(h, base_hash) << key;  // excluded from the hash by design
+      continue;
+    }
+    EXPECT_NE(h, base_hash) << key << " = " << value;
+    hashes.insert(h);
+    ++hashed_keys;
+  }
+  EXPECT_EQ(hashed_keys, 88u);
+  EXPECT_EQ(hashes.size(), 88u);  // no two keys collide
+
+  // Lines no key reaches: the sweep axes and the aggressor list.
   const auto mutated = [&](auto&& mutate) {
-    ScenarioSpec s = sweep_spec();
+    ScenarioSpec s = base;
     mutate(s);
     return scenario::spec_hash(s);
   };
-  hashes.insert(mutated([](ScenarioSpec& s) { s.name = "other"; }));
-  hashes.insert(mutated([](ScenarioSpec& s) { s.device.bits_per_symbol = 4; }));
-  hashes.insert(mutated([](ScenarioSpec& s) { s.device.calibrate = true; }));
-  hashes.insert(mutated([](ScenarioSpec& s) { s.budget.samples = 601; }));
-  hashes.insert(mutated([](ScenarioSpec& s) { s.budget.repro_scaled = true; }));
+  hashes.insert(base_hash);
   hashes.insert(mutated([](ScenarioSpec& s) { s.sweep[0].values.push_back(240.0); }));
   hashes.insert(mutated([](ScenarioSpec& s) { s.sweep[0].param = "dcr_hz"; }));
-  hashes.insert(mutated([](ScenarioSpec& s) { s.precision.enabled = true; }));
-  hashes.insert(mutated([](ScenarioSpec& s) { s.fec = scenario::FecKind::kHamming; }));
-  hashes.insert(mutated([](ScenarioSpec& s) {
-    s.device.channel_transmittance = 0.25;
-  }));
-  // Fault injection changes the simulated hardware, so every fault.*
-  // knob -- including the realisation salt -- must re-key the cache.
-  hashes.insert(mutated([](ScenarioSpec& s) { s.fault.dead_pixel_fraction = 0.25; }));
-  hashes.insert(mutated([](ScenarioSpec& s) { s.fault.dark_window_probability = 0.1; }));
-  hashes.insert(mutated([](ScenarioSpec& s) { s.fault.tdc_drift_c = 15.0; }));
-  hashes.insert(mutated([](ScenarioSpec& s) { s.fault.salt = 1; }));
-  // Rare-event acceleration changes what every chunk simulates, so
-  // every variance.* knob must re-key the cache too.
-  hashes.insert(mutated([](ScenarioSpec& s) { s.variance.kind = rare::Kind::kTilt; }));
-  hashes.insert(mutated([](ScenarioSpec& s) { s.variance.kind = rare::Kind::kSplit; }));
-  hashes.insert(mutated([](ScenarioSpec& s) { s.variance.jitter_tilt = 1.8; }));
-  hashes.insert(mutated([](ScenarioSpec& s) { s.variance.noise_tilt = 4.0; }));
-  hashes.insert(mutated([](ScenarioSpec& s) { s.variance.levels = "3:2:1"; }));
-  hashes.insert(mutated([](ScenarioSpec& s) { s.variance.split_levels = 6; }));
-  // Every mutation produced a distinct hash (base + 20 variants).
-  EXPECT_EQ(hashes.size(), 21u);
+  hashes.insert(mutated([](ScenarioSpec& s) { s.aggressors.push_back({1.0, 300.0}); }));
+  EXPECT_EQ(hashes.size(), 92u);
   for (const std::string& h : hashes) EXPECT_EQ(h.size(), 64u);
 }
 
@@ -223,6 +241,74 @@ TEST(SpecHash, DependsOnAmbientReproScale) {
     smoke = scenario::spec_hash(spec);
   }
   EXPECT_NE(full, smoke);
+}
+
+TEST(SpecHash, PinnedForCheckedInSpecsAndSha256Vectors) {
+  // The hash addresses every cached chunk of these specs; a change to
+  // their canonical text must be a deliberate re-key, never a side effect.
+  struct Pin {
+    const char* spec;
+    const char* at_scale_1;
+    const char* at_scale_002;
+  };
+  const Pin pins[] = {
+      {"scenarios/deep_ser.spec",
+       "30bc4b8b2d5f6ed10a1b466ba8d7d4d8f596f5a0e2c5c7ce06bd0bb4b37fa003",
+       "7c9cae63011c609bcdd30035f6d5d1baebae174698d2c7a82ae8f4f98bd68b07"},
+      {"scenarios/degraded_link.spec",
+       "d9f77b6c49ab4e02c6eac9baac3461bc259755005f073ed9c3391f5cfd841d7b",
+       "a793a98e3dcf8c62493b363cbeafcf80496ff20f5fc353d301d4c682155d214b"},
+      {"scenarios/link_jitter.spec",
+       "3a886be76f4091154c3e18c2783801704a094e93740907bd013d3c8a4daa5b01",
+       "2c42194a81fc799be4b833a08be73f94b795c89555c685df74073eb1f3965064"},
+      {"scenarios/noc_node_failure.spec",
+       "041ae0e2f55fd1fa6228ac719106cbe921e710070af9c6c868722895ceb2ae6f",
+       "16a3ac1a648790bd6fd5857449be23d23b839e779064552053ca3c4879f3d0c3"},
+      {"scenarios/noc_saturation.spec",
+       "130e2a8965d02022a37ac2b06e41fcc171d9bc764eb2a093f9bfa77c8fa16ca4",
+       "62fd979dc4ee796e06160b7552c5b212afe14ad7927af0bce86ecc03f032a750"},
+      {"scenarios/noc_thousand_node.spec",
+       "6c7510e4f5ee0c65c873bf72bc173388d062493d54afb575d7f7335e26986048",
+       "b528eeff80955d84bbb1cb984b242159d11208eea43aac16fa94f2a07720d4ba"},
+      {"scenario_bench/specs/link_bulk.spec",
+       "0d1ab095ec83668fb0bb4b862ee6694d572ab66bdff65c09466029af4bccb451",
+       "3ef5798e2b5332d7c8be0116798899b4a4c97ba9915d11610a151e9dad3e55a9"},
+      {"scenario_bench/specs/link_rare.spec",
+       "e48408d0553936b58af159bebeb13e378638db0d6f04f26733b3547c2d0942da",
+       "9f951ba2f49afecd9355680c14d3c5767da8baf457584efba5475ba3001deb2f"},
+  };
+  for (const Pin& pin : pins) {
+    const ScenarioSpec spec =
+        scenario::parse_spec_file(std::string(OCI_SOURCE_DIR) + "/" + pin.spec);
+    {
+      ScaleGuard guard(1.0);
+      EXPECT_EQ(scenario::spec_hash(spec), pin.at_scale_1) << pin.spec;
+    }
+    {
+      ScaleGuard guard(0.02);
+      EXPECT_EQ(scenario::spec_hash(spec), pin.at_scale_002) << pin.spec;
+    }
+  }
+
+  // FIPS 180-4 examples, then lengths around the padding boundary (55
+  // bytes leave room for the length in one block, 56 do not), checked
+  // against Python's hashlib.
+  EXPECT_EQ(scenario::sha256_hex(""),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(scenario::sha256_hex("abc"),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(scenario::sha256_hex("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  const std::pair<std::size_t, const char*> runs_of_a[] = {
+      {55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
+      {56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"},
+      {63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
+      {64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+      {65, "635361c48bb9eab14198e76ea8ab7f1a41685d6ad62aa9146d301d4f17eb0ae0"},
+  };
+  for (const auto& [n, hex] : runs_of_a) {
+    EXPECT_EQ(scenario::sha256_hex(std::string(n, 'a')), hex) << n << " x 'a'";
+  }
 }
 
 // -- Result store -------------------------------------------------------
@@ -650,6 +736,32 @@ TEST(ReportIo, RoundTripsThroughDisk) {
   const RunReport merged = scenario::merge_reports(
       {scenario::report_io::load(p0.string()), scenario::report_io::load(p1.string())});
   expect_identical(report, merged);
+}
+
+TEST(ReportIo, ControlCharactersRoundTripEscaped) {
+  // A raw control byte in a string makes the document unreadable to
+  // strict JSON readers (Python's json, so bench_diff.py): every byte
+  // below 0x20 must be written escaped, and load must undo each escape.
+  RunReport report = ScenarioRunner(2).run(sweep_spec());
+  const std::string odd = "tab\there \x01 cr\r bs\b ff\f us\x1f nl\n q\" b\\";
+  report.scenario = "name " + odd;
+  report.description = "description " + odd;
+  report.points[0].coordinate[0] = "label " + odd;
+  const fs::path path = scratch_dir("report_io_ctrl") / "report.json";
+  scenario::report_io::save(report, path.string());
+
+  std::ostringstream text;
+  text << std::ifstream(path).rdbuf();
+  const std::string doc = text.str();
+  // The document's own line breaks are its only bytes below 0x20.
+  EXPECT_EQ(std::count_if(doc.begin(), doc.end(),
+                          [](char c) { return c != '\n' && static_cast<unsigned char>(c) < 0x20; }),
+            0)
+      << doc;
+  const RunReport back = scenario::report_io::load(path.string());
+  EXPECT_EQ(back.scenario, report.scenario);
+  EXPECT_EQ(back.description, report.description);
+  EXPECT_EQ(back.points[0].coordinate[0], report.points[0].coordinate[0]);
 }
 
 TEST(ReportIo, EmptyAccumulatorStateRoundTrips) {

@@ -1,24 +1,21 @@
 #!/usr/bin/env python3
-"""Docs consistency gate: intra-repo links and registry-key coverage.
+"""Docs link gate: every intra-repo link must resolve.
 
 Usage: check_docs.py [REPO_ROOT]
 
-Two checks, both grep-grade by design (no markdown parser dependency):
+Every relative markdown link in README.md and docs/*.md must point at a
+file or directory that exists, resolved against the file that contains
+the link. External links (http/https/mailto) and pure anchors (#...)
+are skipped, as are targets that resolve outside the repository root
+(GitHub UI paths like ../../actions/...). Anchors on intra-repo targets
+are stripped before the existence check. Grep-grade by design: no
+markdown parser dependency.
 
-1. Every relative markdown link in README.md and docs/*.md must point
-   at a file or directory that exists, resolved against the file that
-   contains the link. External links (http/https/mailto) and pure
-   anchors (#...) are skipped, as are targets that resolve outside the
-   repository root (GitHub UI paths like ../../actions/...). Anchors
-   on intra-repo targets are stripped before the existence check.
+The reference page's coverage of the spec keys is checked by the
+ctest case ScenarioParse.ReferencePageDocumentsEveryKey, which reads
+the keys from the library itself.
 
-2. Every parameter key registered in src/scenario/src/spec.cpp — the
-   num("...")/cnt("...")/cat("...") helpers plus direct r["..."]
-   entries — must appear verbatim in docs/scenario-spec-reference.md.
-   A key you can set or sweep but cannot look up is a documentation
-   bug; CI fails until the reference page names it.
-
-Exit status: 0 when both checks pass, 1 with every problem listed.
+Exit status: 0 when every link resolves, 1 with every problem listed.
 """
 
 import os
@@ -26,7 +23,6 @@ import re
 import sys
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
-KEY_RE = re.compile(r'(?:\bnum|\bcnt|\bcat)\(\s*"([^"]+)"|r\["([^"]+)"\]')
 
 
 def doc_files(root):
@@ -65,45 +61,16 @@ def check_links(root):
     return problems
 
 
-def registry_keys(root):
-    spec_cpp = os.path.join(root, "src", "scenario", "src", "spec.cpp")
-    with open(spec_cpp, encoding="utf-8") as fh:
-        text = fh.read()
-    keys = set()
-    for m in KEY_RE.finditer(text):
-        keys.add(m.group(1) or m.group(2))
-    # r["key"] matches registry *lookups* too; that is fine — a looked-up
-    # key is a registered key or the lookup throws at startup.
-    return keys
-
-
-def check_key_coverage(root):
-    reference = os.path.join(root, "docs", "scenario-spec-reference.md")
-    if not os.path.isfile(reference):
-        return ["docs/scenario-spec-reference.md is missing"]
-    with open(reference, encoding="utf-8") as fh:
-        text = fh.read()
-    problems = []
-    for key in sorted(registry_keys(root)):
-        if key not in text:
-            problems.append(
-                f"registry key '{key}' (src/scenario/src/spec.cpp) is not "
-                f"documented in docs/scenario-spec-reference.md")
-    return problems
-
-
 def main(argv):
     root = os.path.abspath(argv[1] if len(argv) > 1 else
                            os.path.join(os.path.dirname(__file__), ".."))
-    problems = check_links(root) + check_key_coverage(root)
+    problems = check_links(root)
     if problems:
         for p in problems:
             print(f"check_docs: {p}", file=sys.stderr)
         print(f"check_docs: {len(problems)} problem(s)", file=sys.stderr)
         return 1
-    files = len(doc_files(root))
-    keys = len(registry_keys(root))
-    print(f"check_docs: OK ({files} doc file(s), {keys} registry key(s))")
+    print(f"check_docs: OK ({len(doc_files(root))} doc file(s))")
     return 0
 
 
