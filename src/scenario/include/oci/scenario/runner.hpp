@@ -140,6 +140,11 @@ struct RunReport {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_save_failures = 0;
+  /// Sweep points whose hardware this run realised: one per point that
+  /// simulated a chunk, none for a point served wholly from the cache
+  /// (and none on the vertical-bus and code-density paths, whose chunks
+  /// build their own). Informational, like the cache counters.
+  std::uint64_t points_realised = 0;
   /// Worker threads the run actually used. Metadata only (exported in
   /// the BENCH json "meta" object); results never depend on it.
   std::size_t threads = 0;

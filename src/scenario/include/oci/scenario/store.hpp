@@ -48,7 +48,13 @@ namespace oci::scenario {
 ///      code distribution as one binomial per code instead of hit by
 ///      hit, so every calibrated link's LUT and detection offset, and
 ///      code-density traffic, move within sampling noise
-inline constexpr unsigned kEngineRevision = 7;
+///   8  hardware realised once per sweep point from chunk 0's stream:
+///      every chunk of a multi-chunk point measures chunk 0's device
+///      (p2p, WDM, NoC PHY and fec probe, CAC schedule) instead of one
+///      of its own; a point's fault draws, realisation draws and
+///      retrains land on chunk 0 once; frames and the engine-coupled
+///      NoC count their kernel-lane draws
+inline constexpr unsigned kEngineRevision = 8;
 
 /// Address of one simulation chunk.
 struct ChunkKey {

@@ -130,6 +130,7 @@ RunReport merge_reports(const std::vector<RunReport>& parts,
     out.cache_hits += r.cache_hits;
     out.cache_misses += r.cache_misses;
     out.cache_save_failures += r.cache_save_failures;
+    out.points_realised += r.points_realised;
   }
   out.points.reserve(merged.size());
   for (auto& [index, point] : merged) out.points.push_back(std::move(point));

@@ -115,7 +115,8 @@ void save(const RunReport& report, const std::string& path) {
      << "\", \"threads\": " << report.threads << ", \"compiler\": \""
      << json_escape(compiler_for_meta()) << "\", \"cache_hits\": "
      << report.cache_hits << ", \"cache_misses\": " << report.cache_misses
-     << ", \"cache_save_failures\": " << report.cache_save_failures << " },\n";
+     << ", \"cache_save_failures\": " << report.cache_save_failures
+     << ", \"points_realised\": " << report.points_realised << " },\n";
   os << "  \"results\": [";
   for (std::size_t i = 0; i < report.points.size(); ++i) {
     const RunPoint& p = report.points[i];
@@ -538,6 +539,7 @@ RunReport load(const std::string& path) {
     report.cache_misses = uint_or(*meta, "cache_misses", 0, path);
     // Absent in documents written before the counter existed: reads 0.
     report.cache_save_failures = uint_or(*meta, "cache_save_failures", 0, path);
+    report.points_realised = uint_or(*meta, "points_realised", 0, path);
   }
 
   const JValue* results = doc.find("results");

@@ -73,24 +73,69 @@ std::vector<std::size_t> unravel(std::size_t flat, const std::vector<SweepAxis>&
   return idx;
 }
 
-ChunkRecord run_p2p_symbols(const ScenarioSpec& s, std::uint64_t samples, RngStream& rng,
-                            const fault::Realisation* fr, std::size_t point_index) {
-  RngStream process = rng.fork("process");
-  link::OpticalLink link(s.device, process);
+/// A sweep point's hardware: realised once, from chunk 0's stream, and
+/// read by every chunk of the point. A chunk builds only what it runs
+/// (MAC, delivery model, network) from these.
+struct PointHardware {
+  /// Point-to-point device (after any TDC drift and retrain), or the
+  /// NoC's engine-coupled PHY.
+  std::unique_ptr<link::OpticalLink> link;
+  /// The WDM link and the die stack its config points into.
+  std::unique_ptr<photonics::DieStack> stack;
+  std::unique_ptr<link::WdmLink> wdm;
+  /// NoC fec-probe: measured FEC frame delivery at the device's
+  /// operating point.
+  double delivery_probability = 0.0;
+  /// NoC CAC: the slot/wavelength schedule over the MAC's participants.
+  std::optional<net::cac::Allocation> allocation;
+  /// Draws and retrains of the realisation. Chunk 0's record carries
+  /// them, whichever chunk realised the hardware.
+  std::uint64_t rng_draws = 0;
   std::uint64_t recalibrations = 0;
-  std::uint64_t training_draws = 0;  // retraining's kernel lanes
+};
+
+/// What a chunk reads of its sweep point besides the spec.
+struct ChunkContext {
+  const PointHardware& hw;
+  /// The realisations an engine must act on (windows, drift, channel
+  /// scales, dead dies); nullptr on an unfaulted point.
+  const fault::Realisation* fr = nullptr;
+  std::size_t point = 0;  ///< GLOBAL sweep index
+  std::size_t chunk = 0;  ///< ordinal within the point
+};
+
+/// The point-to-point device, from chunk 0's "process" fork: process
+/// variation and calibration, then any TDC drift and retrain.
+PointHardware realise_link(const ScenarioSpec& s, RngStream& rng, const fault::Realisation* fr,
+                           std::size_t) {
+  PointHardware hw;
+  RngStream process = rng.fork("process");
+  hw.link = std::make_unique<link::OpticalLink>(s.device, process);
   if (fr != nullptr && fr->tdc_drift_c != 0.0) {
     // The drift hits AFTER construction calibrated at the nominal
     // temperature: the delay line walks out from under the trained
     // LUT/offset -- exactly the gap set_temperature leaves open.
-    link.set_temperature(
+    hw.link->set_temperature(
         util::Temperature::celsius(s.device.temperature.celsius() + fr->tdc_drift_c));
     if (fr->recalibrate && s.device.calibrate) {
-      // Graceful degradation: retrain at the operating point.
-      training_draws = link.recalibrate(s.device.calibration_samples, process);
-      ++recalibrations;
+      // Graceful degradation: retrain at the operating point. The
+      // training windows' kernel lanes are not in process.draws().
+      hw.rng_draws += hw.link->recalibrate(s.device.calibration_samples, process);
+      ++hw.recalibrations;
     }
   }
+  hw.rng_draws += process.draws();
+  return hw;
+}
+
+ChunkRecord run_p2p_symbols(const ScenarioSpec& s, std::uint64_t samples, RngStream& rng,
+                            const ChunkContext& ctx) {
+  const link::OpticalLink& link = *ctx.hw.link;
+  const fault::Realisation* fr = ctx.fr;
+  // Chunk 0's "process" fork built the device. Every chunk still takes
+  // that fork, so its later ones ("tx", the rare-event streams) are
+  // the streams it drew from when it built a device of its own.
+  (void)rng.fork("process");
   // Both chunk flavours fill one metric vector from these counts:
   // likelihood-ratio-weighted sums on a rare-event chunk, the plain
   // counts as doubles (exact below 2^53) on a crude one.
@@ -107,8 +152,7 @@ ChunkRecord run_p2p_symbols(const ScenarioSpec& s, std::uint64_t samples, RngStr
     // rates feed RateAccumulator as fractional successes. validate()
     // restricts active variance to plain symbol traffic, so the
     // aggressors and window faults below never coexist with this.
-    const rare::ChunkResult cr =
-        rare::run_chunk(link, s.variance, samples, point_index, rng);
+    const rare::ChunkResult cr = rare::run_chunk(link, s.variance, samples, ctx.point, rng);
     stats = cr.stats;
     ser_errors = cr.w_symbol_errors + cr.w_erasures;
     bit_errors = cr.w_bit_errors;
@@ -183,33 +227,38 @@ ChunkRecord run_p2p_symbols(const ScenarioSpec& s, std::uint64_t samples, RngStr
                    ? (static_cast<double>(stats.total_bits) - bit_errors) / elapsed_s
                    : 0.0,
                stats.energy_per_bit().joules(),
-               static_cast<double>(recalibrations)};
-  r.rng_draws += process.draws() + training_draws;
+               // The realisation's retrains, counted once per point.
+               static_cast<double>(ctx.chunk == 0 ? ctx.hw.recalibrations : 0)};
   return r;
 }
 
 ChunkRecord run_p2p_frames(const ScenarioSpec& s, std::uint64_t transfers, RngStream& rng,
-                           const fault::Realisation*, std::size_t) {
-  RngStream process = rng.fork("process");
-  const link::OpticalLink link(s.device, process);
+                           const ChunkContext& ctx) {
+  const link::OpticalLink& link = *ctx.hw.link;
+  (void)rng.fork("process");  // chunk 0's built the device
   RngStream tx = rng.fork("tx");
 
   const std::vector<std::uint8_t> payload(s.payload_bytes, 0x5A);
   std::uint64_t ok = 0;
   std::uint64_t corrections = 0;
+  std::uint64_t lane_draws = 0;  // the window kernel's, not in tx.draws()
   if (s.fec == FecKind::kHamming) {
     const link::FecLink fec(link);
     for (std::uint64_t i = 0; i < transfers; ++i) {
-      if (auto r = fec.transfer(payload, tx); r.payload && *r.payload == payload) {
+      const link::FecTransferResult t = fec.transfer(payload, tx);
+      lane_draws += t.stats.rng_draws;
+      if (t.payload && *t.payload == payload) {
         ++ok;
-        corrections += r.corrections;
+        corrections += t.corrections;
       }
     }
   } else {
     for (std::uint64_t i = 0; i < transfers; ++i) {
       modulation::Frame f;
       f.payload = payload;
-      if (auto r = link.transmit_frame(f, tx); r.frame && r.frame->payload == payload) ++ok;
+      const link::OpticalLink::FrameResult t = link.transmit_frame(f, tx);
+      lane_draws += t.stats.rng_draws;
+      if (t.frame && t.frame->payload == payload) ++ok;
     }
   }
 
@@ -217,12 +266,12 @@ ChunkRecord run_p2p_frames(const ScenarioSpec& s, std::uint64_t transfers, RngSt
   ChunkRecord r;
   r.metrics = {static_cast<double>(ok) / n, static_cast<double>(corrections) / n,
                s.fec == FecKind::kHamming ? link::FecLink::code_rate() : 1.0};
-  r.rng_draws = process.draws() + tx.draws();
+  r.rng_draws = tx.draws() + lane_draws;
   return r;
 }
 
 ChunkRecord run_p2p_code_density(const ScenarioSpec& s, std::uint64_t samples,
-                                 RngStream& rng, const fault::Realisation*, std::size_t) {
+                                 RngStream& rng, const ChunkContext&) {
   RngStream process = rng.fork("process");
   const tdc::DelayLine line(s.device.delay_line, process);
   tdc::TdcConfig cfg;
@@ -244,8 +293,11 @@ ChunkRecord run_p2p_code_density(const ScenarioSpec& s, std::uint64_t samples,
   return r;
 }
 
-ChunkRecord run_wdm(const ScenarioSpec& s, std::uint64_t samples, RngStream& rng,
-                    const fault::Realisation* fr, std::size_t) {
+/// The WDM link (one calibrated link per channel) from chunk 0's
+/// "process" fork, with any dead or aged lasers.
+PointHardware realise_wdm(const ScenarioSpec& s, RngStream& rng, const fault::Realisation* fr,
+                          std::size_t) {
+  PointHardware hw;
   link::WdmLinkConfig wc;
   wc.grid = s.wdm.grid;
   wc.filter = s.wdm.filter;
@@ -254,16 +306,23 @@ ChunkRecord run_wdm(const ScenarioSpec& s, std::uint64_t samples, RngStream& rng
   if (fr != nullptr && !fr->channel_scale.empty()) {
     wc.channel_power_scale = fr->channel_scale;
   }
-  std::unique_ptr<photonics::DieStack> stack;
   if (s.wdm.stack_dies > 0) {
-    stack = std::make_unique<photonics::DieStack>(
+    hw.stack = std::make_unique<photonics::DieStack>(
         photonics::DieStack::uniform(s.wdm.stack_dies, photonics::DieSpec{}));
-    wc.stack = stack.get();
+    wc.stack = hw.stack.get();
     wc.from_die = s.wdm.from_die;
     wc.to_die = s.wdm.to_die;
   }
   RngStream process = rng.fork("process");
-  const link::WdmLink wdm(wc, process);
+  hw.wdm = std::make_unique<link::WdmLink>(wc, process);
+  hw.rng_draws = process.draws();
+  return hw;
+}
+
+ChunkRecord run_wdm(const ScenarioSpec&, std::uint64_t samples, RngStream& rng,
+                    const ChunkContext& ctx) {
+  const link::WdmLink& wdm = *ctx.hw.wdm;
+  (void)rng.fork("process");  // chunk 0's built the link
   RngStream tx = rng.fork("tx");
   const auto run = wdm.measure(samples, tx);
 
@@ -283,12 +342,13 @@ ChunkRecord run_wdm(const ScenarioSpec& s, std::uint64_t samples, RngStream& rng
                static_cast<double>(captures),
                wdm.collected_fraction(0, 0),
                wdm.collected_fraction(n - 1, n - 1)};
-  r.rng_draws = process.draws() + tx.draws() + lane_draws;
+  r.rng_draws = tx.draws() + lane_draws;
   return r;
 }
 
+/// Builds its links per chunk: they live inside monte_carlo_broadcast.
 ChunkRecord run_bus(const ScenarioSpec& s, std::uint64_t samples, RngStream& rng,
-                    const fault::Realisation*, std::size_t) {
+                    const ChunkContext&) {
   bus::VerticalBusConfig bc;
   bc.die = s.bus.die;
   bc.dies = s.bus.dies;
@@ -320,7 +380,11 @@ ChunkRecord run_bus(const ScenarioSpec& s, std::uint64_t samples, RngStream& rng
   return r;
 }
 
-std::unique_ptr<net::MacPolicy> make_mac(const std::string& kind, std::size_t dies) {
+/// The MAC over `dies` participants; CAC arbitrates by the point's
+/// realised schedule.
+std::unique_ptr<net::MacPolicy> make_mac(const std::string& kind, std::size_t dies,
+                                         const PointHardware& hw) {
+  if (kind == "cac") return std::make_unique<net::CacMac>(*hw.allocation);
   if (kind == "tdma") return std::make_unique<net::TdmaMac>(bus::TdmaSchedule::equal(dies));
   if (kind == "token") return std::make_unique<net::TokenMac>(dies, 0);
   if (kind == "token+pass") return std::make_unique<net::TokenMac>(dies, 1);
@@ -330,12 +394,10 @@ std::unique_ptr<net::MacPolicy> make_mac(const std::string& kind, std::size_t di
   throw std::invalid_argument("scenario: unknown MAC policy '" + kind + "'");
 }
 
-/// CAC schedule over `participants` transmitters. The allocation is a
-/// pure function of the spec knobs and `alloc_rng`, which run_noc keys
-/// as (seed, "alloc/<point>") -- fixed hardware per sweep point, like
-/// the fault realisation, identical across chunks/threads/shards.
-std::unique_ptr<net::MacPolicy> make_cac_mac(const NocSpec& n, std::size_t participants,
-                                             RngStream& alloc_rng) {
+/// CAC schedule over `participants` transmitters: a pure function of
+/// the spec knobs and `alloc_rng`.
+net::cac::Allocation allocate_cac(const NocSpec& n, std::size_t participants,
+                                  RngStream& alloc_rng) {
   net::cac::AllocConfig ac;
   ac.nodes = participants;
   ac.wavelengths = std::min(n.alloc_wavelengths, participants);
@@ -343,7 +405,20 @@ std::unique_ptr<net::MacPolicy> make_cac_mac(const NocSpec& n, std::size_t parti
   ac.frame = n.alloc_frame;
   ac.rounds = n.alloc_rounds;
   const net::cac::DistributedAllocator allocator(ac);
-  return std::make_unique<net::CacMac>(allocator.allocate(alloc_rng));
+  return allocator.allocate(alloc_rng);
+}
+
+/// The live dies a faulted NoC's MAC re-arbitrates over when it
+/// reclaims the dead dies' shares; empty when every die takes part.
+std::vector<std::size_t> reclaimed_members(const ScenarioSpec& s, const fault::Realisation* fr) {
+  std::vector<std::size_t> members;
+  if (fr != nullptr && fr->mac_reclaim && !fr->dead_nodes.empty() &&
+      fr->live_nodes() < s.noc.dies) {
+    for (std::size_t die = 0; die < s.noc.dies; ++die) {
+      if (fr->dead_nodes[die] == 0) members.push_back(die);
+    }
+  }
+  return members;
 }
 
 net::StackNetworkConfig noc_config(const NocSpec& n) {
@@ -399,30 +474,19 @@ net::StackNetworkConfig noc_config(const NocSpec& n) {
   return cfg;
 }
 
-ChunkRecord run_noc(const ScenarioSpec& s, std::uint64_t slots, RngStream& rng,
-                    const fault::Realisation* fr, std::size_t point_index) {
-  net::StackNetworkConfig cfg = noc_config(s.noc);
-  if (fr != nullptr && fr->noc_faults()) {
-    cfg.dead_nodes = fr->dead_nodes;
-    cfg.broken_links = fr->broken_links;
-    cfg.reroute_dead_destinations = fr->reroute;
-  }
-
-  // The physical substrate, when the spec couples one in. Objects must
-  // outlive network.run(), so they are hoisted out of the switch.
-  std::unique_ptr<link::OpticalLink> phy_link;
-  std::unique_ptr<link::SymbolDeliveryModel> phy_model;
+/// The NoC's hardware: the engine-coupled PHY from chunk 0's "link"
+/// fork, the fec probe's verdict from its "probe" fork, and the CAC
+/// schedule.
+PointHardware realise_noc(const ScenarioSpec& s, RngStream& rng, const fault::Realisation* fr,
+                          std::size_t point_index) {
+  PointHardware hw;
   RngStream process = rng.fork("link");
-  std::uint64_t probe_draws = 0;
   if (s.noc.delivery != NocDelivery::kScalar) {
-    phy_link = std::make_unique<link::OpticalLink>(s.device, process);
-    const std::uint64_t symbols = net::symbols_per_packet(
-        s.noc.payload_bytes, phy_link->bits_per_symbol());
-    cfg.slot_duration = phy_link->symbol_period() * static_cast<double>(symbols);
+    hw.link = std::make_unique<link::OpticalLink>(s.device, process);
     if (s.noc.delivery == NocDelivery::kFecProbe) {
       // Fold the photon-level link into one per-transfer probability:
       // measured FEC frame delivery at the device's operating point.
-      const link::FecLink fec(*phy_link);
+      const link::FecLink fec(*hw.link);
       RngStream probe = rng.fork("probe");
       const std::vector<std::uint8_t> payload(s.noc.payload_bytes, 0xA5);
       const std::uint64_t probes =
@@ -430,14 +494,53 @@ ChunkRecord run_noc(const ScenarioSpec& s, std::uint64_t slots, RngStream& rng,
                                                       s.noc.probe_transfers, 20));
       std::uint64_t ok = 0;
       for (std::uint64_t i = 0; i < probes; ++i) {
-        if (auto r = fec.transfer(payload, probe); r.payload && *r.payload == payload) ++ok;
+        const link::FecTransferResult t = fec.transfer(payload, probe);
+        hw.rng_draws += t.stats.rng_draws;
+        if (t.payload && *t.payload == payload) ++ok;
       }
-      cfg.delivery_probability = std::max(
+      hw.delivery_probability = std::max(
           static_cast<double>(ok) / static_cast<double>(std::max<std::uint64_t>(probes, 1)),
           0.01);
-      probe_draws = probe.draws();
+      hw.rng_draws += probe.draws();
+    }
+  }
+  hw.rng_draws += process.draws();
+  if (s.noc.mac == "cac") {
+    // Keyed on the GLOBAL sweep point like the fault realisation, so
+    // the schedule is the same regardless of threads or shards.
+    RngStream alloc_rng(s.seed, "alloc/" + std::to_string(point_index));
+    const std::vector<std::size_t> members = reclaimed_members(s, fr);
+    hw.allocation =
+        allocate_cac(s.noc, members.empty() ? s.noc.dies : members.size(), alloc_rng);
+    hw.rng_draws += alloc_rng.draws();
+  }
+  return hw;
+}
+
+ChunkRecord run_noc(const ScenarioSpec& s, std::uint64_t slots, RngStream& rng,
+                    const ChunkContext& ctx) {
+  const PointHardware& hw = ctx.hw;
+  const fault::Realisation* fr = ctx.fr;
+  net::StackNetworkConfig cfg = noc_config(s.noc);
+  if (fr != nullptr && fr->noc_faults()) {
+    cfg.dead_nodes = fr->dead_nodes;
+    cfg.broken_links = fr->broken_links;
+    cfg.reroute_dead_destinations = fr->reroute;
+  }
+
+  // Chunk 0's "link" and "probe" forks built the PHY and probed it;
+  // every chunk still takes them, so "run" stays the same fork.
+  (void)rng.fork("link");
+  std::unique_ptr<link::SymbolDeliveryModel> phy_model;  // must outlive network.run()
+  if (hw.link) {
+    const std::uint64_t symbols =
+        net::symbols_per_packet(s.noc.payload_bytes, hw.link->bits_per_symbol());
+    cfg.slot_duration = hw.link->symbol_period() * static_cast<double>(symbols);
+    if (s.noc.delivery == NocDelivery::kFecProbe) {
+      (void)rng.fork("probe");
+      cfg.delivery_probability = hw.delivery_probability;
     } else {
-      phy_model = std::make_unique<link::SymbolDeliveryModel>(*phy_link);
+      phy_model = std::make_unique<link::SymbolDeliveryModel>(*hw.link);
       cfg.delivery_model = [model = phy_model.get()](const net::Packet& p,
                                                      RngStream& r) {
         return model->deliver(p.payload_bytes, r);
@@ -445,31 +548,15 @@ ChunkRecord run_noc(const ScenarioSpec& s, std::uint64_t slots, RngStream& rng,
     }
   }
 
-  // CAC allocations are per-point hardware state, like the fault
-  // realisation: the stream is keyed on the GLOBAL sweep point, so
-  // every chunk of a point rebuilds the identical schedule regardless
-  // of threads, shards or resume order. Non-CAC paths never draw from
-  // it (constructing the stream consumes nothing).
-  RngStream alloc_rng(s.seed, "alloc/" + std::to_string(point_index));
-  auto build_mac = [&](std::size_t participants) {
-    return s.noc.mac == "cac" ? make_cac_mac(s.noc, participants, alloc_rng)
-                              : make_mac(s.noc.mac, participants);
-  };
-  std::unique_ptr<net::MacPolicy> mac;
-  if (fr != nullptr && fr->mac_reclaim && !fr->dead_nodes.empty() &&
-      fr->live_nodes() < s.noc.dies) {
+  const std::vector<std::size_t> members = reclaimed_members(s, fr);
+  std::unique_ptr<net::MacPolicy> mac =
+      make_mac(s.noc.mac, members.empty() ? s.noc.dies : members.size(), hw);
+  if (!members.empty()) {
     // MAC re-arbitration over the survivors: the inner policy is built
     // for the live population (TDMA slots reclaimed, token ring
     // shortened, CAC codewords and wavelength shares reallocated over
     // the survivors) and SubsetMac remaps it onto the full die space.
-    std::vector<std::size_t> members;
-    for (std::size_t die = 0; die < s.noc.dies; ++die) {
-      if (fr->dead_nodes[die] == 0) members.push_back(die);
-    }
-    mac = std::make_unique<net::SubsetMac>(build_mac(members.size()), std::move(members),
-                                           s.noc.dies);
-  } else {
-    mac = build_mac(s.noc.dies);
+    mac = std::make_unique<net::SubsetMac>(std::move(mac), members, s.noc.dies);
   }
   net::StackNetwork network(cfg, std::move(mac));
   RngStream run_rng = rng.fork("run");
@@ -508,25 +595,32 @@ ChunkRecord run_noc(const ScenarioSpec& s, std::uint64_t slots, RngStream& rng,
                hot_rate,
                static_cast<double>(retry_drops),
                static_cast<double>(queue_drops)};
-  r.rng_draws = alloc_rng.draws() + process.draws() + probe_draws + run_rng.draws();
+  r.rng_draws = run_rng.draws() + (phy_model ? phy_model->cumulative().rng_draws : 0);
   return r;
 }
 
+/// A point's hardware from a fresh copy of chunk 0's stream (the
+/// `rng` argument), forked exactly as chunk 0's chunk function forks
+/// its own. Pixel faults never reach here: they fold analytically into
+/// the point's SPAD parameters (Poisson thinning), so faulted specs
+/// still ride the batched window kernel.
+using RealiseFn = PointHardware (*)(const ScenarioSpec&, RngStream& rng,
+                                    const fault::Realisation* fr, std::size_t point_index);
+
 /// One chunk of a workload: `samples` samples of the point-resolved
 /// spec on the chunk stream, returned as the record the result store
-/// saves (the runner fills in `samples`). Pixel faults never reach
-/// here: they fold analytically into the point's SPAD parameters
-/// (Poisson thinning), so faulted specs still ride the batched window
-/// kernel. `fr` carries only the realisations an engine must act on
-/// (windows, drift, channel scales, dead dies).
+/// saves (the runner fills in `samples`).
 using ChunkFn = ChunkRecord (*)(const ScenarioSpec&, std::uint64_t samples, RngStream&,
-                                const fault::Realisation* fr, std::size_t point_index);
+                                const ChunkContext& ctx);
 
 /// A topology's metric table beside the chunk function whose
-/// ChunkRecord::metrics fill it, position for position.
+/// ChunkRecord::metrics fill it, position for position, and the
+/// realisation of the hardware its chunks share (nullptr where each
+/// chunk builds its own).
 struct Workload {
   std::vector<MetricDef> metrics;
   ChunkFn run_chunk = nullptr;
+  RealiseFn realise = nullptr;
 };
 
 Workload workload_for(const ScenarioSpec& spec) {
@@ -538,10 +632,12 @@ Workload workload_for(const ScenarioSpec& spec) {
           return {{{"delivery_rate", K::kRate},
                    {"corrections_per_transfer", K::kMean},
                    {"code_rate", K::kConstant}},
-                  run_p2p_frames};
+                  run_p2p_frames,
+                  realise_link};
         case TrafficMode::kCodeDensity:
           // Whole-run order statistics: never chunk-merged (validate()
-          // rejects adaptive precision for this mode).
+          // rejects adaptive precision for this mode), so the one chunk
+          // builds its own delay line.
           return {{{"max_abs_dnl_lsb", K::kConstant},
                    {"max_abs_inl_lsb", K::kConstant},
                    {"lsb_ps", K::kConstant},
@@ -557,7 +653,8 @@ Workload workload_for(const ScenarioSpec& spec) {
                    {"goodput_bps", K::kMean},
                    {"energy_per_bit_j", K::kMean},
                    {"recalibrations", K::kCount}},
-                  run_p2p_symbols};
+                  run_p2p_symbols,
+                  realise_link};
       }
     case Topology::kWdm:
       // worst_ser is a per-window order statistic: adaptive chunks
@@ -568,7 +665,8 @@ Workload workload_for(const ScenarioSpec& spec) {
                {"noise_captures", K::kCount},
                {"collected_short", K::kConstant},
                {"collected_long", K::kConstant}},
-              run_wdm};
+              run_wdm,
+              realise_wdm};
     case Topology::kVerticalBus:
       return {{{"worst_ser", K::kMean},
                {"mean_ser", K::kRate},
@@ -586,7 +684,8 @@ Workload workload_for(const ScenarioSpec& spec) {
                {"hot_rate", K::kRate},
                {"retry_drops", K::kCount},
                {"queue_drops", K::kCount}},
-              run_noc};
+              run_noc,
+              realise_noc};
   }
   throw std::logic_error("scenario: unhandled topology");
 }
@@ -809,9 +908,14 @@ RunReport ScenarioRunner::run(const ScenarioSpec& spec, const RunOptions& option
   // RunPoint the report carries.
   struct PointState {
     bool init = false;
+    bool stopped = false;
     ScenarioSpec point;
     fault::Realisation fr;
     bool faulted = false;
+    std::uint64_t fault_draws = 0;
+    /// Realised on the point's first simulated chunk and dropped when
+    /// the point stops: a point served wholly from the cache builds none.
+    std::optional<PointHardware> hw;
     analysis::StoppingRule rule;
     double z = 1.96;
     std::uint64_t chunk_size = 0;
@@ -820,6 +924,7 @@ RunReport ScenarioRunner::run(const ScenarioSpec& spec, const RunOptions& option
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;
     std::uint64_t cache_save_failures = 0;
+    bool realised = false;
   };
 
   const bool adaptive = base.precision.enabled;
@@ -833,8 +938,9 @@ RunReport ScenarioRunner::run(const ScenarioSpec& spec, const RunOptions& option
     point_ids.push_back(g);
   }
   const ResultStore* store = options.store;
+  const std::string label = "scenario:" + base.name;
   auto results = runner.map_until<PointState>(
-      point_ids, "scenario:" + base.name,
+      point_ids, label,
       [&](std::size_t i, std::size_t chunk, RngStream& rng, PointState& st) {
         RunPoint& p = st.out;
         if (!st.init) {
@@ -863,6 +969,7 @@ RunReport ScenarioRunner::run(const ScenarioSpec& spec, const RunOptions& option
             RngStream frng(base.seed, "fault/" + std::to_string(i) + "/" +
                                           std::to_string(st.point.fault.salt));
             st.fr = fault::realise(st.point.fault, ctx, frng);
+            st.fault_draws = frng.draws();
             st.faulted = true;
             if (st.point.fault.pixel_active()) {
               // Poisson thinning folds the faulted array into the SPAD
@@ -924,7 +1031,25 @@ RunReport ScenarioRunner::run(const ScenarioSpec& spec, const RunOptions& option
           ++st.cache_hits;
         } else {
           const auto t0 = std::chrono::steady_clock::now();
-          r = workload.run_chunk(st.point, run_samples, rng, st.faulted ? &st.fr : nullptr, i);
+          const fault::Realisation* fr = st.faulted ? &st.fr : nullptr;
+          if (!st.hw) {
+            // Always from a fresh chunk-0 stream: chunk 0 builds the
+            // device it would build on its own, and no chunk's draws
+            // depend on which chunk realised the hardware.
+            st.hw.emplace();
+            if (workload.realise != nullptr) {
+              RngStream chunk0 = runner.task_stream(label, i, 0);
+              *st.hw = workload.realise(st.point, chunk0, fr, i);
+              st.realised = true;
+            }
+          }
+          r = workload.run_chunk(st.point, run_samples, rng,
+                                 ChunkContext{.hw = *st.hw, .fr = fr, .point = i, .chunk = chunk});
+          if (chunk == 0) {
+            // The point's one-off draws (fault realisation, hardware)
+            // land on chunk 0 exactly once.
+            r->rng_draws += st.fault_draws + st.hw->rng_draws;
+          }
           p.wall_ns += std::chrono::duration<double, std::nano>(
                            std::chrono::steady_clock::now() - t0)
                            .count();
@@ -948,11 +1073,10 @@ RunReport ScenarioRunner::run(const ScenarioSpec& spec, const RunOptions& option
         p.samples += run_samples;
         ++p.chunks;
         p.rng_draws += r->rng_draws;
+        st.stopped = st.rule.should_stop(p.state[st.target].estimate(st.z, p.samples));
+        if (st.stopped) st.hw.reset();
       },
-      [&](std::size_t /*i*/, const PointState& st) {
-        return st.rule.should_stop(
-            st.out.state[st.target].estimate(st.z, st.out.samples));
-      });
+      [](std::size_t /*i*/, const PointState& st) { return st.stopped; });
 
   // Export the pooled state itself, with its estimates: merge pools
   // THIS, then recomputes the intervals -- it never averages estimates.
@@ -962,6 +1086,7 @@ RunReport ScenarioRunner::run(const ScenarioSpec& spec, const RunOptions& option
     report.cache_hits += st.cache_hits;
     report.cache_misses += st.cache_misses;
     report.cache_save_failures += st.cache_save_failures;
+    if (st.realised) ++report.points_realised;
     report.points.push_back(std::move(st.out));
   }
   return report;

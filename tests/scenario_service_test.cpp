@@ -515,6 +515,68 @@ TEST(ScenarioService, ResumesAfterLostChunks) {
   expect_identical(cold, resumed);
 }
 
+TEST(ScenarioService, PartialResumeRebuildsHardwareFromChunkZero) {
+  // A point's hardware comes from chunk 0's stream whichever of its
+  // chunks simulates first, and its one-off draws and retrain land on
+  // chunk 0. Resuming with chunk 0 cached, or with only chunk 0 lost,
+  // must reproduce the cold report bit for bit.
+  ScenarioSpec spec = adaptive_spec();
+  spec.device.calibrate = true;
+  spec.device.calibration_samples = 2000;
+  spec.fault.tdc_drift_c = 10.0;  // retrain: recalibrations + training draws
+  const fs::path dir = scratch_dir("cache_partial");
+  const FsResultStore store(dir.string());
+  RunOptions options;
+  options.store = &store;
+
+  const RunReport cold = ScenarioRunner(2).run(spec, options);
+  const std::size_t points = cold.points.size();
+  EXPECT_EQ(cold.points_realised, points);
+  std::size_t multi_chunk = 0;
+  for (const RunPoint& p : cold.points) {
+    EXPECT_EQ(cold.metric(p, "recalibrations"), 1.0) << "one retrain per point";
+    if (p.chunks > 1) ++multi_chunk;
+  }
+  ASSERT_GT(multi_chunk, 0u);
+
+  // Fully cached: no point builds hardware.
+  const RunReport warm = ScenarioRunner(2).run(spec, options);
+  EXPECT_EQ(warm.cache_misses, 0u);
+  EXPECT_EQ(warm.points_realised, 0u);
+  expect_identical(cold, warm);
+
+  const auto chunk_files = [&](bool chunk_zero) {
+    std::vector<fs::path> out;
+    for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+      const std::string name = entry.path().filename().string();
+      const bool zero = name.size() > 3 && name.compare(name.size() - 3, 3, ".c0") == 0;
+      if (entry.is_regular_file() && zero == chunk_zero) out.push_back(entry.path());
+    }
+    return out;
+  };
+
+  // (a) Every point keeps only chunk 0: chunk 1 simulates first and
+  // realises; points that stopped after chunk 0 build nothing.
+  const std::vector<fs::path> later = chunk_files(false);
+  ASSERT_EQ(later.size(), cold.cache_misses - points);
+  for (const fs::path& f : later) fs::remove(f);
+  const RunReport a = ScenarioRunner(2).run(spec, options);
+  EXPECT_EQ(a.cache_misses, later.size());
+  EXPECT_EQ(a.cache_hits, points);
+  EXPECT_EQ(a.points_realised, multi_chunk);
+  expect_identical(cold, a);
+
+  // (b) Only chunk 0 lost: it realises, every later chunk hits.
+  const std::vector<fs::path> zeros = chunk_files(true);
+  ASSERT_EQ(zeros.size(), points);
+  for (const fs::path& f : zeros) fs::remove(f);
+  const RunReport b = ScenarioRunner(2).run(spec, options);
+  EXPECT_EQ(b.cache_misses, points);
+  EXPECT_EQ(b.cache_hits, later.size());
+  EXPECT_EQ(b.points_realised, points);
+  expect_identical(cold, b);
+}
+
 TEST(ScenarioService, CheckedInSpecWarmRunDoesZeroChunks) {
   // Acceptance check on the real checked-in spec at smoke scale: the
   // second run of scenarios/link_jitter.spec must simulate nothing.

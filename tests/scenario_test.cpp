@@ -13,9 +13,12 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "oci/analysis/report.hpp"
+#include "oci/fault/fault.hpp"
+#include "oci/link/fec_link.hpp"
 #include "oci/link/optical_link.hpp"
 #include "oci/scenario/parse.hpp"
 #include "oci/scenario/report_io.hpp"
@@ -675,6 +678,170 @@ TEST(ScenarioAdaptive, MeetsTargetWithThreeFoldFewerSymbols) {
   EXPECT_LE(3 * adaptive_total, fixed_total);
   // And cheaper than the spec's own fixed 4000/point budget too.
   EXPECT_LT(adaptive_total, 5 * 4000u);
+}
+
+// ---------- hardware realised once per point ----------
+
+/// Calibrated link under an adaptive rule it cannot meet, so the point
+/// runs to its cap in `chunk`-sized chunks.
+ScenarioSpec chunked_link_spec(std::uint64_t chunk, std::uint64_t total) {
+  ScenarioSpec spec = tiny_link_spec();
+  spec.name = "chunked_link";
+  spec.device.calibrate = true;
+  spec.device.calibration_samples = 2000;
+  spec.device.spad.jitter_sigma = util::Time::picoseconds(150.0);
+  spec.budget.samples = total;
+  spec.precision.enabled = true;
+  spec.precision.metric = "ser";
+  spec.precision.target_half_width = 1e-6;
+  spec.precision.chunk = chunk;
+  spec.precision.max_samples = total;
+  return spec;
+}
+
+TEST(ScenarioRealisation, EveryChunkMeasuresChunkZerosDevice) {
+  // Hand-rolled: ONE device from chunk 0's "process" fork, then each
+  // chunk's measure() on its own "tx" fork. The runner must reproduce
+  // every metric and rng_draws bit for bit, the device's draws counted
+  // once.
+  const ScenarioSpec spec = chunked_link_spec(100, 800);
+  const RunReport report = ScenarioRunner(2).run(spec);
+  ASSERT_EQ(report.points.size(), 1u);
+  const RunPoint& p = report.points.front();
+  ASSERT_EQ(p.chunks, 8u);
+
+  sim::BatchConfig bc;
+  bc.threads = 1;
+  bc.root_seed = report.seed;
+  const sim::BatchRunner runner(bc);
+  const std::string label = "scenario:" + spec.name;
+  util::RngStream process = runner.task_stream(label, 0, 0).fork("process");
+  const link::OpticalLink device(spec.device, process);
+  std::uint64_t draws = process.draws();
+  std::vector<scenario::MetricState> state;
+  for (const scenario::MetricDef& d : scenario::metrics_for(spec)) state.emplace_back(d.kind);
+  for (std::size_t k = 0; k < p.chunks; ++k) {
+    util::RngStream rng = runner.task_stream(label, 0, k);
+    (void)rng.fork("process");
+    util::RngStream tx = rng.fork("tx");
+    const link::LinkRunStats s = device.measure(100, tx);
+    draws += tx.draws() + s.rng_draws;
+    const auto n = static_cast<double>(s.symbols_sent);
+    const auto bits = static_cast<double>(s.total_bits);
+    const auto bit_errors = static_cast<double>(s.bit_errors);
+    const std::vector<double> chunk = {
+        static_cast<double>(s.symbol_errors + s.erasures) / n,
+        bit_errors / bits,
+        static_cast<double>(s.erasures) / n,
+        static_cast<double>(s.noise_captures) / n,
+        device.ppm().config().slot_width.picoseconds(),
+        s.raw_throughput().bits_per_second(),
+        (static_cast<double>(s.total_bits) - bit_errors) / s.elapsed.seconds(),
+        s.energy_per_bit().joules(),
+        0.0};
+    ASSERT_EQ(chunk.size(), state.size());
+    for (std::size_t m = 0; m < state.size(); ++m) state[m].add(chunk[m], 100);
+  }
+  EXPECT_EQ(p.rng_draws, draws);
+  for (std::size_t m = 0; m < state.size(); ++m) {
+    EXPECT_EQ(p.metrics[m], state[m].estimate(report.confidence_z, p.samples).value)
+        << report.metric_names[m];
+  }
+}
+
+TEST(ScenarioRealisation, FaultDrawsLandOnChunkZeroOnce) {
+  // A link-failure probability so small that no link breaks still draws
+  // one Bernoulli per link from the fault stream. Over four chunks the
+  // faulted point must cost exactly those draws more than the clean
+  // one: charged to chunk 0, not to every chunk.
+  ScenarioSpec clean;
+  clean.name = "noc_fault_draws";
+  clean.seed = kSeed;
+  clean.topology = Topology::kStackNoc;
+  clean.noc.dies = 8;
+  clean.noc.mac = "token";
+  clean.noc.offered_load = 0.5;
+  clean.budget.samples = 2000;
+  clean.budget.repro_scaled = false;
+  clean.precision.enabled = true;
+  clean.precision.metric = "carried_load";
+  clean.precision.target_half_width = 1e-9;  // unreachable: runs to the cap
+  clean.precision.chunk = 500;
+  clean.precision.max_samples = 2000;
+  ScenarioSpec faulted = clean;
+  faulted.fault.link_failure_probability = 1e-12;
+
+  const RunReport a = ScenarioRunner(2).run(clean);
+  const RunReport b = ScenarioRunner(2).run(faulted);
+  const RunPoint& pa = a.points.front();
+  const RunPoint& pb = b.points.front();
+  ASSERT_EQ(pb.chunks, 4u);
+  ASSERT_EQ(pa.metrics, pb.metrics);  // nothing broke
+
+  util::RngStream frng(b.seed, "fault/0/" + std::to_string(faulted.fault.salt));
+  fault::Context ctx;
+  ctx.noc_dies = faulted.noc.dies;
+  (void)fault::realise(faulted.fault, ctx, frng);
+  ASSERT_GT(frng.draws(), 0u);
+  EXPECT_EQ(pb.rng_draws, pa.rng_draws + frng.draws());
+}
+
+TEST(ScenarioRealisation, SerIsInvariantToChunkSize) {
+  // One device per point: the same total at chunk N, N/4 and N/16 is
+  // the same experiment, so the pooled SER counts must agree.
+  constexpr std::uint64_t kTotal = 3200;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> counts;  // (errors, symbols)
+  for (const std::uint64_t chunk : {kTotal, kTotal / 4, kTotal / 16}) {
+    const RunReport report = ScenarioRunner(2).run(chunked_link_spec(chunk, kTotal));
+    const RunPoint& p = report.points.front();
+    ASSERT_EQ(p.samples, kTotal);
+    ASSERT_EQ(p.chunks, kTotal / chunk);
+    const scenario::MetricState& ser = p.state.front();
+    ASSERT_EQ(report.metric_names.front(), "ser");
+    counts.emplace_back(static_cast<std::uint64_t>(std::llround(ser.rate.successes())),
+                        ser.rate.trials());
+  }
+  EXPECT_GT(counts.front().first, 0u);
+  for (std::size_t k = 1; k < counts.size(); ++k) {
+    EXPECT_RATES_CONSISTENT(counts.front().first, counts.front().second, counts[k].first,
+                            counts[k].second, 1e-4);
+  }
+}
+
+TEST(ScenarioRunner, FrameDrawsCountEveryTransfersKernelLanes) {
+  // Hand-rolled frames point: the device from chunk 0's "process" fork,
+  // then FEC transfers on its "tx" fork. rng_draws counts both streams
+  // AND every transfer's window-kernel lanes.
+  ScenarioSpec spec = tiny_link_spec();
+  spec.name = "frame_draws";
+  spec.mode = TrafficMode::kFrames;
+  spec.fec = FecKind::kHamming;
+  spec.payload_bytes = 8;
+  spec.device.spad.jitter_sigma = util::Time::picoseconds(150.0);
+  spec.device.bits_per_symbol = 8;
+  spec.budget.samples = 40;
+  const RunReport report = ScenarioRunner(2).run(spec);
+  const RunPoint& p = report.points.front();
+
+  sim::BatchConfig bc;
+  bc.threads = 1;
+  bc.root_seed = report.seed;
+  util::RngStream rng = sim::BatchRunner(bc).task_stream("scenario:" + spec.name, 0, 0);
+  util::RngStream process = rng.fork("process");
+  const link::OpticalLink device(spec.device, process);
+  util::RngStream tx = rng.fork("tx");
+  const link::FecLink fec(device);
+  const std::vector<std::uint8_t> payload(spec.payload_bytes, 0x5A);
+  std::uint64_t lanes = 0;
+  std::uint64_t ok = 0;
+  for (int i = 0; i < 40; ++i) {
+    const link::FecTransferResult t = fec.transfer(payload, tx);
+    lanes += t.stats.rng_draws;
+    if (t.payload && *t.payload == payload) ++ok;
+  }
+  EXPECT_GT(lanes, 0u);
+  EXPECT_EQ(p.rng_draws, process.draws() + tx.draws() + lanes);
+  EXPECT_EQ(report.metric(p, "delivery_rate"), static_cast<double>(ok) / 40.0);
 }
 
 TEST(ScenarioPrecision, EnvOverridesArmAdaptiveMode) {
