@@ -53,8 +53,8 @@ struct LatencySummary {
   double max_slots = 0.0;
 };
 
-/// Quantile digest of raw per-packet latencies (in slots). Sorts a
-/// copy; quantiles use the nearest-rank method.
+/// Quantile digest of raw per-packet latencies (in slots). Quantiles
+/// use the nearest-rank method, found by selection on the owned copy.
 [[nodiscard]] LatencySummary summarize_latencies(std::vector<double> latencies);
 
 }  // namespace oci::net

@@ -155,9 +155,15 @@ Allocation DistributedAllocator::allocate(util::RngStream& rng) const {
   auto cell = [&](std::size_t wl, std::size_t slot) -> std::uint32_t& {
     return load[wl * p + slot];
   };
+  // (phase + c) mod p for a phase and a codeword slot both below p: one
+  // conditional subtract instead of a division in the phase search.
+  auto wrap = [p](std::size_t phase, std::uint32_t c) -> std::size_t {
+    const std::size_t slot = phase + c;
+    return slot >= p ? slot - p : slot;
+  };
   for (std::size_t i = 0; i < n; ++i) {
     for (const std::uint32_t c : base[i]) {
-      ++cell(out.wavelength[i], (out.phase[i] + c) % p);
+      ++cell(out.wavelength[i], wrap(out.phase[i], c));
     }
   }
 
@@ -172,13 +178,13 @@ Allocation DistributedAllocator::allocate(util::RngStream& rng) const {
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t wl = out.wavelength[i];
       for (const std::uint32_t c : base[i]) {
-        --cell(wl, (out.phase[i] + c) % p);
+        --cell(wl, wrap(out.phase[i], c));
       }
       std::size_t best_phase = out.phase[i];
       std::uint64_t best_cost = ~0ULL;
       for (std::size_t phase = 0; phase < p; ++phase) {
         std::uint64_t cost = 0;
-        for (const std::uint32_t c : base[i]) cost += cell(wl, (phase + c) % p);
+        for (const std::uint32_t c : base[i]) cost += cell(wl, wrap(phase, c));
         if (cost < best_cost || (cost == best_cost && phase == out.phase[i])) {
           best_cost = cost;
           best_phase = phase;
@@ -189,7 +195,7 @@ Allocation DistributedAllocator::allocate(util::RngStream& rng) const {
         changed = true;
       }
       for (const std::uint32_t c : base[i]) {
-        ++cell(wl, (out.phase[i] + c) % p);
+        ++cell(wl, wrap(out.phase[i], c));
       }
     }
     ++out.rounds_used;
@@ -204,7 +210,7 @@ Allocation DistributedAllocator::allocate(util::RngStream& rng) const {
     auto& slots = out.slots[i];
     slots.reserve(base[i].size());
     for (const std::uint32_t c : base[i]) {
-      slots.push_back(static_cast<std::uint32_t>((out.phase[i] + c) % p));
+      slots.push_back(static_cast<std::uint32_t>(wrap(out.phase[i], c)));
     }
     std::sort(slots.begin(), slots.end());
   }
