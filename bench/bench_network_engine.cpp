@@ -3,7 +3,8 @@
 // co-channel aggressor pulses (engine k-way hazard merge vs the
 // materialise/sort/thin reference pipeline), full WDM windows, the
 // photon-level vertical-bus broadcast and contended-upstream paths,
-// and the LinkEngine-coupled NoC slot simulation. The binary writes
+// the LinkEngine-coupled NoC slot simulation and the scalar NoC slot
+// loop at 64-1024 dies. The binary writes
 // the stable-schema BENCH_network.json trajectory document (see
 // support/bench_json.hpp) that CI uploads and diffs across runs.
 #include <benchmark/benchmark.h>
@@ -218,6 +219,35 @@ void BM_NocCoupledSlots(benchmark::State& state) {
       static_cast<double>(rng.draws() - draws_before), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_NocCoupledSlots);
+
+// ---------- NoC: slot loop at scale ----------
+
+// Uniform traffic at 1.4 offered packets/slot over TDMA with scalar
+// delivery, the noc_thousand_node shape. One op is a 1000-slot run on
+// a network whose queues persist across ops; per-slot cost and draws
+// follow the arrivals and grants, so 1024 dies should cost about what
+// 64 do.
+void BM_NocSlots(benchmark::State& state) {
+  constexpr std::uint64_t kSlots = 1000;
+  const auto dies = static_cast<std::size_t>(state.range(0));
+  net::StackNetworkConfig cfg;
+  cfg.dies = dies;
+  cfg.traffic.resize(dies);
+  for (auto& t : cfg.traffic) {
+    t.packets_per_slot = 1.4 / static_cast<double>(dies);
+    t.uniform_destinations = true;
+  }
+  net::StackNetwork netw(cfg, std::make_unique<net::TdmaMac>(bus::TdmaSchedule::equal(dies)));
+  RngStream rng(kSeed, "noc-slots");
+  const std::uint64_t draws_before = rng.draws();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(netw.run(kSlots, rng).total_delivered());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kSlots));
+  state.counters["rng_draws"] = benchmark::Counter(
+      static_cast<double>(rng.draws() - draws_before), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_NocSlots)->Arg(64)->Arg(256)->Arg(1024);
 
 }  // namespace
 

@@ -103,7 +103,9 @@ class VerticalBus {
   /// symbols and every other die receives the same pulse train through
   /// its own stack transmittance, each on the LinkEngine hot path
   /// (allocation-free per window). Far dies erase more -- the
-  /// Monte-Carlo shadow of downstream_reports().
+  /// Monte-Carlo shadow of downstream_reports(). Each die's
+  /// `rng_draws` counts its process, symbol-pick and receive stream
+  /// draws besides its kernel lanes' (`rng` itself only forks).
   [[nodiscard]] BusBroadcastResult monte_carlo_broadcast(std::uint64_t symbols,
                                                          util::RngStream& rng) const;
 

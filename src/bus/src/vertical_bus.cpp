@@ -96,12 +96,14 @@ BusBroadcastResult VerticalBus::monte_carlo_broadcast(std::uint64_t symbols,
   // then one shared symbol stream: a broadcast pulse train is identical
   // at every die, only the optical budget and detector noise differ.
   std::vector<std::unique_ptr<link::OpticalLink>> links;
+  std::vector<std::uint64_t> process_draws;
   links.reserve(config_.dies - 1);
   for (std::size_t die = 0; die < config_.dies; ++die) {
     if (die == config_.master) continue;
     util::RngStream process = rng.fork("bus-die-process");
     links.push_back(std::make_unique<link::OpticalLink>(
         receiver_link_config(config_.master, die), process));
+    process_draws.push_back(process.draws());
     out.dies.push_back(die);
   }
 
@@ -113,8 +115,9 @@ BusBroadcastResult VerticalBus::monte_carlo_broadcast(std::uint64_t symbols,
       (std::uint64_t{1} << links.front()->bits_per_symbol()) - 1;
 
   out.per_die.reserve(links.size());
-  for (const auto& l : links) {
-    const link::LinkEngine engine(*l);
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    const link::OpticalLink& l = *links[i];
+    const link::LinkEngine engine(l);
     util::RngStream pick = symbol_proto;  // identical stream per die
     util::RngStream tx = rng.fork("bus-die-rx");
     link::LinkRunStats stats;
@@ -124,8 +127,10 @@ BusBroadcastResult VerticalBus::monte_carlo_broadcast(std::uint64_t symbols,
       const auto symbol = static_cast<std::uint64_t>(
           pick.uniform_int(0, static_cast<std::int64_t>(max_symbol)));
       (void)engine.transmit_symbol(symbol, t, dead_until, stats, tx);
-      t += l->symbol_period();
+      t += l.symbol_period();
     }
+    // The die's stream draws join its kernel-lane draws.
+    stats.rng_draws += process_draws[i] + pick.draws() + tx.draws();
     out.per_die.push_back(stats);
   }
   return out;

@@ -145,6 +145,10 @@ struct RunReport {
   /// (and none on the vertical-bus and code-density paths, whose chunks
   /// build their own). Informational, like the cache counters.
   std::uint64_t points_realised = 0;
+  /// kEngineRevision of the engine that simulated the report (0: read
+  /// from a document written before the field existed). Exported in
+  /// the JSON "meta" object; bench_diff re-baselines when it changes.
+  unsigned engine_revision = 0;
   /// Worker threads the run actually used. Metadata only (exported in
   /// the BENCH json "meta" object); results never depend on it.
   std::size_t threads = 0;

@@ -54,7 +54,12 @@ namespace oci::scenario {
 ///      of its own; a point's fault draws, realisation draws and
 ///      retrains land on chunk 0 once; frames and the engine-coupled
 ///      NoC count their kernel-lane draws
-inline constexpr unsigned kEngineRevision = 8;
+///   9  NoC arrivals by Poisson superposition: one aggregate count per
+///      slot, one uniform per arrival picks its source, so every NoC
+///      point's run stream moves while per-die counts stay independent
+///      Poisson(rate); vertical-bus points count each die's process,
+///      symbol-pick and receive draws (they reported 0)
+inline constexpr unsigned kEngineRevision = 9;
 
 /// Address of one simulation chunk.
 struct ChunkKey {

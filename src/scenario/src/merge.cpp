@@ -66,6 +66,7 @@ RunReport merge_reports(const std::vector<RunReport>& parts,
     check_same(r.adaptive == first.adaptive, "adaptive flag");
     check_same(r.points_total == first.points_total, "points_total");
     check_same(r.confidence_z == first.confidence_z, "confidence_z");
+    check_same(r.engine_revision == first.engine_revision, "engine revision");
     for (const RunPoint& p : r.points) {
       if (p.state.size() != n_metrics) {
         fail("a report lacks per-metric accumulator state (not written by "
@@ -112,6 +113,7 @@ RunReport merge_reports(const std::vector<RunReport>& parts,
   out.adaptive = first.adaptive;
   out.spec_hash = first.spec_hash;
   out.confidence_z = first.confidence_z;
+  out.engine_revision = first.engine_revision;
   out.points_total = points_total;
   out.axis_names = first.axis_names;
   out.metric_names = first.metric_names;

@@ -116,7 +116,8 @@ void save(const RunReport& report, const std::string& path) {
      << json_escape(compiler_for_meta()) << "\", \"cache_hits\": "
      << report.cache_hits << ", \"cache_misses\": " << report.cache_misses
      << ", \"cache_save_failures\": " << report.cache_save_failures
-     << ", \"points_realised\": " << report.points_realised << " },\n";
+     << ", \"points_realised\": " << report.points_realised
+     << ", \"engine_revision\": " << report.engine_revision << " },\n";
   os << "  \"results\": [";
   for (std::size_t i = 0; i < report.points.size(); ++i) {
     const RunPoint& p = report.points[i];
@@ -540,6 +541,7 @@ RunReport load(const std::string& path) {
     // Absent in documents written before the counter existed: reads 0.
     report.cache_save_failures = uint_or(*meta, "cache_save_failures", 0, path);
     report.points_realised = uint_or(*meta, "points_realised", 0, path);
+    report.engine_revision = static_cast<unsigned>(uint_or(*meta, "engine_revision", 0, path));
   }
 
   const JValue* results = doc.find("results");

@@ -367,16 +367,18 @@ ChunkRecord run_bus(const ScenarioSpec& s, std::uint64_t samples, RngStream& rng
 
   std::uint64_t sent = 0;
   std::uint64_t errors = 0;
+  std::uint64_t draws = 0;
   for (const auto& d : run.per_die) {
     sent += d.symbols_sent;
     errors += d.symbol_errors;
+    draws += d.rng_draws;
   }
   ChunkRecord r;
   r.metrics = {run.worst_symbol_error_rate(),
                sent > 0 ? static_cast<double>(errors) / static_cast<double>(sent) : 0.0,
                static_cast<double>(vbus.serviceable_dies()),
                vbus.aggregate_broadcast_goodput().bits_per_second() / 1e9};
-  r.rng_draws = mc.draws();
+  r.rng_draws = draws;
   return r;
 }
 
@@ -901,6 +903,7 @@ RunReport ScenarioRunner::run(const ScenarioSpec& spec, const RunOptions& option
   bc.root_seed = base.seed;
   const sim::BatchRunner runner(bc);
   report.threads = runner.threads();
+  report.engine_revision = kEngineRevision;
 
   // One state per sweep point; the fixed-budget path is the adaptive
   // path degenerated to a single mandatory chunk, so both produce the

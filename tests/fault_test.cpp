@@ -296,6 +296,69 @@ TEST(Fault, StackNetworkBrokenLinkFailsDeterministically) {
   EXPECT_GT(r.per_die[0].retry_drops, 0u);  // ARQ exhausts, packets die
 }
 
+TEST(Fault, UniformDestinationsCoverTheEligibleOtherDies) {
+  // Destinations recorded through delivery_model: never the source,
+  // never a dead die under reroute, and uniform over the eligible
+  // other dies (Pearson's chi^2 pooled over sources). Every transfer
+  // reaches the hook, so none was addressed to a dead die.
+  constexpr std::size_t kDies = 7;
+  for (const bool faulted : {false, true}) {
+    net::StackNetworkConfig cfg;
+    cfg.dies = kDies;
+    cfg.traffic.resize(kDies);
+    for (std::size_t die = 0; die < kDies; ++die) {
+      cfg.traffic[die].packets_per_slot = 0.02 * static_cast<double>(die + 1);
+      cfg.traffic[die].uniform_destinations = true;
+    }
+    if (faulted) {
+      cfg.dead_nodes.assign(kDies, 0);
+      cfg.dead_nodes[2] = 1;
+      cfg.dead_nodes[5] = 1;
+      cfg.reroute_dead_destinations = true;
+    }
+    std::vector<std::uint64_t> seen(kDies * kDies, 0);
+    cfg.delivery_model = [&seen](const net::Packet& p, RngStream&) {
+      ++seen[p.src * kDies + p.dst];
+      return true;
+    };
+    net::StackNetwork network(cfg, std::make_unique<net::TokenMac>(kDies, 0));
+    RngStream rng(263);
+    const net::NetworkRunResult r = network.run(100000, rng);
+
+    std::uint64_t transmissions = 0;
+    for (const auto& d : r.per_die) transmissions += d.transmissions;
+    std::uint64_t recorded = 0;
+    for (const std::uint64_t n : seen) recorded += n;
+    EXPECT_EQ(recorded, transmissions);
+
+    const std::size_t eligible = faulted ? kDies - 2 : kDies;
+    double chi2 = 0.0;
+    std::size_t dof = 0;
+    for (std::size_t src = 0; src < kDies; ++src) {
+      EXPECT_EQ(seen[src * kDies + src], 0u) << "source " << src;
+      if (network.node_dead(src)) continue;
+      std::uint64_t total = 0;
+      for (std::size_t dst = 0; dst < kDies; ++dst) total += seen[src * kDies + dst];
+      ASSERT_GT(total, 0u);
+      const double expected = static_cast<double>(total) / static_cast<double>(eligible - 1);
+      for (std::size_t dst = 0; dst < kDies; ++dst) {
+        if (dst == src) continue;
+        if (network.node_dead(dst)) {
+          EXPECT_EQ(seen[src * kDies + dst], 0u) << src << " -> dead " << dst;
+          continue;
+        }
+        const double d = static_cast<double>(seen[src * kDies + dst]) - expected;
+        chi2 += d * d / expected;
+      }
+      dof += eligible - 2;
+    }
+    // chi^2 0.999 quantiles: 35 dof on the clean stack (7 sources x 5),
+    // 15 with two dead dies (5 sources x 3).
+    ASSERT_EQ(dof, faulted ? 15u : 35u);
+    EXPECT_LT(chi2, faulted ? 37.697 : 66.619) << (faulted ? "faulted" : "clean");
+  }
+}
+
 // ---------- end-to-end scenario behaviour ----------
 
 scenario::ScenarioSpec starved_link_spec() {

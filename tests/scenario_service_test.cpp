@@ -770,6 +770,10 @@ TEST(ScenarioService, MergeRejectsBadCombinations) {
   MetricState& slot_ps = nudged.points.front().state[slot];
   ASSERT_EQ(slot_ps.kind, MetricKind::kConstant);
   (void)scenario::merge_reports({full, nudged});  // poolable as run
+  // Reports simulated by different engine revisions never merge.
+  RunReport older = nudged;
+  older.engine_revision = full.engine_revision - 1;
+  EXPECT_THROW((void)scenario::merge_reports({full, older}), std::invalid_argument);
   slot_ps.value = std::nextafter(slot_ps.value, 2.0 * slot_ps.value);
   EXPECT_THROW((void)scenario::merge_reports({full, nudged}), std::invalid_argument);
   // Nothing to merge at all.
@@ -786,6 +790,8 @@ TEST(ReportIo, RoundTripsThroughDisk) {
   const RunReport back = scenario::report_io::load(path.string());
   expect_identical(report, back);
   EXPECT_EQ(back.confidence_z, report.confidence_z);
+  EXPECT_EQ(report.engine_revision, scenario::kEngineRevision);
+  EXPECT_EQ(back.engine_revision, report.engine_revision);
   // The reconstructed accumulators are live: merging a loaded shard
   // pair behaves exactly like merging in-memory reports.
   RunOptions s0, s1;

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -17,8 +18,10 @@
 #include <vector>
 
 #include "oci/analysis/report.hpp"
+#include "oci/bus/vertical_bus.hpp"
 #include "oci/fault/fault.hpp"
 #include "oci/link/fec_link.hpp"
+#include "oci/link/link_engine.hpp"
 #include "oci/link/optical_link.hpp"
 #include "oci/scenario/parse.hpp"
 #include "oci/scenario/report_io.hpp"
@@ -388,6 +391,72 @@ TEST(ScenarioRunner, VerticalBusScenarioRuns) {
   const RunPoint& p = report.points.front();
   EXPECT_GE(report.metric(p, "serviceable_dies"), 0.0);
   EXPECT_LE(report.metric(p, "worst_ser"), 1.0);
+}
+
+TEST(ScenarioRunner, VerticalBusCountsEveryDiesDraws) {
+  // The broadcast draws only from forks of the chunk's "mc" stream and
+  // from kernel lanes. Hand-rolled recount of the one chunk: every
+  // receiving die's process, symbol-pick and receive draws plus its
+  // lanes'.
+  ScenarioSpec spec;
+  spec.name = "bus_draws";
+  spec.seed = kSeed;
+  spec.topology = Topology::kVerticalBus;
+  spec.device.calibrate = false;
+  spec.device.led.peak_power = util::Power::microwatts(150.0);
+  spec.device.led.wavelength = util::Wavelength::nanometres(1050.0);
+  spec.bus.dies = 4;
+  spec.budget.samples = 200;
+  spec.budget.repro_scaled = false;
+  const RunReport report = ScenarioRunner(1).run(spec);
+  const RunPoint& p = report.points.front();
+  ASSERT_EQ(p.chunks, 1u);
+
+  bus::VerticalBusConfig bc;
+  bc.die = spec.bus.die;
+  bc.dies = spec.bus.dies;
+  bc.master = spec.bus.master;
+  bc.design = spec.device.design;
+  bc.led = spec.device.led;
+  bc.spad = spec.device.spad;
+  bc.min_detection_probability = spec.bus.min_detection_probability;
+  bc.bits_per_symbol = spec.device.bits_per_symbol;
+  bc.mc_calibrate = spec.device.calibrate;
+  bc.mc_calibration_samples = spec.device.calibration_samples;
+  const bus::VerticalBus vbus(bc);
+
+  sim::BatchConfig sc;
+  sc.threads = 1;
+  sc.root_seed = report.seed;
+  util::RngStream mc =
+      sim::BatchRunner(sc).task_stream("scenario:" + spec.name, 0, 0).fork("mc");
+  std::uint64_t draws = 0;
+  std::vector<std::unique_ptr<link::OpticalLink>> links;
+  for (std::size_t die = 0; die < bc.dies; ++die) {
+    if (die == bc.master) continue;
+    util::RngStream process = mc.fork("bus-die-process");
+    links.push_back(std::make_unique<link::OpticalLink>(
+        vbus.receiver_link_config(bc.master, die), process));
+    draws += process.draws();
+  }
+  const util::RngStream symbols = mc.fork("bus-symbols");
+  for (const auto& l : links) {
+    const link::LinkEngine engine(*l);
+    util::RngStream pick = symbols;
+    util::RngStream tx = mc.fork("bus-die-rx");
+    link::LinkRunStats stats;
+    util::Time t = util::Time::zero();
+    util::Time dead_until = util::Time::zero();
+    const auto max_symbol = static_cast<std::int64_t>((1u << l->bits_per_symbol()) - 1);
+    for (std::uint64_t s = 0; s < spec.budget.samples; ++s) {
+      const auto symbol = static_cast<std::uint64_t>(pick.uniform_int(0, max_symbol));
+      (void)engine.transmit_symbol(symbol, t, dead_until, stats, tx);
+      t += l->symbol_period();
+    }
+    draws += pick.draws() + tx.draws() + stats.rng_draws;
+  }
+  EXPECT_GT(p.rng_draws, 0u);
+  EXPECT_EQ(p.rng_draws, draws);
 }
 
 TEST(ScenarioRunner, NocEngineCouplingRuns) {

@@ -20,7 +20,10 @@ Exit status: 0 by default (the trajectory is a record). With --gate,
 exits 1 when any metric drifted significantly — this is the CI
 regression gate. Missing/unreadable/old-schema PREVIOUS is never an
 error (baseline run of a new trajectory), and new or removed
-benchmarks only inform.
+benchmarks only inform. Neither is a PREVIOUS scenario report whose
+meta.engine_revision differs from CURRENT's or is missing: the engine
+changed the numbers on purpose (kEngineRevision), so the drift table
+is printed but the gate re-baselines instead of failing.
 """
 
 import json
@@ -49,6 +52,12 @@ def load(path):
         print(f"bench_diff: {path} has unknown schema_version, skipping diff")
         return None
     return doc
+
+
+def engine_revision(doc):
+    """meta.engine_revision of a scenario report; None when absent."""
+    meta = doc.get("meta")
+    return meta.get("engine_revision") if isinstance(meta, dict) else None
 
 
 def interval(metric):
@@ -132,6 +141,17 @@ def main():
         )
         return 0
 
+    # Only scenario reports carry an engine revision; the microbench
+    # trajectories (neither side has one) keep the plain comparison.
+    cur_rev, prev_rev = engine_revision(cur), engine_revision(prev)
+    rebaseline = cur_rev is not None and prev_rev != cur_rev
+    if rebaseline:
+        shown = "missing" if prev_rev is None else prev_rev
+        print(
+            f"bench_diff: engine revision changed ({shown} -> {cur_rev}); "
+            "treating as baseline run, drift below is informational"
+        )
+
     prev_by_name = {r["name"]: r for r in prev.get("results", [])}
     print(f"== {cur.get('binary')} (repro_scale {cur.get('config', {}).get('repro_scale')}) ==")
     print(f"{'benchmark':44s} {'prev ns/op':>12s} {'cur ns/op':>12s} {'delta':>8s}  draws/op")
@@ -171,7 +191,9 @@ def main():
               f" at slack {slack}):")
         for _, _, detail in drifts:
             print(f"  {detail}")
-        if gate:
+        if gate and rebaseline:
+            print("bench_diff: --gate set, but the engine revision changed: baseline run")
+        elif gate:
             # Name every failing metric/point pair in the gate verdict:
             # the CI log's last lines must say WHAT regressed, not just
             # that something did.

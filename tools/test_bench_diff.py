@@ -4,8 +4,8 @@
 Run directly (python3 tools/test_bench_diff.py) or via ctest
 (bench_diff_selftest). Builds synthetic schema-2 trajectory documents
 and checks the gate's contract: in-interval noise passes, an
-out-of-interval regression fails, baselines and old schemas never
-fail.
+out-of-interval regression fails, baselines, old schemas and engine
+revision changes never fail.
 """
 
 import json
@@ -17,13 +17,17 @@ import tempfile
 BENCH_DIFF = os.path.join(os.path.dirname(os.path.abspath(__file__)), "bench_diff.py")
 
 
-def doc(ser, lo, hi, schema=2, name="link_jitter/jitter_ps=40", goodput=1.25e9):
+def doc(ser, lo, hi, schema=2, name="link_jitter/jitter_ps=40", goodput=1.25e9,
+        revision=9):
+    meta = {"git_sha": "deadbeef", "threads": 2, "compiler": "gcc 12"}
+    if revision is not None:
+        meta["engine_revision"] = revision
     d = {
         "schema_version": schema,
         "binary": "scenario_link_jitter",
         "config": {"repro_scale": 1.0, "seed": 7, "topology": "point-to-point",
                    "adaptive": True},
-        "meta": {"git_sha": "deadbeef", "threads": 2, "compiler": "gcc 12"},
+        "meta": meta,
         "results": [
             {
                 "name": name,
@@ -104,6 +108,24 @@ def main():
         # wildly different values: the producer's semantics changed.
         schema1 = write(tmp, "schema1.json", doc(0.9, 0.9, 0.9, schema=1))
         check("schema bump is a baseline", run(schema1, regression, "--gate")[0], 0)
+
+        # An engine-revision bump moves numbers on purpose: the drift
+        # table still prints, but the gate re-baselines. A previous
+        # report written before the field existed counts as a change.
+        for label, prev_revision in (("engine revision change", 8),
+                                     ("missing previous engine revision", None)):
+            older = write(tmp, "older.json", doc(0.020, 0.016, 0.025, revision=prev_revision))
+            code, out = run(older, regression, "--gate")
+            check(f"{label} is a baseline", code, 0)
+            if "STATISTICALLY SIGNIFICANT" not in out or "baseline run" not in out:
+                raise AssertionError(f"{label}: drift table and baseline note expected:\n{out}")
+        # Documents without the field on both sides (the microbench
+        # trajectories) keep the plain gate.
+        unrevised = write(tmp, "unrevised.json", doc(0.020, 0.016, 0.025, revision=None))
+        unrevised_regression = write(tmp, "unrevised_regress.json",
+                                     doc(0.080, 0.072, 0.089, revision=None))
+        check("no engine revision on either side still gates",
+              run(unrevised, unrevised_regression, "--gate")[0], 1)
 
         # Mistyped options must fail loudly, not silently un-gate.
         check("unknown option is an error", run(baseline, noise, "--gate=1")[0], 2)
