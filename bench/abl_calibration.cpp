@@ -62,14 +62,14 @@ void print_reproduction() {
   const Voltage vdd = Voltage::volts(1.5);
 
   // LUT measured once at 20 C (the "stale" reference).
-  tdc.line().set_conditions(Temperature::celsius(20.0), vdd);
+  tdc.set_conditions(Temperature::celsius(20.0), vdd);
   RngStream cal20(kSeed, "cal-20C");
   const tdc::CalibrationLut stale(tdc::code_density_test(tdc, 500000, cal20));
 
   util::Table t({"T [C]", "elements used", "RMS err, no cal [ps]",
                  "RMS err, stale 20C LUT [ps]", "RMS err, fresh LUT [ps]"});
   for (double celsius : {-20.0, 0.0, 20.0, 40.0, 60.0, 80.0}) {
-    tdc.line().set_conditions(Temperature::celsius(celsius), vdd);
+    tdc.set_conditions(Temperature::celsius(celsius), vdd);
     RngStream fresh_rng(kSeed + static_cast<std::uint64_t>(celsius + 100), "cal-fresh");
     const tdc::CalibrationLut fresh(tdc::code_density_test(tdc, 500000, fresh_rng));
 
@@ -102,7 +102,7 @@ void print_reproduction() {
   int runs = 0;
   for (int step = 0; step <= 60; ++step) {
     const double temp = 20.0 + step;  // 1 C per step up to 80 C
-    tdc.line().set_conditions(Temperature::celsius(temp), vdd);
+    tdc.set_conditions(Temperature::celsius(temp), vdd);
     if (ctl.maybe_recalibrate(Time::milliseconds(10.0 * step), cal)) ++runs;
   }
   std::cout << "\nCalibrationController with 5 C drift budget over a 20->80 C ramp: "

@@ -59,11 +59,12 @@ BENCHMARK(BM_AscendingUniformStream);
 
 // ---------- fused TDC sample+decode ----------
 
-tdc::DelayLine bench_line() {
+tdc::DelayLine bench_line(double window_ps = 4.0) {
   tdc::DelayLineParams p;
   p.elements = 108;
   p.nominal_delay = Time::picoseconds(52.0);
   p.mismatch_sigma = 0.12;
+  p.metastability_window = Time::picoseconds(window_ps);
   RngStream process(kSeed, "line");
   return tdc::DelayLine(p, process);
 }
@@ -97,15 +98,18 @@ BENCHMARK(BM_SampleAndDecodeMaterialised);
 
 // The link_jitter device's TDC: bench_line() clocked at 96 x 52 ps with
 // five coarse bits and majority decode, as OpticalLink configures it.
-tdc::Tdc bench_tdc() {
+tdc::Tdc bench_tdc(double window_ps = 4.0) {
   tdc::TdcConfig cfg;
   cfg.coarse_bits = 5;
   cfg.clock_period = Time::picoseconds(52.0 * 96);
-  return tdc::Tdc(bench_line(), cfg);
+  return tdc::Tdc(bench_line(window_ps), cfg);
 }
 
-void BM_TdcConvert(benchmark::State& state) {
-  const tdc::Tdc tdc = bench_tdc();
+// One op = one uniform TOA drawn and converted on a line at `celsius`
+// with a metastability half-window of `window_ps`.
+void BM_TdcConvertAt(benchmark::State& state, double celsius, double window_ps) {
+  tdc::Tdc tdc = bench_tdc(window_ps);
+  tdc.set_conditions(util::Temperature::celsius(celsius), tdc.line().params().nominal_supply);
   RngStream rng(kSeed, "bm-conv");
   for (auto _ : state) {
     const Time toa = rng.uniform_time(tdc.toa_window());
@@ -114,7 +118,13 @@ void BM_TdcConvert(benchmark::State& state) {
   state.counters["rng_draws"] = benchmark::Counter(static_cast<double>(rng.draws()),
                                                    benchmark::Counter::kAvgIterations);
 }
+
+void BM_TdcConvert(benchmark::State& state) { BM_TdcConvertAt(state, 20.0, 4.0); }
 BENCHMARK(BM_TdcConvert);
+// A hot line (its bucket table rebuilt at 85 C) and a 60 ps window,
+// where two or three taps race per conversion and each draws a coin.
+BENCHMARK_CAPTURE(BM_TdcConvertAt, hot_85C, 85.0, 4.0);
+BENCHMARK_CAPTURE(BM_TdcConvertAt, window_60ps, 20.0, 60.0);
 
 // One op = one OpticalLink construction's calibration histogram.
 void BM_CodeDensityCalibration(benchmark::State& state) {

@@ -6,6 +6,8 @@
 # Creates a static library `oci_<name>` (alias `oci::<name>`) from
 # src/*.cpp, exports include/ publicly, and links the named module
 # dependencies PUBLIC so transitive includes resolve for consumers.
+# Every library compiles with -ffp-contract=off (OCI_FP_CONTRACT_OFF,
+# see the root CMakeLists.txt).
 function(oci_add_module name)
   cmake_parse_arguments(ARG "" "" "DEPS;LINK" ${ARGN})
 
@@ -27,5 +29,5 @@ function(oci_add_module name)
     target_link_libraries(oci_${name} PUBLIC ${ARG_LINK})
   endif()
 
-  target_compile_options(oci_${name} PRIVATE ${OCI_WARNING_FLAGS})
+  target_compile_options(oci_${name} PRIVATE ${OCI_WARNING_FLAGS} ${OCI_FP_CONTRACT_OFF})
 endfunction()

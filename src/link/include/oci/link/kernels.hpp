@@ -8,9 +8,9 @@
 // Bit-stability contract (pinned by engine_batch_test's golden lane
 // digests): the kernel uses only exactly-rounded operations (+, -, *,
 // /, sqrt, compares, integer ops) plus portable polynomial
-// transcendentals -- never libm -- and its translation unit is compiled
-// with -ffp-contract=off, so neither the compiler, nor -march, nor the
-// standard library can change a single bit of a lane's result.
+// transcendentals -- never libm -- and, like every oci library, it is
+// compiled with -ffp-contract=off, so neither the compiler, nor -march,
+// nor the standard library can change a single bit of a lane's result.
 #pragma once
 
 #include <cstdint>

@@ -68,8 +68,10 @@ struct LinkRunStats {
   std::uint64_t noise_captures = 0;  ///< first detection was dark/afterpulse/background
   std::uint64_t bit_errors = 0;
   std::uint64_t total_bits = 0;
-  /// Counter-RNG draws consumed by the batched engine path (0 on the
-  /// scalar per-symbol paths, whose draws are tracked by RngStream).
+  /// Counter-RNG draws of the window kernel's lanes: every batched
+  /// window's and every per-window transmit_symbol's. Draws on the
+  /// caller's RngStream (the TDC's racing-tap coins) are tracked by
+  /// that stream.
   std::uint64_t rng_draws = 0;
   util::Time elapsed;                ///< symbols x MW
   util::Energy tx_energy;

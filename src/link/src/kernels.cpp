@@ -1,6 +1,6 @@
-// The window kernel. Compiled with -ffp-contract=off (see
-// src/link/CMakeLists.txt): GCC contracts a*b+c into FMA by default,
-// which would make a lane's bits depend on -march.
+// The window kernel. Compiled with -ffp-contract=off, like every oci
+// library (cmake/OciModule.cmake): GCC contracts a*b+c into FMA by
+// default, which would make a lane's bits depend on -march.
 //
 // Bit-stability rules (see kernels.hpp): only exactly-rounded IEEE
 // operations and the portable polynomial transcendentals below. No

@@ -180,7 +180,7 @@ std::uint64_t OpticalLink::recalibrate(std::uint64_t samples, RngStream& rng) {
 void OpticalLink::set_temperature(util::Temperature t) {
   // The delay line first: it rejects a temperature that gives it a
   // non-positive delay, and then nothing has changed.
-  tdc_.line().set_conditions(t, tdc_.line().params().nominal_supply);
+  tdc_.set_conditions(t, tdc_.line().params().nominal_supply);
   spad_.set_temperature(t);
 }
 

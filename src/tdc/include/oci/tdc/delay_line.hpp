@@ -47,6 +47,15 @@ struct DelayLineParams {
 /// tap when the clock latched).
 using ThermometerCode = std::vector<std::uint8_t>;
 
+/// True iff a tap latches a settled 1 when the clock edge comes
+/// `margin` seconds after the tap's switching instant, at metastability
+/// half-window `window`: sample()'s per-tap comparison without its
+/// racing case, including the |margin| == window edge. Monotone in the
+/// margin.
+[[nodiscard]] inline bool latches_one(double margin, double window) {
+  return window > 0.0 ? margin >= window : margin > 0.0;
+}
+
 class DelayLine {
  public:
   /// Draws static per-element mismatch from `process_rng` once; the line
@@ -88,6 +97,20 @@ class DelayLine {
   /// path in thermometer.hpp.
   [[nodiscard]] std::span<const double> boundaries_seconds() const { return boundaries_s_; }
 
+  /// Where latch_regimes starts its walk: the settled-1 count at the
+  /// line's own metastability window, taken at the lower edge of the
+  /// interval's bucket (four buckets per tap over the chain plus the
+  /// window; set_conditions rebuilds the table). Every interval, NaN
+  /// and infinities included, falls in some bucket.
+  [[nodiscard]] std::size_t settled_ones_guess(double interval_s) const {
+    const double x = interval_s * bucket_scale_;
+    const std::size_t last = ones_guess_.size() - 1;
+    // Clamped before the cast, which only sees [0, last).
+    const std::size_t k =
+        x > 0.0 ? (x < static_cast<double>(last) ? static_cast<std::size_t>(x) : last) : 0;
+    return ones_guess_[k];
+  }
+
   /// True iff the chain at current conditions still covers the given
   /// clock period (the paper requires Rf >= one clock period).
   [[nodiscard]] bool covers(Time clock_period) const;
@@ -103,6 +126,8 @@ class DelayLine {
   std::vector<double> mismatch_;        ///< static multiplier per element
   std::vector<double> base_delays_s_;   ///< current per-element delay [s]
   std::vector<double> boundaries_s_;    ///< prefix sums, size N+1
+  std::vector<std::uint32_t> ones_guess_;  ///< settled-1 count per bucket edge
+  double bucket_scale_ = 0.0;              ///< buckets per second of interval
   Temperature temperature_ = Temperature::celsius(20.0);
   Voltage supply_ = Voltage::volts(1.5);
   double condition_scale_ = 1.0;

@@ -46,8 +46,12 @@ class Tdc {
   Tdc(DelayLine line, const TdcConfig& config);
 
   [[nodiscard]] const DelayLine& line() const { return line_; }
-  [[nodiscard]] DelayLine& line() { return line_; }
   [[nodiscard]] const TdcConfig& config() const { return config_; }
+
+  /// Applies operating conditions to the delay line
+  /// (DelayLine::set_conditions) and re-derives the taps per period and
+  /// the LSB. A rejected call changes nothing.
+  void set_conditions(Temperature t, Voltage supply);
 
   /// The clock period in force (configured or derived from N * delta).
   [[nodiscard]] Time clock_period() const { return clock_period_; }
@@ -70,10 +74,13 @@ class Tdc {
 
  private:
   TdcReading finish(Time toa, unsigned coarse, std::size_t fine_taps) const;
+  void derive_period_taps();
 
   DelayLine line_;
   TdcConfig config_;
   Time clock_period_;
+  std::size_t taps_per_period_ = 0;  ///< line_.elements_used(clock_period_)
+  double lsb_s_ = 0.0;               ///< clock period / taps_per_period_
 };
 
 }  // namespace oci::tdc

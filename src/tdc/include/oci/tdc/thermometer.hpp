@@ -34,9 +34,9 @@ struct LatchRegimes {
   std::size_t racing = 0;
 };
 
-/// Finds the latch regimes with a binary search over the (sorted) tap
-/// boundaries, reproducing DelayLine::sample()'s per-tap comparisons
-/// exactly for the given metastability half-window.
+/// Finds the latch regimes by walking from the line's bucket guess
+/// (DelayLine::settled_ones_guess) with DelayLine::sample()'s per-tap
+/// comparisons, exactly for the given metastability half-window.
 [[nodiscard]] LatchRegimes latch_regimes(const DelayLine& line, Time interval,
                                          Time metastability_window);
 
@@ -50,8 +50,9 @@ struct LatchRegimes {
 /// Fused DelayLine::sample + decode_thermometer: latch_regimes, one coin
 /// per racing tap, decode_latched. No thermometer code is materialised.
 /// Consumes RNG draws in the same order as sample() and returns the
-/// identical decoded tap count (a property test pins this), at O(log N)
-/// instead of O(N) per conversion -- the TDC conversion hot path.
+/// identical decoded tap count (a property test pins this), at a few
+/// tap comparisons instead of N per conversion -- the TDC conversion
+/// hot path.
 [[nodiscard]] std::size_t sample_and_decode(const DelayLine& line, Time interval,
                                             RngStream& rng, ThermometerDecode method);
 

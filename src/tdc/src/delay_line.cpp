@@ -54,6 +54,19 @@ void DelayLine::rebuild_boundaries() {
     base_delays_s_[i] = d0 * mismatch_[i] * skew;
     boundaries_s_[i + 1] = boundaries_s_[i] + base_delays_s_[i];
   }
+  // latch_regimes' starting guesses: the settled-1 count at each bucket
+  // edge over [0, chain + window], past which every tap reads 1.
+  const std::size_t n = size();
+  const double meta = params_.metastability_window.seconds();
+  const std::size_t buckets = 4 * n;
+  bucket_scale_ = static_cast<double>(buckets) / (boundaries_s_[n] + std::max(meta, 0.0));
+  ones_guess_.assign(buckets + 1, 0);
+  std::size_t ones = 0;
+  for (std::size_t k = 0; k <= buckets; ++k) {
+    const double t = static_cast<double>(k) / bucket_scale_;
+    while (ones < n && latches_one(t - boundaries_s_[ones + 1], meta)) ++ones;
+    ones_guess_[k] = static_cast<std::uint32_t>(ones);
+  }
 }
 
 Time DelayLine::element_delay(std::size_t i) const {

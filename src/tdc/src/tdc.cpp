@@ -19,6 +19,17 @@ Tdc::Tdc(DelayLine line, const TdcConfig& config)
     throw std::invalid_argument(
         "Tdc: delay line does not cover one clock period; add elements or slow the clock");
   }
+  derive_period_taps();
+}
+
+void Tdc::set_conditions(Temperature t, Voltage supply) {
+  line_.set_conditions(t, supply);
+  derive_period_taps();
+}
+
+void Tdc::derive_period_taps() {
+  taps_per_period_ = line_.elements_used(clock_period_);
+  lsb_s_ = clock_period_.seconds() / static_cast<double>(taps_per_period_);
 }
 
 Time Tdc::toa_window() const {
@@ -35,28 +46,24 @@ unsigned Tdc::bits_per_sample() const {
   return util::ilog2(static_cast<std::uint64_t>(line_.size())) + config_.coarse_bits;
 }
 
-Time Tdc::lsb() const {
-  const std::size_t used = line_.elements_used(clock_period_);
-  return Time::seconds(clock_period_.seconds() / static_cast<double>(used));
-}
+Time Tdc::lsb() const { return Time::seconds(lsb_s_); }
 
 TdcReading Tdc::finish(Time toa, unsigned coarse, std::size_t fine_taps) const {
-  const std::size_t taps_per_period = line_.elements_used(clock_period_);
-  const double lsb_s = clock_period_.seconds() / static_cast<double>(taps_per_period);
-  // The fine count can exceed taps_per_period when mismatch shortens the
-  // head of the chain; clamp so the reconstruction stays in-window.
-  fine_taps = std::min(fine_taps, taps_per_period);
+  // The fine count can exceed the taps per period when mismatch
+  // shortens the head of the chain; clamp so the reconstruction stays
+  // in-window.
+  fine_taps = std::min(fine_taps, taps_per_period_);
 
   TdcReading r;
   r.coarse = coarse;
   r.fine = fine_taps;
   const std::uint64_t max_code =
-      (std::uint64_t{1} << config_.coarse_bits) * taps_per_period - 1;
+      (std::uint64_t{1} << config_.coarse_bits) * taps_per_period_ - 1;
   // A fine count of k means the hit-to-edge interval lay in
   // [boundary(k), boundary(k+1)), i.e. the TOA lay in the bin whose
   // upper edge is (coarse * taps - k) LSBs -- hence the -1.
   const std::int64_t raw =
-      static_cast<std::int64_t>(coarse) * static_cast<std::int64_t>(taps_per_period) -
+      static_cast<std::int64_t>(coarse) * static_cast<std::int64_t>(taps_per_period_) -
       static_cast<std::int64_t>(fine_taps) - 1;
   std::int64_t clamped = raw;
   if (clamped < 0) clamped = 0;
@@ -64,7 +71,7 @@ TdcReading Tdc::finish(Time toa, unsigned coarse, std::size_t fine_taps) const {
     clamped = static_cast<std::int64_t>(max_code);
   }
   r.code = static_cast<std::uint64_t>(clamped);
-  r.estimate = Time::seconds(static_cast<double>(r.code) * lsb_s + 0.5 * lsb_s);
+  r.estimate = Time::seconds(static_cast<double>(r.code) * lsb_s_ + 0.5 * lsb_s_);
   r.saturated = toa < Time::zero() || toa >= toa_window();
   return r;
 }

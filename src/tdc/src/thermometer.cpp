@@ -64,26 +64,25 @@ bool is_clean(const ThermometerCode& code) { return count_bubbles(code) == 0; }
 
 LatchRegimes latch_regimes(const DelayLine& line, Time interval, Time metastability_window) {
   const std::span<const double> b = line.boundaries_seconds();  // size N+1
+  const std::size_t n = line.size();
   const double t = interval.seconds();
   const double meta = metastability_window.seconds();
 
   // Tap i switches at b[i+1]; its margin t - b[i+1] is (weakly)
   // monotone decreasing in i, so the three latch regimes form a
   // deterministic-1 prefix, a metastable middle, and a deterministic-0
-  // suffix. The predicates reproduce sample()'s per-tap comparisons
-  // exactly, including the |margin| == meta edge. The metastable middle
-  // is short (at most one tap at the default window) and each of its
-  // taps costs a coin anyway, so a forward scan finds its end.
-  const double* first = b.data() + 1;
-  const double* last = first + line.size();
-  const double* ones_end = std::partition_point(first, last, [&](double sw) {
-    const double margin = t - sw;
-    return meta > 0.0 ? margin >= meta : margin > 0.0;
-  });
-  const double* meta_end = ones_end;
-  while (meta_end != last && t - *meta_end > -meta) ++meta_end;
-  return {static_cast<std::size_t>(ones_end - first),
-          static_cast<std::size_t>(meta_end - ones_end)};
+  // suffix. The walk evaluates sample()'s per-tap predicates, so it
+  // lands on the prefix's exact end from any start and for any window;
+  // the line's bucket guess starts it a step or two away at the line's
+  // own window. The metastable middle is short (at most one tap at the
+  // default window) and each of its taps costs a coin anyway, so a
+  // forward scan finds its end.
+  std::size_t ones = line.settled_ones_guess(t);
+  while (ones > 0 && !latches_one(t - b[ones], meta)) --ones;
+  while (ones < n && latches_one(t - b[ones + 1], meta)) ++ones;
+  std::size_t meta_end = ones;
+  while (meta_end < n && t - b[meta_end + 1] > -meta) ++meta_end;
+  return {ones, meta_end - ones};
 }
 
 std::size_t decode_latched(std::size_t taps, std::size_t ones,

@@ -17,7 +17,15 @@ namespace oci::util {
 [[nodiscard]] std::uint64_t derive_seed(std::uint64_t root, std::string_view label);
 
 /// splitmix64 step; used both for seed derivation and as a cheap mixer.
-[[nodiscard]] std::uint64_t splitmix64(std::uint64_t& state);
+/// Inline: the window kernel's counter draws and per-window lane keys
+/// call it once per draw.
+[[nodiscard]] inline std::uint64_t splitmix64(std::uint64_t& state) {
+  state += 0x9E3779B97F4A7C15ull;
+  std::uint64_t z = state;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
 
 /// A deterministic random stream with convenience draws for the
 /// distributions the simulator needs. Thin wrapper over std::mt19937_64.

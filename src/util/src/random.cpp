@@ -2,14 +2,6 @@
 
 namespace oci::util {
 
-std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9E3779B97F4A7C15ull;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
 std::uint64_t derive_seed(std::uint64_t root, std::string_view label) {
   std::uint64_t state = root ^ 0xA0761D6478BD642Full;
   // Fold the label into the state one byte at a time, mixing after each.

@@ -425,10 +425,10 @@ TEST(CalibrationController, RecalibratesOnDrift) {
   EXPECT_TRUE(ctl.maybe_recalibrate(Time::zero(), cal));  // first call always runs
   EXPECT_EQ(ctl.calibrations_run(), 1u);
 
-  tdc.line().set_conditions(Temperature::celsius(22.0), Voltage::volts(1.5));
+  tdc.set_conditions(Temperature::celsius(22.0), Voltage::volts(1.5));
   EXPECT_FALSE(ctl.maybe_recalibrate(Time::milliseconds(10.0), cal));
 
-  tdc.line().set_conditions(Temperature::celsius(45.0), Voltage::volts(1.5));
+  tdc.set_conditions(Temperature::celsius(45.0), Voltage::volts(1.5));
   EXPECT_TRUE(ctl.maybe_recalibrate(Time::milliseconds(20.0), cal));
   EXPECT_EQ(ctl.calibrations_run(), 2u);
   EXPECT_NEAR(ctl.calibrated_at().celsius(), 45.0, 1e-9);
@@ -442,7 +442,7 @@ TEST(CalibrationController, MinIntervalSuppressesRuns) {
   CalibrationController ctl(tdc, policy);
   RngStream cal(419);
   ctl.calibrate_now(Time::zero(), cal);
-  tdc.line().set_conditions(Temperature::celsius(80.0), Voltage::volts(1.5));
+  tdc.set_conditions(Temperature::celsius(80.0), Voltage::volts(1.5));
   EXPECT_FALSE(ctl.maybe_recalibrate(Time::microseconds(10.0), cal));
   EXPECT_TRUE(ctl.maybe_recalibrate(Time::milliseconds(2.0), cal));
 }
@@ -458,7 +458,7 @@ TEST(CalibrationController, StaleLutHasWorseResidual) {
   const double fresh = ctl.residual_rms_s(3000, probe);
 
   // Heat the line 40 C without recalibrating: the stale LUT mis-scales.
-  tdc.line().set_conditions(Temperature::celsius(60.0), Voltage::volts(1.5));
+  tdc.set_conditions(Temperature::celsius(60.0), Voltage::volts(1.5));
   RngStream probe2(439);
   const double stale = ctl.residual_rms_s(3000, probe2);
   EXPECT_GT(stale, fresh * 1.5);

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "oci/tdc/calibration.hpp"
@@ -320,6 +323,24 @@ TEST(Tdc, StochasticMatchesIdealAwayFromBoundaries) {
     }
   }
   EXPECT_LT(mismatches, 10);  // metastability shifts at most 1 code, rarely
+}
+
+// The LSB is kept per condition: after set_conditions it matches a
+// fresh derivation from the line, and a rejected condition leaves the
+// line and the LSB as they were.
+TEST(Tdc, SetConditionsKeepsLsbInStep) {
+  RngStream rng(157);
+  TdcConfig cfg;
+  cfg.clock_period = Time::nanoseconds(4.5);  // covered despite mismatch
+  Tdc tdc(DelayLine(paper_line_params(), rng), cfg);
+  tdc.set_conditions(Temperature::celsius(85.0), Voltage::volts(1.5));
+  const Time hot = tdc.lsb();
+  EXPECT_EQ(hot.seconds(), cfg.clock_period.seconds() /
+                               static_cast<double>(tdc.line().elements_used(cfg.clock_period)));
+  EXPECT_THROW(tdc.set_conditions(Temperature::celsius(-700.0), Voltage::volts(1.5)),
+               std::invalid_argument);
+  EXPECT_EQ(tdc.line().temperature().celsius(), 85.0);
+  EXPECT_EQ(tdc.lsb().seconds(), hot.seconds());
 }
 
 TEST(Tdc, ThrowsIfLineCannotCoverClock) {
@@ -703,6 +724,168 @@ TEST(Thermometer, SampleIntoReusesBuffer) {
     line.sample_into(interval, a, buffer);
     EXPECT_EQ(buffer, line.sample(interval, b));
   }
+}
+
+// ---------- indexed conversion: exhaustive equivalence ----------
+//
+// latch_regimes walks from the line's bucket guess instead of searching
+// the boundaries. In the spirit of checking an erasure decoder on every
+// erasure subset, it is checked here at every interval where some tap's
+// latch regime can change -- each switching instant and each instant ±
+// the window, every one nudged by -2..+2 ulps -- and at the degenerate
+// intervals (zero, negative, NaN, infinite, past the chain), against the
+// partition_point search it replaced. Lines: 20 devices at 20, 85 and
+// -20 C and under a supply droop, at own windows of 0, 4 and 60 ps (at
+// 60 ps several taps race), each queried at all three windows. On the
+// same lines Tdc::convert must return the reading, and draw the coins,
+// of a reference conversion that searches and re-derives the taps per
+// period on every call.
+
+LatchRegimes reference_regimes(const DelayLine& line, double t, double meta) {
+  const std::span<const double> b = line.boundaries_seconds();
+  const double* first = b.data() + 1;
+  const double* last = first + line.size();
+  const double* ones_end = std::partition_point(first, last, [&](double sw) {
+    const double margin = t - sw;
+    return meta > 0.0 ? margin >= meta : margin > 0.0;
+  });
+  const double* meta_end = ones_end;
+  while (meta_end != last && t - *meta_end > -meta) ++meta_end;
+  return {static_cast<std::size_t>(ones_end - first),
+          static_cast<std::size_t>(meta_end - ones_end)};
+}
+
+TdcReading reference_convert(const Tdc& tdc, Time toa, RngStream& rng) {
+  const double period = tdc.clock_period().seconds();
+  const double window = tdc.toa_window().seconds();
+  double t = toa.seconds();
+  if (t < 0.0) t = 0.0;
+  if (t >= window) t = std::nexttoward(window, 0.0);
+  const auto edge = static_cast<unsigned>(std::ceil(t / period - 1e-15));
+  const double interval = static_cast<double>(edge) * period - t;
+  const DelayLine& line = tdc.line();
+  const LatchRegimes r =
+      reference_regimes(line, interval, line.params().metastability_window.seconds());
+  std::vector<std::uint8_t> bits(r.racing);
+  for (std::uint8_t& bit : bits) bit = rng.bernoulli(0.5) ? 1 : 0;
+  const std::size_t taps = line.elements_used(tdc.clock_period());
+  const double lsb = period / static_cast<double>(taps);
+
+  TdcReading out;
+  out.coarse = edge;
+  out.fine = std::min(decode_latched(line.size(), r.ones, bits, tdc.config().decode), taps);
+  const auto max_code =
+      static_cast<std::int64_t>((std::uint64_t{1} << tdc.config().coarse_bits) * taps - 1);
+  const std::int64_t raw = static_cast<std::int64_t>(edge) * static_cast<std::int64_t>(taps) -
+                           static_cast<std::int64_t>(out.fine) - 1;
+  out.code = static_cast<std::uint64_t>(std::clamp<std::int64_t>(raw, 0, max_code));
+  out.estimate = Time::seconds(static_cast<double>(out.code) * lsb + 0.5 * lsb);
+  out.saturated = toa < Time::zero() || toa >= tdc.toa_window();
+  return out;
+}
+
+/// Every interval at which a tap's regime can change under any of
+/// `windows`, each nudged by -2..+2 ulps.
+std::vector<double> regime_edges(const DelayLine& line, std::span<const double> windows) {
+  std::vector<double> out;
+  const std::span<const double> b = line.boundaries_seconds();
+  for (std::size_t i = 1; i < b.size(); ++i) {
+    for (const double w : windows) {
+      for (const double centre : {b[i] - w, b[i] + w}) {
+        double below = centre;
+        double above = centre;
+        out.push_back(centre);
+        for (int ulp = 0; ulp < 2; ++ulp) {
+          below = std::nextafter(below, -std::numeric_limits<double>::infinity());
+          above = std::nextafter(above, std::numeric_limits<double>::infinity());
+          out.push_back(below);
+          out.push_back(above);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(IndexedConversion, LatchRegimesAndConvertMatchTheSearchEverywhere) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double windows_s[] = {0.0, 4e-12, 60e-12};
+  struct Condition {
+    double celsius;
+    double supply_v;
+  };
+  const Condition conditions[] = {{20.0, 1.5}, {85.0, 1.5}, {-20.0, 1.5}, {20.0, 1.35}};
+
+  std::uint64_t conversions = 0;
+  std::uint64_t racing_several = 0;
+  for (const double own_window : windows_s) {
+    for (std::uint64_t device = 0; device < 20; ++device) {
+      // The link_jitter device's TDC shape: 108 taps clocked at 96 x 52
+      // ps, so the chain still covers the period at -20 C.
+      DelayLineParams p;
+      p.elements = 108;
+      p.nominal_delay = Time::picoseconds(52.0);
+      p.mismatch_sigma = 0.12;
+      p.odd_even_skew = 0.1;
+      p.metastability_window = Time::seconds(own_window);
+      RngStream process(7700 + device);
+      TdcConfig cfg;
+      cfg.coarse_bits = 3;
+      cfg.clock_period = Time::picoseconds(52.0 * 96);
+      Tdc tdc(DelayLine(p, process), cfg);
+
+      for (const Condition& c : conditions) {
+        tdc.set_conditions(Temperature::celsius(c.celsius), Voltage::volts(c.supply_v));
+        const DelayLine& line = tdc.line();
+        const double chain = line.total_delay().seconds();
+        std::vector<double> intervals = regime_edges(line, windows_s);
+        for (const double odd : {0.0, -0.0, -1e-12, -chain, -kInf, kInf,
+                                 std::numeric_limits<double>::quiet_NaN(), chain * 1.5,
+                                 chain + 2.0 * own_window, 1e300,
+                                 std::numeric_limits<double>::max(),
+                                 std::numeric_limits<double>::denorm_min()}) {
+          intervals.push_back(odd);
+        }
+
+        RngStream coins(7800 + device);
+        RngStream reference_coins(7800 + device);
+        for (const double t : intervals) {
+          for (const double w : windows_s) {
+            const LatchRegimes got = latch_regimes(line, Time::seconds(t), Time::seconds(w));
+            const LatchRegimes want = reference_regimes(line, t, w);
+            ASSERT_EQ(got.ones, want.ones) << "device " << device << " at " << c.celsius
+                                           << " C, " << c.supply_v << " V, own window "
+                                           << own_window << ", window " << w << ", t " << t;
+            ASSERT_EQ(got.racing, want.racing) << "device " << device << " at " << c.celsius
+                                               << " C, window " << w << ", t " << t;
+            if (w == own_window && got.racing > 1) ++racing_several;
+          }
+
+          // The same interval reached through a TOA: edge e latches
+          // e x period - toa. Non-finite intervals become the window's
+          // ends and beyond.
+          for (const unsigned edge : {1u, 5u, 8u}) {
+            const double toa_s = std::isfinite(t) ? edge * cfg.clock_period.seconds() - t : -t;
+            if (std::isnan(toa_s)) continue;  // a NaN TOA is no input
+            ++conversions;
+            const TdcReading got = tdc.convert(Time::seconds(toa_s), coins);
+            const TdcReading want = reference_convert(tdc, Time::seconds(toa_s), reference_coins);
+            ASSERT_EQ(got.code, want.code) << "toa " << toa_s;
+            ASSERT_EQ(got.coarse, want.coarse) << "toa " << toa_s;
+            ASSERT_EQ(got.fine, want.fine) << "toa " << toa_s;
+            ASSERT_EQ(got.estimate.seconds(), want.estimate.seconds()) << "toa " << toa_s;
+            ASSERT_EQ(got.saturated, want.saturated) << "toa " << toa_s;
+            ASSERT_EQ(coins.draws(), reference_coins.draws()) << "toa " << toa_s;
+          }
+        }
+        // Same coins in the same order: the streams are still in step.
+        ASSERT_EQ(coins.engine()(), reference_coins.engine()());
+      }
+    }
+  }
+  // The walk saw multi-tap races and every conversion above ran.
+  EXPECT_GT(racing_several, 0u);
+  EXPECT_GT(conversions, 1000000u);
 }
 
 }  // namespace
