@@ -52,7 +52,6 @@ void bits_table() {
       cfg.slots = slots;
       cfg.pulses = w;
       cfg.min_slot_separation = sep;
-      cfg.slot_width = slot;
       const MppmCodec codec(cfg);
       t.new_row()
           .add_cell(static_cast<double>(m), 0)
@@ -100,7 +99,6 @@ void throughput_table() {
       cfg.slots = slots;
       cfg.pulses = w;
       cfg.min_slot_separation = sep;
-      cfg.slot_width = slot;
       const MppmCodec codec(cfg);
       if (codec.bits_per_symbol() > best_bits) {
         best_bits = codec.bits_per_symbol();

@@ -72,10 +72,9 @@ void print_reproduction(std::uint64_t seed) {
 
   const auto cfg0 = base_config();
   std::cout << "\nOOK baseline on the same SPAD: "
-            << util::si_format(modulation::OokCodec::dead_time_limited_rate(
-                                   cfg0.spad.dead_time)
-                                   .bits_per_second(),
-                               "bps", 2)
+            << util::si_format(
+                   modulation::ook_dead_time_limited_rate(cfg0.spad.dead_time).bits_per_second(),
+                   "bps", 2)
             << " (1 bit per detection cycle)\n\n";
 
   const scenario::RunReport report = scenario::ScenarioRunner().run(make_spec(seed));

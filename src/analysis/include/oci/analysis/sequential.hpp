@@ -57,7 +57,6 @@ class RateAccumulator {
 
   [[nodiscard]] std::uint64_t trials() const { return trials_; }
   [[nodiscard]] double successes() const { return successes_; }
-  [[nodiscard]] double rate() const;
   [[nodiscard]] Estimate wilson(double z = 1.96) const;
 
  private:

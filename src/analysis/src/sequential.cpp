@@ -56,11 +56,6 @@ void RateAccumulator::merge(const RateAccumulator& other) {
   trials_ += other.trials_;
 }
 
-double RateAccumulator::rate() const {
-  if (trials_ == 0) return 0.0;
-  return successes_ / static_cast<double>(trials_);
-}
-
 Estimate RateAccumulator::wilson(double z) const {
   return wilson_estimate(successes_, trials_, z);
 }

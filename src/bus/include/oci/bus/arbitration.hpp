@@ -31,9 +31,6 @@ class TdmaSchedule {
   /// Which participant owns the given absolute slot index.
   [[nodiscard]] std::size_t owner(std::uint64_t slot) const;
 
-  /// Fraction of slots owned by participant i.
-  [[nodiscard]] double share(std::size_t i) const;
-
   /// First absolute slot >= `from` owned by participant i.
   [[nodiscard]] std::uint64_t next_slot(std::size_t i, std::uint64_t from) const;
 

@@ -26,10 +26,6 @@ std::size_t TdmaSchedule::owner(std::uint64_t slot) const {
   return static_cast<std::size_t>(std::distance(cumulative_.begin(), it)) - 1;
 }
 
-double TdmaSchedule::share(std::size_t i) const {
-  return static_cast<double>(weights_.at(i)) / static_cast<double>(cycle_);
-}
-
 std::uint64_t TdmaSchedule::next_slot(std::size_t i, std::uint64_t from) const {
   if (i >= weights_.size()) throw std::out_of_range("TdmaSchedule: participant");
   const std::uint64_t base = (from / cycle_) * cycle_;

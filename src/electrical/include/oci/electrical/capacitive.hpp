@@ -33,8 +33,6 @@ class CapacitiveLink {
   [[nodiscard]] Capacitance coupling_capacitance() const;
   [[nodiscard]] Capacitance coupling_at(Length gap) const;
   [[nodiscard]] bool link_feasible() const;
-  /// Largest gap with usable coupling.
-  [[nodiscard]] Length max_gap() const;
   /// TX energy: the driver swings the coupling plate (plus parasitics
   /// assumed equal to the plate capacitance).
   [[nodiscard]] Energy energy_per_bit() const;

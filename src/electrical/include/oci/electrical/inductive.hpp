@@ -36,8 +36,6 @@ class InductiveLink {
   [[nodiscard]] double coupling_at(Length separation) const;
   /// Whether the configured geometry yields a usable channel.
   [[nodiscard]] bool link_feasible() const;
-  /// Maximum vertical reach with usable coupling.
-  [[nodiscard]] Length max_separation() const;
 
   [[nodiscard]] LinkFigures figures() const;
 

@@ -42,11 +42,6 @@ class WireBondPad {
   /// Achievable NRZ bit rate (two transition times per bit minimum).
   [[nodiscard]] BitRate max_bit_rate() const;
 
-  /// Peak supply current drawn while switching at the given rate; grows
-  /// linearly with rate, which is the paper's "prohibitively high
-  /// currents" at high speed.
-  [[nodiscard]] Current supply_current_at(BitRate rate) const;
-
   [[nodiscard]] LinkFigures figures() const;
 
  private:

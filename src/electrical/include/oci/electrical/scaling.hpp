@@ -56,9 +56,4 @@ struct TechnologyNode {
 [[nodiscard]] util::Energy switching_energy_at(const TechnologyNode& node,
                                                Capacitance load);
 
-/// Bits per TDC sample achievable at this node for a given fine range
-/// and coarse bit count: floor(log2(range / delay_element)) + C.
-[[nodiscard]] unsigned bits_per_sample_at(const TechnologyNode& node, Time fine_range,
-                                          unsigned coarse_bits);
-
 }  // namespace oci::electrical

@@ -28,12 +28,6 @@ bool CapacitiveLink::link_feasible() const {
   return coupling_capacitance().farads() >= params_.min_usable_coupling.farads();
 }
 
-Length CapacitiveLink::max_gap() const {
-  const double area = params_.plate_side.metres() * params_.plate_side.metres();
-  return Length::metres(kEpsilon0 * params_.relative_permittivity * area /
-                        params_.min_usable_coupling.farads());
-}
-
 Energy CapacitiveLink::energy_per_bit() const {
   // Driver swings plate + equal parasitic: 2 C V^2 at activity 0.5 -> C V^2.
   return util::switching_energy(coupling_capacitance(), params_.swing) +

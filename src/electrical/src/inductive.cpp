@@ -1,6 +1,5 @@
 #include "oci/electrical/inductive.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace oci::electrical {
@@ -26,13 +25,6 @@ double InductiveLink::coupling() const { return coupling_at(params_.separation);
 
 bool InductiveLink::link_feasible() const {
   return coupling() >= params_.min_usable_coupling;
-}
-
-Length InductiveLink::max_separation() const {
-  // Invert k0 (D/x)^3 = k_min.
-  const double x = params_.coil_diameter.metres() *
-                   std::cbrt(params_.k_at_diameter / params_.min_usable_coupling);
-  return Length::metres(x);
 }
 
 LinkFigures InductiveLink::figures() const {

@@ -43,13 +43,6 @@ BitRate WireBondPad::max_bit_rate() const {
   return BitRate::bits_per_second(1.0 / ui);
 }
 
-Current WireBondPad::supply_current_at(BitRate rate) const {
-  // Average switching current: alpha * C * V * f.
-  const double i = params_.activity_factor * params_.pad_capacitance.farads() *
-                   params_.swing.volts() * rate.bits_per_second();
-  return Current::amperes(i);
-}
-
 LinkFigures WireBondPad::figures() const {
   return LinkFigures{
       .name = "wire-bond pad",

@@ -1,9 +1,6 @@
 #include "oci/electrical/scaling.hpp"
 
-#include <cmath>
 #include <stdexcept>
-
-#include "oci/util/math.hpp"
 
 namespace oci::electrical {
 
@@ -48,16 +45,6 @@ const TechnologyNode& node_by_name(std::string_view name) {
 
 util::Energy switching_energy_at(const TechnologyNode& node, Capacitance load) {
   return util::switching_energy(load, node.supply);
-}
-
-unsigned bits_per_sample_at(const TechnologyNode& node, Time fine_range,
-                            unsigned coarse_bits) {
-  if (fine_range <= Time::zero()) {
-    throw std::invalid_argument("bits_per_sample_at: fine range must be positive");
-  }
-  const double elements = fine_range.seconds() / node.delay_element.seconds();
-  if (elements < 2.0) return coarse_bits;  // line too coarse to interpolate
-  return util::ilog2(static_cast<std::uint64_t>(elements)) + coarse_bits;
 }
 
 }  // namespace oci::electrical

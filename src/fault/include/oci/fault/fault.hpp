@@ -121,7 +121,7 @@ struct FaultSpec {
 /// Realised pixel-fault state of one receiver array. Counts, not
 /// identities: the detection physics is exchangeable over pixels, so
 /// Poisson thinning folds the faulted array into PDP/DCR scale factors
-/// (spad::SpadArray holds per-pixel state for the explicit path).
+/// of the single-detector receiver.
 struct PixelFaults {
   std::uint64_t pixels = 0;
   std::uint64_t dead = 0;

@@ -28,9 +28,6 @@ class FecLink {
  public:
   explicit FecLink(const OpticalLink& link) : link_(&link) {}
 
-  /// Number of PPM symbols a payload of the given size occupies on air.
-  [[nodiscard]] std::size_t symbols_for(std::size_t payload_bytes) const;
-
   /// Encodes, transmits and decodes one payload.
   [[nodiscard]] FecTransferResult transfer(const std::vector<std::uint8_t>& payload,
                                            util::RngStream& rng) const;

@@ -50,9 +50,6 @@ class RsLink {
   /// Coded bytes on air for a payload of the given size (incl. CRC).
   [[nodiscard]] std::size_t coded_bytes_for(std::size_t payload_bytes) const;
 
-  /// Information bits per transmitted bit for a full block.
-  [[nodiscard]] double code_rate() const;
-
   /// Encodes, transmits and decodes one payload.
   [[nodiscard]] RsTransferResult transfer(const std::vector<std::uint8_t>& payload,
                                           util::RngStream& rng) const;

@@ -4,12 +4,6 @@
 
 namespace oci::link {
 
-std::size_t FecLink::symbols_for(std::size_t payload_bytes) const {
-  const std::size_t coded = (payload_bytes + 1) * 2;  // +CRC byte, (8,4) doubles
-  const unsigned k = link_->bits_per_symbol();
-  return (coded * 8 + k - 1) / k;
-}
-
 FecTransferResult FecLink::transfer(const std::vector<std::uint8_t>& payload,
                                     util::RngStream& rng) const {
   FecTransferResult out;

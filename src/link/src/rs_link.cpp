@@ -44,11 +44,6 @@ std::size_t RsLink::coded_bytes_for(std::size_t payload_bytes) const {
   return inner + (full_blocks + (tail > 0 ? 1 : 0)) * config_.parity_bytes;
 }
 
-double RsLink::code_rate() const {
-  return static_cast<double>(config_.block_data_bytes) /
-         static_cast<double>(config_.block_data_bytes + config_.parity_bytes);
-}
-
 RsTransferResult RsLink::transfer(const std::vector<std::uint8_t>& payload,
                                   util::RngStream& rng) const {
   RsTransferResult out;

@@ -28,7 +28,6 @@ struct MppmConfig {
   /// Minimum slot distance between two pulses of one codeword (1 =
   /// adjacent slots allowed). Derive from the receiver's recovery time.
   std::uint64_t min_slot_separation = 1;
-  Time slot_width = Time::nanoseconds(1.0);
 };
 
 /// Number of w-subsets of n slots with pairwise distance >=
@@ -47,20 +46,12 @@ class MppmCodec {
   [[nodiscard]] std::uint64_t codeword_count() const { return count_; }
   /// Bits per window: floor(log2(codeword_count)).
   [[nodiscard]] unsigned bits_per_symbol() const { return bits_; }
-  /// Duration of the slot field.
-  [[nodiscard]] Time symbol_span() const;
 
   /// Symbol (< 2^bits) -> ascending slot indices of the w pulses.
   [[nodiscard]] std::vector<std::uint64_t> encode(std::uint64_t symbol) const;
   /// Ascending slot indices -> symbol. Slot sets that violate the
   /// separation rule or exceed the symbol range throw.
   [[nodiscard]] std::uint64_t decode(const std::vector<std::uint64_t>& slot_set) const;
-
-  /// Pulse emission times (slot centres) for a symbol.
-  [[nodiscard]] std::vector<Time> encode_times(std::uint64_t symbol) const;
-  /// Nearest-slot decision per detection time, then decode. TOAs must
-  /// be ascending; out-of-range times clamp to the edge slots.
-  [[nodiscard]] std::uint64_t decode_times(const std::vector<Time>& toas) const;
 
  private:
   /// Maps a separation-constrained rank onto the underlying unconstrained

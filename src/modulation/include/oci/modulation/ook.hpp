@@ -3,12 +3,8 @@
 // cycle (a '1' pulse blinds the SPAD for the whole dead time), so its
 // throughput is capped at 1/dead_time x 1 bit. PPM beats it by packing
 // log2(N)+C bits into each detection cycle -- the paper's core argument
-// for choosing PPM. This module gives the baseline both analytically
-// and as a working codec.
+// for choosing PPM. The baseline is that analytic ceiling.
 #pragma once
-
-#include <cstdint>
-#include <vector>
 
 #include "oci/util/units.hpp"
 
@@ -17,35 +13,8 @@ namespace oci::modulation {
 using util::BitRate;
 using util::Time;
 
-struct OokConfig {
-  Time bit_period = Time::nanoseconds(40.0);  ///< >= SPAD dead time for reliability
-  /// Pulse placement within the bit period.
-  double pulse_offset_fraction = 0.25;
-};
-
-class OokCodec {
- public:
-  explicit OokCodec(const OokConfig& config);
-
-  [[nodiscard]] const OokConfig& config() const { return config_; }
-
-  /// Emission times (relative to stream start) for the '1' bits.
-  [[nodiscard]] std::vector<Time> encode(const std::vector<std::uint8_t>& bits) const;
-
-  /// Reconstructs bits from detection times: bit i is 1 iff any
-  /// detection falls in [i*T, (i+1)*T).
-  [[nodiscard]] std::vector<std::uint8_t> decode(const std::vector<Time>& detections,
-                                                 std::size_t bit_count) const;
-
-  /// Raw bit rate: one bit per period.
-  [[nodiscard]] BitRate bit_rate() const;
-
-  /// Analytic throughput ceiling for OOK on a detector with the given
-  /// dead time (bit period cannot be shorter than the dead time).
-  [[nodiscard]] static BitRate dead_time_limited_rate(Time dead_time);
-
- private:
-  OokConfig config_;
-};
+/// Throughput ceiling of OOK on a detector with the given dead time
+/// (the bit period cannot be shorter than the dead time).
+[[nodiscard]] BitRate ook_dead_time_limited_rate(Time dead_time);
 
 }  // namespace oci::modulation

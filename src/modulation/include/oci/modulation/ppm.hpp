@@ -32,8 +32,6 @@ class PpmCodec {
 
   [[nodiscard]] const PpmConfig& config() const { return config_; }
   [[nodiscard]] std::uint64_t slot_count() const { return slots_; }
-  /// Duration of the symbol's slot field: 2^K slot widths.
-  [[nodiscard]] Time symbol_span() const;
 
   /// Symbol value (must be < 2^K) -> slot index.
   [[nodiscard]] std::uint64_t slot_for_symbol(std::uint64_t symbol) const;

@@ -44,9 +44,6 @@ MppmCodec::MppmCodec(const MppmConfig& config) : config_(config) {
   if (config_.min_slot_separation == 0) {
     throw std::invalid_argument("MppmCodec: separation must be >= 1");
   }
-  if (config_.slot_width <= Time::zero()) {
-    throw std::invalid_argument("MppmCodec: slot width must be positive");
-  }
   count_ = constrained_codewords(config_.slots, config_.pulses, config_.min_slot_separation);
   if (count_ < 2) {
     throw std::invalid_argument("MppmCodec: geometry admits fewer than two codewords");
@@ -55,10 +52,6 @@ MppmCodec::MppmCodec(const MppmConfig& config) : config_(config) {
     throw std::invalid_argument("MppmCodec: codeword count overflows 64 bits");
   }
   bits_ = static_cast<unsigned>(std::floor(std::log2(static_cast<double>(count_))));
-}
-
-Time MppmCodec::symbol_span() const {
-  return config_.slot_width * static_cast<double>(config_.slots);
 }
 
 std::vector<std::uint64_t> MppmCodec::unrank(std::uint64_t r) const {
@@ -131,29 +124,6 @@ std::uint64_t MppmCodec::decode(const std::vector<std::uint64_t>& slot_set) cons
     throw std::invalid_argument("MppmCodec: codeword outside the used symbol range");
   }
   return r;
-}
-
-std::vector<Time> MppmCodec::encode_times(std::uint64_t symbol) const {
-  const auto slots = encode(symbol);
-  std::vector<Time> times;
-  times.reserve(slots.size());
-  for (const std::uint64_t s : slots) {
-    times.push_back(config_.slot_width * (static_cast<double>(s) + 0.5));
-  }
-  return times;
-}
-
-std::uint64_t MppmCodec::decode_times(const std::vector<Time>& toas) const {
-  std::vector<std::uint64_t> slots;
-  slots.reserve(toas.size());
-  for (const Time& t : toas) {
-    double s = t.seconds() / config_.slot_width.seconds();
-    if (s < 0.0) s = 0.0;
-    auto slot = static_cast<std::uint64_t>(s);
-    if (slot >= config_.slots) slot = config_.slots - 1;
-    slots.push_back(slot);
-  }
-  return decode(slots);
 }
 
 }  // namespace oci::modulation

@@ -1,50 +1,12 @@
 #include "oci/modulation/ook.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace oci::modulation {
 
-OokCodec::OokCodec(const OokConfig& config) : config_(config) {
-  if (config_.bit_period <= Time::zero()) {
-    throw std::invalid_argument("OokCodec: bit period must be positive");
-  }
-  if (config_.pulse_offset_fraction < 0.0 || config_.pulse_offset_fraction >= 1.0) {
-    throw std::invalid_argument("OokCodec: pulse offset fraction must be in [0,1)");
-  }
-}
-
-std::vector<Time> OokCodec::encode(const std::vector<std::uint8_t>& bits) const {
-  std::vector<Time> pulses;
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    if (bits[i]) {
-      pulses.push_back(config_.bit_period *
-                       (static_cast<double>(i) + config_.pulse_offset_fraction));
-    }
-  }
-  return pulses;
-}
-
-std::vector<std::uint8_t> OokCodec::decode(const std::vector<Time>& detections,
-                                           std::size_t bit_count) const {
-  std::vector<std::uint8_t> bits(bit_count, 0);
-  const double period = config_.bit_period.seconds();
-  for (const Time& t : detections) {
-    const double pos = t.seconds() / period;
-    if (pos < 0.0) continue;
-    const auto idx = static_cast<std::size_t>(pos);
-    if (idx < bit_count) bits[idx] = 1;
-  }
-  return bits;
-}
-
-BitRate OokCodec::bit_rate() const {
-  return BitRate::bits_per_second(1.0 / config_.bit_period.seconds());
-}
-
-BitRate OokCodec::dead_time_limited_rate(Time dead_time) {
+BitRate ook_dead_time_limited_rate(Time dead_time) {
   if (dead_time <= Time::zero()) {
-    throw std::invalid_argument("OokCodec: dead time must be positive");
+    throw std::invalid_argument("ook_dead_time_limited_rate: dead time must be positive");
   }
   return BitRate::bits_per_second(1.0 / dead_time.seconds());
 }

@@ -21,10 +21,6 @@ PpmCodec::PpmCodec(const PpmConfig& config) : config_(config) {
   slots_ = std::uint64_t{1} << config_.bits_per_symbol;
 }
 
-Time PpmCodec::symbol_span() const {
-  return config_.slot_width * static_cast<double>(slots_);
-}
-
 std::uint64_t PpmCodec::slot_for_symbol(std::uint64_t symbol) const {
   if (symbol >= slots_) throw std::invalid_argument("PpmCodec: symbol out of range");
   // The slot's SYMBOL label must be the Gray code of the slot index so

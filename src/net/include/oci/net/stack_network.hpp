@@ -99,13 +99,10 @@ struct NetworkRunResult {
   [[nodiscard]] std::uint64_t total_delivered() const;
   /// Delivered packets per slot (the carried load).
   [[nodiscard]] double carried_load() const;
-  /// Offered packets per slot.
-  [[nodiscard]] double offered_load() const;
   /// Fraction of offered packets eventually delivered.
   [[nodiscard]] double delivery_ratio() const;
   /// Jain's fairness index over per-die delivered counts.
   [[nodiscard]] double fairness_index() const;
-  [[nodiscard]] Time mean_latency() const;
 };
 
 class StackNetwork {

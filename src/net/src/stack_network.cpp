@@ -31,11 +31,6 @@ double NetworkRunResult::carried_load() const {
                    : 0.0;
 }
 
-double NetworkRunResult::offered_load() const {
-  return slots > 0 ? static_cast<double>(total_offered()) / static_cast<double>(slots)
-                   : 0.0;
-}
-
 double NetworkRunResult::delivery_ratio() const {
   const std::uint64_t offered = total_offered();
   return offered > 0 ? static_cast<double>(total_delivered()) / static_cast<double>(offered)
@@ -55,10 +50,6 @@ double NetworkRunResult::fairness_index() const {
   }
   if (n == 0 || sum_sq == 0.0) return 1.0;
   return sum * sum / (static_cast<double>(n) * sum_sq);
-}
-
-Time NetworkRunResult::mean_latency() const {
-  return Time::seconds(latency.mean_slots * slot_duration.seconds());
 }
 
 StackNetwork::StackNetwork(const StackNetworkConfig& config, std::unique_ptr<MacPolicy> mac)

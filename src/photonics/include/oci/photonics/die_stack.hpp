@@ -45,9 +45,6 @@ class DieStack {
   /// Total silicon path length between two dies (exclusive of endpoints).
   [[nodiscard]] Length silicon_path(std::size_t from, std::size_t to) const;
 
-  /// Number of inter-die interfaces crossed between two dies.
-  [[nodiscard]] std::size_t interfaces_crossed(std::size_t from, std::size_t to) const;
-
   /// Largest stack depth (hop count) for which transmittance from die 0
   /// still exceeds `min_transmittance`. Useful for "how many dies can one
   /// bus service" analyses.
@@ -63,7 +60,6 @@ class DieStack {
 struct CrosstalkModel {
   Length pitch = Length::micrometres(100.0);     ///< centre-to-centre channel pitch
   Length decay_length = Length::micrometres(25.0);  ///< lateral leakage decay scale
-  double neighbour_fraction() const;             ///< leakage from the nearest neighbour
   double fraction_at(Length distance) const;     ///< leakage at arbitrary distance
 };
 

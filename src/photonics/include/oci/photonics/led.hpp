@@ -51,11 +51,6 @@ class MicroLed {
   /// Mean number of photons emitted per pulse.
   [[nodiscard]] double photons_per_pulse() const;
 
-  /// Normalised envelope value at time t from pulse start (integral over
-  /// [0, inf) equals the pulse width so that peak power x width = energy
-  /// for the rectangular shape; other shapes preserve that total energy).
-  [[nodiscard]] double envelope(Time t) const;
-
   /// Inverse-CDF sample of an emission time within the pulse envelope,
   /// given a uniform u in [0,1). Used by PhotonStream; the link's window
   /// kernel (link/src/kernels.cpp) samples the same distribution with

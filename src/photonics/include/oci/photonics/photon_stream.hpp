@@ -32,9 +32,6 @@ class PhotonStream {
  public:
   PhotonStream(const MicroLed& led, double channel_transmittance);
 
-  /// Mean detected-photon count per pulse before PDP (channel only).
-  [[nodiscard]] double mean_photons_per_pulse() const;
-
   /// Draws the signal photons of one pulse starting at `pulse_start`.
   /// Arrival times follow the LED envelope. Sorted by time.
   [[nodiscard]] std::vector<PhotonArrival> sample_pulse(Time pulse_start,

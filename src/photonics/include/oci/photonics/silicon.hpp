@@ -21,17 +21,10 @@ using util::Wavelength;
 /// essentially opaque below 350 nm and transparent past the band gap).
 [[nodiscard]] double absorption_coefficient_si(Wavelength lambda);
 
-/// 1/e penetration depth at the given wavelength.
-[[nodiscard]] Length penetration_depth_si(Wavelength lambda);
-
 /// Beer-Lambert transmittance of a silicon slab of the given thickness
 /// (absorption only; interface reflections are handled separately as
 /// coupling losses).
 [[nodiscard]] double transmittance_si(Wavelength lambda, Length thickness);
-
-/// Fresnel power reflectance at normal incidence for a silicon/air
-/// interface, using a wavelength-dependent refractive index fit.
-[[nodiscard]] double fresnel_reflectance_si_air(Wavelength lambda);
 
 /// Real refractive index of silicon (visible/NIR polynomial fit).
 [[nodiscard]] double refractive_index_si(Wavelength lambda);

@@ -44,15 +44,11 @@ class Waveguide {
   [[nodiscard]] double split_transmittance(Length route, std::size_t stages,
                                            std::size_t bends = 0) const;
 
-  /// Longest point-to-point route that still delivers `min_transmittance`.
-  [[nodiscard]] Length max_route(double min_transmittance, std::size_t bends = 0) const;
-
  private:
   WaveguideParams params_;
 };
 
-/// dB <-> linear helpers shared by optics code.
+/// Loss in dB -> power fraction, shared by optics code.
 [[nodiscard]] double db_to_linear(double db);
-[[nodiscard]] double linear_to_db(double linear);
 
 }  // namespace oci::photonics

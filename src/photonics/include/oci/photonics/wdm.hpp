@@ -26,9 +26,6 @@ struct WdmGrid {
   /// Wavelength of channel i (0-based), centred on `center`. Throws
   /// std::out_of_range for i >= channels.
   [[nodiscard]] Wavelength wavelength(std::size_t i) const;
-  /// Shortest and longest grid wavelengths.
-  [[nodiscard]] Wavelength shortest() const;
-  [[nodiscard]] Wavelength longest() const;
 };
 
 /// Receiver-side demux filter: a passband per channel with finite
@@ -53,9 +50,5 @@ struct WdmFilter {
 /// channel j's launched power that receiver i collects.
 [[nodiscard]] std::vector<std::vector<double>> crosstalk_matrix(const WdmGrid& grid,
                                                                 const WdmFilter& filter);
-
-/// Worst-case aggregate crosstalk-to-signal ratio over all receivers
-/// (equal launch powers): max_i sum_{j != i} X[i][j] / X[i][i].
-[[nodiscard]] double worst_crosstalk_ratio(const std::vector<std::vector<double>>& matrix);
 
 }  // namespace oci::photonics

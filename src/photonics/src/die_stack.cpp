@@ -35,13 +35,6 @@ Length DieStack::silicon_path(std::size_t from, std::size_t to) const {
   return Length::metres(metres);
 }
 
-std::size_t DieStack::interfaces_crossed(std::size_t from, std::size_t to) const {
-  if (from >= dies_.size() || to >= dies_.size()) {
-    throw std::out_of_range("DieStack: die index out of range");
-  }
-  return from > to ? from - to : to - from;
-}
-
 double DieStack::transmittance(std::size_t from, std::size_t to, Wavelength lambda) const {
   if (from == to) return 1.0;
   const double bulk = transmittance_si(lambda, silicon_path(from, to));
@@ -66,7 +59,5 @@ double CrosstalkModel::fraction_at(Length distance) const {
   if (distance.metres() <= 0.0) return 1.0;
   return std::exp(-distance.metres() / decay_length.metres());
 }
-
-double CrosstalkModel::neighbour_fraction() const { return fraction_at(pitch); }
 
 }  // namespace oci::photonics

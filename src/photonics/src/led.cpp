@@ -42,27 +42,6 @@ double MicroLed::photons_per_pulse() const {
   return util::photon_count(optical_pulse_energy(), params_.wavelength);
 }
 
-double MicroLed::envelope(Time t) const {
-  const double w = params_.pulse_width.seconds();
-  const double x = t.seconds();
-  if (x < 0.0) return 0.0;
-  switch (params_.shape) {
-    case PulseShape::kRectangular:
-      return x < w ? 1.0 : 0.0;
-    case PulseShape::kExponential:
-      // Decay constant = width so that the mean emission time equals the
-      // width; normalised to unit peak.
-      return std::exp(-x / w);
-    case PulseShape::kGaussian: {
-      const double sigma = w / kGaussianWidthSigmas;
-      const double mu = w / 2.0;
-      const double d = (x - mu) / sigma;
-      return std::exp(-0.5 * d * d);
-    }
-  }
-  return 0.0;
-}
-
 Time MicroLed::sample_emission_time(double u) const {
   const double w = params_.pulse_width.seconds();
   switch (params_.shape) {

@@ -33,10 +33,6 @@ PhotonStream::PhotonStream(const MicroLed& led, double channel_transmittance)
       transmittance_(checked_transmittance(channel_transmittance)),
       pulse_count_(led.photons_per_pulse() * transmittance_) {}
 
-double PhotonStream::mean_photons_per_pulse() const {
-  return led_->photons_per_pulse() * transmittance_;
-}
-
 std::vector<PhotonArrival> PhotonStream::sample_pulse(Time pulse_start,
                                                       RngStream& rng) const {
   std::vector<PhotonArrival> out;

@@ -55,10 +55,6 @@ double absorption_coefficient_si(Wavelength lambda) {
   return std::exp(log_alpha) * 100.0;  // 1/cm -> 1/m
 }
 
-Length penetration_depth_si(Wavelength lambda) {
-  return Length::metres(1.0 / absorption_coefficient_si(lambda));
-}
-
 double transmittance_si(Wavelength lambda, Length thickness) {
   const double alpha = absorption_coefficient_si(lambda);
   return std::exp(-alpha * thickness.metres());
@@ -69,12 +65,6 @@ double refractive_index_si(Wavelength lambda) {
   const double um = lambda.micrometres();
   const double um2 = um * um;
   return 3.42 + 0.159 / um2 + 0.0245 / (um2 * um2);
-}
-
-double fresnel_reflectance_si_air(Wavelength lambda) {
-  const double n = refractive_index_si(lambda);
-  const double r = (n - 1.0) / (n + 1.0);
-  return r * r;
 }
 
 }  // namespace oci::photonics

@@ -7,11 +7,6 @@ namespace oci::photonics {
 
 double db_to_linear(double db) { return std::pow(10.0, -db / 10.0); }
 
-double linear_to_db(double linear) {
-  if (linear <= 0.0) throw std::invalid_argument("linear_to_db: non-positive input");
-  return -10.0 * std::log10(linear);
-}
-
 Waveguide::Waveguide(const WaveguideParams& params) : params_(params) {
   if (params_.propagation_loss_db_per_cm < 0.0 || params_.bend_loss_db < 0.0 ||
       params_.coupling_loss_db < 0.0 || params_.splitter_excess_db < 0.0) {
@@ -35,20 +30,6 @@ double Waveguide::split_transmittance(Length route, std::size_t stages,
   const double split_db =
       static_cast<double>(stages) * (3.0103 + params_.splitter_excess_db);
   return db_to_linear(loss_db(route, bends) + split_db);
-}
-
-Length Waveguide::max_route(double min_transmittance, std::size_t bends) const {
-  if (min_transmittance <= 0.0 || min_transmittance >= 1.0) {
-    throw std::invalid_argument("Waveguide: min transmittance must be in (0,1)");
-  }
-  const double budget_db = linear_to_db(min_transmittance);
-  const double fixed_db =
-      params_.bend_loss_db * static_cast<double>(bends) + 2.0 * params_.coupling_loss_db;
-  if (budget_db <= fixed_db || params_.propagation_loss_db_per_cm <= 0.0) {
-    return Length::metres(budget_db > fixed_db ? 1.0 : 0.0);  // 1 m = "unbounded"
-  }
-  const double cm = (budget_db - fixed_db) / params_.propagation_loss_db_per_cm;
-  return Length::metres(cm / 100.0);
 }
 
 }  // namespace oci::photonics

@@ -15,10 +15,6 @@ Wavelength WdmGrid::wavelength(std::size_t i) const {
   return Wavelength::nanometres(center.nanometres() + offset);
 }
 
-Wavelength WdmGrid::shortest() const { return wavelength(0); }
-
-Wavelength WdmGrid::longest() const { return wavelength(channels - 1); }
-
 double WdmFilter::leakage(std::size_t receiver, std::size_t source) const {
   if (receiver == source) return passband_transmittance;
   const auto separation = receiver > source ? receiver - source : source - receiver;
@@ -39,21 +35,6 @@ std::vector<std::vector<double>> crosstalk_matrix(const WdmGrid& grid,
     }
   }
   return m;
-}
-
-double worst_crosstalk_ratio(const std::vector<std::vector<double>>& matrix) {
-  double worst = 0.0;
-  for (std::size_t i = 0; i < matrix.size(); ++i) {
-    double sum = 0.0;
-    for (std::size_t j = 0; j < matrix[i].size(); ++j) {
-      if (j != i) sum += matrix[i][j];
-    }
-    if (matrix[i][i] > 0.0) {
-      const double ratio = sum / matrix[i][i];
-      if (ratio > worst) worst = ratio;
-    }
-  }
-  return worst;
 }
 
 }  // namespace oci::photonics

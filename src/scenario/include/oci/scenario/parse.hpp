@@ -31,10 +31,6 @@ namespace oci::scenario {
 /// Parses a spec from a stream. `source` names the stream in errors.
 [[nodiscard]] ScenarioSpec parse_spec(std::istream& in, const std::string& source = "spec");
 
-/// Parses a spec from text (tests, inline docs).
-[[nodiscard]] ScenarioSpec parse_spec_text(const std::string& text,
-                                           const std::string& source = "spec");
-
 /// Loads and parses a spec file; throws std::runtime_error when the
 /// file cannot be opened.
 [[nodiscard]] ScenarioSpec parse_spec_file(const std::string& path);

@@ -134,11 +134,6 @@ ScenarioSpec parse_spec(std::istream& in, const std::string& source) {
   return spec;
 }
 
-ScenarioSpec parse_spec_text(const std::string& text, const std::string& source) {
-  std::istringstream is(text);
-  return parse_spec(is, source);
-}
-
 ScenarioSpec parse_spec_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("scenario: cannot open spec file '" + path + "'");

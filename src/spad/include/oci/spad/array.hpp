@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -27,18 +26,12 @@ struct SpadArrayParams {
   double fill_factor = 0.8;
 };
 
-/// Health of one diode in the array. kDead never arms again (failed
-/// quench circuit); kHot keeps detecting photons but screams dark
-/// counts at its own rate; kMasked is a hot pixel the calibration took
-/// out of the OR-tree -- optically lost but silent.
-enum class PixelState : std::uint8_t { kHealthy, kDead, kHot, kMasked };
-
-/// Explicit never-recovers representation for a diode's blind horizon.
-/// never() is the canonical sentinel; is_never() also recognises the
-/// legacy Time::seconds(double::max) values older callers pass in, so
-/// the vector API keeps working -- and detect_into guards every
-/// passive-quench write with it, because `sentinel + dead_time` used
-/// to silently resurrect a permanently dead diode.
+/// Explicit never-recovers representation for a diode's blind horizon:
+/// a caller marks a diode that must never arm again by putting
+/// never_recovers() in its `dead_until` entry. is_never() also
+/// recognises Time::seconds(double::max), and detect_into guards every
+/// passive-quench write with it, because `sentinel + dead_time` used to
+/// silently resurrect a permanently dead diode.
 [[nodiscard]] constexpr Time never_recovers() {
   return Time::seconds(std::numeric_limits<double>::infinity());
 }
@@ -54,20 +47,6 @@ class SpadArray {
   [[nodiscard]] const SpadArrayParams& params() const { return params_; }
   [[nodiscard]] std::size_t size() const { return params_.diodes; }
   [[nodiscard]] double pdp() const;  ///< per-photon detection prob incl. fill
-
-  /// Installs per-pixel fault states (size() entries). Dead and masked
-  /// pixels never arm, never fire and produce no dark counts; hot
-  /// pixels replace their junction DCR with `hot_dcr`. An empty vector
-  /// restores the all-healthy default.
-  void set_pixel_states(std::vector<PixelState> states,
-                        Frequency hot_dcr = Frequency::hertz(1.0e6));
-  [[nodiscard]] const std::vector<PixelState>& pixel_states() const { return states_; }
-  /// Fraction of pixels still photon-sensitive (healthy + hot).
-  [[nodiscard]] double live_fraction() const;
-
-  /// Probability that a pulse delivering `mean_photons` to the channel
-  /// triggers at least one diode of the (fully recovered) array.
-  [[nodiscard]] double pulse_detection_probability(double mean_photons) const;
 
   /// Simulates the array over a window: photons are thinned by
   /// fill-factor x PDP, then absorbed by a uniformly chosen armed diode
@@ -107,18 +86,8 @@ class SpadArray {
   [[nodiscard]] Time effective_dead_time() const;
 
  private:
-  /// True when diode i may arm and fire (healthy or hot).
-  [[nodiscard]] bool alive(std::size_t i) const {
-    return states_.empty() || states_[i] == PixelState::kHealthy ||
-           states_[i] == PixelState::kHot;
-  }
-
   SpadArrayParams params_;
   std::vector<Spad> diodes_;
-  /// Empty = all healthy (the common case costs no per-diode branch
-  /// beyond one emptiness check).
-  std::vector<PixelState> states_;
-  Frequency hot_dcr_ = Frequency::hertz(0.0);
 };
 
 }  // namespace oci::spad

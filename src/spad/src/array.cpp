@@ -1,7 +1,6 @@
 #include "oci/spad/array.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <stdexcept>
 
@@ -21,30 +20,6 @@ SpadArray::SpadArray(const SpadArrayParams& params, Wavelength operating_wavelen
 }
 
 double SpadArray::pdp() const { return diodes_.front().pdp() * params_.fill_factor; }
-
-void SpadArray::set_pixel_states(std::vector<PixelState> states, Frequency hot_dcr) {
-  if (!states.empty() && states.size() != diodes_.size()) {
-    throw std::invalid_argument("SpadArray: one PixelState per diode required");
-  }
-  if (hot_dcr.hertz() < 0.0) {
-    throw std::invalid_argument("SpadArray: hot-pixel DCR must be >= 0");
-  }
-  states_ = std::move(states);
-  hot_dcr_ = hot_dcr;
-}
-
-double SpadArray::live_fraction() const {
-  if (states_.empty()) return 1.0;
-  std::size_t live = 0;
-  for (std::size_t i = 0; i < states_.size(); ++i) live += alive(i) ? 1 : 0;
-  return static_cast<double>(live) / static_cast<double>(states_.size());
-}
-
-double SpadArray::pulse_detection_probability(double mean_photons) const {
-  // Poisson thinning: each channel photon is detected (by whichever
-  // diode it hits) with prob fill * PDP, independent of the split.
-  return 1.0 - std::exp(-mean_photons * pdp());
-}
 
 namespace {
 
@@ -88,11 +63,9 @@ void SpadArray::detect_into(std::span<const photonics::PhotonArrival> photons,
   };
 
   // Channel photons: thinned by fill factor x PDP up front (Geiger-mode
-  // trigger model); dead/masked pixels are lost photosensitive area, so
-  // a faulted array additionally thins by its live fraction. Routing to
-  // a diode is deferred to firing time so we can pick among the diodes
-  // that are armed at that instant.
-  const double accept = states_.empty() ? pdp() : pdp() * live_fraction();
+  // trigger model). Routing to a diode is deferred to firing time so we
+  // can pick among the diodes that are armed at that instant.
+  const double accept = pdp();
   for (const auto& ph : photons) {
     if (ph.time < window_start || ph.time >= window_end) continue;
     if (!rng.bernoulli(accept)) continue;
@@ -100,20 +73,15 @@ void SpadArray::detect_into(std::span<const photonics::PhotonArrival> photons,
          kAnyDiode);
   }
 
-  // Dark counts originate inside a specific junction. Dead and masked
-  // pixels are silent; a hot pixel screams at its own rate.
+  // Dark counts originate inside a specific junction.
   const Frequency dcr = diodes_.front().dcr();
-  for (std::size_t d = 0; d < diodes_.size(); ++d) {
-    Frequency rate = dcr;
-    if (!states_.empty()) {
-      if (states_[d] == PixelState::kDead || states_[d] == PixelState::kMasked) continue;
-      if (states_[d] == PixelState::kHot) rate = hot_dcr_;
-    }
-    if (rate.hertz() <= 0.0) continue;
-    const auto n_dark = rng.poisson(rate.hertz() * window.seconds());
-    for (std::int64_t i = 0; i < n_dark; ++i) {
-      push(window_start + rng.uniform_time(window), DetectionCause::kDark,
-           static_cast<std::ptrdiff_t>(d));
+  if (dcr.hertz() > 0.0) {
+    for (std::size_t d = 0; d < diodes_.size(); ++d) {
+      const auto n_dark = rng.poisson(dcr.hertz() * window.seconds());
+      for (std::int64_t i = 0; i < n_dark; ++i) {
+        push(window_start + rng.uniform_time(window), DetectionCause::kDark,
+             static_cast<std::ptrdiff_t>(d));
+      }
     }
   }
 
@@ -130,32 +98,18 @@ void SpadArray::detect_into(std::span<const photonics::PhotonArrival> photons,
     if (c.diode == kAnyDiode) {
       armed.clear();
       for (std::size_t i = 0; i < diodes_.size(); ++i) {
-        if (alive(i) && dead_until[i] <= c.time) armed.push_back(i);
+        if (dead_until[i] <= c.time) armed.push_back(i);
       }
       if (armed.empty()) {
-        // Every live cell is recovering; the photon is absorbed by a
+        // Every cell is recovering; the photon is absorbed by a
         // recovering cell and, under passive quench, restarts its
-        // recharge -- unless that cell is permanently dead (the old
+        // recharge -- unless that cell never recovers (the old
         // `sentinel + dead_time` write silently resurrected it).
         if (el.quench == QuenchMode::kPassive) {
-          if (states_.empty()) {
-            const auto victim = static_cast<std::size_t>(
-                rng.uniform_int(0, static_cast<std::int64_t>(diodes_.size()) - 1));
-            if (!is_never(dead_until[victim])) {
-              dead_until[victim] = c.time + el.dead_time;
-            }
-          } else {
-            armed.clear();
-            for (std::size_t i = 0; i < diodes_.size(); ++i) {
-              if (alive(i)) armed.push_back(i);
-            }
-            if (!armed.empty()) {
-              const std::size_t victim = armed[static_cast<std::size_t>(
-                  rng.uniform_int(0, static_cast<std::int64_t>(armed.size()) - 1))];
-              if (!is_never(dead_until[victim])) {
-                dead_until[victim] = c.time + el.dead_time;
-              }
-            }
+          const auto victim = static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(diodes_.size()) - 1));
+          if (!is_never(dead_until[victim])) {
+            dead_until[victim] = c.time + el.dead_time;
           }
         }
         continue;

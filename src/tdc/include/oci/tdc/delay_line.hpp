@@ -69,11 +69,6 @@ class DelayLine {
   void set_conditions(Temperature t, Voltage supply);
   [[nodiscard]] Temperature temperature() const { return temperature_; }
 
-  /// Current delay of element i.
-  [[nodiscard]] Time element_delay(std::size_t i) const;
-  /// Cumulative delay up to and including element i-1 (boundary of tap i);
-  /// boundary(0) == 0.
-  [[nodiscard]] Time boundary(std::size_t i) const;
   /// Total propagation delay through the whole chain (the fine range Rf
   /// actually realised at the current conditions).
   [[nodiscard]] Time total_delay() const;

@@ -59,13 +59,12 @@ class Tdc {
   [[nodiscard]] Time toa_window() const;
   /// Full measurement window including the reset Rf: (2^C + 1) periods.
   [[nodiscard]] Time measurement_window() const;
-  /// Bits per conversion: log2(N) + C (N rounded down to a power of 2).
-  [[nodiscard]] unsigned bits_per_sample() const;
   /// Ideal LSB: the clock period divided by the taps used to span it.
   [[nodiscard]] Time lsb() const;
 
   /// Converts a TOA measured from the window start. `toa` outside
-  /// [0, toa_window) yields saturated = true and a clamped code.
+  /// [0, toa_window), NaN included, yields saturated = true and a
+  /// clamped code (NaN and -inf read as code 0).
   /// Stochastic (metastability) via rng.
   [[nodiscard]] TdcReading convert(Time toa, RngStream& rng) const;
 

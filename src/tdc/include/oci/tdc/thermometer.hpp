@@ -56,11 +56,4 @@ struct LatchRegimes {
 [[nodiscard]] std::size_t sample_and_decode(const DelayLine& line, Time interval,
                                             RngStream& rng, ThermometerDecode method);
 
-/// Number of bubbles: taps whose value differs from the clean
-/// thermometer code implied by the ones count.
-[[nodiscard]] std::size_t count_bubbles(const ThermometerCode& code);
-
-/// True iff the code is a clean thermometer code (all 1s then all 0s).
-[[nodiscard]] bool is_clean(const ThermometerCode& code);
-
 }  // namespace oci::tdc

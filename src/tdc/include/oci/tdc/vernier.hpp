@@ -42,11 +42,6 @@ class VernierTdc {
   /// Saturates at `stages`.
   [[nodiscard]] std::size_t convert(Time interval) const;
 
-  /// Ground-truth catch-up boundaries (for calibration tests): the
-  /// interval at which the fast edge catches the slow edge exactly at
-  /// stage k.
-  [[nodiscard]] Time boundary(std::size_t k) const;
-
  private:
   VernierParams params_;
   std::vector<double> residual_s_;  ///< per-stage (slow_i - fast_i), cumulative

@@ -69,12 +69,6 @@ void DelayLine::rebuild_boundaries() {
   }
 }
 
-Time DelayLine::element_delay(std::size_t i) const {
-  return Time::seconds(base_delays_s_.at(i));
-}
-
-Time DelayLine::boundary(std::size_t i) const { return Time::seconds(boundaries_s_.at(i)); }
-
 Time DelayLine::total_delay() const { return Time::seconds(boundaries_s_.back()); }
 
 std::size_t DelayLine::ideal_code(Time interval) const {

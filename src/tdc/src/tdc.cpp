@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "oci/util/math.hpp"
 
 namespace oci::tdc {
 
@@ -42,10 +41,6 @@ Time Tdc::measurement_window() const {
   return toa_window() + clock_period_;
 }
 
-unsigned Tdc::bits_per_sample() const {
-  return util::ilog2(static_cast<std::uint64_t>(line_.size())) + config_.coarse_bits;
-}
-
 Time Tdc::lsb() const { return Time::seconds(lsb_s_); }
 
 TdcReading Tdc::finish(Time toa, unsigned coarse, std::size_t fine_taps) const {
@@ -72,14 +67,14 @@ TdcReading Tdc::finish(Time toa, unsigned coarse, std::size_t fine_taps) const {
   }
   r.code = static_cast<std::uint64_t>(clamped);
   r.estimate = Time::seconds(static_cast<double>(r.code) * lsb_s_ + 0.5 * lsb_s_);
-  r.saturated = toa < Time::zero() || toa >= toa_window();
+  r.saturated = !(toa >= Time::zero() && toa < toa_window());
   return r;
 }
 
 TdcReading Tdc::convert_ideal(Time toa) const {
   const double T = clock_period_.seconds();
   double t = toa.seconds();
-  if (t < 0.0) t = 0.0;
+  if (!(t >= 0.0)) t = 0.0;  // NaN and -inf clamp to the window start too
   const double window = toa_window().seconds();
   if (t >= window) t = std::nexttoward(window, 0.0);
   const auto edge = static_cast<unsigned>(std::ceil(t / T - 1e-15));
@@ -90,7 +85,7 @@ TdcReading Tdc::convert_ideal(Time toa) const {
 TdcReading Tdc::convert(Time toa, RngStream& rng) const {
   const double T = clock_period_.seconds();
   double t = toa.seconds();
-  if (t < 0.0) t = 0.0;
+  if (!(t >= 0.0)) t = 0.0;  // NaN and -inf clamp to the window start too
   const double window = toa_window().seconds();
   if (t >= window) t = std::nexttoward(window, 0.0);
   const auto edge = static_cast<unsigned>(std::ceil(t / T - 1e-15));

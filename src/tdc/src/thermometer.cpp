@@ -50,18 +50,6 @@ std::size_t decode_thermometer(const ThermometerCode& code, ThermometerDecode me
   return decode_thermometer(std::span<const std::uint8_t>(code), method);
 }
 
-std::size_t count_bubbles(const ThermometerCode& code) {
-  const std::size_t k = ones_count(code);
-  std::size_t bubbles = 0;
-  for (std::size_t i = 0; i < code.size(); ++i) {
-    const std::uint8_t expected = i < k ? 1 : 0;
-    if (code[i] != expected) ++bubbles;
-  }
-  return bubbles;
-}
-
-bool is_clean(const ThermometerCode& code) { return count_bubbles(code) == 0; }
-
 LatchRegimes latch_regimes(const DelayLine& line, Time interval, Time metastability_window) {
   const std::span<const double> b = line.boundaries_seconds();  // size N+1
   const std::size_t n = line.size();

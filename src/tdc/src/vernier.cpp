@@ -48,8 +48,4 @@ std::size_t VernierTdc::convert(Time interval) const {
                   params_.stages);
 }
 
-Time VernierTdc::boundary(std::size_t k) const {
-  return Time::seconds(residual_s_.at(k));
-}
-
 }  // namespace oci::tdc

@@ -1,12 +1,9 @@
-// Streaming statistics and histogramming used by the calibration,
-// nonlinearity, and error-rate analyses.
+// Streaming statistics used by the calibration, nonlinearity, and
+// error-rate analyses.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <limits>
-#include <span>
-#include <vector>
 
 namespace oci::util {
 
@@ -43,40 +40,5 @@ class RunningStats {
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };
-
-/// Fixed-width histogram over [lo, hi); out-of-range samples are counted
-/// separately so no data is silently lost.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  void add_count(std::size_t bin, std::uint64_t count);
-
-  [[nodiscard]] std::size_t bins() const { return counts_.size(); }
-  [[nodiscard]] std::uint64_t count(std::size_t bin) const { return counts_.at(bin); }
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-  [[nodiscard]] std::uint64_t underflow() const { return underflow_; }
-  [[nodiscard]] std::uint64_t overflow() const { return overflow_; }
-  [[nodiscard]] double bin_lo(std::size_t bin) const;
-  [[nodiscard]] double bin_hi(std::size_t bin) const;
-  [[nodiscard]] double bin_width() const { return width_; }
-  [[nodiscard]] std::span<const std::uint64_t> counts() const { return counts_; }
-
-  /// Fraction of in-range samples that fall into `bin`.
-  [[nodiscard]] double fraction(std::size_t bin) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
-};
-
-/// Linear interpolation of the q-quantile (0<=q<=1) of a sorted span.
-[[nodiscard]] double quantile_sorted(std::span<const double> sorted, double q);
 
 }  // namespace oci::util

@@ -19,7 +19,6 @@ class Table {
   Table& new_row();
   Table& add_cell(std::string value);
   Table& add_cell(double value, int precision = 4);
-  Table& add_cell(std::int64_t value);
   Table& add_cell(std::uint64_t value);
 
   /// Scientific-notation cell, for quantities spanning many decades.
@@ -30,9 +29,6 @@ class Table {
 
   /// Renders with column alignment and a header rule.
   void print(std::ostream& os) const;
-  /// Renders as RFC-4180-ish CSV (no quoting of embedded commas needed
-  /// for the numeric content we emit; commas in cells are replaced).
-  void print_csv(std::ostream& os) const;
 
  private:
   std::vector<std::string> headers_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace oci::util {
 
@@ -49,55 +48,5 @@ double RunningStats::variance() const {
 }
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0) {
-  if (bins == 0) throw std::invalid_argument("Histogram: bins must be > 0");
-  if (!(hi > lo)) throw std::invalid_argument("Histogram: hi must exceed lo");
-}
-
-void Histogram::add(double x) {
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  auto bin = static_cast<std::size_t>((x - lo_) / width_);
-  bin = std::min(bin, counts_.size() - 1);  // guard against FP edge at hi_
-  ++counts_[bin];
-  ++total_;
-}
-
-void Histogram::add_count(std::size_t bin, std::uint64_t count) {
-  counts_.at(bin) += count;
-  total_ += count;
-}
-
-double Histogram::bin_lo(std::size_t bin) const {
-  return lo_ + width_ * static_cast<double>(bin);
-}
-
-double Histogram::bin_hi(std::size_t bin) const {
-  return lo_ + width_ * static_cast<double>(bin + 1);
-}
-
-double Histogram::fraction(std::size_t bin) const {
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(counts_.at(bin)) / static_cast<double>(total_);
-}
-
-double quantile_sorted(std::span<const double> sorted, double q) {
-  if (sorted.empty()) throw std::invalid_argument("quantile_sorted: empty input");
-  if (q <= 0.0) return sorted.front();
-  if (q >= 1.0) return sorted.back();
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto idx = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(idx);
-  if (idx + 1 >= sorted.size()) return sorted.back();
-  return sorted[idx] * (1.0 - frac) + sorted[idx + 1] * frac;
-}
 
 }  // namespace oci::util

@@ -38,7 +38,6 @@ Table& Table::add_cell(double value, int precision) {
   return add_cell(os.str());
 }
 
-Table& Table::add_cell(std::int64_t value) { return add_cell(std::to_string(value)); }
 Table& Table::add_cell(std::uint64_t value) { return add_cell(std::to_string(value)); }
 
 Table& Table::add_sci(double value, int precision) {
@@ -67,23 +66,6 @@ void Table::print(std::ostream& os) const {
   for (std::size_t c = 0; c < widths.size(); ++c) rule += widths[c] + (c == 0 ? 0 : 2);
   os << std::string(rule, '-') << '\n';
   for (const auto& row : rows_) emit_row(row);
-}
-
-void Table::print_csv(std::ostream& os) const {
-  auto sanitize = [](std::string s) {
-    std::replace(s.begin(), s.end(), ',', ';');
-    return s;
-  };
-  for (std::size_t c = 0; c < headers_.size(); ++c) {
-    os << (c == 0 ? "" : ",") << sanitize(headers_[c]);
-  }
-  os << '\n';
-  for (const auto& row : rows_) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      os << (c == 0 ? "" : ",") << sanitize(row[c]);
-    }
-    os << '\n';
-  }
 }
 
 std::string si_format(double value, const std::string& unit, int precision) {

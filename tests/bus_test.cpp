@@ -25,7 +25,6 @@ TEST(Tdma, EqualScheduleRoundRobin) {
   for (std::uint64_t slot = 0; slot < 12; ++slot) {
     EXPECT_EQ(s.owner(slot), slot % 4);
   }
-  EXPECT_DOUBLE_EQ(s.share(2), 0.25);
 }
 
 TEST(Tdma, WeightedOwnership) {
@@ -37,7 +36,6 @@ TEST(Tdma, WeightedOwnership) {
   EXPECT_EQ(s.owner(3), 2u);
   EXPECT_EQ(s.owner(5), 2u);
   EXPECT_EQ(s.owner(6), 0u);  // wraps
-  EXPECT_DOUBLE_EQ(s.share(2), 0.5);
 }
 
 TEST(Tdma, NextSlotFromAnyPosition) {

@@ -1,5 +1,5 @@
 // The fault-injection subsystem: deterministic realisation, the SPAD
-// pixel-state path, MAC re-arbitration over survivors, NoC routing
+// pixel-fault fold, MAC re-arbitration over survivors, NoC routing
 // around dead dies, and end-to-end faulted scenario runs that must be
 // bit-identical across thread counts while degrading monotonically.
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include "oci/net/stack_network.hpp"
 #include "oci/scenario/runner.hpp"
 #include "oci/scenario/spec.hpp"
-#include "oci/spad/array.hpp"
 #include "oci/util/random.hpp"
 #include "support/stat_assert.hpp"
 
@@ -114,81 +113,6 @@ TEST(Fault, PixelFoldArithmetic) {
   const fault::PixelFaults clean;
   EXPECT_DOUBLE_EQ(clean.pdp_scale(), 1.0);
   EXPECT_DOUBLE_EQ(clean.dcr_scale(), 1.0);
-}
-
-// ---------- SPAD array pixel states ----------
-
-spad::SpadArrayParams quiet_array(std::size_t diodes) {
-  spad::SpadArrayParams p;
-  p.diodes = diodes;
-  p.fill_factor = 1.0;
-  p.element.pdp_peak = 0.999;
-  p.element.dcr_at_ref = util::Frequency::hertz(0.0);
-  p.element.afterpulse_probability = 0.0;
-  p.element.jitter_sigma = Time::zero();
-  p.element.dead_time = Time::nanoseconds(40.0);
-  return p;
-}
-
-TEST(Fault, SpadArrayDeadPixelsNeverFire) {
-  spad::SpadArray arr(quiet_array(4), util::Wavelength::nanometres(480.0));
-  arr.set_pixel_states({spad::PixelState::kDead, spad::PixelState::kDead,
-                        spad::PixelState::kDead, spad::PixelState::kDead});
-  EXPECT_DOUBLE_EQ(arr.live_fraction(), 0.0);
-
-  RngStream rng(211);
-  std::vector<photonics::PhotonArrival> photons;
-  for (int i = 0; i < 100; ++i) photons.push_back({Time::nanoseconds(10.0 * i), true});
-  std::vector<Time> dead(4, Time::zero());
-  const auto dets = arr.detect(photons, Time::zero(), Time::microseconds(1.1), rng, dead);
-  EXPECT_TRUE(dets.empty());
-}
-
-TEST(Fault, SpadArrayMaskedHotPixelIsSilentUnmaskedScreams) {
-  // No photons at all: every detection is a dark count, so the hot
-  // pixel's treatment is directly observable.
-  spad::SpadArray arr(quiet_array(2), util::Wavelength::nanometres(480.0));
-  const std::vector<photonics::PhotonArrival> no_photons;
-
-  arr.set_pixel_states({spad::PixelState::kHealthy, spad::PixelState::kMasked});
-  EXPECT_DOUBLE_EQ(arr.live_fraction(), 0.5);
-  RngStream quiet_rng(223);
-  std::vector<Time> dead(2, Time::zero());
-  const auto quiet =
-      arr.detect(no_photons, Time::zero(), Time::milliseconds(1.0), quiet_rng, dead);
-  EXPECT_TRUE(quiet.empty());  // masked pixel contributes nothing
-
-  arr.set_pixel_states({spad::PixelState::kHealthy, spad::PixelState::kHot},
-                       util::Frequency::megahertz(1.0));
-  EXPECT_DOUBLE_EQ(arr.live_fraction(), 1.0);  // hot still photon-sensitive
-  RngStream hot_rng(227);
-  std::fill(dead.begin(), dead.end(), Time::zero());
-  const auto hot =
-      arr.detect(no_photons, Time::zero(), Time::milliseconds(1.0), hot_rng, dead);
-  // ~1000 expected dark counts in 1 ms at 1 MHz (dead time trims some).
-  EXPECT_GT(hot.size(), 500u);
-}
-
-TEST(Fault, SpadArrayDeadPixelStaysDeadAcrossWindows) {
-  // Regression for the resurrected-sentinel bug: the passive-quench
-  // bookkeeping must never shorten a dead pixel's blind horizon.
-  spad::SpadArray arr(quiet_array(2), util::Wavelength::nanometres(480.0));
-  arr.set_pixel_states({spad::PixelState::kDead, spad::PixelState::kHealthy});
-
-  RngStream rng(229);
-  std::vector<photonics::PhotonArrival> photons;
-  for (int i = 0; i < 50; ++i) photons.push_back({Time::nanoseconds(100.0 * i), true});
-  std::vector<Time> dead(2, Time::zero());
-  for (int window = 0; window < 3; ++window) {
-    const auto dets =
-        arr.detect(photons, Time::microseconds(5.0 * window), Time::microseconds(5.0),
-                   rng, dead);
-    // The single healthy diode at 100 ns spacing vs 40 ns recovery
-    // catches everything; the dead one must contribute nothing extra.
-    EXPECT_LE(dets.size(), photons.size());
-  }
-  EXPECT_TRUE(spad::is_never(dead[0]) || dead[0] == Time::zero());
-  EXPECT_FALSE(spad::is_never(dead[1]));
 }
 
 // ---------- MAC re-arbitration over survivors ----------

@@ -100,7 +100,7 @@ TEST(Integration, PpmBeatsOokUnderDeadTime) {
   // The paper's core argument: with a dead-time-limited SPAD, PPM
   // throughput exceeds the OOK ceiling 1/dead_time.
   const Time dead = Time::nanoseconds(40.0);
-  const auto ook = modulation::OokCodec::dead_time_limited_rate(dead);
+  const auto ook = modulation::ook_dead_time_limited_rate(dead);
   const auto best =
       link::best_design(Time::picoseconds(52.0), dead, 8, 512, 0, 8);
   ASSERT_TRUE(best.has_value());

@@ -1,22 +1,28 @@
-// Unit tests for the core link library: trade-off model, budget, error
-// model, Monte Carlo link, calibration controller.
+// Unit tests for the core link library: trade-off model (and its
+// identities over the design grid), budget, error model, Monte Carlo
+// link, calibration controller, channel array and FEC link.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <tuple>
 
 #include "support/stat_assert.hpp"
 
 #include "oci/link/budget.hpp"
 #include "oci/link/calibration_controller.hpp"
+#include "oci/link/channel_array.hpp"
 #include "oci/link/error_model.hpp"
+#include "oci/link/fec_link.hpp"
 #include "oci/link/optical_link.hpp"
 #include "oci/link/tradeoff.hpp"
 
 namespace {
 
+using namespace oci;
 using namespace oci::link;
 using oci::util::Energy;
 using oci::util::Frequency;
+using oci::util::Length;
 using oci::util::Power;
 using oci::util::RngStream;
 using oci::util::Temperature;
@@ -463,5 +469,194 @@ TEST(CalibrationController, StaleLutHasWorseResidual) {
   const double stale = ctl.residual_rms_s(3000, probe2);
   EXPECT_GT(stale, fresh * 1.5);
 }
+
+// ---------- channel array ----------
+
+link::ChannelArrayConfig array_config() {
+  link::ChannelArrayConfig c;
+  c.design = link::TdcDesign{64, 4, Time::picoseconds(52.0)};
+  c.crosstalk.decay_length = Length::micrometres(25.0);
+  return c;
+}
+
+TEST(ChannelArray, CrosstalkDropsWithPitch) {
+  const auto cfg = array_config();
+  const auto tight = link::evaluate_pitch(cfg, Length::micrometres(30.0));
+  const auto loose = link::evaluate_pitch(cfg, Length::micrometres(200.0));
+  EXPECT_GT(tight.p_crosstalk_capture, loose.p_crosstalk_capture);
+  EXPECT_LT(loose.p_crosstalk_capture, 0.01);
+}
+
+TEST(ChannelArray, DensityFloorsAtEndpointSize) {
+  const auto cfg = array_config();
+  const auto a = link::evaluate_pitch(cfg, Length::micrometres(10.0));
+  const auto b = link::evaluate_pitch(cfg, Length::micrometres(40.0));
+  // Pitch below the endpoint side cannot pack tighter.
+  EXPECT_DOUBLE_EQ(a.channels_per_mm, b.channels_per_mm);
+}
+
+TEST(ChannelArray, BestPitchIsInterior) {
+  const auto cfg = array_config();
+  const auto best =
+      link::best_pitch(cfg, Length::micrometres(20.0), Length::micrometres(500.0), 64);
+  // The optimum balances crosstalk against density: away from both ends.
+  EXPECT_GT(best.pitch.micrometres(), 25.0);
+  EXPECT_LT(best.pitch.micrometres(), 400.0);
+  EXPECT_GT(best.bandwidth_density_gbps_mm, 0.0);
+}
+
+TEST(ChannelArray, RejectsBadInputs) {
+  const auto cfg = array_config();
+  EXPECT_THROW((void)link::evaluate_pitch(cfg, Length::metres(0.0)), std::invalid_argument);
+  EXPECT_THROW((void)link::best_pitch(cfg, Length::micrometres(100.0),
+                                      Length::micrometres(50.0), 8),
+               std::invalid_argument);
+}
+
+// ---------- FEC link ----------
+
+link::OpticalLinkConfig fec_link_config() {
+  link::OpticalLinkConfig c;
+  c.design = link::TdcDesign{64, 4, Time::picoseconds(52.0)};
+  c.bits_per_symbol = 8;  // narrow slots: jitter flips occasional bits
+  c.channel_transmittance = 0.8;
+  c.led.peak_power = util::Power::microwatts(50.0);
+  // 120 ps sigma against a 208 ps slot: ~30% of symbols spill one slot
+  // (single Gray bit, SECDED-correctable) while <1% spill two (frame
+  // drop), so FEC transfers mostly succeed with corrections > 0.
+  c.spad.jitter_sigma = Time::picoseconds(120.0);
+  c.spad.dcr_at_ref = Frequency::hertz(0.0);
+  c.spad.afterpulse_probability = 0.0;
+  c.calibration_samples = 100000;
+  return c;
+}
+
+TEST(FecLink, CleanChannelRoundTrip) {
+  auto cfg = fec_link_config();
+  cfg.spad.jitter_sigma = Time::zero();
+  cfg.bits_per_symbol = 5;
+  RngStream rng(839);
+  const link::OpticalLink link(cfg, rng);
+  const link::FecLink fec(link);
+  RngStream tx(841);
+  const std::vector<std::uint8_t> payload{1, 2, 3, 4, 5, 250, 251, 252};
+  const auto r = fec.transfer(payload, tx);
+  ASSERT_TRUE(r.payload.has_value());
+  EXPECT_EQ(*r.payload, payload);
+  EXPECT_EQ(r.corrections, 0u);
+}
+
+TEST(FecLink, CorrectsJitterFlips) {
+  // On a jittery narrow-slot link, plain CRC framing loses frames that
+  // FEC delivers (with corrections > 0 over many transfers).
+  RngStream rng(853);
+  const link::OpticalLink link(fec_link_config(), rng);
+  const link::FecLink fec(link);
+
+  RngStream tx(857);
+  std::size_t fec_ok = 0, fec_corrections = 0;
+  const std::vector<std::uint8_t> payload{'f', 'e', 'c', '-', 'd', 'a', 't', 'a'};
+  const int transfers = 60;
+  for (int i = 0; i < transfers; ++i) {
+    const auto r = fec.transfer(payload, tx);
+    if (r.payload && *r.payload == payload) {
+      ++fec_ok;
+      fec_corrections += r.corrections;
+    }
+  }
+  EXPECT_GT(fec_ok, transfers / 2);
+  EXPECT_GT(fec_corrections, 0u);  // it actually corrected something
+}
+
+TEST(FecLink, NeverDeliversCorruptPayload) {
+  // Even on a terrible channel, a delivered payload must be intact
+  // (CRC-8 after FEC): corruption -> nullopt, not wrong bytes.
+  auto cfg = fec_link_config();
+  cfg.spad.jitter_sigma = Time::picoseconds(600.0);  // catastrophic
+  RngStream rng(859);
+  const link::OpticalLink link(cfg, rng);
+  const link::FecLink fec(link);
+  RngStream tx(863);
+  const std::vector<std::uint8_t> payload{9, 8, 7, 6, 5};
+  for (int i = 0; i < 40; ++i) {
+    const auto r = fec.transfer(payload, tx);
+    if (r.payload) { EXPECT_EQ(*r.payload, payload); }
+  }
+}
+
+TEST(FecLink, SymbolAccounting) {
+  RngStream rng(877);
+  const link::OpticalLink link(fec_link_config(), rng);
+  const link::FecLink fec(link);
+  // 8 payload bytes + 1 CRC = 9 bytes -> 18 coded bytes = 144 bits ->
+  // 18 symbols at 8 bits/symbol.
+  RngStream tx(881);
+  const auto r = fec.transfer(std::vector<std::uint8_t>(8, 0xAA), tx);
+  EXPECT_EQ(r.stats.symbols_sent, 18u);
+}
+
+// ---------- paper trade-off identities over the whole grid ----------
+
+class TradeoffIdentity
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, unsigned>> {};
+
+TEST_P(TradeoffIdentity, MwEqualsDcPlusRf) {
+  const auto [n, cbits] = GetParam();
+  const link::TdcDesign d{n, cbits, Time::picoseconds(52.0)};
+  EXPECT_NEAR(link::measurement_window(d).seconds(),
+              (link::detection_cycle(d) + link::fine_range(d)).seconds(), 1e-18);
+}
+
+TEST_P(TradeoffIdentity, ThroughputIsBitsOverMw) {
+  const auto [n, cbits] = GetParam();
+  const link::TdcDesign d{n, cbits, Time::picoseconds(52.0)};
+  EXPECT_NEAR(link::throughput(d).bits_per_second(),
+              link::bits_per_sample(d) / link::measurement_window(d).seconds(), 1e-3);
+}
+
+TEST_P(TradeoffIdentity, DcDoublesPerCoarseBit) {
+  const auto [n, cbits] = GetParam();
+  const link::TdcDesign d{n, cbits, Time::picoseconds(52.0)};
+  const link::TdcDesign d1{n, cbits + 1, Time::picoseconds(52.0)};
+  EXPECT_NEAR(link::detection_cycle(d1).seconds(),
+              2.0 * link::detection_cycle(d).seconds(), 1e-18);
+}
+
+INSTANTIATE_TEST_SUITE_P(Grid, TradeoffIdentity,
+                         ::testing::Combine(::testing::Values(std::uint64_t{8},
+                                                              std::uint64_t{16},
+                                                              std::uint64_t{64},
+                                                              std::uint64_t{96},
+                                                              std::uint64_t{256}),
+                                            ::testing::Values(0u, 1u, 3u, 5u, 8u)));
+
+// ---------- link SER monotone in photon budget ----------
+
+class LinkPhotonBudget : public ::testing::TestWithParam<double> {};
+
+TEST_P(LinkPhotonBudget, ErasureRateMatchesPoissonMiss) {
+  const double transmittance = GetParam();
+  link::OpticalLinkConfig cfg;
+  cfg.design = link::TdcDesign{64, 4, Time::picoseconds(52.0)};
+  cfg.bits_per_symbol = 4;
+  cfg.channel_transmittance = transmittance;
+  cfg.led.peak_power = util::Power::nanowatts(40.0);  // starved link
+  cfg.spad.dcr_at_ref = Frequency::hertz(0.0);
+  cfg.spad.afterpulse_probability = 0.0;
+  cfg.calibrate = false;
+
+  RngStream rng(601);
+  const link::OpticalLink link(cfg, rng);
+  RngStream tx(607);
+  const auto stats = link.measure(3000, tx);
+  const double mu = link.led().photons_per_pulse() * transmittance;
+  const double expected_miss = std::exp(-mu * link.detector().pdp());
+  const double measured =
+      static_cast<double>(stats.erasures) / static_cast<double>(stats.symbols_sent);
+  EXPECT_NEAR(measured, expected_miss, 0.05);
+}
+
+INSTANTIATE_TEST_SUITE_P(Budgets, LinkPhotonBudget,
+                         ::testing::Values(0.02, 0.05, 0.1, 0.3, 0.8));
 
 }  // namespace

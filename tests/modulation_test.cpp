@@ -1,12 +1,18 @@
-// Unit tests for PPM codec, framing, and the OOK baseline.
+// Unit tests for the PPM codec, framing, Hamming(8,4) and the OOK
+// ceiling, with round trips over every PPM order and frame size.
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
+#include "oci/modulation/fec.hpp"
 #include "oci/modulation/frame.hpp"
 #include "oci/modulation/ook.hpp"
 #include "oci/modulation/ppm.hpp"
 
 namespace {
 
+using namespace oci;
 using namespace oci::modulation;
 using oci::util::Time;
 
@@ -24,11 +30,6 @@ TEST(Ppm, SlotCount) {
   EXPECT_EQ(PpmCodec(cfg(1)).slot_count(), 2u);
   EXPECT_EQ(PpmCodec(cfg(4)).slot_count(), 16u);
   EXPECT_EQ(PpmCodec(cfg(10)).slot_count(), 1024u);
-}
-
-TEST(Ppm, SymbolSpan) {
-  const PpmCodec codec(cfg(4));
-  EXPECT_DOUBLE_EQ(codec.symbol_span().nanoseconds(), 16.0);
 }
 
 TEST(Ppm, EncodeDecodeRoundTripBinary) {
@@ -214,51 +215,143 @@ TEST(Frame, PreamblePattern) {
 
 // ---------- OOK ----------
 
-TEST(Ook, EncodePlacesPulsesForOnes) {
-  OokConfig c;
-  c.bit_period = Time::nanoseconds(40.0);
-  c.pulse_offset_fraction = 0.25;
-  const OokCodec codec(c);
-  const auto pulses = codec.encode({1, 0, 1, 1});
-  ASSERT_EQ(pulses.size(), 3u);
-  EXPECT_DOUBLE_EQ(pulses[0].nanoseconds(), 10.0);
-  EXPECT_DOUBLE_EQ(pulses[1].nanoseconds(), 90.0);
-  EXPECT_DOUBLE_EQ(pulses[2].nanoseconds(), 130.0);
-}
-
-TEST(Ook, DecodeRoundTrip) {
-  const OokCodec codec(OokConfig{});
-  const std::vector<std::uint8_t> bits{1, 0, 1, 1, 0, 0, 1, 0};
-  const auto pulses = codec.encode(bits);
-  EXPECT_EQ(codec.decode(pulses, bits.size()), bits);
-}
-
-TEST(Ook, DecodeIgnoresOutOfRangeDetections) {
-  const OokCodec codec(OokConfig{});
-  const std::vector<Time> dets{Time::nanoseconds(-5.0), Time::nanoseconds(400.0)};
-  const auto bits = codec.decode(dets, 4);
-  EXPECT_EQ(bits, (std::vector<std::uint8_t>{0, 0, 0, 0}));
-}
-
 TEST(Ook, DeadTimeLimitedRate) {
-  EXPECT_DOUBLE_EQ(
-      OokCodec::dead_time_limited_rate(Time::nanoseconds(40.0)).megabits_per_second(), 25.0);
-  EXPECT_THROW((void)OokCodec::dead_time_limited_rate(Time::zero()), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(ook_dead_time_limited_rate(Time::nanoseconds(40.0)).megabits_per_second(),
+                   25.0);
+  EXPECT_THROW((void)ook_dead_time_limited_rate(Time::zero()), std::invalid_argument);
 }
 
-TEST(Ook, BitRateIsInversePeriod) {
-  OokConfig c;
-  c.bit_period = Time::nanoseconds(10.0);
-  EXPECT_DOUBLE_EQ(OokCodec(c).bit_rate().megabits_per_second(), 100.0);
+// ---------- Hamming (8,4) ----------
+
+TEST(Hamming84, RoundTripAllNibbles) {
+  for (std::uint8_t n = 0; n < 16; ++n) {
+    const auto r = modulation::Hamming84::decode(modulation::Hamming84::encode(n));
+    EXPECT_EQ(r.nibble, n);
+    EXPECT_FALSE(r.corrected);
+    EXPECT_FALSE(r.double_error);
+  }
 }
 
-TEST(Ook, RejectsBadConfig) {
-  OokConfig c;
-  c.bit_period = Time::zero();
-  EXPECT_THROW(OokCodec{c}, std::invalid_argument);
-  c = OokConfig{};
-  c.pulse_offset_fraction = 1.0;
-  EXPECT_THROW(OokCodec{c}, std::invalid_argument);
+TEST(Hamming84, CorrectsEverySingleBitError) {
+  for (std::uint8_t n = 0; n < 16; ++n) {
+    const std::uint8_t cw = modulation::Hamming84::encode(n);
+    for (unsigned b = 0; b < 8; ++b) {
+      const auto r =
+          modulation::Hamming84::decode(static_cast<std::uint8_t>(cw ^ (1u << b)));
+      EXPECT_EQ(r.nibble, n) << "nibble " << int(n) << " bit " << b;
+      EXPECT_TRUE(r.corrected);
+      EXPECT_FALSE(r.double_error);
+    }
+  }
 }
+
+TEST(Hamming84, DetectsEveryDoubleBitError) {
+  for (std::uint8_t n = 0; n < 16; ++n) {
+    const std::uint8_t cw = modulation::Hamming84::encode(n);
+    for (unsigned a = 0; a < 8; ++a) {
+      for (unsigned b = a + 1; b < 8; ++b) {
+        const auto r = modulation::Hamming84::decode(
+            static_cast<std::uint8_t>(cw ^ (1u << a) ^ (1u << b)));
+        EXPECT_TRUE(r.double_error) << "nibble " << int(n) << " bits " << a << "," << b;
+      }
+    }
+  }
+}
+
+TEST(Hamming84, ByteVectorRoundTrip) {
+  const std::vector<std::uint8_t> data{0x00, 0xFF, 0xA5, 0x3C, 0x7E};
+  const auto coded = modulation::Hamming84::encode_bytes(data);
+  EXPECT_EQ(coded.size(), data.size() * 2);
+  const auto decoded = modulation::Hamming84::decode_bytes(coded);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->data, data);
+  EXPECT_EQ(decoded->corrections, 0u);
+}
+
+TEST(Hamming84, ByteVectorCorrectsScatteredErrors) {
+  const std::vector<std::uint8_t> data{0xDE, 0xAD, 0xBE, 0xEF};
+  auto coded = modulation::Hamming84::encode_bytes(data);
+  coded[0] ^= 0x10;  // one flipped bit per codeword is correctable
+  coded[3] ^= 0x02;
+  coded[7] ^= 0x40;
+  const auto decoded = modulation::Hamming84::decode_bytes(coded);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->data, data);
+  EXPECT_EQ(decoded->corrections, 3u);
+}
+
+TEST(Hamming84, ByteVectorFlagsDoubleError) {
+  auto coded = modulation::Hamming84::encode_bytes({0x42});
+  coded[1] ^= 0x21;  // two bits in one codeword
+  EXPECT_FALSE(modulation::Hamming84::decode_bytes(coded).has_value());
+  EXPECT_FALSE(modulation::Hamming84::decode_bytes({0x01}).has_value());  // odd size
+}
+
+// ---------- PPM round trip over all K and both labelings ----------
+
+class PpmRoundTrip
+    : public ::testing::TestWithParam<std::tuple<unsigned, modulation::SlotLabeling>> {};
+
+TEST_P(PpmRoundTrip, EverySymbolSurvives) {
+  const auto [k, labeling] = GetParam();
+  modulation::PpmConfig c;
+  c.bits_per_symbol = k;
+  c.slot_width = Time::nanoseconds(1.0);
+  c.labeling = labeling;
+  const modulation::PpmCodec codec(c);
+  for (std::uint64_t s = 0; s < codec.slot_count(); ++s) {
+    EXPECT_EQ(codec.decode(codec.encode(s)), s) << "k=" << k;
+  }
+}
+
+TEST_P(PpmRoundTrip, SlotMappingIsBijective) {
+  const auto [k, labeling] = GetParam();
+  modulation::PpmConfig c;
+  c.bits_per_symbol = k;
+  c.labeling = labeling;
+  const modulation::PpmCodec codec(c);
+  std::vector<bool> seen(codec.slot_count(), false);
+  for (std::uint64_t s = 0; s < codec.slot_count(); ++s) {
+    const auto slot = codec.slot_for_symbol(s);
+    ASSERT_LT(slot, codec.slot_count());
+    EXPECT_FALSE(seen[slot]) << "collision at symbol " << s;
+    seen[slot] = true;
+    EXPECT_EQ(codec.symbol_for_slot(slot), s);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllOrders, PpmRoundTrip,
+    ::testing::Combine(::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 8u, 10u),
+                       ::testing::Values(modulation::SlotLabeling::kBinary,
+                                         modulation::SlotLabeling::kGray)));
+
+// ---------- frame round trip over payload sizes and K ----------
+
+class FrameRoundTrip
+    : public ::testing::TestWithParam<std::tuple<unsigned, std::size_t>> {};
+
+TEST_P(FrameRoundTrip, PayloadSurvives) {
+  const auto [k, payload_size] = GetParam();
+  modulation::PpmConfig c;
+  c.bits_per_symbol = k;
+  const modulation::PpmCodec codec(c);
+  const modulation::FrameCodec framer(codec, modulation::FrameConfig{});
+  modulation::Frame f;
+  f.payload.resize(payload_size);
+  for (std::size_t i = 0; i < payload_size; ++i) {
+    f.payload[i] = static_cast<std::uint8_t>((i * 37 + k) & 0xFF);
+  }
+  const auto parsed = framer.deserialize(framer.serialize(f));
+  ASSERT_TRUE(parsed.has_value()) << "k=" << k << " size=" << payload_size;
+  EXPECT_EQ(parsed->frame.payload, f.payload);
+}
+
+INSTANTIATE_TEST_SUITE_P(SizesAndOrders, FrameRoundTrip,
+                         ::testing::Combine(::testing::Values(2u, 4u, 5u, 8u),
+                                            ::testing::Values(std::size_t{0},
+                                                              std::size_t{1},
+                                                              std::size_t{17},
+                                                              std::size_t{256})));
 
 }  // namespace

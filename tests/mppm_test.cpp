@@ -112,31 +112,6 @@ TEST(Mppm, DecodeValidatesInput) {
   EXPECT_THROW((void)codec.decode({3, 4}), std::invalid_argument);       // separation
 }
 
-TEST(Mppm, TimeRoundTrip) {
-  MppmConfig c;
-  c.slots = 32;
-  c.pulses = 2;
-  c.slot_width = Time::nanoseconds(1.5);
-  const MppmCodec codec(c);
-  for (std::uint64_t s : {0ull, 17ull, 200ull}) {
-    if (s >= (1ull << codec.bits_per_symbol())) continue;
-    const auto times = codec.encode_times(s);
-    EXPECT_EQ(codec.decode_times(times), s);
-  }
-  EXPECT_DOUBLE_EQ(codec.symbol_span().nanoseconds(), 48.0);
-}
-
-TEST(Mppm, TimeDecodeClampsOutOfRange) {
-  MppmConfig c;
-  c.slots = 8;
-  c.pulses = 2;
-  const MppmCodec codec(c);
-  // A pulse past the window clamps to the last slot; the pair {0, 7}.
-  const std::uint64_t expected = codec.decode({0, 7});
-  EXPECT_EQ(codec.decode_times({Time::nanoseconds(0.2), Time::nanoseconds(99.0)}),
-            expected);
-}
-
 TEST(Mppm, SinglePulseDegeneratesToPpm) {
   MppmConfig c;
   c.slots = 32;

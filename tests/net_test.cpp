@@ -1,10 +1,14 @@
-// Tests for the packet/MAC network layer over the shared optical bus.
+// Tests for the packet/MAC network layer over the shared optical bus,
+// including packet conservation under every MAC.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
+#include "oci/bus/arbitration.hpp"
 #include "oci/net/mac.hpp"
 #include "oci/net/packet.hpp"
 #include "oci/net/stack_network.hpp"
@@ -383,3 +387,63 @@ TEST(StackNetwork, ArrivalDrawsPerSlotDoNotScaleWithDies) {
   EXPECT_LT(large, 2.0 * small) << small << " vs " << large;
   EXPECT_LT(large, 5.0);  // ~1 aggregate draw + 2 per arrival at 1.4 arrivals
 }
+
+// ---------- network conservation under every MAC ----------
+
+enum class MacKind { kTdma, kToken, kTokenPass, kAloha };
+
+class NetConservation : public ::testing::TestWithParam<std::tuple<MacKind, double>> {};
+
+std::unique_ptr<net::MacPolicy> build_mac(MacKind kind, std::size_t dies) {
+  switch (kind) {
+    case MacKind::kTdma:
+      return std::make_unique<net::TdmaMac>(bus::TdmaSchedule::equal(dies));
+    case MacKind::kToken:
+      return std::make_unique<net::TokenMac>(dies, 0);
+    case MacKind::kTokenPass:
+      return std::make_unique<net::TokenMac>(dies, 2);
+    case MacKind::kAloha:
+      return std::make_unique<net::AlohaMac>(1.0 / static_cast<double>(dies));
+  }
+  return nullptr;
+}
+
+TEST_P(NetConservation, OfferedEqualsAccountedPlusBacklog) {
+  const auto [kind, load] = GetParam();
+  const std::size_t dies = 5;
+  net::StackNetworkConfig cfg;
+  cfg.dies = dies;
+  cfg.traffic.resize(dies);
+  for (auto& t : cfg.traffic) {
+    t.packets_per_slot = load / static_cast<double>(dies);
+    t.uniform_destinations = true;
+  }
+  cfg.delivery_probability = 0.85;
+  cfg.max_attempts = 3;
+  cfg.queue_capacity = 64;
+
+  net::StackNetwork netw(cfg, build_mac(kind, dies));
+  RngStream rng(419 + static_cast<std::uint64_t>(load * 10));
+  const auto r = netw.run(15000, rng);
+
+  std::uint64_t accounted = 0;
+  for (const auto& d : r.per_die) accounted += d.delivered + d.queue_drops + d.retry_drops;
+  EXPECT_EQ(r.total_offered(), accounted + netw.backlog());
+  // Collisions only occur under random access.
+  if (kind != MacKind::kAloha) { EXPECT_EQ(r.collision_slots, 0u); }
+  // Carried load can never exceed one packet per slot.
+  EXPECT_LE(r.carried_load(), 1.0);
+}
+
+std::string mac_case_name(const ::testing::TestParamInfo<std::tuple<MacKind, double>>& info) {
+  static constexpr const char* kNames[] = {"tdma", "token", "tokenpass", "aloha"};
+  return std::string(kNames[static_cast<int>(std::get<0>(info.param))]) + "_load" +
+         std::to_string(static_cast<int>(std::get<1>(info.param) * 10));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Macs, NetConservation,
+    ::testing::Combine(::testing::Values(MacKind::kTdma, MacKind::kToken,
+                                         MacKind::kTokenPass, MacKind::kAloha),
+                       ::testing::Values(0.2, 0.8, 1.5)),
+    mac_case_name);

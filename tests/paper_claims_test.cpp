@@ -100,7 +100,7 @@ TEST(PaperClaims, PpmMultipliesDeadTimeLimitedRate) {
   // of DC against the dead time (worst case just under 2x overshoot).
   // bits/2 is therefore the guaranteed floor over any dead time.
   const Time dead = Time::nanoseconds(40.0);
-  const auto ook = modulation::OokCodec::dead_time_limited_rate(dead);
+  const auto ook = modulation::ook_dead_time_limited_rate(dead);
   const auto best = link::best_design(Time::picoseconds(52.0), dead, 8, 512, 0, 8);
   ASSERT_TRUE(best.has_value());
   EXPECT_GE(best->bits, 7.0);
@@ -109,7 +109,7 @@ TEST(PaperClaims, PpmMultipliesDeadTimeLimitedRate) {
   // When the dead time packs tightly onto the grid (53 ns ~ 1024 x
   // 52 ps) the multiplier approaches the full bits-per-sample factor.
   const Time tight = Time::nanoseconds(53.0);
-  const auto ook_tight = modulation::OokCodec::dead_time_limited_rate(tight);
+  const auto ook_tight = modulation::ook_dead_time_limited_rate(tight);
   const auto best_tight =
       link::best_design(Time::picoseconds(52.0), tight, 8, 512, 0, 8);
   ASSERT_TRUE(best_tight.has_value());

@@ -1,5 +1,5 @@
 // Unit tests for oci::photonics -- silicon optics, LED, die stack,
-// photon statistics.
+// photon statistics, waveguides.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,10 +11,12 @@
 #include "oci/photonics/led.hpp"
 #include "oci/photonics/photon_stream.hpp"
 #include "oci/photonics/silicon.hpp"
+#include "oci/photonics/waveguide.hpp"
 #include "oci/util/statistics.hpp"
 
 namespace {
 
+using namespace oci;
 using namespace oci::photonics;
 using oci::util::Energy;
 using oci::util::Frequency;
@@ -37,10 +39,14 @@ TEST(Silicon, AbsorptionDecreasesWithWavelength) {
 }
 
 TEST(Silicon, KnownPenetrationDepths) {
+  // The 1/e depth is 1/alpha [m]; in micrometres, 1e6/alpha.
+  const auto depth_um = [](double nm) {
+    return 1e6 / absorption_coefficient_si(Wavelength::nanometres(nm));
+  };
   // 850 nm: alpha ~ 535 /cm -> ~18.7 um penetration.
-  EXPECT_NEAR(penetration_depth_si(Wavelength::nanometres(850.0)).micrometres(), 18.7, 1.0);
+  EXPECT_NEAR(depth_um(850.0), 18.7, 1.0);
   // 450 nm: alpha ~ 2.55e4 /cm -> ~0.39 um.
-  EXPECT_NEAR(penetration_depth_si(Wavelength::nanometres(450.0)).micrometres(), 0.392, 0.02);
+  EXPECT_NEAR(depth_um(450.0), 0.392, 0.02);
 }
 
 TEST(Silicon, TableEndpointsClamp) {
@@ -75,13 +81,6 @@ TEST(Silicon, RefractiveIndexReasonable) {
   EXPECT_LT(n, 4.5);
   // Dispersion: higher index at shorter wavelength.
   EXPECT_GT(refractive_index_si(Wavelength::nanometres(450.0)), n);
-}
-
-TEST(Silicon, FresnelReflectanceSiAir) {
-  // n ~ 3.6 -> R ~ 32%.
-  const double r = fresnel_reflectance_si_air(Wavelength::nanometres(850.0));
-  EXPECT_GT(r, 0.25);
-  EXPECT_LT(r, 0.40);
 }
 
 // ---------- LED ----------
@@ -125,13 +124,6 @@ TEST(MicroLed, RejectsBadParams) {
   p = default_led();
   p.wall_plug_efficiency = 1.5;
   EXPECT_THROW(MicroLed{p}, std::invalid_argument);
-}
-
-TEST(MicroLed, RectangularEnvelope) {
-  const MicroLed led(default_led());
-  EXPECT_DOUBLE_EQ(led.envelope(Time::picoseconds(-1.0)), 0.0);
-  EXPECT_DOUBLE_EQ(led.envelope(Time::picoseconds(150.0)), 1.0);
-  EXPECT_DOUBLE_EQ(led.envelope(Time::picoseconds(301.0)), 0.0);
 }
 
 TEST(MicroLed, RectangularSamplingUniform) {
@@ -194,13 +186,6 @@ TEST(DieStack, SiliconPathExcludesEndpointDies) {
   EXPECT_DOUBLE_EQ(stack.silicon_path(0, 4).micrometres(), 150.0);
 }
 
-TEST(DieStack, InterfacesCrossed) {
-  const DieStack stack = DieStack::uniform(5, thin_die());
-  EXPECT_EQ(stack.interfaces_crossed(0, 1), 1u);
-  EXPECT_EQ(stack.interfaces_crossed(4, 1), 3u);
-  EXPECT_EQ(stack.interfaces_crossed(2, 2), 0u);
-}
-
 TEST(DieStack, TransmittanceDecaysWithDistance) {
   const DieStack stack = DieStack::uniform(8, thin_die());
   const Wavelength wl = Wavelength::nanometres(850.0);
@@ -251,18 +236,16 @@ TEST(DieStack, IndexOutOfRangeThrows) {
 TEST(Crosstalk, DecaysWithPitch) {
   CrosstalkModel x;
   EXPECT_DOUBLE_EQ(x.fraction_at(Length::metres(0.0)), 1.0);
-  EXPECT_GT(x.neighbour_fraction(), 0.0);
-  EXPECT_LT(x.neighbour_fraction(), 0.05);  // 100 um pitch, 25 um decay
-  EXPECT_LT(x.fraction_at(Length::micrometres(200.0)), x.neighbour_fraction());
+  const double neighbour = x.fraction_at(x.pitch);
+  EXPECT_GT(neighbour, 0.0);
+  EXPECT_LT(neighbour, 0.05);  // 100 um pitch, 25 um decay
+  EXPECT_LT(x.fraction_at(Length::micrometres(200.0)), neighbour);
 }
 
 // ---------- photon stream ----------
 
-TEST(PhotonStream, MeanPhotonsScalesWithTransmittance) {
+TEST(PhotonStream, RejectsTransmittanceOutsideUnitInterval) {
   const MicroLed led(default_led());
-  const PhotonStream full(led, 1.0);
-  const PhotonStream half(led, 0.5);
-  EXPECT_NEAR(half.mean_photons_per_pulse() / full.mean_photons_per_pulse(), 0.5, 1e-12);
   EXPECT_THROW(PhotonStream(led, 1.5), std::invalid_argument);
   EXPECT_THROW(PhotonStream(led, -0.1), std::invalid_argument);
   EXPECT_THROW(PhotonStream(led, std::numeric_limits<double>::quiet_NaN()),
@@ -290,7 +273,7 @@ TEST(PhotonStream, PoissonCountStatistics) {
   p.peak_power = Power::nanowatts(100.0);
   const MicroLed led(p);
   const PhotonStream stream(led, 1.0);
-  const double mu = stream.mean_photons_per_pulse();
+  const double mu = led.photons_per_pulse();
   RngStream rng(223);
   RunningStats s;
   for (int i = 0; i < 5000; ++i) {
@@ -376,5 +359,69 @@ TEST(PhotonStream, MergeBackwardInPlaceMatchesStdMerge) {
     }
   }
 }
+
+// ---------- waveguide ----------
+
+photonics::WaveguideParams wg_params() {
+  photonics::WaveguideParams p;
+  p.propagation_loss_db_per_cm = 1.0;
+  p.bend_loss_db = 0.1;
+  p.coupling_loss_db = 1.5;
+  p.splitter_excess_db = 0.3;
+  return p;
+}
+
+TEST(Waveguide, DbHelpers) {
+  EXPECT_NEAR(photonics::db_to_linear(3.0103), 0.5, 1e-4);
+  EXPECT_NEAR(photonics::db_to_linear(10.0), 0.1, 1e-12);
+}
+
+TEST(Waveguide, LossBudgetAddsUp) {
+  const photonics::Waveguide wg(wg_params());
+  // 2 cm route, 4 bends: 2*1.0 + 4*0.1 + 2*1.5 = 5.4 dB.
+  EXPECT_NEAR(wg.loss_db(Length::metres(0.02), 4), 5.4, 1e-9);
+  EXPECT_NEAR(wg.transmittance(Length::metres(0.02), 4),
+              photonics::db_to_linear(5.4), 1e-12);
+}
+
+TEST(Waveguide, SplitterTreeHalvesPerStage) {
+  const photonics::Waveguide wg(wg_params());
+  const double t0 = wg.split_transmittance(Length::metres(0.01), 0);
+  const double t1 = wg.split_transmittance(Length::metres(0.01), 1);
+  // One stage: 3.01 dB split + 0.3 dB excess ~ factor 0.467.
+  EXPECT_NEAR(t1 / t0, photonics::db_to_linear(3.0103 + 0.3), 1e-6);
+}
+
+TEST(Waveguide, CentimetreScaleReach) {
+  // With 1 dB/cm, a 10% budget (10 dB) reaches ~7 cm after interface
+  // losses -- comfortably across any die. The paper's intra-chip claim.
+  const photonics::Waveguide wg(wg_params());
+  EXPECT_GT(wg.transmittance(Length::metres(0.05)), 0.1);
+}
+
+TEST(Waveguide, RejectsNegativeLoss) {
+  auto p = wg_params();
+  p.propagation_loss_db_per_cm = -1.0;
+  EXPECT_THROW(photonics::Waveguide{p}, std::invalid_argument);
+}
+
+// ---------- Beer-Lambert composition across wavelengths ----------
+
+class BeerLambert : public ::testing::TestWithParam<double> {};
+
+TEST_P(BeerLambert, ComposesAndIsMonotone) {
+  const Wavelength wl = Wavelength::nanometres(GetParam());
+  const double t10 = photonics::transmittance_si(wl, Length::micrometres(10.0));
+  const double t20 = photonics::transmittance_si(wl, Length::micrometres(20.0));
+  const double t30 = photonics::transmittance_si(wl, Length::micrometres(30.0));
+  EXPECT_NEAR(t30, t10 * t20, 1e-12);
+  EXPECT_LE(t30, t20);
+  EXPECT_LE(t20, t10);
+  EXPECT_GT(t10, 0.0);
+  EXPECT_LE(t10, 1.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Wavelengths, BeerLambert,
+                         ::testing::Values(400.0, 520.0, 650.0, 850.0, 1000.0, 1100.0));
 
 }  // namespace

@@ -19,6 +19,12 @@
 // bump"; after a bump the test fails until the table is re-pinned from
 // the one it prints. The libraries compile with -ffp-contract=off, so
 // the digests do not depend on -march.
+//
+// No checked-in spec reaches the vertical bus, dark and flaky windows,
+// aggressor pulses, multilevel splitting, frame traffic, the WDM link
+// and its faults, code-density traffic, TDC drift or the NoC's coupled
+// delivery models, so small specs written below pin those paths the
+// same way.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,8 +32,10 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "oci/analysis/report.hpp"
@@ -43,7 +51,7 @@ namespace fs = std::filesystem;
 using namespace oci;
 
 struct Golden {
-  const char* spec;    ///< path below the source root
+  const char* spec;    ///< path below the source root, or a written spec's name
   const char* digest;  ///< sha256_hex of the stripped report JSON
 };
 
@@ -65,6 +73,141 @@ constexpr Golden kGolden[] = {
      "64facc453e28393aff19ba321d8c8c8de1f1c6d8ab0513538aa39d8c07058b40"},
     {"scenarios/noc_thousand_node.spec",
      "5264667a098871423ab01b61a3f63cc348c769007ba6a8c24a0c850fa5cd7b1b"},
+};
+
+/// Spec texts for the paths no checked-in spec reaches, each run at a
+/// few hundred samples per point. Aggressor pulses have no spec key:
+/// code_aggressors gets two in code.
+constexpr const char* kWrittenSpecs[] = {
+    R"(name = code_bus
+topology = vertical-bus
+seed = 101
+dies = 4
+master = 1
+samples = 300
+repro_scaled = 0
+sweep.jitter_ps = 60, 160
+)",
+    R"(name = code_windows
+topology = point-to-point
+seed = 102
+bits_per_symbol = 4
+fault.dark_window_probability = 0.05
+fault.flaky_window_probability = 0.2
+fault.flaky_attenuation_db = 8
+samples = 400
+repro_scaled = 0
+)",
+    R"(name = code_aggressors
+topology = point-to-point
+seed = 103
+bits_per_symbol = 4
+peak_power_uw = 2
+samples = 400
+repro_scaled = 0
+)",
+    R"(name = code_split
+topology = point-to-point
+seed = 104
+bits_per_symbol = 6
+dcr_hz = 10
+variance.kind = split
+variance.split_levels = 3
+samples = 400
+repro_scaled = 0
+sweep.jitter_ps = 150, 300
+)",
+    R"(name = code_frames
+topology = point-to-point
+mode = frames
+fec = hamming
+seed = 105
+bits_per_symbol = 4
+payload_bytes = 12
+jitter_ps = 200
+samples = 30
+repro_scaled = 0
+)",
+    R"(name = code_wdm_faults
+topology = wdm
+seed = 106
+bits_per_symbol = 4
+channels = 4
+stack_dies = 4
+from_die = 0
+to_die = 3
+fault.dead_channel_fraction = 0.25
+fault.channel_attenuation_db = 3
+fault.array_pixels = 16
+fault.dead_pixel_fraction = 0.25
+fault.hot_pixel_fraction = 0.125
+samples = 200
+repro_scaled = 0
+)",
+    R"(name = code_density
+topology = point-to-point
+mode = code-density
+seed = 107
+fine_elements = 32
+coarse_bits = 3
+samples = 20000
+repro_scaled = 0
+)",
+    R"(name = code_tdc_drift
+topology = point-to-point
+seed = 108
+bits_per_symbol = 6
+jitter_ps = 100
+fault.tdc_drift_c = 90
+samples = 300
+repro_scaled = 0
+sweep.fault.recalibrate = 0, 1
+)",
+    R"(name = code_noc_engine
+topology = stack-noc
+seed = 109
+dies = 4
+mac = tdma
+offered_load = 0.4
+delivery = engine
+jitter_ps = 20
+samples = 200
+repro_scaled = 0
+)",
+    R"(name = code_noc_fec_probe
+topology = stack-noc
+seed = 110
+dies = 4
+mac = token
+offered_load = 0.4
+delivery = fec-probe
+probe_transfers = 20
+samples = 300
+repro_scaled = 0
+)",
+};
+
+constexpr Golden kWrittenGolden[] = {
+    {"code_bus",
+     "3b56bc08c55b74474d7b476b82675ebe65e2f82a476acec578624f31bf1bf7ce"},
+    {"code_windows",
+     "6282b3b19882e118cb9c453b7321e953eb6be501b072ecab37b1d5ff23fe4d48"},
+    {"code_aggressors",
+     "08ca4a62a4de0608e8a60b9f5cd5636a1dd4ed77917f0241eeeb67831e88ef64"},
+    {"code_split",
+     "9e0296cace80279595f6212623ea6e6fef724522695337d6e64d2e2a2b982480"},
+    {"code_frames",
+     "f55ba8fb51056ce02bab07a3aae750b6de2b3be20e2868b77f5b8e84aa3f6c58"},
+    {"code_wdm_faults",
+     "702c28afc0adec559933b59082fb997418c8a71b1eee9ce9c52a5fec880c8877"},
+    {"code_density",
+     "717b8ff88d20b973d55c947622d5d695ca158a6736bc8ef766967b9eda242df3"},
+    {"code_tdc_drift",
+     "54ba269c0383cf528ca55dbc3b9ed7e6c0102efb2036688f183dfbd67734abce"},
+    {"code_noc_engine",
+     "e0f3c814571bc5deff2c77ee0a6072e4c361bd3b0b411f8027dc1051ec358203"},
+    {"code_noc_fec_probe",
+     "32e4f5e61ecf9e7643ef2411ff980d4a24d6022bc85a2439fb560d35a0c6c9a8"},
 };
 
 constexpr double kReproScale = 0.02;
@@ -89,7 +232,11 @@ std::string stripped_report_json(const scenario::RunReport& report, const fs::pa
   return out;
 }
 
-TEST(ReportDigest, CheckedInSpecsMatchThePinnedRevision) {
+using NamedSpec = std::pair<std::string, scenario::ScenarioSpec>;
+
+/// Runs every spec at kReproScale and fails on each digest that differs
+/// from `golden`, printing the table to re-pin from.
+void expect_pinned(const std::vector<NamedSpec>& specs, std::span<const Golden> golden) {
   // The spec's own seed and budget: no environment override applies.
   ::unsetenv("OCI_SEED");
   ::unsetenv("OCI_PRECISION");
@@ -98,29 +245,16 @@ TEST(ReportDigest, CheckedInSpecsMatchThePinnedRevision) {
   const fs::path temp = fs::path(::testing::TempDir()) / "oci_report_digest";
   fs::create_directories(temp);
 
-  const fs::path root = OCI_SOURCE_DIR;
-  std::vector<std::string> specs;
-  for (const char* dir : {"scenarios", "scenario_bench/specs"}) {
-    for (const auto& entry : fs::directory_iterator(root / dir)) {
-      if (entry.path().extension() == ".spec") {
-        specs.push_back(fs::relative(entry.path(), root).generic_string());
-      }
-    }
-  }
-  std::sort(specs.begin(), specs.end());
-  ASSERT_EQ(specs.size(), 8u) << "a checked-in spec was added or removed; re-pin the table";
-
   const scenario::ScenarioRunner runner(kThreads);
   std::ostringstream table;
   std::vector<std::string> moved;
-  for (const std::string& spec : specs) {
-    const scenario::RunReport report =
-        runner.run(scenario::parse_spec_file((root / spec).string()));
-    const std::string digest = scenario::sha256_hex(stripped_report_json(report, temp));
-    table << "    {\"" << spec << "\",\n     \"" << digest << "\"},\n";
-    const auto pinned = std::find_if(std::begin(kGolden), std::end(kGolden),
-                                     [&](const Golden& g) { return spec == g.spec; });
-    if (pinned == std::end(kGolden) || digest != pinned->digest) moved.push_back(spec);
+  for (const auto& [name, spec] : specs) {
+    const std::string digest =
+        scenario::sha256_hex(stripped_report_json(runner.run(spec), temp));
+    table << "    {\"" << name << "\",\n     \"" << digest << "\"},\n";
+    const auto pinned = std::find_if(golden.begin(), golden.end(),
+                                     [&](const Golden& g) { return name == g.spec; });
+    if (pinned == golden.end() || digest != pinned->digest) moved.push_back(name);
   }
   analysis::set_repro_scale_for_test(std::nullopt);
   fs::remove_all(temp);
@@ -128,15 +262,50 @@ TEST(ReportDigest, CheckedInSpecsMatchThePinnedRevision) {
   if (scenario::kEngineRevision != kPinnedRevision) {
     FAIL() << "kEngineRevision is " << scenario::kEngineRevision
            << " but the digests are pinned at " << kPinnedRevision
-           << "; re-pin kPinnedRevision = " << scenario::kEngineRevision << " and kGolden:\n"
+           << "; re-pin kPinnedRevision = " << scenario::kEngineRevision << " and the table:\n"
            << table.str();
   }
-  for (const std::string& spec : moved) {
-    ADD_FAILURE() << spec << ": outputs moved without a kEngineRevision bump";
+  for (const std::string& name : moved) {
+    ADD_FAILURE() << name << ": outputs moved without a kEngineRevision bump";
   }
   if (!moved.empty()) {
     ADD_FAILURE() << "digests at revision " << scenario::kEngineRevision << ":\n" << table.str();
   }
+}
+
+TEST(ReportDigest, CheckedInSpecsMatchThePinnedRevision) {
+  const fs::path root = OCI_SOURCE_DIR;
+  std::vector<std::string> paths;
+  for (const char* dir : {"scenarios", "scenario_bench/specs"}) {
+    for (const auto& entry : fs::directory_iterator(root / dir)) {
+      if (entry.path().extension() == ".spec") {
+        paths.push_back(fs::relative(entry.path(), root).generic_string());
+      }
+    }
+  }
+  std::sort(paths.begin(), paths.end());
+  ASSERT_EQ(paths.size(), 8u) << "a checked-in spec was added or removed; re-pin the table";
+
+  std::vector<NamedSpec> specs;
+  for (const std::string& path : paths) {
+    specs.emplace_back(path, scenario::parse_spec_file((root / path).string()));
+  }
+  expect_pinned(specs, kGolden);
+}
+
+TEST(ReportDigest, WrittenSpecsMatchThePinnedRevision) {
+  std::vector<NamedSpec> specs;
+  for (const char* text : kWrittenSpecs) {
+    std::istringstream in(text);
+    scenario::ScenarioSpec spec = scenario::parse_spec(in, "written spec");
+    if (spec.name == "code_aggressors") {
+      spec.aggressors = {{.mean_photons = 3.0, .offset_ps = 250.0},
+                         {.mean_photons = 0.5, .offset_ps = 1900.0}};
+    }
+    spec.validate();
+    specs.emplace_back(spec.name, std::move(spec));
+  }
+  expect_pinned(specs, kWrittenGolden);
 }
 
 }  // namespace

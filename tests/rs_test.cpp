@@ -1,5 +1,6 @@
 // Tests for GF(2^8) arithmetic, the Reed-Solomon errors-and-erasures
-// codec, and the RS-protected optical link layer.
+// codec (its capability surface and a decode fuzz), and the
+// RS-protected optical link layer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -431,4 +432,78 @@ TEST(RsLink, NeverDeliversCorruptPayload) {
     const auto r = rs.transfer(payload, tx);
     if (r.payload) { EXPECT_EQ(*r.payload, payload); }
   }
+}
+
+// ---------- RS capability surface ----------
+
+// For every parity p and every split 2e + f <= p, a random pattern of e
+// errors and f erasures must decode to the original data.
+class RsCapability : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(RsCapability, EveryMixWithinTheBoundDecodes) {
+  const std::size_t parity = GetParam();
+  const std::size_t k = 30;
+  ReedSolomon rs(k, parity);
+  RngStream rng(401 + parity);
+
+  for (std::size_t errors = 0; 2 * errors <= parity; ++errors) {
+    const std::size_t erasures = parity - 2 * errors;
+    std::vector<std::uint8_t> data(k);
+    for (auto& b : data) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    auto code = rs.encode(data);
+
+    std::vector<std::size_t> positions(code.size());
+    std::iota(positions.begin(), positions.end(), 0u);
+    std::shuffle(positions.begin(), positions.end(), rng.engine());
+
+    std::vector<std::size_t> erased(positions.begin(),
+                                    positions.begin() + static_cast<std::ptrdiff_t>(erasures));
+    for (const auto pos : erased) code[pos] = static_cast<std::uint8_t>(~code[pos]);
+    for (std::size_t e = 0; e < errors; ++e) {
+      std::uint8_t flip = 0;
+      while (flip == 0) flip = static_cast<std::uint8_t>(rng.uniform_int(1, 255));
+      code[positions[erasures + e]] ^= flip;
+    }
+
+    const auto result = rs.decode(code, erased);
+    ASSERT_TRUE(result.has_value()) << "parity " << parity << " errors " << errors;
+    EXPECT_EQ(result->data, data) << "parity " << parity << " errors " << errors;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Parity, RsCapability,
+                         ::testing::Values(std::size_t{2}, std::size_t{4}, std::size_t{8},
+                                           std::size_t{12}, std::size_t{16},
+                                           std::size_t{32}),
+                         [](const auto& info) { return "p" + std::to_string(info.param); });
+
+// Whatever the decoder returns must re-encode to itself: the output is
+// always a valid codeword, even when the input corruption exceeded the
+// design bound (fuzz over heavy corruption).
+TEST(RsFuzz, DecodedDataAlwaysReencodesConsistently) {
+  ReedSolomon rs(20, 8);
+  RngStream rng(409);
+  int successes = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<std::uint8_t> data(20);
+    for (auto& b : data) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    auto code = rs.encode(data);
+    const auto corruptions = static_cast<std::size_t>(rng.uniform_int(0, 12));
+    for (std::size_t c = 0; c < corruptions; ++c) {
+      const auto pos = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(code.size()) - 1));
+      code[pos] = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    }
+    const auto result = rs.decode(code);
+    if (!result) continue;
+    ++successes;
+    // Re-encoding the delivered data must reproduce a codeword that
+    // decodes cleanly to the same data (self-consistency).
+    const auto reencoded = rs.encode(result->data);
+    const auto second = rs.decode(reencoded);
+    ASSERT_TRUE(second.has_value());
+    EXPECT_EQ(second->data, result->data);
+    EXPECT_EQ(second->corrected_errors, 0u);
+  }
+  EXPECT_GT(successes, 50);  // the light-corruption trials must decode
 }

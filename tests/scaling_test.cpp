@@ -52,24 +52,3 @@ TEST(Scaling, SwitchingEnergyIsCV2) {
   const auto e = electrical::switching_energy_at(node, Capacitance::femtofarads(100.0));
   EXPECT_NEAR(e.joules(), 100e-15 * 1.2 * 1.2, 1e-18);
 }
-
-TEST(Scaling, BitsPerSampleGrowDownTheLadder) {
-  const Time fine_range = Time::nanoseconds(5.0);
-  unsigned prev = 0;
-  for (const TechnologyNode& node : electrical::technology_ladder()) {
-    const unsigned bits = electrical::bits_per_sample_at(node, fine_range, 3);
-    EXPECT_GE(bits, prev) << node.name;
-    prev = bits;
-  }
-  // 250 nm: 5 ns / 234 ps = 21 elements -> floor(log2) = 4, + 3 coarse.
-  EXPECT_EQ(electrical::bits_per_sample_at(electrical::node_by_name("250nm"), fine_range, 3),
-            7u);
-}
-
-TEST(Scaling, BitsPerSampleEdgeCases) {
-  const TechnologyNode& node = electrical::node_by_name("65nm");
-  EXPECT_THROW((void)electrical::bits_per_sample_at(node, Time::zero(), 2),
-               std::invalid_argument);
-  // A range shorter than two elements leaves only the coarse counter.
-  EXPECT_EQ(electrical::bits_per_sample_at(node, Time::picoseconds(80.0), 5), 5u);
-}

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <map>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -18,8 +19,13 @@ namespace {
 
 using namespace oci;
 using scenario::parse_spec_file;
-using scenario::parse_spec_text;
 using scenario::ScenarioSpec;
+
+/// Parses spec text through the stream parser run_scenario uses.
+ScenarioSpec parse_text(const std::string& text, const std::string& source = "spec") {
+  std::istringstream in(text);
+  return scenario::parse_spec(in, source);
+}
 
 TEST(ScenarioParse, FullSpecRoundTrip) {
   const std::string text = R"(
@@ -35,7 +41,7 @@ samples     = 300
 repro_scaled = 0
 sweep.jitter_ps = 40, 80, 120
 )";
-  const ScenarioSpec spec = parse_spec_text(text);
+  const ScenarioSpec spec = parse_text(text);
   EXPECT_EQ(spec.name, "parse_demo");
   EXPECT_EQ(spec.description, "jitter scan");
   EXPECT_EQ(spec.topology, scenario::Topology::kPointToPoint);
@@ -55,7 +61,7 @@ sweep.jitter_ps = 40, 80, 120
 }
 
 TEST(ScenarioParse, RangeExpressions) {
-  const ScenarioSpec spec = parse_spec_text(
+  const ScenarioSpec spec = parse_text(
       "sweep.offered_load = linear(0.2, 1.0, 5)\n"
       "sweep.samples = log(10, 1000, 3)\n");
   ASSERT_EQ(spec.sweep.size(), 2u);
@@ -67,7 +73,7 @@ TEST(ScenarioParse, RangeExpressions) {
 }
 
 TEST(ScenarioParse, CategoricalAxisDetection) {
-  const ScenarioSpec spec = parse_spec_text(
+  const ScenarioSpec spec = parse_text(
       "topology = stack-noc\n"
       "sweep.mac = tdma, token, aloha\n");
   ASSERT_EQ(spec.sweep.size(), 1u);
@@ -79,14 +85,14 @@ TEST(ScenarioParse, CategoricalAxisDetection) {
 TEST(ScenarioParse, CategoricalParamWithNumericLookingValues) {
   // tech_node names can be digit-led ("65nm"); the axis must stay
   // categorical because the spec table says the key is categorical.
-  const ScenarioSpec spec = parse_spec_text("sweep.tech_node = 65nm, 45nm\n");
+  const ScenarioSpec spec = parse_text("sweep.tech_node = 65nm, 45nm\n");
   ASSERT_EQ(spec.sweep.size(), 1u);
   EXPECT_TRUE(spec.sweep[0].categorical());
 }
 
 TEST(ScenarioParse, ErrorsCarryLineNumbers) {
   try {
-    (void)parse_spec_text("name = ok\nthis line has no equals\n", "demo.spec");
+    (void)parse_text("name = ok\nthis line has no equals\n", "demo.spec");
     FAIL() << "expected parse error";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("demo.spec:2"), std::string::npos);
@@ -96,7 +102,7 @@ TEST(ScenarioParse, ErrorsCarryLineNumbers) {
   // typo must never silently run the wrong experiment (run_scenario
   // turns this into a non-zero exit).
   try {
-    (void)parse_spec_text("name = ok\njiter_ps = 40\n", "demo.spec");
+    (void)parse_text("name = ok\njiter_ps = 40\n", "demo.spec");
     FAIL() << "expected parse error for unknown key";
   } catch (const std::runtime_error& e) {
     const std::string msg = e.what();
@@ -104,13 +110,13 @@ TEST(ScenarioParse, ErrorsCarryLineNumbers) {
     EXPECT_NE(msg.find("unknown parameter 'jiter_ps'"), std::string::npos) << msg;
   }
 
-  EXPECT_THROW((void)parse_spec_text("sweep.nope = 1, 2\n"), std::runtime_error);
-  EXPECT_THROW((void)parse_spec_text("jitter_ps = \n"), std::runtime_error);
-  EXPECT_THROW((void)parse_spec_text("sweep.jitter_ps = linear(1, 2)\n"),
+  EXPECT_THROW((void)parse_text("sweep.nope = 1, 2\n"), std::runtime_error);
+  EXPECT_THROW((void)parse_text("jitter_ps = \n"), std::runtime_error);
+  EXPECT_THROW((void)parse_text("sweep.jitter_ps = linear(1, 2)\n"),
                std::runtime_error);
-  EXPECT_THROW((void)parse_spec_text("sweep.samples = log(0, 10, 3)\n"),
+  EXPECT_THROW((void)parse_text("sweep.samples = log(0, 10, 3)\n"),
                std::runtime_error);
-  EXPECT_THROW((void)parse_spec_text("topology = mesh\n"), std::runtime_error);
+  EXPECT_THROW((void)parse_text("topology = mesh\n"), std::runtime_error);
   EXPECT_THROW((void)parse_spec_file("/nonexistent/x.spec"), std::runtime_error);
 }
 
@@ -137,7 +143,7 @@ TEST(ScenarioParse, RejectsNonFiniteNumbersAndOversizedCounts) {
   for (const char* line : bad) {
     SCOPED_TRACE(line);
     try {
-      (void)parse_spec_text(std::string("name = ok\n") + line + "\n", "bad.spec");
+      (void)parse_text(std::string("name = ok\n") + line + "\n", "bad.spec");
       ADD_FAILURE() << "expected a parse error";
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find("bad.spec:2"), std::string::npos) << e.what();
@@ -145,9 +151,9 @@ TEST(ScenarioParse, RejectsNonFiniteNumbersAndOversizedCounts) {
   }
   // The largest exact count still parses, and the narrowed field keeps
   // its full range.
-  EXPECT_EQ(parse_spec_text("fault.salt = 9007199254740991\n").fault.salt,
+  EXPECT_EQ(parse_text("fault.salt = 9007199254740991\n").fault.salt,
             9007199254740991u);
-  EXPECT_EQ(parse_spec_text("max_attempts = 4294967295\n").noc.max_attempts, 4294967295u);
+  EXPECT_EQ(parse_text("max_attempts = 4294967295\n").noc.max_attempts, 4294967295u);
 }
 
 TEST(ScenarioParse, UnsignedIntegersParseStrictly) {
@@ -161,15 +167,15 @@ TEST(ScenarioParse, UnsignedIntegersParseStrictly) {
     EXPECT_FALSE(scenario::parse_uint(bad).has_value()) << bad;
   }
   // The spec's seed key is that parser.
-  EXPECT_EQ(parse_spec_text("seed = 18446744073709551615\n").seed, UINT64_MAX);
+  EXPECT_EQ(parse_text("seed = 18446744073709551615\n").seed, UINT64_MAX);
   for (const char* bad : {"seed = -1", "seed = +5", "seed = 1.5",
                           "seed = 18446744073709551616"}) {
-    EXPECT_THROW((void)parse_spec_text(bad), std::runtime_error) << bad;
+    EXPECT_THROW((void)parse_text(bad), std::runtime_error) << bad;
   }
 }
 
 TEST(ScenarioParse, PrecisionKeysParse) {
-  const ScenarioSpec spec = parse_spec_text(
+  const ScenarioSpec spec = parse_text(
       "name = adaptive\n"
       "precision.metric = ser\n"
       "precision.half_width = 0.01\n"
@@ -188,12 +194,12 @@ TEST(ScenarioParse, PrecisionKeysParse) {
   EXPECT_DOUBLE_EQ(spec.precision.confidence_z, 2.576);
 
   const ScenarioSpec off =
-      parse_spec_text("precision.half_width = 0.01\nprecision.enabled = 0\n");
+      parse_text("precision.half_width = 0.01\nprecision.enabled = 0\n");
   EXPECT_FALSE(off.precision.enabled);
 }
 
 TEST(ScenarioParse, FaultKeysParse) {
-  const ScenarioSpec spec = parse_spec_text(
+  const ScenarioSpec spec = parse_text(
       "name = degraded\n"
       "calibrate = 0\n"
       "fault.dead_pixel_fraction = 0.25\n"
@@ -221,7 +227,7 @@ TEST(ScenarioParse, FaultKeysParse) {
   // A typo'd fault key is a hard error with a file:line prefix, same as
   // every other unknown key.
   try {
-    (void)parse_spec_text("name = ok\nfault.bogus = 1\n", "demo.spec");
+    (void)parse_text("name = ok\nfault.bogus = 1\n", "demo.spec");
     FAIL() << "expected parse error for unknown fault key";
   } catch (const std::runtime_error& e) {
     const std::string msg = e.what();
@@ -229,15 +235,15 @@ TEST(ScenarioParse, FaultKeysParse) {
     EXPECT_NE(msg.find("unknown parameter 'fault.bogus'"), std::string::npos) << msg;
   }
   // Malformed values and out-of-range parameters also fail loudly.
-  EXPECT_THROW((void)parse_spec_text("fault.tdc_drift_c = warm\n"), std::runtime_error);
-  const ScenarioSpec bad = parse_spec_text("fault.dead_pixel_fraction = 1.5\n");
+  EXPECT_THROW((void)parse_text("fault.tdc_drift_c = warm\n"), std::runtime_error);
+  const ScenarioSpec bad = parse_text("fault.dead_pixel_fraction = 1.5\n");
   EXPECT_THROW(bad.validate(), std::invalid_argument);
 }
 
 TEST(ScenarioParse, ImpossibleTdcDriftNamesTheKey) {
   // 1 + 2e-3 * (20 - 700 - 20) < 0: the drifted delay line would have a
   // non-positive delay. validate() must say so before any worker runs.
-  const ScenarioSpec bad = parse_spec_text("name = cold\nfault.tdc_drift_c = -700\n");
+  const ScenarioSpec bad = parse_text("name = cold\nfault.tdc_drift_c = -700\n");
   try {
     bad.validate();
     FAIL() << "expected validate() to reject fault.tdc_drift_c = -700";
@@ -245,11 +251,11 @@ TEST(ScenarioParse, ImpossibleTdcDriftNamesTheKey) {
     EXPECT_NE(std::string(e.what()).find("fault.tdc_drift_c"), std::string::npos) << e.what();
   }
   // Cold but physical drifts stay valid.
-  EXPECT_NO_THROW(parse_spec_text("name = cool\nfault.tdc_drift_c = -400\n").validate());
+  EXPECT_NO_THROW(parse_text("name = cool\nfault.tdc_drift_c = -400\n").validate());
 }
 
 TEST(ScenarioParse, VarianceKeysParse) {
-  const ScenarioSpec spec = parse_spec_text(
+  const ScenarioSpec spec = parse_text(
       "name = rare\n"
       "calibrate = 0\n"
       "variance.kind = tilt\n"
@@ -264,7 +270,7 @@ TEST(ScenarioParse, VarianceKeysParse) {
   EXPECT_EQ(spec.sweep[1].param, "variance.kind");
   EXPECT_NO_THROW(spec.validate());
 
-  const ScenarioSpec split = parse_spec_text(
+  const ScenarioSpec split = parse_text(
       "variance.kind = split\n"
       "variance.levels = 3:2:1:0.5\n"
       "variance.split_levels = 4\n");
@@ -275,7 +281,7 @@ TEST(ScenarioParse, VarianceKeysParse) {
 
   // Unknown variance keys die with file:line, like every other family.
   try {
-    (void)parse_spec_text("name = ok\nvariance.bogus = 1\n", "demo.spec");
+    (void)parse_text("name = ok\nvariance.bogus = 1\n", "demo.spec");
     FAIL() << "expected parse error for unknown variance key";
   } catch (const std::runtime_error& e) {
     const std::string msg = e.what();
@@ -285,21 +291,21 @@ TEST(ScenarioParse, VarianceKeysParse) {
   }
   // A typo'd level schedule fails at set time, carrying the file:line.
   try {
-    (void)parse_spec_text("variance.levels = 3;2;1\n", "demo.spec");
+    (void)parse_text("variance.levels = 3;2;1\n", "demo.spec");
     FAIL() << "expected parse error for malformed level schedule";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("demo.spec:1"), std::string::npos)
         << e.what();
   }
-  EXPECT_THROW((void)parse_spec_text("variance.kind = quantum\n"),
+  EXPECT_THROW((void)parse_text("variance.kind = quantum\n"),
                std::runtime_error);
-  EXPECT_THROW((void)parse_spec_text("variance.levels = 1:2:3\n"),
+  EXPECT_THROW((void)parse_text("variance.levels = 1:2:3\n"),
                std::runtime_error);  // must strictly decrease
 }
 
 TEST(ScenarioParse, VarianceValidationRejectsBadCombinations) {
   const auto invalid = [](const std::string& text) {
-    const ScenarioSpec spec = parse_spec_text(text);
+    const ScenarioSpec spec = parse_text(text);
     EXPECT_THROW(spec.validate(), std::invalid_argument) << text;
   };
   // Tilt factors must be positive; a tilt that is crude MC in disguise
@@ -322,7 +328,7 @@ TEST(ScenarioParse, VarianceValidationRejectsBadCombinations) {
       "variance.jitter_tilt = 2\n");
   {
     ScenarioSpec spec =
-        parse_spec_text("variance.kind = tilt\nvariance.jitter_tilt = 2\n");
+        parse_text("variance.kind = tilt\nvariance.jitter_tilt = 2\n");
     spec.aggressors.push_back({1.5, 40.0});
     EXPECT_THROW(spec.validate(), std::invalid_argument);
   }
@@ -335,7 +341,7 @@ TEST(ScenarioParse, VarianceValidationRejectsBadCombinations) {
       "variance.kind = tilt\nvariance.jitter_tilt = 2\n"
       "precision.metric = throughput_bps\nprecision.half_width = 1\n");
   // And the well-formed neighbours of each rejection stay valid.
-  const ScenarioSpec ok = parse_spec_text(
+  const ScenarioSpec ok = parse_text(
       "variance.kind = tilt\nvariance.jitter_tilt = 2\n"
       "precision.metric = ser\nprecision.half_width = 0.001\n");
   EXPECT_NO_THROW(ok.validate());

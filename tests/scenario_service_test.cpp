@@ -147,20 +147,22 @@ void expect_identical(const RunReport& a, const RunReport& b) {
 // -- Canonical hashing --------------------------------------------------
 
 TEST(SpecHash, StableAcrossTextualFormatting) {
-  const ScenarioSpec a = scenario::parse_spec_text(
+  std::istringstream text_a(
       "name = h\n"
       "topology = point-to-point\n"
       "bits_per_symbol = 6\n"
       "samples = 600\n"
       "sweep.jitter_ps = 40, 80\n");
   // Same experiment: keys reordered, comments, stray whitespace.
-  const ScenarioSpec b = scenario::parse_spec_text(
+  std::istringstream text_b(
       "# a comment\n"
       "sweep.jitter_ps =   40,80\n"
       "samples=600\n\n"
       "bits_per_symbol = 6   # trailing comment\n"
       "topology = point-to-point\n"
       "name = h\n");
+  const ScenarioSpec a = scenario::parse_spec(text_a);
+  const ScenarioSpec b = scenario::parse_spec(text_b);
   EXPECT_EQ(scenario::spec_hash(a), scenario::spec_hash(b));
 }
 

@@ -1,15 +1,19 @@
-// Unit tests for the SPAD detector model.
+// Unit tests for the SPAD detector and the SPAD array, with the
+// dead-time invariant swept over photon rates.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
+#include "oci/spad/array.hpp"
 #include "oci/spad/pdp.hpp"
 #include "oci/spad/spad.hpp"
 #include "oci/util/statistics.hpp"
 
 namespace {
 
+using namespace oci;
 using namespace oci::spad;
 using oci::photonics::PhotonArrival;
 using oci::util::Frequency;
@@ -277,5 +281,127 @@ TEST(Spad, DetectionsSortedByTimestamp) {
     EXPECT_LE(dets[i - 1].time.seconds(), dets[i].time.seconds());
   }
 }
+
+// ---------- SPAD array ----------
+
+spad::SpadArrayParams quiet_array(std::size_t m) {
+  spad::SpadArrayParams p;
+  p.diodes = m;
+  p.fill_factor = 1.0;
+  p.element.pdp_peak = 0.999;
+  p.element.dcr_at_ref = util::Frequency::hertz(0.0);
+  p.element.afterpulse_probability = 0.0;
+  p.element.jitter_sigma = Time::zero();
+  p.element.dead_time = Time::nanoseconds(40.0);
+  return p;
+}
+
+TEST(SpadArray, EffectiveDeadTimeScalesInverse) {
+  const spad::SpadArray arr(quiet_array(4), Wavelength::nanometres(480.0));
+  EXPECT_DOUBLE_EQ(arr.effective_dead_time().nanoseconds(), 10.0);
+}
+
+TEST(SpadArray, FillFactorReducesPdp) {
+  auto p = quiet_array(4);
+  p.fill_factor = 0.5;
+  const spad::SpadArray arr(p, Wavelength::nanometres(480.0));
+  EXPECT_NEAR(arr.pdp(), 0.999 * 0.5, 1e-9);
+}
+
+TEST(SpadArray, SustainsHigherRateThanSingleDiode) {
+  // Photons every 15 ns; a single 40 ns diode catches ~1/3, a 4-diode
+  // array catches nearly all.
+  const Wavelength wl = Wavelength::nanometres(480.0);
+  const spad::SpadArray arr(quiet_array(4), wl);
+  const spad::Spad single(quiet_array(1).element, wl);
+  RngStream rng(701);
+
+  std::vector<photonics::PhotonArrival> photons;
+  for (int i = 0; i < 200; ++i) photons.push_back({Time::nanoseconds(15.0 * i), true});
+  const Time window = Time::microseconds(3.01);
+
+  std::vector<Time> dead(4, Time::zero());
+  const auto array_dets = arr.detect(photons, Time::zero(), window, rng, dead);
+  const auto single_dets = single.detect(photons, Time::zero(), window, rng);
+
+  EXPECT_GT(array_dets.size(), single_dets.size() * 2);
+  EXPECT_GT(array_dets.size(), 180u);  // nearly every photon lands on a live diode
+}
+
+TEST(SpadArray, MergedDetectionsSorted) {
+  const spad::SpadArray arr(quiet_array(3), Wavelength::nanometres(480.0));
+  RngStream rng(709);
+  std::vector<photonics::PhotonArrival> photons;
+  for (int i = 0; i < 100; ++i) photons.push_back({Time::nanoseconds(7.0 * i), true});
+  std::vector<Time> dead(3, Time::zero());
+  const auto dets = arr.detect(photons, Time::zero(), Time::microseconds(1.0), rng, dead);
+  for (std::size_t i = 1; i < dets.size(); ++i) {
+    EXPECT_LE(dets[i - 1].time.seconds(), dets[i].time.seconds());
+  }
+}
+
+TEST(SpadArray, RejectsBadParams) {
+  auto p = quiet_array(0);
+  EXPECT_THROW(spad::SpadArray(p, Wavelength::nanometres(480.0)), std::invalid_argument);
+  p = quiet_array(2);
+  p.fill_factor = 0.0;
+  EXPECT_THROW(spad::SpadArray(p, Wavelength::nanometres(480.0)), std::invalid_argument);
+  const spad::SpadArray arr(quiet_array(2), Wavelength::nanometres(480.0));
+  std::vector<Time> wrong_size(3, Time::zero());
+  RngStream rng(719);
+  EXPECT_THROW(arr.detect({}, Time::zero(), Time::microseconds(1.0), rng, wrong_size),
+               std::invalid_argument);
+}
+
+// A caller marks a diode that never recovers with never_recovers() in
+// dead_until. Under passive quench a photon that finds every cell
+// recovering restarts a random cell's recharge; that write must leave
+// the never-recovering cell dead instead of resurrecting it.
+TEST(SpadArray, PassiveQuenchKeepsNeverRecoveringDiodeDead) {
+  auto p = quiet_array(2);
+  p.element.quench = spad::QuenchMode::kPassive;
+  const spad::SpadArray arr(p, Wavelength::nanometres(480.0));
+  RngStream rng(761);
+  std::vector<photonics::PhotonArrival> photons;
+  for (int i = 0; i < 400; ++i) photons.push_back({Time::nanoseconds(5.0 * i), true});
+  std::vector<Time> dead = {spad::never_recovers(), Time::zero()};
+  const auto dets = arr.detect(photons, Time::zero(), Time::microseconds(2.0), rng, dead);
+  EXPECT_FALSE(dets.empty());  // the live diode fired
+  EXPECT_TRUE(spad::is_never(dead[0]));
+}
+
+// ---------- SPAD dead-time invariant across photon rates ----------
+
+class SpadDeadTime : public ::testing::TestWithParam<double> {};
+
+TEST_P(SpadDeadTime, NoTwoDetectionsCloserThanDeadTime) {
+  const double photon_rate_mhz = GetParam();
+  spad::SpadParams p;
+  p.pdp_peak = 0.5;
+  p.dcr_at_ref = Frequency::kilohertz(50.0);
+  p.afterpulse_probability = 0.05;
+  p.jitter_sigma = Time::zero();  // jitter reorders timestamps, not physics
+  p.dead_time = Time::nanoseconds(40.0);
+  const spad::Spad det(p, Wavelength::nanometres(480.0));
+
+  RngStream rng(static_cast<std::uint64_t>(photon_rate_mhz * 1000) + 7);
+  const Time window = Time::microseconds(50.0);
+  std::vector<photonics::PhotonArrival> photons;
+  const auto n = rng.poisson(photon_rate_mhz * 1e6 * window.seconds());
+  for (std::int64_t i = 0; i < n; ++i) {
+    photons.push_back({rng.uniform_time(window), true});
+  }
+  std::sort(photons.begin(), photons.end(),
+            [](const auto& a, const auto& b) { return a.time < b.time; });
+
+  const auto dets = det.detect(photons, Time::zero(), window, rng);
+  for (std::size_t i = 1; i < dets.size(); ++i) {
+    EXPECT_GE((dets[i].true_time - dets[i - 1].true_time).nanoseconds(), 40.0 - 1e-6)
+        << "rate " << photon_rate_mhz << " MHz, detection " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Rates, SpadDeadTime,
+                         ::testing::Values(0.1, 1.0, 5.0, 20.0, 50.0, 200.0));
 
 }  // namespace

@@ -1,10 +1,12 @@
 // Unit tests for the two-step TDC: delay line, thermometer decoding,
-// conversion, and code-density calibration.
+// conversion, and code-density calibration; the Vernier TDC; and the
+// conversion and calibration invariants across process seeds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <span>
 #include <vector>
@@ -13,10 +15,12 @@
 #include "oci/tdc/delay_line.hpp"
 #include "oci/tdc/tdc.hpp"
 #include "oci/tdc/thermometer.hpp"
+#include "oci/tdc/vernier.hpp"
 #include "support/stat_assert.hpp"
 
 namespace {
 
+using namespace oci;
 using namespace oci::tdc;
 using oci::util::RngStream;
 using oci::util::Temperature;
@@ -48,8 +52,9 @@ TEST(DelayLine, IdealBoundariesUniform) {
   const DelayLine line(ideal_line_params(), rng);
   EXPECT_EQ(line.size(), 96u);
   EXPECT_NEAR(line.total_delay().nanoseconds(), 96 * 0.052, 1e-12);
-  EXPECT_NEAR(line.boundary(10).picoseconds(), 520.0, 1e-9);
-  EXPECT_NEAR(line.element_delay(50).picoseconds(), 52.0, 1e-9);
+  const auto b = line.boundaries_seconds();
+  EXPECT_NEAR(b[10] * 1e12, 520.0, 1e-9);
+  EXPECT_NEAR((b[51] - b[50]) * 1e12, 52.0, 1e-9);
 }
 
 TEST(DelayLine, IdealCodeCountsBoundaries) {
@@ -69,8 +74,8 @@ TEST(DelayLine, MismatchIsStaticAndSeedDependent) {
   const DelayLine a(paper_line_params(), rng_a);
   const DelayLine a2(paper_line_params(), rng_a2);
   const DelayLine b(paper_line_params(), rng_b);
-  EXPECT_DOUBLE_EQ(a.element_delay(5).seconds(), a2.element_delay(5).seconds());
-  EXPECT_NE(a.element_delay(5).seconds(), b.element_delay(5).seconds());
+  EXPECT_DOUBLE_EQ(a.boundaries_seconds()[6], a2.boundaries_seconds()[6]);
+  EXPECT_NE(a.boundaries_seconds()[6], b.boundaries_seconds()[6]);
 }
 
 TEST(DelayLine, TemperatureSlowsElements) {
@@ -118,7 +123,7 @@ TEST(DelayLine, CoverageFailsWhenChainTooShort) {
 TEST(DelayLine, ElementsUsedMatchesLinearScan) {
   const auto linear_scan = [](const DelayLine& line, Time period) {
     for (std::size_t i = 0; i < line.size(); ++i) {
-      if (line.boundary(i + 1) >= period) return i + 1;
+      if (Time::seconds(line.boundaries_seconds()[i + 1]) >= period) return i + 1;
     }
     return line.size();
   };
@@ -130,10 +135,10 @@ TEST(DelayLine, ElementsUsedMatchesLinearScan) {
     const DelayLine line(p, process);
     std::vector<Time> periods = {Time::zero(), Time::picoseconds(1.0),
                                  line.total_delay() * 1.5};
-    for (std::size_t k = 0; k <= n; ++k) {
-      periods.push_back(line.boundary(k));  // exactly on a boundary
-      periods.push_back(Time::seconds(std::nextafter(line.boundary(k).seconds(), 1.0)));
-      periods.push_back(Time::seconds(std::nextafter(line.boundary(k).seconds(), 0.0)));
+    for (const double boundary : line.boundaries_seconds()) {
+      periods.push_back(Time::seconds(boundary));  // exactly on a boundary
+      periods.push_back(Time::seconds(std::nextafter(boundary, 1.0)));
+      periods.push_back(Time::seconds(std::nextafter(boundary, 0.0)));
     }
     RngStream pick(223 + n);
     for (int i = 0; i < 200; ++i) periods.push_back(pick.uniform_time(line.total_delay()));
@@ -166,7 +171,7 @@ TEST(DelayLine, SampleCleanWithoutMetastability) {
   const DelayLine line(ideal_line_params(), rng);
   RngStream sample_rng(109);
   const auto code = line.sample(Time::picoseconds(52.0 * 20 + 26.0), sample_rng);
-  EXPECT_TRUE(is_clean(code));
+  EXPECT_TRUE(std::is_sorted(code.begin(), code.end(), std::greater<>()));  // 1s, then 0s
   EXPECT_EQ(decode_thermometer(code, ThermometerDecode::kOnesCount), 20u);
 }
 
@@ -213,15 +218,11 @@ TEST(Thermometer, CleanCodeAllMethodsAgree) {
   EXPECT_EQ(decode_thermometer(code, ThermometerDecode::kOnesCount), 4u);
   EXPECT_EQ(decode_thermometer(code, ThermometerDecode::kLeadingOnes), 4u);
   EXPECT_EQ(decode_thermometer(code, ThermometerDecode::kMajorityWindow), 4u);
-  EXPECT_TRUE(is_clean(code));
-  EXPECT_EQ(count_bubbles(code), 0u);
 }
 
 TEST(Thermometer, BubbleBelowTransition) {
   // One zero bubble inside the ones run.
   const auto code = make_code({1, 1, 0, 1, 1, 0, 0, 0});
-  EXPECT_FALSE(is_clean(code));
-  EXPECT_EQ(count_bubbles(code), 2u);  // the 0 at idx2 and the 1 at idx4
   EXPECT_EQ(decode_thermometer(code, ThermometerDecode::kOnesCount), 4u);
   EXPECT_EQ(decode_thermometer(code, ThermometerDecode::kLeadingOnes), 2u);  // truncates
   // The majority filter heals the bubble into 11111000 -> 5: it treats
@@ -260,7 +261,6 @@ TEST(Tdc, WindowsMatchPaperFormulas) {
   EXPECT_NEAR(tdc.clock_period().seconds(), rf, 1e-15);
   EXPECT_NEAR(tdc.toa_window().seconds(), 8 * rf, 1e-15);
   EXPECT_NEAR(tdc.measurement_window().seconds(), 9 * rf, 1e-15);  // (2^C + 1) Rf
-  EXPECT_EQ(tdc.bits_per_sample(), 6u + 3u);                       // log2(96)=6 floor
 }
 
 TEST(Tdc, IdealConversionRecoversToa) {
@@ -292,6 +292,25 @@ TEST(Tdc, SaturationOutsideWindow) {
   EXPECT_TRUE(tdc.convert_ideal(Time::nanoseconds(-1.0)).saturated);
   EXPECT_TRUE(tdc.convert_ideal(tdc.toa_window()).saturated);
   EXPECT_FALSE(tdc.convert_ideal(Time::zero()).saturated);
+}
+
+// A TOA that is NaN, infinite or far past the window converts like any
+// out-of-window hit: saturated, with the code clamped to the window's
+// nearer end (NaN reads as the start). No cast sees the NaN.
+TEST(Tdc, NonFiniteAndHugeToaReadSaturated) {
+  const Tdc tdc = make_ideal_tdc(3);
+  const std::uint64_t last_code = tdc.convert_ideal(tdc.toa_window()).code;
+  const double inf = std::numeric_limits<double>::infinity();
+  RngStream rng(151);
+  for (const double s : {std::numeric_limits<double>::quiet_NaN(), -inf, inf, 1e300}) {
+    const std::uint64_t expected = s > 0.0 ? last_code : 0u;
+    for (const TdcReading& r : {tdc.convert(Time::seconds(s), rng),
+                                tdc.convert_ideal(Time::seconds(s))}) {
+      EXPECT_TRUE(r.saturated) << "toa = " << s << " s";
+      EXPECT_EQ(r.code, expected) << "toa = " << s << " s";
+      EXPECT_TRUE(std::isfinite(r.estimate.seconds())) << "toa = " << s << " s";
+    }
+  }
 }
 
 TEST(Tdc, ZeroToaGivesZeroCode) {
@@ -411,11 +430,10 @@ TEST(Calibration, EstimatedWidthsMatchGroundTruth) {
   RngStream cal_rng(179);
   const auto rep = code_density_test(tdc, 2000000, cal_rng, false);
   // Compare estimated bin widths against the line's true element delays.
-  const auto& dl = tdc.line();
+  const auto b = tdc.line().boundaries_seconds();
   for (std::size_t k = 1; k + 1 < rep.codes; ++k) {
-    EXPECT_NEAR(rep.bin_width_s[k], dl.element_delay(k).seconds(),
-                dl.element_delay(k).seconds() * 0.15)
-        << "bin " << k;
+    const double delay = b[k + 1] - b[k];
+    EXPECT_NEAR(rep.bin_width_s[k], delay, delay * 0.15) << "bin " << k;
   }
 }
 
@@ -483,12 +501,13 @@ Tdc link_jitter_tdc(Time window) {
 // ThermometerCode.
 std::vector<double> materialised_probabilities(const Tdc& tdc, Time window) {
   const DelayLine& line = tdc.line();
+  const auto b = line.boundaries_seconds();
   const double period = tdc.clock_period().seconds();
   const double w = window.seconds();
   const std::size_t used = line.elements_used(tdc.clock_period());
   std::vector<double> cuts = {0.0, period};
   for (std::size_t i = 1; i <= line.size(); ++i) {
-    for (const double cut : {line.boundary(i).seconds() - w, line.boundary(i).seconds() + w}) {
+    for (const double cut : {b[i] - w, b[i] + w}) {
       if (cut > 0.0 && cut < period) cuts.push_back(cut);
     }
   }
@@ -500,7 +519,7 @@ std::vector<double> materialised_probabilities(const Tdc& tdc, Time window) {
     ThermometerCode code(line.size(), 0);
     std::vector<std::size_t> racing;
     for (std::size_t i = 0; i < line.size(); ++i) {
-      const double margin = t - line.boundary(i + 1).seconds();
+      const double margin = t - b[i + 1];
       if (std::abs(margin) < w) {
         racing.push_back(i);
       } else {
@@ -563,7 +582,8 @@ TEST(CodeProbabilities, ZeroWindowGivesElementDelays) {
   ASSERT_TRUE(pi.has_value());
   const double period = tdc.clock_period().seconds();
   for (std::size_t k = 1; k + 1 < pi->size(); ++k) {
-    const double delay = tdc.line().element_delay(k).seconds();
+    const double delay = tdc.line().boundaries_seconds()[k + 1] -
+                         tdc.line().boundaries_seconds()[k];
     EXPECT_NEAR((*pi)[k] * period, delay, 1e-12 * delay) << "code " << k;
   }
 }
@@ -686,12 +706,12 @@ TEST(Thermometer, SampleAndDecodeMatchesMaterialisedPath) {
               interval = pick.uniform_time(line.total_delay() * 1.1);
               break;
             case 1:  // exactly on a tap boundary
-              interval = line.boundary(static_cast<std::size_t>(
-                  pick.uniform_int(0, static_cast<std::int64_t>(n))));
+              interval = Time::seconds(line.boundaries_seconds()[static_cast<std::size_t>(
+                  pick.uniform_int(0, static_cast<std::int64_t>(n)))]);
               break;
             case 2:  // exactly meta below a boundary
-              interval = line.boundary(static_cast<std::size_t>(pick.uniform_int(
-                             0, static_cast<std::int64_t>(n)))) -
+              interval = Time::seconds(line.boundaries_seconds()[static_cast<std::size_t>(
+                             pick.uniform_int(0, static_cast<std::int64_t>(n)))]) -
                          p.metastability_window;
               break;
             default:  // before the chain / negative margins everywhere
@@ -887,5 +907,132 @@ TEST(IndexedConversion, LatchRegimesAndConvertMatchTheSearchEverywhere) {
   EXPECT_GT(racing_several, 0u);
   EXPECT_GT(conversions, 1000000u);
 }
+
+// ---------- Vernier TDC ----------
+
+TEST(Vernier, ResolutionIsDelayDifference) {
+  tdc::VernierParams p;
+  p.slow_delay = Time::picoseconds(60.0);
+  p.fast_delay = Time::picoseconds(52.0);
+  p.mismatch_sigma = 0.0;
+  RngStream rng(727);
+  const tdc::VernierTdc v(p, rng);
+  EXPECT_NEAR(v.resolution().picoseconds(), 8.0, 1e-9);
+  EXPECT_NEAR(v.range().picoseconds(), 8.0 * 64, 1e-6);
+}
+
+TEST(Vernier, SubGateResolution) {
+  // The point of the Vernier: resolution finer than either gate delay.
+  tdc::VernierParams p;
+  RngStream rng(733);
+  const tdc::VernierTdc v(p, rng);
+  EXPECT_LT(v.resolution().seconds(), p.fast_delay.seconds());
+}
+
+TEST(Vernier, ConvertIdealStaircase) {
+  tdc::VernierParams p;
+  p.mismatch_sigma = 0.0;
+  RngStream rng(739);
+  const tdc::VernierTdc v(p, rng);
+  EXPECT_EQ(v.convert(Time::zero()), 0u);
+  EXPECT_EQ(v.convert(Time::picoseconds(7.9)), 1u);
+  EXPECT_EQ(v.convert(Time::picoseconds(8.1)), 2u);
+  EXPECT_EQ(v.convert(Time::picoseconds(39.9)), 5u);
+  // Saturates at the stage count.
+  EXPECT_EQ(v.convert(Time::nanoseconds(100.0)), 64u);
+}
+
+TEST(Vernier, MonotoneUnderMismatch) {
+  tdc::VernierParams p;
+  p.mismatch_sigma = 0.05;
+  RngStream rng(743);
+  const tdc::VernierTdc v(p, rng);
+  std::size_t prev = 0;
+  for (int i = 0; i <= 600; ++i) {
+    const auto code = v.convert(Time::picoseconds(i));
+    EXPECT_GE(code, prev);
+    prev = code;
+  }
+}
+
+TEST(Vernier, ConversionTimeTradeoff) {
+  // Finer resolution costs conversion time: stages x slow delay, much
+  // longer than the single-line TDC's one clock period.
+  tdc::VernierParams p;
+  RngStream rng(751);
+  const tdc::VernierTdc v(p, rng);
+  EXPECT_NEAR(v.conversion_time().nanoseconds(), 64 * 0.060, 1e-9);
+}
+
+TEST(Vernier, RejectsBadParams) {
+  tdc::VernierParams p;
+  p.slow_delay = Time::picoseconds(50.0);  // slower than fast? no: equal/less
+  p.fast_delay = Time::picoseconds(52.0);
+  RngStream rng(757);
+  EXPECT_THROW(tdc::VernierTdc(p, rng), std::invalid_argument);
+  p = tdc::VernierParams{};
+  p.stages = 0;
+  EXPECT_THROW(tdc::VernierTdc(p, rng), std::invalid_argument);
+}
+
+// ---------- TDC invariants across process seeds ----------
+
+class TdcInvariants : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(TdcInvariants, CodesMonotoneAndBounded) {
+  RngStream rng(GetParam());
+  tdc::DelayLineParams p;
+  p.elements = 104;
+  p.nominal_delay = Time::picoseconds(52.0);
+  p.mismatch_sigma = 0.12;
+  tdc::DelayLine line(p, rng);
+  tdc::TdcConfig cfg;
+  cfg.coarse_bits = 3;
+  cfg.clock_period = Time::nanoseconds(4.8);
+  const tdc::Tdc tdc(std::move(line), cfg);
+
+  const std::uint64_t max_code =
+      8ull * tdc.line().elements_used(tdc.clock_period()) - 1;
+  std::uint64_t prev = 0;
+  for (int i = 0; i < 800; ++i) {
+    const Time toa = Time::seconds(tdc.toa_window().seconds() * i / 800.0);
+    const auto r = tdc.convert_ideal(toa);
+    EXPECT_LE(r.code, max_code);
+    EXPECT_GE(r.code, prev);
+    prev = r.code;
+  }
+}
+
+TEST_P(TdcInvariants, CalibrationBoundsResidual) {
+  RngStream rng(GetParam() + 1000);
+  tdc::DelayLineParams p;
+  p.elements = 104;
+  p.nominal_delay = Time::picoseconds(52.0);
+  p.mismatch_sigma = 0.12;
+  tdc::DelayLine line(p, rng);
+  tdc::TdcConfig cfg;
+  cfg.coarse_bits = 2;
+  cfg.clock_period = Time::nanoseconds(4.8);
+  const tdc::Tdc tdc(std::move(line), cfg);
+  RngStream cal(GetParam() + 2000);
+  const auto rep = tdc::code_density_test(tdc, 500000, cal);
+  const tdc::CalibrationLut lut(rep);
+
+  // The paper's requirement: calibration ensures a fixed resolution
+  // bound. Residual RMS < 1 LSB for every process corner.
+  RngStream probe(GetParam() + 3000);
+  double sum_sq = 0.0;
+  const int probes = 2000;
+  for (int i = 0; i < probes; ++i) {
+    const Time toa = probe.uniform_time(tdc.toa_window());
+    const auto r = tdc.convert(toa, probe);
+    const double err = lut.correct(r, tdc.clock_period()).seconds() - toa.seconds();
+    sum_sq += err * err;
+  }
+  EXPECT_LT(std::sqrt(sum_sq / probes), tdc.lsb().seconds());
+}
+
+INSTANTIATE_TEST_SUITE_P(ProcessCorners, TdcInvariants,
+                         ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u));
 
 }  // namespace

@@ -327,42 +327,12 @@ TEST(Stats, MergeMatchesBulk) {
   EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
 }
 
-TEST(Stats, HistogramBinning) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 10; ++i) h.add(i + 0.5);
-  EXPECT_EQ(h.total(), 10u);
-  for (std::size_t b = 0; b < 10; ++b) EXPECT_EQ(h.count(b), 1u);
-  h.add(-1.0);
-  h.add(10.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.total(), 10u);  // out-of-range not in total
-  EXPECT_DOUBLE_EQ(h.fraction(0), 0.1);
-  EXPECT_DOUBLE_EQ(h.bin_lo(3), 3.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(3), 4.0);
-}
-
-TEST(Stats, HistogramRejectsBadConstruction) {
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(2.0, 1.0, 4), std::invalid_argument);
-}
-
-TEST(Stats, QuantileSorted) {
-  const std::vector<double> v{1.0, 2.0, 3.0, 4.0, 5.0};
-  EXPECT_DOUBLE_EQ(quantile_sorted(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(quantile_sorted(v, 1.0), 5.0);
-  EXPECT_DOUBLE_EQ(quantile_sorted(v, 0.5), 3.0);
-  EXPECT_DOUBLE_EQ(quantile_sorted(v, 0.25), 2.0);
-  EXPECT_THROW((void)quantile_sorted(std::span<const double>{}, 0.5), std::invalid_argument);
-}
-
 // ---------- table ----------
 
 TEST(Table, AlignedOutputContainsHeadersAndCells) {
   Table t({"name", "value"});
   t.new_row().add_cell("alpha").add_cell(1.5, 2);
-  t.new_row().add_cell("beta").add_cell(std::int64_t{42});
+  t.new_row().add_cell("beta").add_cell(std::uint64_t{42});
   std::ostringstream os;
   t.print(os);
   const std::string s = os.str();
@@ -370,16 +340,6 @@ TEST(Table, AlignedOutputContainsHeadersAndCells) {
   EXPECT_NE(s.find("alpha"), std::string::npos);
   EXPECT_NE(s.find("1.50"), std::string::npos);
   EXPECT_NE(s.find("42"), std::string::npos);
-}
-
-TEST(Table, CsvOutput) {
-  Table t({"a", "b"});
-  t.new_row().add_cell("x,y").add_sci(1234.5);
-  std::ostringstream os;
-  t.print_csv(os);
-  const std::string s = os.str();
-  EXPECT_NE(s.find("a,b"), std::string::npos);
-  EXPECT_NE(s.find("x;y"), std::string::npos);  // comma sanitised
 }
 
 TEST(Table, MisuseThrows) {
