@@ -38,19 +38,9 @@ tdc::Tdc make_tdc(std::uint64_t seed) {
   return tdc::Tdc(std::move(line), cfg);
 }
 
-double residual_rms_ps(const tdc::Tdc& tdc, const tdc::CalibrationLut* lut,
-                       RngStream& rng, int probes = 4000) {
-  double sum = 0.0;
-  for (int i = 0; i < probes; ++i) {
-    const Time toa = rng.uniform_time(tdc.toa_window());
-    const auto r = tdc.convert(toa, rng);
-    const Time est = lut != nullptr && lut->valid()
-                         ? lut->correct(r, tdc.clock_period())
-                         : r.estimate;
-    const double e = (est - toa).seconds();
-    sum += e * e;
-  }
-  return std::sqrt(sum / probes) * 1e12;
+double residual_rms_ps(const tdc::Tdc& tdc, const tdc::CalibrationLut& lut, RngStream& rng,
+                       std::uint64_t probes = 4000) {
+  return tdc::residual_rms_s(tdc, lut, probes, rng) * 1e12;
 }
 
 void print_reproduction() {
@@ -80,9 +70,9 @@ void print_reproduction() {
         .add_cell(celsius, 0)
         .add_cell(static_cast<std::uint64_t>(
             tdc.line().elements_used(tdc.clock_period())))
-        .add_cell(residual_rms_ps(tdc, nullptr, p1), 1)
-        .add_cell(residual_rms_ps(tdc, &stale, p2), 1)
-        .add_cell(residual_rms_ps(tdc, &fresh, p3), 1);
+        .add_cell(residual_rms_ps(tdc, tdc::CalibrationLut(), p1), 1)
+        .add_cell(residual_rms_ps(tdc, stale, p2), 1)
+        .add_cell(residual_rms_ps(tdc, fresh, p3), 1);
   }
   t.print(std::cout);
 
@@ -115,7 +105,7 @@ void BM_ResidualProbe(benchmark::State& state) {
   const tdc::CalibrationLut lut(tdc::code_density_test(tdc, 100000, cal));
   RngStream probe(kSeed, "bm-probe");
   for (auto _ : state) {
-    benchmark::DoNotOptimize(residual_rms_ps(tdc, &lut, probe, 500));
+    benchmark::DoNotOptimize(residual_rms_ps(tdc, lut, probe, 500));
   }
 }
 BENCHMARK(BM_ResidualProbe);

@@ -46,11 +46,6 @@ class CalibrationController {
   /// policy demands it. Returns true if a calibration ran.
   bool maybe_recalibrate(Time sim_time, util::RngStream& rng);
 
-  /// Residual TOA error (RMS, seconds) of the current LUT against the
-  /// line's present conditions, probed with `probes` uniform hits. This
-  /// is the "resolution bound" the paper's regular calibration enforces.
-  [[nodiscard]] double residual_rms_s(std::uint64_t probes, util::RngStream& rng) const;
-
  private:
   tdc::Tdc* tdc_;
   CalibrationPolicy policy_;

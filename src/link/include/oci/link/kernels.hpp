@@ -1,9 +1,8 @@
 // The window kernel: the one simulator of a SPAD symbol window. One
-// lane simulates one window on its own util::CounterRng stream. Two
-// drivers key the lanes: the batched simulate_windows (lane i of a
-// (stream root, lane index) family, engine's own sources) and
-// LinkEngine's per-window transmit_symbol / probe_pulse (one lane keyed
-// by a raw draw of the caller's stream, with per-window sources).
+// lane simulates one window on its own util::CounterRng stream; a batch
+// runs windows[i] on lane (first_lane + i) of a (stream root, lane
+// index) family, with the engine's own sources or with per-lane inputs
+// (LaneInputs). Every LinkEngine driver runs its windows through it.
 //
 // Bit-stability contract (pinned by engine_batch_test's golden lane
 // digests): the kernel uses only exactly-rounded operations (+, -, *,
@@ -44,41 +43,32 @@ struct BatchParams {
   bool passive_quench = false;
 };
 
-/// Lazy candidate stream of one thinned pulse in a lane: the victim's
-/// own or a co-channel aggressor's. For an aggressor the caller fills
-/// start_s and lambda and the lane owns the hazard state behind them.
-/// Every pulse uses the victim's envelope.
-struct PulseSource {
-  double start_s = 0.0;  ///< window-local envelope start [s]
-  double lambda = 0.0;   ///< mean avalanche candidates (mean_photons x PDP)
-  double hazard = 0.0;   ///< cumulative hazard consumed in [0, lambda)
-  double next_s = 0.0;   ///< next candidate arrival [s] (+inf = exhausted)
-  bool exhausted = false;
-};
-
-/// Per-window sources of one lane beside the engine constants.
-struct LaneSources {
-  double lambda_signal = 0.0;  ///< victim's candidate mean (x signal_scale)
-  double noise_rate = 0.0;     ///< flat candidate rate [Hz]
+/// Per-lane inputs of one batch beside the engine constants. Every
+/// default is the plain window: a batch without aggressors or proposal
+/// runs the lane instantiation that has no code for them.
+struct LaneInputs {
+  /// Launched-pulse scale of lane i (the victim's lambda x scale,
+  /// negative clamped to 0); empty = 1 for every lane.
+  std::span<const double> signal_scale = {};
+  /// Aggressor pulses, lane-major: lane i owns [i * K, (i + 1) * K)
+  /// for K = aggressors.size() / windows.size(). The caller fills
+  /// start_s and lambda (mean photons x victim PDP); the lane resets
+  /// the hazard state behind them.
   std::span<PulseSource> aggressors = {};
-  /// Proposal to sample under; the lane resets and fills log_weight.
-  RareSampling* rare = nullptr;
+  /// Proposal every lane samples under; each lane writes its log
+  /// likelihood-ratio to WindowResult::log_weight.
+  const RareSampling* rare = nullptr;
 };
 
-/// Simulates one window on `rng`: reads w.pulse_start_s / w.dead_in_s
-/// and writes the outputs (see WindowResult). Draw order: the signal
-/// hazard (when lambda_signal > 0), each aggressor's (when its lambda >
-/// 0), then the first noise arrival (when noise_rate > 0). Ties go to
-/// the signal, then aggressors in order, then noise, then afterpulses.
-/// Allocation-free.
-void simulate_lane(const BatchParams& p, const LaneSources& in, WindowResult& w,
-                   util::CounterRng rng);
-
-/// Batched driver: simulates windows[i] on lanes.lane(first_lane + i)
-/// with the engine's own lambda and noise rate, no aggressors and no
-/// proposal.
+/// Simulates windows[i] on lanes.lane(first_lane + i): reads
+/// pulse_start_s / dead_in_s and writes the outputs (see WindowResult).
+/// Draw order within a lane: the signal hazard (when its lambda > 0),
+/// each aggressor's (when its lambda > 0), then the first noise arrival
+/// (when the noise rate > 0). Ties go to the signal, then aggressors in
+/// order, then noise, then afterpulses. Allocation-free.
 void simulate_windows(const BatchParams& p, std::span<WindowResult> windows,
-                      const util::BatchRngStream& lanes, std::uint64_t first_lane);
+                      const util::BatchRngStream& lanes, std::uint64_t first_lane,
+                      const LaneInputs& in = {});
 
 /// The window kernel's name, as benchmarks and run environments report it.
 struct KernelTable {

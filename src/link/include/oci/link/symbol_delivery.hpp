@@ -31,8 +31,7 @@ namespace oci::link {
 class SymbolDeliveryModel {
  public:
   /// `overhead_bytes` is the framing overhead (preamble + header +
-  /// CRC); sizing delegates to modulation::symbols_for_payload, the
-  /// same formula net::symbols_per_packet uses for slot accounting.
+  /// CRC); sizing delegates to modulation::symbols_for_payload.
   /// The link must outlive the model (the engine caches its rate
   /// products).
   explicit SymbolDeliveryModel(const OpticalLink& link, std::size_t overhead_bytes = 4);

@@ -28,19 +28,4 @@ bool CalibrationController::maybe_recalibrate(Time sim_time, util::RngStream& rn
   return true;
 }
 
-double CalibrationController::residual_rms_s(std::uint64_t probes,
-                                             util::RngStream& rng) const {
-  if (!lut_.valid() || probes == 0) return 0.0;
-  const Time window = tdc_->toa_window();
-  double sum_sq = 0.0;
-  for (std::uint64_t i = 0; i < probes; ++i) {
-    const Time toa = rng.uniform_time(window);
-    const tdc::TdcReading reading = tdc_->convert(toa, rng);
-    const Time estimate = lut_.correct(reading, tdc_->clock_period());
-    const double err = estimate.seconds() - toa.seconds();
-    sum_sq += err * err;
-  }
-  return std::sqrt(sum_sq / static_cast<double>(probes));
-}
-
 }  // namespace oci::link

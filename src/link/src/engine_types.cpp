@@ -6,7 +6,6 @@ void EngineBatchScratch::reserve(std::size_t lanes) {
   windows_.reserve(lanes);
   symbols_.reserve(lanes);
   decoded_.reserve(lanes);
-  erased_.reserve(lanes);
 }
 
 }  // namespace oci::link

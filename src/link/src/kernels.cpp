@@ -37,6 +37,14 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// coin hits in one window. Overflow drops the release (negligible).
 constexpr std::size_t kMaxPending = 64;
 
+/// One lane's sources beside the engine constants.
+struct LaneSources {
+  double lambda_signal = 0.0;  ///< victim's candidate mean (x signal scale)
+  double noise_rate = 0.0;     ///< flat candidate rate [Hz]
+  std::span<PulseSource> aggressors = {};
+  const RareSampling* rare = nullptr;
+};
+
 // ---------------------------------------------------------------------
 // Portable transcendentals.
 
@@ -203,15 +211,15 @@ double env_cdf(const BatchParams& p, double x) {
 
 // ---------------------------------------------------------------------
 // One lane. `pending` is afterpulse scratch; its contents on entry are
-// ignored. The plain instantiation (kMerged = false: the batched
-// driver's, and any window without aggressors or proposal) sees neither
-// at compile time, so their code folds away from the hot loop.
+// ignored. The plain instantiation (kMerged = false: any lane without
+// aggressors or proposal) sees neither at compile time, so their code
+// folds away from the hot loop.
 
 template <EnvelopeKind E, bool kMerged>
 void run_lane(const BatchParams& p, const LaneSources& in, WindowResult& w,
               util::CounterRng rng, std::array<double, kMaxPending>& pending) {
   const std::span<PulseSource> aggressors = kMerged ? in.aggressors : std::span<PulseSource>();
-  RareSampling* const rare = kMerged ? in.rare : nullptr;
+  const RareSampling* const rare = kMerged ? in.rare : nullptr;
   const auto exp1 = [&rng] { return -pm_log(rng.uniform()); };
 
   // Each pulse's hazard walks the cumulative mass [0, lambda); the
@@ -251,7 +259,7 @@ void run_lane(const BatchParams& p, const LaneSources& in, WindowResult& w,
   // only told the loop "no candidate before window_s", so it pays that
   // event's probability ratio instead of its density -- charging the
   // density would cost every window a factor ~(nat/tilt)*e.
-  if (rare != nullptr) rare->log_weight = 0.0;
+  double log_weight = 0.0;
   const double noise_nat = in.noise_rate;
   const bool tilt_noise = rare != nullptr && rare->noise_scale != 1.0 && noise_nat > 0.0;
   const double noise_rate = tilt_noise ? noise_nat * rare->noise_scale : noise_nat;
@@ -261,8 +269,7 @@ void run_lane(const BatchParams& p, const LaneSources& in, WindowResult& w,
   const auto advance_noise = [&](double from) {
     if (noise_rate <= 0.0) return;
     if (tilt_noise && noise_next < kInf) {
-      rare->log_weight +=
-          noise_log_ratio + (noise_rate - noise_nat) * (noise_next - noise_from);
+      log_weight += noise_log_ratio + (noise_rate - noise_nat) * (noise_next - noise_from);
     }
     noise_from = from;
     noise_next = from + exp1() / noise_rate;
@@ -379,8 +386,7 @@ void run_lane(const BatchParams& p, const LaneSources& in, WindowResult& w,
         // N(0, (g*sigma)^2) and pay the exact Gaussian density ratio.
         const double g = rare->jitter_scale;
         const double x = sigma * g * pm_probit(rng.uniform());
-        rare->log_weight +=
-            pm_log(g) + x * x * (1.0 / (g * g) - 1.0) / (2.0 * sigma * sigma);
+        log_weight += pm_log(g) + x * x * (1.0 / (g * g) - 1.0) / (2.0 * sigma * sigma);
         first_obs = t + x;
       } else {
         first_obs = t + sigma * pm_probit(rng.uniform());
@@ -399,7 +405,7 @@ void run_lane(const BatchParams& p, const LaneSources& in, WindowResult& w,
   }
 
   if (tilt_noise && noise_next < kInf) {
-    rare->log_weight += (noise_rate - noise_nat) * std::max(p.window_s - noise_from, 0.0);
+    log_weight += (noise_rate - noise_nat) * std::max(p.window_s - noise_from, 0.0);
   }
 
   w.fired = fired;
@@ -409,6 +415,7 @@ void run_lane(const BatchParams& p, const LaneSources& in, WindowResult& w,
   w.last_fire_s = last;
   w.dead_out_s = dead;
   w.rng_draws = rng.draws();
+  w.log_weight = log_weight;
 }
 
 /// run_lane on the engine's envelope.
@@ -430,22 +437,30 @@ void dispatch_lane(const BatchParams& p, const LaneSources& in, WindowResult& w,
 
 }  // namespace
 
-void simulate_lane(const BatchParams& p, const LaneSources& in, WindowResult& w,
-                   util::CounterRng rng) {
-  std::array<double, kMaxPending> pending{};
-  if (in.aggressors.empty() && in.rare == nullptr) {
-    dispatch_lane<false>(p, in, w, rng, pending);
-  } else {
-    dispatch_lane<true>(p, in, w, rng, pending);
-  }
-}
-
 void simulate_windows(const BatchParams& p, std::span<WindowResult> windows,
-                      const util::BatchRngStream& lanes, std::uint64_t first_lane) {
-  const LaneSources own{.lambda_signal = p.lambda_signal, .noise_rate = p.noise_rate};
+                      const util::BatchRngStream& lanes, std::uint64_t first_lane,
+                      const LaneInputs& in) {
   std::array<double, kMaxPending> pending{};
+  LaneSources src{.lambda_signal = p.lambda_signal, .noise_rate = p.noise_rate, .rare = in.rare};
+  if (in.signal_scale.empty() && in.aggressors.empty() && in.rare == nullptr) {
+    for (std::size_t i = 0; i < windows.size(); ++i) {
+      dispatch_lane<false>(p, src, windows[i], lanes.lane(first_lane + i), pending);
+    }
+    return;
+  }
+  const std::size_t k = windows.empty() ? 0 : in.aggressors.size() / windows.size();
+  const bool merged = k > 0 || in.rare != nullptr;
   for (std::size_t i = 0; i < windows.size(); ++i) {
-    dispatch_lane<false>(p, own, windows[i], lanes.lane(first_lane + i), pending);
+    // x1.0 leaves lambda exact.
+    if (!in.signal_scale.empty()) {
+      src.lambda_signal = p.lambda_signal * std::max(in.signal_scale[i], 0.0);
+    }
+    src.aggressors = in.aggressors.subspan(i * k, k);
+    if (merged) {
+      dispatch_lane<true>(p, src, windows[i], lanes.lane(first_lane + i), pending);
+    } else {
+      dispatch_lane<false>(p, src, windows[i], lanes.lane(first_lane + i), pending);
+    }
   }
 }
 

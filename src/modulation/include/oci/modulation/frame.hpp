@@ -17,11 +17,9 @@ namespace oci::modulation {
 
 /// Transfer symbols a packet of `payload_bytes` plus `overhead_bytes`
 /// of framing (preamble + header + CRC) occupies at K bits per PPM
-/// symbol. The single source of truth for packet-on-air sizing: both
-/// the slot-level accounting (net::symbols_per_packet) and the
-/// photon-level delivery model (link::SymbolDeliveryModel) delegate
-/// here so they can never drift apart. Throws std::invalid_argument
-/// when bits_per_symbol is zero.
+/// symbol: the photon-level delivery model's (link::SymbolDeliveryModel)
+/// packet-on-air sizing. Throws std::invalid_argument when
+/// bits_per_symbol is zero.
 [[nodiscard]] std::uint64_t symbols_for_payload(std::size_t payload_bytes,
                                                 unsigned bits_per_symbol,
                                                 std::size_t overhead_bytes = 4);

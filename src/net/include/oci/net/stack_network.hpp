@@ -30,11 +30,8 @@
 #include "oci/net/packet.hpp"
 #include "oci/util/random.hpp"
 #include "oci/util/samplers.hpp"
-#include "oci/util/units.hpp"
 
 namespace oci::net {
-
-using util::Time;
 
 struct StackNetworkConfig {
   std::size_t dies = 8;
@@ -58,9 +55,6 @@ struct StackNetworkConfig {
   unsigned max_attempts = 4;
   /// Per-die queue capacity; arrivals beyond it are dropped at entry.
   std::size_t queue_capacity = 256;
-  /// Wall-clock duration of one slot (for seconds-domain reporting):
-  /// packet symbols x the link's symbol period.
-  Time slot_duration = Time::microseconds(1.0);
   /// Fault state: dead_nodes[i] != 0 marks die i dead -- it injects
   /// nothing and receives nothing (a transfer addressed to it fails
   /// deterministically). Empty = all live.
@@ -93,7 +87,6 @@ struct NetworkRunResult {
   std::uint64_t idle_slots = 0;
   std::uint64_t collision_slots = 0;
   LatencySummary latency;         ///< enqueue -> delivery, in slots
-  Time slot_duration;
 
   [[nodiscard]] std::uint64_t total_offered() const;
   [[nodiscard]] std::uint64_t total_delivered() const;
@@ -163,12 +156,5 @@ class StackNetwork {
   std::uint64_t next_packet_id_ = 0;
   std::uint64_t slot_cursor_ = 0;  ///< absolute slot index across run() calls
 };
-
-/// Transfer slots a packet of `payload_bytes` occupies on a link with
-/// the given bits per PPM symbol and per-packet framing overhead
-/// (preamble + header + CRC bytes).
-[[nodiscard]] std::uint64_t symbols_per_packet(std::size_t payload_bytes,
-                                               unsigned bits_per_symbol,
-                                               std::size_t overhead_bytes = 4);
 
 }  // namespace oci::net

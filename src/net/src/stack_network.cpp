@@ -4,15 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "oci/modulation/frame.hpp"
-
 namespace oci::net {
-
-std::uint64_t symbols_per_packet(std::size_t payload_bytes, unsigned bits_per_symbol,
-                                 std::size_t overhead_bytes) {
-  // Single source of truth shared with link::SymbolDeliveryModel.
-  return modulation::symbols_for_payload(payload_bytes, bits_per_symbol, overhead_bytes);
-}
 
 std::uint64_t NetworkRunResult::total_offered() const {
   std::uint64_t sum = 0;
@@ -180,7 +172,6 @@ NetworkRunResult StackNetwork::run(std::uint64_t slots, util::RngStream& rng) {
   NetworkRunResult result;
   result.per_die.resize(config_.dies);
   result.slots = slots;
-  result.slot_duration = config_.slot_duration;
   std::vector<double> latencies;
 
   for (std::uint64_t s = 0; s < slots; ++s) {

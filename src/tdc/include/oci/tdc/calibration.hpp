@@ -75,4 +75,12 @@ class CalibrationLut {
   std::vector<double> centre_s_;  ///< bin-centre interval per fine code
 };
 
+/// Residual TOA error (RMS, seconds) of `probes` hits uniform over the
+/// TOA window, converted at the line's present conditions and
+/// reconstructed through `lut` -- the resolution bound the paper's
+/// regular calibration enforces. An invalid LUT reads the raw estimate
+/// (no calibration). 0 for no probes.
+[[nodiscard]] double residual_rms_s(const Tdc& tdc, const CalibrationLut& lut,
+                                    std::uint64_t probes, util::RngStream& rng);
+
 }  // namespace oci::tdc

@@ -151,4 +151,19 @@ util::Time CalibrationLut::correct(const TdcReading& reading, util::Time clock_p
   return toa;
 }
 
+double residual_rms_s(const Tdc& tdc, const CalibrationLut& lut, std::uint64_t probes,
+                      util::RngStream& rng) {
+  if (probes == 0) return 0.0;
+  double sum_sq = 0.0;
+  for (std::uint64_t i = 0; i < probes; ++i) {
+    const util::Time toa = rng.uniform_time(tdc.toa_window());
+    const TdcReading reading = tdc.convert(toa, rng);
+    const util::Time estimate =
+        lut.valid() ? lut.correct(reading, tdc.clock_period()) : reading.estimate;
+    const double err = (estimate - toa).seconds();
+    sum_sq += err * err;
+  }
+  return std::sqrt(sum_sq / static_cast<double>(probes));
+}
+
 }  // namespace oci::tdc

@@ -461,12 +461,12 @@ TEST(CalibrationController, StaleLutHasWorseResidual) {
   RngStream cal(431);
   ctl.calibrate_now(Time::zero(), cal);
   RngStream probe(433);
-  const double fresh = ctl.residual_rms_s(3000, probe);
+  const double fresh = oci::tdc::residual_rms_s(tdc, ctl.lut(), 3000, probe);
 
   // Heat the line 40 C without recalibrating: the stale LUT mis-scales.
   tdc.set_conditions(Temperature::celsius(60.0), Voltage::volts(1.5));
   RngStream probe2(439);
-  const double stale = ctl.residual_rms_s(3000, probe2);
+  const double stale = oci::tdc::residual_rms_s(tdc, ctl.lut(), 3000, probe2);
   EXPECT_GT(stale, fresh * 1.5);
 }
 

@@ -135,6 +135,17 @@ TEST(Crc8, KnownVectorsAndProperties) {
   EXPECT_NE(crc8(msg), crc8(bad));
 }
 
+TEST(SymbolsForPayload, RoundsUp) {
+  // (8 + 4 overhead) bytes = 96 bits; at 7 bits/symbol -> ceil = 14.
+  EXPECT_EQ(symbols_for_payload(8, 7), 14u);
+  EXPECT_EQ(symbols_for_payload(8, 8), 12u);
+  EXPECT_EQ(symbols_for_payload(0, 8, 4), 4u);
+}
+
+TEST(SymbolsForPayload, RejectsZeroBits) {
+  EXPECT_THROW((void)symbols_for_payload(8, 0), std::invalid_argument);
+}
+
 TEST(Frame, SerializeParseRoundTrip) {
   const PpmCodec codec(cfg(4));
   const FrameCodec framer(codec, FrameConfig{});

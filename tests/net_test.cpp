@@ -82,19 +82,6 @@ TEST(LatencySummary, SelectionMatchesSortedNearestRank) {
   }
 }
 
-// ---------- symbols per packet ----------
-
-TEST(SymbolsPerPacket, RoundsUp) {
-  // (8 + 4 overhead) bytes = 96 bits; at 7 bits/symbol -> ceil = 14.
-  EXPECT_EQ(net::symbols_per_packet(8, 7), 14u);
-  EXPECT_EQ(net::symbols_per_packet(8, 8), 12u);
-  EXPECT_EQ(net::symbols_per_packet(0, 8, 4), 4u);
-}
-
-TEST(SymbolsPerPacket, RejectsZeroBits) {
-  EXPECT_THROW((void)net::symbols_per_packet(8, 0), std::invalid_argument);
-}
-
 // ---------- MAC policies ----------
 
 TEST(TdmaMacPolicy, GrantsOnlyTheSlotOwner) {

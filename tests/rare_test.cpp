@@ -209,14 +209,13 @@ TEST(RareChunk, SplitJitterStaysInsideADeepBand) {
   const double z_median = 0.5 * (lo + hi);
 
   const util::BatchRngStream lanes(15, "deep-band");
-  const link::kernels::LaneSources in{
-      .lambda_signal = p.lambda_signal, .noise_rate = p.noise_rate, .rare = &proposal};
+  std::vector<link::WindowResult> windows(4000);
+  for (link::WindowResult& w : windows) w.pulse_start_s = 1e-9;
+  link::kernels::simulate_windows(p, windows, lanes, 0, {.rare = &proposal});
   std::uint64_t fired = 0;
   std::uint64_t above = 0;
-  for (std::uint64_t i = 0; i < 4000; ++i) {
-    link::WindowResult w;
-    w.pulse_start_s = 1e-9;
-    link::kernels::simulate_lane(p, in, w, lanes.lane(i));
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    const link::WindowResult& w = windows[i];
     if (!w.fired) continue;
     ++fired;
     const double z = std::abs(w.first_observed_s - w.first_fire_s) / p.jitter_sigma_s;

@@ -1021,15 +1021,7 @@ TEST_P(TdcInvariants, CalibrationBoundsResidual) {
   // The paper's requirement: calibration ensures a fixed resolution
   // bound. Residual RMS < 1 LSB for every process corner.
   RngStream probe(GetParam() + 3000);
-  double sum_sq = 0.0;
-  const int probes = 2000;
-  for (int i = 0; i < probes; ++i) {
-    const Time toa = probe.uniform_time(tdc.toa_window());
-    const auto r = tdc.convert(toa, probe);
-    const double err = lut.correct(r, tdc.clock_period()).seconds() - toa.seconds();
-    sum_sq += err * err;
-  }
-  EXPECT_LT(std::sqrt(sum_sq / probes), tdc.lsb().seconds());
+  EXPECT_LT(tdc::residual_rms_s(tdc, lut, 2000, probe), tdc.lsb().seconds());
 }
 
 INSTANTIATE_TEST_SUITE_P(ProcessCorners, TdcInvariants,

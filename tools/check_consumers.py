@@ -102,9 +102,6 @@ def check_headers(root):
 # Library functions no consumer binary keeps, each with the test that
 # needs it as an oracle or a probe. Signatures as `nm -C` prints them.
 ORACLES = {
-    "oci::link::CalibrationController::residual_rms_s(unsigned long, "
-    "oci::util::RngStream&) const":
-        "CalibrationController.StaleLutHasWorseResidual probes the LUT's TOA error",
     "oci::net::StackNetwork::backlog() const":
         "StackNetwork.PacketConservation: offered = delivered + dropped + backlog",
     "oci::photonics::DieStack::max_reach(oci::util::Wavelength, double) const":
