@@ -153,26 +153,6 @@ link::OpticalLinkConfig bench_link_config() {
   return c;
 }
 
-void BM_EngineSymbol(benchmark::State& state) {
-  RngStream process(kSeed, "engine-link");
-  const link::OpticalLink link(bench_link_config(), process);
-  const link::LinkEngine engine(link);
-  RngStream tx(kSeed, "engine-tx");
-  link::LinkRunStats stats;
-  Time dead_until = Time::zero();
-  const std::uint64_t draws_before = tx.draws();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        engine.transmit_symbol(17, Time::zero(), dead_until, stats, tx));
-    dead_until = Time::zero();
-  }
-  // The TDC conversion's draws on `tx` plus the window's kernel-lane draws.
-  state.counters["rng_draws"] =
-      benchmark::Counter(static_cast<double>(tx.draws() - draws_before + stats.rng_draws),
-                         benchmark::Counter::kAvgIterations);
-}
-BENCHMARK(BM_EngineSymbol);
-
 void BM_ReferenceSymbol(benchmark::State& state) {
   RngStream process(kSeed, "ref-link");
   const link::OpticalLink link(bench_link_config(), process);
@@ -192,7 +172,7 @@ BENCHMARK(BM_ReferenceSymbol);
 
 // One op = one kEngineBatch-lane batch through the batched window
 // kernel (the ScenarioRunner chunk shape); divide ns_per_op by
-// windows_per_op to compare a window against BM_EngineSymbol.
+// windows_per_op to compare a window against BM_ReferenceSymbol.
 // rng_draws is the last lane's counter-stream draws per batch.
 void BM_EngineWindowBatch(benchmark::State& state) {
   RngStream process(kSeed, "batch-link");
@@ -224,6 +204,8 @@ void BM_EngineWindowBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineWindowBatch);
 
+// One op = 256 random symbols through the window driver (kernel,
+// conversion and decode): the engine's per-symbol cost.
 void BM_EngineMeasure(benchmark::State& state) {
   RngStream process(kSeed, "measure-link");
   const link::OpticalLink link(bench_link_config(), process);

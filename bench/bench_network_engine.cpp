@@ -48,45 +48,51 @@ link::OpticalLinkConfig victim_config() {
 constexpr std::size_t kAggressors = 4;
 constexpr double kAggressorMean = 6.0;  // leaked photons per aggressor pulse
 
-std::array<link::SourcePulse, kAggressors> aggressor_pulses(const link::OpticalLink& link,
-                                                            Time window_start) {
-  // Aggressor pulses scattered across the victim's window, the way
-  // neighbouring channels' PPM symbols land.
-  std::array<link::SourcePulse, kAggressors> a{};
-  const Time window = link.toa_window();
+/// Window-local starts of the aggressor pulses, scattered across the
+/// victim's window the way neighbouring channels' PPM symbols land.
+std::array<Time, kAggressors> aggressor_starts(const link::OpticalLink& link) {
+  std::array<Time, kAggressors> starts{};
   for (std::size_t k = 0; k < kAggressors; ++k) {
-    a[k] = link::SourcePulse{
-        kAggressorMean,
-        window_start + window * (static_cast<double>(k + 1) / (kAggressors + 1.0))};
+    starts[k] = link.toa_window() * (static_cast<double>(k + 1) / (kAggressors + 1.0));
   }
-  return a;
+  return starts;
 }
 
-void BM_InterferenceEngineSymbol(benchmark::State& state) {
+// One op = kSymbols windows through the window driver with the
+// aggressors merged; divide ns_per_op by symbols_per_op to compare a
+// window against BM_InterferenceReferenceSymbol.
+void BM_InterferenceEngineMeasure(benchmark::State& state) {
+  constexpr std::size_t kSymbols = 256;
   RngStream process(kSeed, "int-engine-link");
   const link::OpticalLink link(victim_config(), process);
   const link::LinkEngine engine(link);
-  const auto aggressors = aggressor_pulses(link, Time::zero());
+  std::array<double, kAggressors> means{};
+  means.fill(kAggressorMean);
+  std::vector<double> starts;
+  for (std::size_t i = 0; i < kSymbols; ++i) {
+    for (const Time start : aggressor_starts(link)) starts.push_back(start.seconds());
+  }
+  const link::WindowInputs in{.aggressor_means = means, .aggressor_starts_s = starts};
   RngStream tx(kSeed, "int-engine-tx");
-  link::LinkRunStats stats;
-  Time dead_until = Time::zero();
+  std::uint64_t lane_draws = 0;
   const std::uint64_t draws_before = tx.draws();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.transmit_symbol(17, Time::zero(), dead_until, stats, tx,
-                                                    {.aggressors = aggressors}));
-    dead_until = Time::zero();
+    const link::LinkRunStats stats = engine.measure(kSymbols, tx, in);
+    lane_draws += stats.rng_draws;
+    benchmark::DoNotOptimize(stats.symbol_errors);
   }
-  // The TDC conversion's draws on `tx` plus the window's kernel-lane draws.
+  // The TDC conversions' draws on `tx` plus the windows' kernel-lane draws.
   state.counters["rng_draws"] =
-      benchmark::Counter(static_cast<double>(tx.draws() - draws_before + stats.rng_draws),
+      benchmark::Counter(static_cast<double>(tx.draws() - draws_before + lane_draws),
                          benchmark::Counter::kAvgIterations);
+  state.counters["symbols_per_op"] = benchmark::Counter(static_cast<double>(kSymbols));
 }
-BENCHMARK(BM_InterferenceEngineSymbol);
+BENCHMARK(BM_InterferenceEngineMeasure);
 
 void BM_InterferenceReferenceSymbol(benchmark::State& state) {
   RngStream process(kSeed, "int-ref-link");
   const link::OpticalLink link(victim_config(), process);
-  const auto aggressors = aggressor_pulses(link, Time::zero());
+  const std::array<Time, kAggressors> starts = aggressor_starts(link);
   RngStream tx(kSeed, "int-ref-tx");
   link::LinkRunStats stats;
   Time dead_until = Time::zero();
@@ -95,11 +101,11 @@ void BM_InterferenceReferenceSymbol(benchmark::State& state) {
     // The old consumer-side recipe: materialise every leaked photon,
     // sort, and hand the vector to the per-photon reference pipeline.
     std::vector<PhotonArrival> interference;
-    for (const auto& a : aggressors) {
-      const auto n = tx.poisson(a.mean_photons);
+    for (const Time start : starts) {
+      const auto n = tx.poisson(kAggressorMean);
       for (std::int64_t p = 0; p < n; ++p) {
         const Time offset = link.led().sample_emission_time(tx.uniform());
-        interference.push_back(PhotonArrival{a.start + offset, /*is_signal=*/false});
+        interference.push_back(PhotonArrival{start + offset, /*is_signal=*/false});
       }
     }
     std::sort(interference.begin(), interference.end(),
@@ -174,9 +180,11 @@ bus::VerticalBusConfig bus_config() {
 
 void BM_BusBroadcast(benchmark::State& state) {
   const bus::VerticalBus vbus(bus_config());
+  RngStream process(kSeed, "bus-receivers");
+  const bus::BusReceivers receivers = vbus.build_receivers(process);
   RngStream rng(kSeed, "bus-broadcast");
   for (auto _ : state) {
-    benchmark::DoNotOptimize(vbus.monte_carlo_broadcast(256, rng).per_die.size());
+    benchmark::DoNotOptimize(vbus.monte_carlo_broadcast(receivers, 256, rng).per_die.size());
   }
 }
 BENCHMARK(BM_BusBroadcast);

@@ -13,7 +13,7 @@
 //     "binary": "bench_link_engine",
 //     "config": { "repro_scale": 1.0 },
 //     "results": [
-//       { "name": "BM_EngineSymbol", "ns_per_op": 347.1,
+//       { "name": "BM_EngineMeasure", "ns_per_op": 347.1,
 //         "iterations": 2048000, "rng_draws_per_op": 5.2 },
 //       ...
 //     ]

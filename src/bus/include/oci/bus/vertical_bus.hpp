@@ -9,11 +9,12 @@
 // photon-level Monte-Carlo paths (monte_carlo_broadcast,
 // monte_carlo_upstream_contention) that run every receiver window on
 // the multi-source link::LinkEngine -- colliding talkers become
-// aggressor SourcePulses merged into the master's window.
+// aggressor pulses merged into the master's window.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -43,8 +44,8 @@ struct VerticalBusConfig {
 
   /// Photon-level Monte-Carlo receiver options (the analytic queries
   /// above ignore these). bits_per_symbol = 0 means the TDC's full
-  /// log2(N)+C resolution; calibration is off by default because each
-  /// MC call constructs its receiver links afresh.
+  /// log2(N)+C resolution; calibration is off by default, so building
+  /// the receivers costs no training.
   unsigned bits_per_symbol = 0;
   bool mc_calibrate = false;
   std::uint64_t mc_calibration_samples = 20000;
@@ -57,9 +58,13 @@ struct DieLinkReport {
   bool serviceable = false;
 };
 
-/// Per-die outcome of a photon-level broadcast run.
+/// Receiver chains of the photon-level broadcast: one link (master ->
+/// die) per non-master die, in die order.
+using BusReceivers = std::vector<std::unique_ptr<link::OpticalLink>>;
+
+/// Per-die outcome of a photon-level broadcast run, in the receivers'
+/// order.
 struct BusBroadcastResult {
-  std::vector<std::size_t> dies;  ///< receiver die indices (non-master)
   std::vector<link::LinkRunStats> per_die;
 
   [[nodiscard]] double worst_symbol_error_rate() const;
@@ -99,19 +104,25 @@ class VerticalBus {
   [[nodiscard]] link::OpticalLinkConfig receiver_link_config(std::size_t tx_die,
                                                              std::size_t rx_die) const;
 
-  /// Photon-level broadcast: the master streams `symbols` random PPM
-  /// symbols and every other die receives the same pulse train through
-  /// its own stack transmittance, each on the LinkEngine hot path
-  /// (allocation-free per window). Far dies erase more -- the
-  /// Monte-Carlo shadow of downstream_reports(). Each die's
-  /// `rng_draws` counts its process, symbol-pick and receive stream
-  /// draws besides its kernel lanes' (`rng` itself only forks).
-  [[nodiscard]] BusBroadcastResult monte_carlo_broadcast(std::uint64_t symbols,
+  /// The broadcast's receiver chains, built from `process_rng` (process
+  /// variation and, with mc_calibrate, calibration) once per device.
+  [[nodiscard]] BusReceivers build_receivers(util::RngStream& process_rng) const;
+
+  /// Photon-level broadcast on `receivers` (from build_receivers): the
+  /// master streams `symbols` random PPM symbols, drawn from `rng`, and
+  /// every receiver gets the same pulse train through its own stack
+  /// transmittance, one LinkEngine run per die on its own fork of
+  /// `rng`. Far dies erase more -- the Monte-Carlo shadow of
+  /// downstream_reports(). Each die's `rng_draws` counts its receive
+  /// stream's draws and its kernel lanes'; the symbols' draws are in
+  /// rng.draws(). Throws std::invalid_argument on an empty receiver set.
+  [[nodiscard]] BusBroadcastResult monte_carlo_broadcast(const BusReceivers& receivers,
+                                                         std::uint64_t symbols,
                                                          util::RngStream& rng) const;
 
   /// Photon-level contended upstream slot: talkers[0] owns the slot,
   /// the remaining talkers collide into it, and the master's receiver
-  /// sees the extra pulses as aggressor SourcePulses merged by the
+  /// sees the extra pulses as aggressor pulses merged by the
   /// multi-source engine. Returns the master-side counters over
   /// `symbols` windows; collisions surface as noise captures and
   /// symbol errors. Talkers must be distinct non-master dies.

@@ -89,48 +89,35 @@ link::OpticalLinkConfig VerticalBus::receiver_link_config(std::size_t tx_die,
   return c;
 }
 
-BusBroadcastResult VerticalBus::monte_carlo_broadcast(std::uint64_t symbols,
-                                                      util::RngStream& rng) const {
-  BusBroadcastResult out;
-  // Receiver chains first (construction may consume calibration draws),
-  // then one shared symbol stream: a broadcast pulse train is identical
-  // at every die, only the optical budget and detector noise differ.
-  std::vector<std::unique_ptr<link::OpticalLink>> links;
-  std::vector<std::uint64_t> process_draws;
-  links.reserve(config_.dies - 1);
+BusReceivers VerticalBus::build_receivers(util::RngStream& process_rng) const {
+  BusReceivers receivers;
+  receivers.reserve(config_.dies - 1);
   for (std::size_t die = 0; die < config_.dies; ++die) {
     if (die == config_.master) continue;
-    util::RngStream process = rng.fork("bus-die-process");
-    links.push_back(std::make_unique<link::OpticalLink>(
-        receiver_link_config(config_.master, die), process));
-    process_draws.push_back(process.draws());
-    out.dies.push_back(die);
+    receivers.push_back(std::make_unique<link::OpticalLink>(
+        receiver_link_config(config_.master, die), process_rng));
   }
+  return receivers;
+}
 
-  // Every die replays the SAME transmitted stream: each receiver copies
-  // this stream's state and regenerates the symbols on the fly, so a
-  // deep-BER run needs O(1) memory, not an O(symbols) vector.
-  const util::RngStream symbol_proto = rng.fork("bus-symbols");
-  const std::uint64_t max_symbol =
-      (std::uint64_t{1} << links.front()->bits_per_symbol()) - 1;
+BusBroadcastResult VerticalBus::monte_carlo_broadcast(const BusReceivers& receivers,
+                                                      std::uint64_t symbols,
+                                                      util::RngStream& rng) const {
+  if (receivers.empty()) throw std::invalid_argument("VerticalBus: no receivers");
+  // One pulse train: a broadcast is identical at every die, only the
+  // optical budget and detector noise differ.
+  const auto max_symbol =
+      static_cast<std::int64_t>((std::uint64_t{1} << receivers.front()->bits_per_symbol()) - 1);
+  std::vector<std::uint64_t> train(symbols);
+  for (std::uint64_t& s : train) s = static_cast<std::uint64_t>(rng.uniform_int(0, max_symbol));
 
-  out.per_die.reserve(links.size());
-  for (std::size_t i = 0; i < links.size(); ++i) {
-    const link::OpticalLink& l = *links[i];
-    const link::LinkEngine engine(l);
-    util::RngStream pick = symbol_proto;  // identical stream per die
-    util::RngStream tx = rng.fork("bus-die-rx");
-    link::LinkRunStats stats;
-    Time t = Time::zero();
-    Time dead_until = Time::zero();
-    for (std::uint64_t s = 0; s < symbols; ++s) {
-      const auto symbol = static_cast<std::uint64_t>(
-          pick.uniform_int(0, static_cast<std::int64_t>(max_symbol)));
-      (void)engine.transmit_symbol(symbol, t, dead_until, stats, tx);
-      t += l.symbol_period();
-    }
-    // The die's stream draws join its kernel-lane draws.
-    stats.rng_draws += process_draws[i] + pick.draws() + tx.draws();
+  BusBroadcastResult out;
+  out.per_die.reserve(receivers.size());
+  for (const auto& receiver : receivers) {
+    util::RngStream rx = rng.fork("bus-die-rx");
+    link::LinkRunStats stats = link::LinkEngine(*receiver).run_sequence(
+        train, rx, [](std::size_t, const link::LinkEngine::SymbolOutcome&) {});
+    stats.rng_draws += rx.draws();
     out.per_die.push_back(stats);
   }
   return out;
@@ -158,7 +145,6 @@ link::LinkRunStats VerticalBus::monte_carlo_upstream_contention(
   // transmittance as an aggressor source.
   util::RngStream process = rng.fork("contention-link");
   const link::OpticalLink link(receiver_link_config(talkers[0], config_.master), process);
-  const link::LinkEngine engine(link);
   const photonics::MicroLed& led = link.led();  // uniform LED template per die
 
   std::vector<double> aggressor_mean;
@@ -169,24 +155,21 @@ link::LinkRunStats VerticalBus::monte_carlo_upstream_contention(
         stack_.transmittance(talkers[k], config_.master, config_.led.wavelength));
   }
 
-  std::vector<link::SourcePulse> aggressors(aggressor_mean.size());
-  link::LinkRunStats stats;
   util::RngStream tx = rng.fork("contention-tx");
-  const std::uint64_t max_symbol = (std::uint64_t{1} << link.bits_per_symbol()) - 1;
-  Time t = Time::zero();
-  Time dead_until = Time::zero();
+  const std::int64_t max_symbol = (std::int64_t{1} << link.bits_per_symbol()) - 1;
+  const std::size_t k = aggressor_mean.size();
+  std::vector<std::uint64_t> sent(symbols);
+  std::vector<double> starts(symbols * k);
   for (std::uint64_t s = 0; s < symbols; ++s) {
-    const auto symbol = static_cast<std::uint64_t>(
-        tx.uniform_int(0, static_cast<std::int64_t>(max_symbol)));
-    for (std::size_t k = 0; k < aggressors.size(); ++k) {
-      const auto colliding = static_cast<std::uint64_t>(
-          tx.uniform_int(0, static_cast<std::int64_t>(max_symbol)));
-      aggressors[k] = link::SourcePulse{aggressor_mean[k], t + link.ppm().encode(colliding)};
+    sent[s] = static_cast<std::uint64_t>(tx.uniform_int(0, max_symbol));
+    for (std::size_t a = 0; a < k; ++a) {
+      const auto colliding = static_cast<std::uint64_t>(tx.uniform_int(0, max_symbol));
+      starts[s * k + a] = link.ppm().encode(colliding).seconds();
     }
-    (void)engine.transmit_symbol(symbol, t, dead_until, stats, tx, {.aggressors = aggressors});
-    t += link.symbol_period();
   }
-  return stats;
+  return link::LinkEngine(link).run_sequence(
+      sent, tx, [](std::size_t, const link::LinkEngine::SymbolOutcome&) {},
+      {.aggressor_means = aggressor_mean, .aggressor_starts_s = starts});
 }
 
 Energy VerticalBus::broadcast_energy_per_delivered_bit() const {

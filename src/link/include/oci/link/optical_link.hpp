@@ -68,10 +68,10 @@ struct LinkRunStats {
   std::uint64_t noise_captures = 0;  ///< first detection was dark/afterpulse/background
   std::uint64_t bit_errors = 0;
   std::uint64_t total_bits = 0;
-  /// Counter-RNG draws of the window kernel's lanes: every batched
-  /// window's and every per-window transmit_symbol's. Draws on the
-  /// caller's RngStream (the TDC's racing-tap coins) are tracked by
-  /// that stream.
+  /// Counter-RNG draws of the window kernel's lanes, every window's.
+  /// Draws on the caller's RngStream (the TDC's racing-tap coins) are
+  /// tracked by that stream, except the one raw root draw per driver
+  /// call, which nothing counts.
   std::uint64_t rng_draws = 0;
   util::Time elapsed;                ///< symbols x MW
   util::Energy tx_energy;
@@ -114,9 +114,10 @@ class OpticalLink {
   /// becomes the receiver's static TOA correction. This absorbs the
   /// brightness-dependent first-photon bias (a bright pulse fires the
   /// SPAD near its leading edge, not at the envelope mean) alongside
-  /// delay-line drift -- the paper's "regular calibration". Returns the
-  /// training windows' kernel-lane draws, which rng.draws() does not
-  /// count.
+  /// delay-line drift -- the paper's "regular calibration". The
+  /// training pulses run as one kernel batch on lanes keyed like a
+  /// driver call's, then convert in lane order. Returns their
+  /// kernel-lane draws, which rng.draws() does not count.
   std::uint64_t recalibrate(std::uint64_t samples, util::RngStream& rng);
   /// Static TOA correction currently applied by the receiver.
   [[nodiscard]] util::Time detection_offset() const { return detection_offset_; }

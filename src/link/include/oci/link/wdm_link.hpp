@@ -7,10 +7,11 @@
 // fire the detector first decode as noise captures -- exactly the
 // failure mode the abl_wdm bench sweeps against channel spacing.
 //
-// Transport runs on the multi-source LinkEngine: each victim window
-// merges its own pulse with K-1 aggressor SourcePulses (one per other
-// channel, mean = photons/pulse x collected fraction) instead of
-// materialising, sorting and per-photon-thinning leaked photons. The
+// Transport runs on the multi-source LinkEngine, one driver run per
+// channel: each victim window merges its own pulse with K-1 aggressor
+// pulses (one per other channel, mean = photons/pulse x collected
+// fraction) instead of materialising, sorting and per-photon-thinning
+// leaked photons. The
 // old materialised pipeline is retained as transmit_reference /
 // measure_reference -- the statistical oracle the engine path is
 // z-tested against, and deliberately NOT called by any bench loop.

@@ -154,21 +154,30 @@ std::uint64_t OpticalLink::recalibrate(std::uint64_t samples, RngStream& rng) {
   // measures the mean first-detected-photon delay at the operating
   // brightness (NOT the envelope mean -- a bright pulse triggers near
   // its leading edge) together with any residual TDC bias.
-  constexpr int kTrainingPulses = 1000;
-  const LinkEngine engine(*this);
-  const Time window = tdc_.toa_window();
+  // The training pulses are independent windows: one kernel batch,
+  // then the conversions in lane order. Training is a controlled
+  // procedure: the dark-count rate is intrinsic to the junction and
+  // stays, but ambient background flux is excluded.
+  constexpr std::size_t kTrainingPulses = 1000;
+  kernels::BatchParams training = LinkEngine(*this).kernel_params();
+  training.noise_rate = spad_.dcr().hertz();
+  const util::BatchRngStream lanes(rng.engine()(), LinkEngine::kWindowLanes);
+  std::vector<WindowResult> probes(kTrainingPulses);
+  for (WindowResult& w : probes) {
+    // Random positions over most of the window average out local INL.
+    w.pulse_start_s = rng.uniform_time(tdc_.toa_window() * 0.75).seconds();
+  }
+  kernels::simulate_windows(training, probes, lanes, 0);
   double residual_sum_s = 0.0;
   std::int64_t training_hits = 0;
   std::uint64_t lane_draws = 0;
-  for (int i = 0; i < kTrainingPulses; ++i) {
-    // Random positions over most of the window average out local INL.
-    const Time pulse_start = rng.uniform_time(window * 0.75);
-    const std::optional<Time> first = engine.probe_pulse(pulse_start, rng, lane_draws);
-    if (!first) continue;  // no detection, or a noise capture
-    const tdc::TdcReading reading = tdc_.convert(*first, rng);
+  for (const WindowResult& w : probes) {
+    lane_draws += w.rng_draws;
+    if (!w.fired || !w.first_is_signal) continue;  // no detection, or a noise capture
+    const tdc::TdcReading reading = tdc_.convert(Time::seconds(w.first_observed_s), rng);
     const Time calibrated =
         lut_.valid() ? lut_.correct(reading, tdc_.clock_period()) : reading.estimate;
-    residual_sum_s += (calibrated - pulse_start).seconds();
+    residual_sum_s += calibrated.seconds() - w.pulse_start_s;
     ++training_hits;
   }
   if (training_hits > 0) {

@@ -85,53 +85,40 @@ WdmLink::RunResult WdmLink::transmit(const std::vector<std::vector<std::uint64_t
                                      RngStream& rng) const {
   check_streams(symbols);
   const std::size_t length = symbols.empty() ? 0 : symbols.front().size();
+  const std::size_t k = links_.size() - 1;  // aggressors per victim
 
+  // One driver run per channel. All channels run symbol-aligned off one
+  // period (the template design is shared, so periods are identical),
+  // so every aggressor pulse sits where its channel's symbol put it in
+  // the victim's window.
   RunResult result;
   result.per_channel.resize(links_.size());
-  std::vector<Time> dead_until(links_.size(), Time::zero());
-  // Per-channel engines and one aggressor buffer reused across every
-  // window: after the first window the whole run is allocation-free
-  // (modulo the decoded/erased output growth).
-  std::vector<LinkEngine> engines;
-  engines.reserve(links_.size());
-  for (const auto& l : links_) engines.emplace_back(*l);
-  for (auto& chan : result.per_channel) {
+  std::vector<double> means(k);
+  std::vector<double> starts(length * k);
+  for (std::size_t i = 0; i < links_.size(); ++i) {
+    // Leakage of every aggressor through victim i's demux port: one
+    // optical mean per other channel (photons collected at victim i),
+    // merged by the engine's k-way hazard streams -- no photon
+    // materialisation.
+    std::size_t a = 0;
+    for (std::size_t j = 0; j < links_.size(); ++j) {
+      if (j == i) continue;
+      means[a] = links_[j]->led().photons_per_pulse() * collected_fraction(i, j);
+      for (std::size_t w = 0; w < length; ++w) {
+        starts[w * k + a] = links_[j]->ppm().encode(symbols[j][w]).seconds();
+      }
+      ++a;
+    }
+    OpticalLink::RunResult& chan = result.per_channel[i];
     chan.decoded.reserve(length);
     chan.erased.reserve(length);
-  }
-  std::vector<SourcePulse> aggressors;
-  aggressors.reserve(links_.size() > 0 ? links_.size() - 1 : 0);
-  std::vector<Time> pulse_start(links_.size());
-
-  // All channels run symbol-aligned off the slowest common period (the
-  // template design is shared, so periods are identical).
-  Time window_start = Time::zero();
-  for (std::size_t w = 0; w < length; ++w) {
-    // Aggressor pulse positions this window.
-    for (std::size_t j = 0; j < links_.size(); ++j) {
-      pulse_start[j] = window_start + links_[j]->ppm().encode(symbols[j][w]);
-    }
-    for (std::size_t i = 0; i < links_.size(); ++i) {
-      // Leakage of every aggressor through victim i's demux port: a
-      // SourcePulse per aggressor (mean photons collected at victim i),
-      // merged by the engine's k-way hazard streams -- no photon
-      // materialisation.
-      aggressors.clear();
-      for (std::size_t j = 0; j < links_.size(); ++j) {
-        if (j == i) continue;
-        aggressors.push_back(SourcePulse{
-            links_[j]->led().photons_per_pulse() * collected_fraction(i, j),
-            pulse_start[j]});
-      }
-
-      auto& chan = result.per_channel[i];
-      const std::uint64_t erasures_before = chan.stats.erasures;
-      chan.decoded.push_back(engines[i].transmit_symbol(symbols[i][w], window_start,
-                                                        dead_until[i], chan.stats, rng,
-                                                        {.aggressors = aggressors}));
-      chan.erased.push_back(chan.stats.erasures != erasures_before);
-    }
-    window_start += links_.front()->symbol_period();
+    chan.stats = LinkEngine(*links_[i]).run_sequence(
+        symbols[i], rng,
+        [&chan](std::size_t, const LinkEngine::SymbolOutcome& out) {
+          chan.decoded.push_back(out.decoded);
+          chan.erased.push_back(out.erased);
+        },
+        {.aggressor_means = means, .aggressor_starts_s = starts});
   }
   return result;
 }

@@ -10,8 +10,9 @@
 // Policy vs mechanism: this module owns the POLICY -- which proposal,
 // which factors, which level schedule, how weights roll up into a
 // chunk. The MECHANISM (tilted window simulation with exact per-symbol
-// log likelihood-ratios) is link::LinkEngine::transmit_symbol with a
-// WindowRequest whose `rare` points at the proposal.
+// log likelihood-ratios) is link::LinkEngine::run_symbols with
+// WindowInputs whose `rare` points at the proposal and whose windows
+// are independent.
 // The scenario layer declares the policy via `variance.*` spec
 // keys (a rare::RareSpec on ScenarioSpec) and routes accelerated
 // points here from its p2p-symbols path.

@@ -13,37 +13,26 @@ namespace oci::rare {
 namespace {
 
 using util::RngStream;
-using util::Time;
 
 /// Two-sided normal survival P(|Z| >= z).
 double survival(double z) { return std::erfc(z / std::sqrt(2.0)); }
 
-/// Runs `count` i.i.d. symbol windows under the proposal in `ctl`,
-/// weighting every per-symbol delta by base_weight x exp(log LR).
-void run_weighted(const link::LinkEngine& engine, const link::OpticalLink& link,
-                  const link::RareSampling& proposal, double base_weight,
-                  std::uint64_t count, RngStream& rng, ChunkResult& out) {
-  const auto max_symbol = static_cast<std::int64_t>(link.ppm().slot_count()) - 1;
-  link::RareSampling ctl = proposal;
-  const link::WindowRequest request{.rare = &ctl};
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const auto symbol = static_cast<std::uint64_t>(rng.uniform_int(0, max_symbol));
-    Time dead_until = Time::zero();  // i.i.d. windows: no cross-symbol carry
-    const std::uint64_t sym_err0 = out.stats.symbol_errors;
-    const std::uint64_t eras0 = out.stats.erasures;
-    const std::uint64_t bits0 = out.stats.bit_errors;
-    const std::uint64_t noise0 = out.stats.noise_captures;
-    (void)engine.transmit_symbol(symbol, Time::zero(), dead_until, out.stats, rng, request);
-    const double w = base_weight * std::exp(ctl.log_weight);
+/// Runs `count` i.i.d. symbol windows under `proposal`, weighting every
+/// per-symbol outcome by base_weight x exp(log LR).
+void run_weighted(const link::LinkEngine& engine, const link::RareSampling& proposal,
+                  double base_weight, std::uint64_t count, RngStream& rng, ChunkResult& out) {
+  const auto weigh = [&](std::uint64_t, const link::LinkEngine::SymbolOutcome& o) {
+    const double w = base_weight * std::exp(o.log_weight);
     out.weights.add(w);
-    const bool sym_err = out.stats.symbol_errors != sym_err0;
-    const bool erased = out.stats.erasures != eras0;
+    const bool sym_err = !o.erased && o.decoded != o.sent;
     if (sym_err) out.w_symbol_errors += w;
-    if (erased) out.w_erasures += w;
-    if (sym_err || erased) out.err_weight_sq += w * w;  // ser = errors + erasures
-    out.w_bit_errors += w * static_cast<double>(out.stats.bit_errors - bits0);
-    if (out.stats.noise_captures != noise0) out.w_noise_captures += w;
-  }
+    if (o.erased) out.w_erasures += w;
+    if (sym_err || o.erased) out.err_weight_sq += w * w;  // ser = errors + erasures
+    out.w_bit_errors +=
+        w * static_cast<double>(modulation::PpmCodec::hamming(o.sent, o.decoded));
+    if (o.noise_capture) out.w_noise_captures += w;
+  };
+  out.stats += engine.run_symbols(count, rng, weigh, {.rare = &proposal, .independent = true});
   out.samples += count;
 }
 
@@ -56,7 +45,7 @@ ChunkResult run_tilted(const link::OpticalLink& link, const RareSpec& spec,
   proposal.noise_scale = spec.noise_tilt;
   ChunkResult out;
   RngStream stream = rng.fork("rare/" + std::to_string(point_index) + "/tilt");
-  run_weighted(engine, link, proposal, 1.0, samples, stream, out);
+  run_weighted(engine, proposal, 1.0, samples, stream, out);
   out.rng_draws = stream.draws() + out.stats.rng_draws;
   return out;
 }
@@ -93,7 +82,7 @@ ChunkResult run_split(const link::OpticalLink& link, const RareSpec& spec,
     // Per-LEVEL streams: band b's samples come from their own fork, so
     // one band's trajectory count never perturbs another's draws.
     RngStream stream = rng.fork(prefix + std::to_string(b));
-    run_weighted(engine, link, proposal, weight, n_b, stream, out);
+    run_weighted(engine, proposal, weight, n_b, stream, out);
     out.rng_draws += stream.draws();
   }
   out.rng_draws += out.stats.rng_draws;

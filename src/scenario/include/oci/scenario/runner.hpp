@@ -142,8 +142,8 @@ struct RunReport {
   std::uint64_t cache_save_failures = 0;
   /// Sweep points whose hardware this run realised: one per point that
   /// simulated a chunk, none for a point served wholly from the cache
-  /// (and none on the vertical-bus and code-density paths, whose chunks
-  /// build their own). Informational, like the cache counters.
+  /// (and none on the code-density path, whose one chunk builds its own
+  /// delay line). Informational, like the cache counters.
   std::uint64_t points_realised = 0;
   /// kEngineRevision of the engine that simulated the report (0: read
   /// from a document written before the field existed). Exported in

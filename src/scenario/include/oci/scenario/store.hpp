@@ -59,7 +59,15 @@ namespace oci::scenario {
 ///      point's run stream moves while per-die counts stay independent
 ///      Poisson(rate); vertical-bus points count each die's process,
 ///      symbol-pick and receive draws (they reported 0)
-inline constexpr unsigned kEngineRevision = 9;
+///  10  one window driver: every window is lane j of one
+///      (root, "engine-windows") family per driver call -- training
+///      probes as one kernel batch, dark/flaky, aggressor, rare-event,
+///      WDM and bus windows through the batched driver's per-window
+///      inputs -- so lane keys and the TDC coins' order move every
+///      calibrated link's trained offset and every formerly per-window
+///      path within sampling noise; the bus realises its receivers once
+///      per point and draws its symbols from the chunk's "mc" stream
+inline constexpr unsigned kEngineRevision = 10;
 
 /// Address of one simulation chunk.
 struct ChunkKey {

@@ -5,7 +5,7 @@
 // transforms are not bit-stable across standard library
 // implementations. The window kernel instead derives one tiny
 // counter-based stream PER WINDOW ("lane") from a single 64-bit root
-// (a batch's root, or one raw draw of a per-window caller's stream):
+// (one raw draw of the caller's stream per driver call):
 //
 //   root --lane_key(i)--> key_i --splitmix64 walk--> u64, u64, ...
 //

@@ -17,8 +17,8 @@ namespace oci::util {
 [[nodiscard]] std::uint64_t derive_seed(std::uint64_t root, std::string_view label);
 
 /// splitmix64 step; used both for seed derivation and as a cheap mixer.
-/// Inline: the window kernel's counter draws and per-window lane keys
-/// call it once per draw.
+/// Inline: the window kernel's counter draws and lane keys call it
+/// once per draw.
 [[nodiscard]] inline std::uint64_t splitmix64(std::uint64_t& state) {
   state += 0x9E3779B97F4A7C15ull;
   std::uint64_t z = state;

@@ -9,9 +9,9 @@
 //
 //   * the single-source run_symbols driver (abl_scaling, abl_fec) and
 //     the batched window kernel under it,
-//   * the multi-source interference window loop (WdmLink / bus
-//     contention inner loop),
-//   * the rare-event proposal window loop (oci::rare drivers),
+//   * the same driver with per-window inputs: aggressor pulses (WdmLink,
+//     bus contention), a rare-event proposal on independent windows
+//     (oci::rare drivers) and launch scales (dark/flaky windows),
 //   * the LinkEngine-coupled NoC delivery model (StackNetwork sweeps).
 //
 // After a warm-up pass (which may size scratch buffers), the loops
@@ -25,6 +25,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <span>
+#include <vector>
 
 #include "oci/link/link_engine.hpp"
 #include "oci/link/symbol_delivery.hpp"
@@ -86,7 +88,6 @@ using link::LinkEngine;
 using link::LinkRunStats;
 using link::OpticalLink;
 using link::OpticalLinkConfig;
-using link::SourcePulse;
 using util::Frequency;
 using util::Power;
 using util::RngStream;
@@ -165,73 +166,89 @@ TEST(AllocGuard, BatchedWindowKernelIsAllocationFree) {
   expect_no_allocations(before, after, "simulate_windows batch loop");
 }
 
-TEST(AllocGuard, MultiSourceInterferenceLoopIsAllocationFree) {
+/// No-op reducer of the driver runs below.
+void ignore(std::size_t, const LinkEngine::SymbolOutcome&) {}
+
+TEST(AllocGuard, AggressorDriverIsAllocationFree) {
   RngStream process(1213);
   const OpticalLink link(guard_config(), process);
   const LinkEngine engine(link);
   RngStream tx(1217);
 
-  // The WDM / bus-contention inner loop shape: a fixed-size aggressor
-  // set rebuilt per window; the engine reuses its source states.
-  std::array<SourcePulse, 3> aggressors{};
-  LinkRunStats stats;
-  Time t = Time::zero();
-  Time dead_until = Time::zero();
-  const Time window = link.toa_window();
-
-  const auto run_windows = [&](int count) {
-    for (int i = 0; i < count; ++i) {
-      for (std::size_t k = 0; k < aggressors.size(); ++k) {
-        aggressors[k] =
-            SourcePulse{6.0, t + window * (0.2 + 0.25 * static_cast<double>(k))};
-      }
-      (void)engine.transmit_symbol(static_cast<std::uint64_t>(i % 32), t, dead_until, stats,
-                                   tx, {.aggressors = aggressors});
-      t += link.symbol_period();
+  // The WDM / bus-contention shape: three aggressors whose starts move
+  // from window to window; the engine reuses one batch of source states.
+  constexpr std::size_t kWindows = 1024;
+  std::vector<std::uint64_t> symbols(kWindows);
+  std::vector<double> starts(3 * kWindows);
+  const double window_s = link.toa_window().seconds();
+  for (std::size_t i = 0; i < kWindows; ++i) {
+    symbols[i] = i % 32;
+    for (std::size_t k = 0; k < 3; ++k) {
+      starts[3 * i + k] = window_s * (0.2 + 0.25 * static_cast<double>((i + k) % 3));
     }
-  };
-
-  run_windows(16);  // warm-up: sizes the engine's source states
+  }
+  const std::array<double, 3> means{6.0, 6.0, 6.0};
+  const link::WindowInputs in{.aggressor_means = means, .aggressor_starts_s = starts};
+  // Warm-up: sizes the engine's source states.
+  (void)engine.run_sequence(
+      std::span(symbols).first(16), tx, ignore,
+      {.aggressor_means = means, .aggressor_starts_s = std::span(starts).first(3 * 16)});
 
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  run_windows(1024);
+  const LinkRunStats stats = engine.run_sequence(symbols, tx, ignore, in);
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
 
-  EXPECT_EQ(stats.symbols_sent, 16u + 1024u);
-  expect_no_allocations(before, after, "multi-source window loop");
+  EXPECT_EQ(stats.symbols_sent, kWindows);
+  EXPECT_GT(stats.noise_captures, 0u);  // the aggressors really fired
+  expect_no_allocations(before, after, "aggressor driver run");
 }
 
-TEST(AllocGuard, RareProposalSymbolLoopIsAllocationFree) {
+TEST(AllocGuard, RareProposalDriverIsAllocationFree) {
   RngStream process(1237);
   const OpticalLink link(guard_config(), process);
   const LinkEngine engine(link);
   RngStream tx(1239);
 
-  // oci::rare's inner loop shape: i.i.d. windows under a jitter and
-  // noise tilt, the log likelihood-ratio read back per window.
+  // oci::rare's shape: i.i.d. windows under a jitter and noise tilt,
+  // the log likelihood-ratio read back per window.
   link::RareSampling proposal;
   proposal.jitter_scale = 2.0;
   proposal.noise_scale = 3.0;
-  LinkRunStats stats;
+  const link::WindowInputs in{.rare = &proposal, .independent = true};
   double log_weight_sum = 0.0;
-  const auto run_windows = [&](int count) {
-    for (int i = 0; i < count; ++i) {
-      Time dead_until = Time::zero();
-      (void)engine.transmit_symbol(static_cast<std::uint64_t>(i % 32), Time::zero(),
-                                   dead_until, stats, tx, {.rare = &proposal});
-      log_weight_sum += proposal.log_weight;
-    }
+  const auto weigh = [&](std::uint64_t, const LinkEngine::SymbolOutcome& out) {
+    log_weight_sum += out.log_weight;
   };
-
-  run_windows(16);  // warm-up
+  (void)engine.run_symbols(16, tx, weigh, in);  // warm-up
 
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  run_windows(1024);
+  const LinkRunStats stats = engine.run_symbols(1024, tx, weigh, in);
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
 
-  EXPECT_EQ(stats.symbols_sent, 16u + 1024u);
+  EXPECT_EQ(stats.symbols_sent, 1024u);
   EXPECT_NE(log_weight_sum, 0.0);  // the proposal really tilted
-  expect_no_allocations(before, after, "rare-proposal window loop");
+  expect_no_allocations(before, after, "rare-proposal driver run");
+}
+
+TEST(AllocGuard, LaunchScaleDriverIsAllocationFree) {
+  RngStream process(1241);
+  const OpticalLink link(guard_config(), process);
+  const LinkEngine engine(link);
+  RngStream tx(1243);
+
+  // The runner's dark/flaky-window shape: a launch scale per window.
+  std::vector<double> scale(1024);
+  for (std::size_t i = 0; i < scale.size(); ++i) scale[i] = std::array{1.0, 0.0, 0.4}[i % 3];
+  const link::WindowInputs in{.signal_scale = scale};
+  (void)engine.measure(16, tx, {.signal_scale = std::span(scale).first(16)});  // warm-up
+
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const LinkRunStats stats = engine.measure(scale.size(), tx, in);
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+
+  EXPECT_EQ(stats.symbols_sent, scale.size());
+  EXPECT_GT(stats.erasures, scale.size() / 4);  // the dark windows erase
+  expect_no_allocations(before, after, "launch-scale driver run");
 }
 
 TEST(AllocGuard, NocDeliveryModelLoopIsAllocationFree) {

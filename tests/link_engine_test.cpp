@@ -4,19 +4,16 @@
 //  * GOLDEN, bit-for-bit -- OpticalLink's measure()/transmit() must
 //    reproduce the exact counters of an explicit LinkEngine run at the
 //    same seed: the facade and the engine ride the same batched driver.
-//    (Per-lane bit-exactness of the batched path itself -- across ISA
-//    kernels, batch sizes and thread counts -- is pinned separately in
-//    engine_batch_test.)
-//  * STATISTICAL -- the per-window transmit_symbol loop and the
-//    batched drivers run the same window kernel on differently keyed
-//    lanes, and the reference per-photon pipeline
+//    (Per-lane bit-exactness of the batched path itself -- across batch
+//    sizes, per-lane inputs and thread counts -- is pinned separately
+//    in engine_batch_test.)
+//  * STATISTICAL -- the reference per-photon pipeline
 //    (transmit_symbol_reference) draws differently by design, so
-//    cross-path agreement is asserted with two-proportion z-tests on
-//    erasure/error/noise-capture rates across link configurations.
-//    (That a transmit_symbol window IS the lane it keys is pinned
-//    bit-for-bit in engine_batch_test.)
+//    agreement with the engine is asserted with two-proportion z-tests
+//    on erasure/error/noise-capture rates across link configurations.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -106,48 +103,6 @@ TEST_P(EngineGolden, MeasureMatchesExplicitEngineBitForBit) {
   const LinkRunStats via_engine = engine.measure(1500, tx_engine);
 
   expect_identical(via_api, via_engine);
-}
-
-TEST_P(EngineGolden, PerSymbolLoopMatchesBatchedRunStatistically) {
-  // Both drivers run the window kernel, but a transmit_symbol loop
-  // keys each lane by a draw of its stream while the batched driver
-  // keys lanes by index, so the two agree in distribution, not draw
-  // for draw: rates must agree statistically and the deterministic
-  // accounting must agree exactly.
-  RngStream process(823);
-  const OpticalLink link(config(), process);
-  const LinkEngine engine(link);
-  constexpr std::uint64_t n = 4000;
-
-  // Per-window driver: one transmit_symbol call per window.
-  RngStream tx_loop(827);
-  LinkRunStats loop_stats;
-  Time t = Time::zero();
-  Time dead_until = Time::zero();
-  const std::uint64_t max_symbol = (std::uint64_t{1} << link.bits_per_symbol()) - 1;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const auto symbol = static_cast<std::uint64_t>(
-        tx_loop.uniform_int(0, static_cast<std::int64_t>(max_symbol)));
-    (void)engine.transmit_symbol(symbol, t, dead_until, loop_stats, tx_loop);
-    t += link.symbol_period();
-  }
-
-  // Batched driver: same engine, whole batches.
-  RngStream tx_batch(829);
-  const LinkRunStats batch_stats = engine.measure(n, tx_batch);
-
-  EXPECT_EQ(loop_stats.symbols_sent, batch_stats.symbols_sent);
-  EXPECT_EQ(loop_stats.total_bits, batch_stats.total_bits);
-  EXPECT_DOUBLE_EQ(loop_stats.elapsed.seconds(), batch_stats.elapsed.seconds());
-  EXPECT_DOUBLE_EQ(loop_stats.tx_energy.joules(), batch_stats.tx_energy.joules());
-  EXPECT_DOUBLE_EQ(loop_stats.rx_energy.joules(), batch_stats.rx_energy.joules());
-  EXPECT_RATES_CONSISTENT(loop_stats.erasures, n, batch_stats.erasures, n, 1e-4);
-  EXPECT_RATES_CONSISTENT(loop_stats.symbol_errors, n, batch_stats.symbol_errors, n,
-                          1e-4);
-  EXPECT_RATES_CONSISTENT(loop_stats.noise_captures, n, batch_stats.noise_captures, n,
-                          1e-4);
-  EXPECT_RATES_CONSISTENT(loop_stats.bit_errors, loop_stats.total_bits,
-                          batch_stats.bit_errors, batch_stats.total_bits, 1e-4);
 }
 
 TEST_P(EngineGolden, TransmitMatchesRunSequenceBitForBit) {
@@ -263,39 +218,38 @@ TEST(LinkEngine, DeadTimeCarriesAcrossSymbols) {
   RngStream process(953);
   const OpticalLink link(cfg, process);
 
-  const LinkEngine engine(link);
-  LinkRunStats stats;
-  Time dead_until = Time::zero();
   // Symbol in the LAST slot then symbol in the FIRST slot: the second
   // pulse follows the first by far less than the 40 ns dead time.
-  const std::uint64_t last_slot_symbol = link.ppm().symbol_for_slot(31);
-  const std::uint64_t first_slot_symbol = link.ppm().symbol_for_slot(0);
-  (void)engine.transmit_symbol(last_slot_symbol, Time::zero(), dead_until, stats,
-                               process);
-  const Time second_start = link.symbol_period();
-  (void)engine.transmit_symbol(first_slot_symbol, second_start, dead_until, stats, process);
-  EXPECT_EQ(stats.erasures, 1u);  // second window blind
-  EXPECT_GT(dead_until, second_start);
+  const std::array<std::uint64_t, 2> symbols{link.ppm().symbol_for_slot(31),
+                                             link.ppm().symbol_for_slot(0)};
+  std::vector<bool> erased;
+  const LinkRunStats stats = LinkEngine(link).run_sequence(
+      symbols, process,
+      [&](std::size_t, const LinkEngine::SymbolOutcome& out) { erased.push_back(out.erased); });
+  EXPECT_EQ(stats.erasures, 1u);
+  EXPECT_EQ(erased, (std::vector<bool>{false, true}));  // second window blind
 }
 
-TEST(LinkEngine, ProbePulseReturnsSignalHitOnBrightLink) {
+TEST(LinkEngine, TrainingBatchFindsTheLeadingEdgeOnTheDarkCountRate) {
+  // recalibrate's training pulses run as one kernel batch. A bright
+  // pulse fires the SPAD near its leading edge, so the trained offset
+  // sits within 1 ns of the pulse start; ambient background stays out
+  // of training, so a link that differs only in background rate trains
+  // to the same offset, bit for bit, from the same streams.
   RngStream process(967);
-  const OpticalLink link(base_config(), process);
-  const LinkEngine engine(link);
+  OpticalLink link(base_config(), process);
   RngStream rng(971);
-  int hits = 0;
-  std::uint64_t lane_draws = 0;
-  for (int i = 0; i < 100; ++i) {
-    const auto first = engine.probe_pulse(Time::nanoseconds(10.0), rng, lane_draws);
-    if (first) {
-      ++hits;
-      // First detection of a bright pulse sits near the pulse start
-      // (within jitter + envelope width).
-      EXPECT_NEAR(first->nanoseconds(), 10.0, 1.0);
-    }
-  }
-  EXPECT_GT(hits, 95);  // detection probability ~ 1 on this budget
-  EXPECT_GE(lane_draws, 100u);  // every lane draws its signal hazard at least
+  const std::uint64_t lane_draws = link.recalibrate(50000, rng);
+  EXPECT_GE(lane_draws, 1000u);  // every probe draws its signal hazard at least
+  EXPECT_NEAR(link.detection_offset().nanoseconds(), 0.0, 1.0);
+
+  OpticalLinkConfig lit = base_config();
+  lit.background_rate = Frequency::megahertz(50.0);
+  RngStream lit_process(967);
+  OpticalLink lit_link(lit, lit_process);
+  RngStream lit_rng(971);
+  EXPECT_EQ(lit_link.recalibrate(50000, lit_rng), lane_draws);
+  EXPECT_EQ(lit_link.detection_offset().seconds(), link.detection_offset().seconds());
 }
 
 }  // namespace

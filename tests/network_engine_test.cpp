@@ -9,13 +9,14 @@
 // noise-capture / bit-error rates, for each interference-bearing
 // consumer path (raw interference, WDM, bus contention) at >= 3
 // configurations each. Golden bit-for-bit checks cover what MUST be
-// exact: every WindowRequest default (unit scale, empty aggressor set,
-// identity rare proposal) degenerating to the plain single-source
-// window, and determinism across identical seeds.
+// exact: every WindowInputs field at its neutral value (unit scales, no
+// or zero-mean aggressors, the identity rare proposal) degenerating to
+// the plain single-source run, and determinism across identical seeds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -36,7 +37,6 @@ using link::LinkEngine;
 using link::LinkRunStats;
 using link::OpticalLink;
 using link::OpticalLinkConfig;
-using link::SourcePulse;
 using photonics::PhotonArrival;
 using util::Frequency;
 using util::Power;
@@ -109,32 +109,22 @@ InterferenceCase interference_case(int id) {
   return c;
 }
 
-std::vector<SourcePulse> aggressors_for(const InterferenceCase& c, const OpticalLink& link,
-                                        Time window_start) {
-  std::vector<SourcePulse> out;
-  const Time window = link.toa_window();
-  for (std::size_t k = 0; k < c.aggressor_means.size(); ++k) {
-    out.push_back(
-        SourcePulse{c.aggressor_means[k], window_start + window * c.aggressor_fractions[k]});
-  }
-  return out;
-}
-
 LinkRunStats run_interference_engine(const InterferenceCase& c, const OpticalLink& link,
                                      RngStream& rng) {
-  const LinkEngine engine(link);
-  LinkRunStats stats;
-  Time t = Time::zero();
-  Time dead_until = Time::zero();
-  const std::uint64_t max_symbol = (std::uint64_t{1} << link.bits_per_symbol()) - 1;
+  const auto max_symbol = static_cast<std::int64_t>(link.ppm().slot_count()) - 1;
+  std::vector<std::uint64_t> symbols(c.symbols);
+  for (std::uint64_t& s : symbols) s = static_cast<std::uint64_t>(rng.uniform_int(0, max_symbol));
+  // Every window carries the same aggressors at the same window-local
+  // starts.
+  std::vector<double> starts;
   for (std::uint64_t i = 0; i < c.symbols; ++i) {
-    const auto symbol = static_cast<std::uint64_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(max_symbol)));
-    const std::vector<SourcePulse> aggressors = aggressors_for(c, link, t);
-    (void)engine.transmit_symbol(symbol, t, dead_until, stats, rng, {.aggressors = aggressors});
-    t += link.symbol_period();
+    for (const double f : c.aggressor_fractions) {
+      starts.push_back((link.toa_window() * f).seconds());
+    }
   }
-  return stats;
+  return LinkEngine(link).run_sequence(
+      symbols, rng, [](std::size_t, const LinkEngine::SymbolOutcome&) {},
+      {.aggressor_means = c.aggressor_means, .aggressor_starts_s = starts});
 }
 
 LinkRunStats run_interference_reference(const InterferenceCase& c, const OpticalLink& link,
@@ -148,11 +138,12 @@ LinkRunStats run_interference_reference(const InterferenceCase& c, const Optical
         rng.uniform_int(0, static_cast<std::int64_t>(max_symbol)));
     // Materialise each aggressor pulse the pre-engine way.
     std::vector<PhotonArrival> interference;
-    for (const SourcePulse& a : aggressors_for(c, link, t)) {
-      const auto n = rng.poisson(a.mean_photons);
+    for (std::size_t k = 0; k < c.aggressor_means.size(); ++k) {
+      const Time start = t + link.toa_window() * c.aggressor_fractions[k];
+      const auto n = rng.poisson(c.aggressor_means[k]);
       for (std::int64_t p = 0; p < n; ++p) {
         const Time offset = link.led().sample_emission_time(rng.uniform());
-        interference.push_back(PhotonArrival{a.start + offset, /*is_signal=*/false});
+        interference.push_back(PhotonArrival{start + offset, /*is_signal=*/false});
       }
     }
     std::sort(interference.begin(), interference.end(),
@@ -182,44 +173,54 @@ TEST_P(InterferenceEngineVsReference, RatesConsistent) {
 INSTANTIATE_TEST_SUITE_P(Configs, InterferenceEngineVsReference,
                          ::testing::Values(0, 1, 2));
 
-TEST(MultiSourceEngine, EmptyAggressorSetMatchesSingleSourceBitForBit) {
-  // Every WindowRequest default is an exact no-op: a unit scale, an
-  // empty aggressor set and an identity rare proposal each replay the
-  // plain window draw for draw.
+TEST(MultiSourceEngine, NeutralInputsMatchThePlainRunBitForBit) {
+  // Every WindowInputs field at its neutral value is an exact no-op:
+  // unit scales, zero-mean aggressors and the identity rare proposal
+  // each replay the plain run draw for draw, log weights staying 0.
   const InterferenceCase c = interference_case(0);
   RngStream process(1031);
   const OpticalLink link(c.cfg, process);
   const LinkEngine engine(link);
 
-  link::RareSampling identity;
-  const std::array<link::WindowRequest, 4> requests{{
+  constexpr std::size_t kSymbols = 400;
+  std::vector<std::uint64_t> symbols(kSymbols);
+  for (std::size_t i = 0; i < kSymbols; ++i) symbols[i] = i % 32;
+  const std::vector<double> ones(kSymbols, 1.0);
+  const std::array<double, 2> silent{0.0, 0.0};
+  const std::vector<double> starts(2 * kSymbols, 0.5 * link.toa_window().seconds());
+  const link::RareSampling identity;
+  const std::array<link::WindowInputs, 4> inputs{{
       {},
-      {.signal_scale = 1.0},
-      {.aggressors = {}},
+      {.signal_scale = ones},
+      {.aggressor_means = silent, .aggressor_starts_s = starts},
       {.rare = &identity},
   }};
-  std::array<LinkRunStats, 4> stats{};
-  std::array<Time, 4> dead_until{};  // all Time::zero()
-  std::vector<RngStream> tx(requests.size(), RngStream(1033));
-  Time t = Time::zero();
-  for (int i = 0; i < 400; ++i) {
-    const auto symbol = static_cast<std::uint64_t>(i % 32);
-    identity.log_weight = 1.0;  // an output: must be reset, then stay 0
-    const std::uint64_t plain =
-        engine.transmit_symbol(symbol, t, dead_until[0], stats[0], tx[0], requests[0]);
-    for (std::size_t r = 1; r < requests.size(); ++r) {
-      EXPECT_EQ(engine.transmit_symbol(symbol, t, dead_until[r], stats[r], tx[r], requests[r]),
-                plain)
-          << "request " << r << ", symbol " << i;
-    }
-    EXPECT_EQ(identity.log_weight, 0.0);
-    t += link.symbol_period();
+
+  struct Run {
+    LinkRunStats stats;
+    std::vector<std::uint64_t> decoded;
+    double log_weights = 0.0;
+    std::uint64_t draws = 0;
+  };
+  std::vector<Run> runs(inputs.size());
+  for (std::size_t r = 0; r < inputs.size(); ++r) {
+    RngStream tx(1033);
+    runs[r].stats = engine.run_sequence(
+        symbols, tx,
+        [&](std::size_t, const LinkEngine::SymbolOutcome& out) {
+          runs[r].decoded.push_back(out.decoded);
+          runs[r].log_weights += std::abs(out.log_weight);
+        },
+        inputs[r]);
+    runs[r].draws = tx.draws();
   }
-  for (std::size_t r = 1; r < requests.size(); ++r) {
-    SCOPED_TRACE("request " + std::to_string(r));
-    expect_identical(stats[0], stats[r]);
-    EXPECT_EQ(dead_until[0].seconds(), dead_until[r].seconds());
-    EXPECT_EQ(tx[0].draws(), tx[r].draws());
+  for (std::size_t r = 1; r < runs.size(); ++r) {
+    SCOPED_TRACE("inputs " + std::to_string(r));
+    expect_identical(runs[0].stats, runs[r].stats);
+    EXPECT_EQ(runs[0].stats.rng_draws, runs[r].stats.rng_draws);
+    EXPECT_EQ(runs[0].decoded, runs[r].decoded);
+    EXPECT_EQ(runs[0].draws, runs[r].draws);
+    EXPECT_EQ(runs[r].log_weights, 0.0);
   }
 }
 
@@ -413,12 +414,14 @@ INSTANTIATE_TEST_SUITE_P(Configs, BusContentionEngineVsReference,
 TEST(VerticalBusMonteCarlo, BroadcastReachesNearDiesAndIsDeterministic) {
   const bus::VerticalBusConfig cfg = bus_case(0);
   const bus::VerticalBus vbus(cfg);
-  RngStream r1(1097), r2(1097);
-  const auto a = vbus.monte_carlo_broadcast(400, r1);
-  const auto b = vbus.monte_carlo_broadcast(400, r2);
+  RngStream process(1097);
+  const bus::BusReceivers receivers = vbus.build_receivers(process);
+  RngStream r1(1099), r2(1099);
+  const auto a = vbus.monte_carlo_broadcast(receivers, 400, r1);
+  const auto b = vbus.monte_carlo_broadcast(receivers, 400, r2);
 
-  ASSERT_EQ(a.dies.size(), cfg.dies - 1);
-  ASSERT_EQ(a.per_die.size(), a.dies.size());
+  ASSERT_EQ(receivers.size(), cfg.dies - 1);
+  ASSERT_EQ(a.per_die.size(), receivers.size());
   for (std::size_t i = 0; i < a.per_die.size(); ++i) {
     expect_identical(a.per_die[i], b.per_die[i]);
     EXPECT_EQ(a.per_die[i].symbols_sent, 400u);
@@ -428,6 +431,12 @@ TEST(VerticalBusMonteCarlo, BroadcastReachesNearDiesAndIsDeterministic) {
   const auto& near = a.per_die.front();
   const auto& far = a.per_die.back();
   EXPECT_LE(near.erasures, far.erasures + 50);
+}
+
+TEST(VerticalBusMonteCarlo, BroadcastRejectsAnEmptyReceiverSet) {
+  const bus::VerticalBus vbus(bus_case(0));
+  RngStream rng(1101);
+  EXPECT_THROW((void)vbus.monte_carlo_broadcast({}, 10, rng), std::invalid_argument);
 }
 
 TEST(VerticalBusMonteCarlo, RejectsBadTalkers) {

@@ -55,18 +55,18 @@ struct Golden {
   const char* digest;  ///< sha256_hex of the stripped report JSON
 };
 
-constexpr unsigned kPinnedRevision = 9;
+constexpr unsigned kPinnedRevision = 10;
 constexpr Golden kGolden[] = {
     {"scenario_bench/specs/link_bulk.spec",
-     "65799b4d886ef9c8d4f54b7f5a61cf0d5f193dc81bf9636a3f3f58982d5cd3ab"},
+     "e1e65d20707ed3e884bb2184ea91c434be7289294ff11c8e9dbff17a92ea312c"},
     {"scenario_bench/specs/link_rare.spec",
-     "efda6ad23bd13bfac24287bf0f15a8727c8496e1538192c0467adfb55654ad23"},
+     "0f163537fbb2307f3bf4a6c6a772eae7f91693c5167538ad02745413e0d564e8"},
     {"scenarios/deep_ser.spec",
-     "dc6ab5e2bbd6c85510f8c7396a9d66951e3aab0b28966316fdeba1a780cc8559"},
+     "7f46cee5f6c391e6ff1a040654d5bef004149b39fe889a0cb6eb678846cddfdc"},
     {"scenarios/degraded_link.spec",
      "308e24177052263eac2e04a9a2f6070fbb2032a081c5434f84a003b5bfe5def1"},
     {"scenarios/link_jitter.spec",
-     "94f90b0ded9587c63c1b9e43800e7d8edd3636bb9d62e27fc7b7f43c2778f248"},
+     "c7b82c75d918f09816398e1dc8e10004e957bd69db12a1983f4231fb460a28e2"},
     {"scenarios/noc_node_failure.spec",
      "56afb0ca8e682e9d6c40661357ad04a8c3ae1d138c32e64dca389361a16a28dd"},
     {"scenarios/noc_saturation.spec",
@@ -189,23 +189,23 @@ repro_scaled = 0
 
 constexpr Golden kWrittenGolden[] = {
     {"code_bus",
-     "3b56bc08c55b74474d7b476b82675ebe65e2f82a476acec578624f31bf1bf7ce"},
+     "38139c5ab9ea42a3bff311ba2a2b03a89a85956a300907b44acf1397c66b42e6"},
     {"code_windows",
-     "6282b3b19882e118cb9c453b7321e953eb6be501b072ecab37b1d5ff23fe4d48"},
+     "60151346068432bbf4305230aa2475bafac74590a02e94c3cb0e0a11d70084ad"},
     {"code_aggressors",
-     "08ca4a62a4de0608e8a60b9f5cd5636a1dd4ed77917f0241eeeb67831e88ef64"},
+     "6b8463bf1f304ae37f993396d3ba803fbde39c35c5096dddd175010c8fcd15ac"},
     {"code_split",
-     "9e0296cace80279595f6212623ea6e6fef724522695337d6e64d2e2a2b982480"},
+     "0de20595902b174486f44aeec1c4c774032d9c51c1c37c6c746ee6e7825bca3b"},
     {"code_frames",
      "f55ba8fb51056ce02bab07a3aae750b6de2b3be20e2868b77f5b8e84aa3f6c58"},
     {"code_wdm_faults",
-     "702c28afc0adec559933b59082fb997418c8a71b1eee9ce9c52a5fec880c8877"},
+     "002dd02206a4fcf70f04d497c9a91a43c3675eb940e0da2f553054a551f68a11"},
     {"code_density",
      "717b8ff88d20b973d55c947622d5d695ca158a6736bc8ef766967b9eda242df3"},
     {"code_tdc_drift",
-     "54ba269c0383cf528ca55dbc3b9ed7e6c0102efb2036688f183dfbd67734abce"},
+     "2b8397bdbe2719b9740355bcc795b15bd5526fa7769dc40d51d407a5121ee88b"},
     {"code_noc_engine",
-     "e0f3c814571bc5deff2c77ee0a6072e4c361bd3b0b411f8027dc1051ec358203"},
+     "a15e6fcfa4c185d2692625e0fb53e39c127cecca343e890d53cf79df476f241e"},
     {"code_noc_fec_probe",
      "32e4f5e61ecf9e7643ef2411ff980d4a24d6022bc85a2439fb560d35a0c6c9a8"},
 };

@@ -393,11 +393,8 @@ TEST(ScenarioRunner, VerticalBusScenarioRuns) {
   EXPECT_LE(report.metric(p, "worst_ser"), 1.0);
 }
 
-TEST(ScenarioRunner, VerticalBusCountsEveryDiesDraws) {
-  // The broadcast draws only from forks of the chunk's "mc" stream and
-  // from kernel lanes. Hand-rolled recount of the one chunk: every
-  // receiving die's process, symbol-pick and receive draws plus its
-  // lanes'.
+/// A four-die bus through which the LED's 1050 nm light passes.
+ScenarioSpec tiny_bus_spec() {
   ScenarioSpec spec;
   spec.name = "bus_draws";
   spec.seed = kSeed;
@@ -408,10 +405,11 @@ TEST(ScenarioRunner, VerticalBusCountsEveryDiesDraws) {
   spec.bus.dies = 4;
   spec.budget.samples = 200;
   spec.budget.repro_scaled = false;
-  const RunReport report = ScenarioRunner(1).run(spec);
-  const RunPoint& p = report.points.front();
-  ASSERT_EQ(p.chunks, 1u);
+  return spec;
+}
 
+/// The bus a spec's point runs on, built as the runner builds it.
+bus::VerticalBusConfig bus_config_of(const ScenarioSpec& spec) {
   bus::VerticalBusConfig bc;
   bc.die = spec.bus.die;
   bc.dies = spec.bus.dies;
@@ -423,38 +421,40 @@ TEST(ScenarioRunner, VerticalBusCountsEveryDiesDraws) {
   bc.bits_per_symbol = spec.device.bits_per_symbol;
   bc.mc_calibrate = spec.device.calibrate;
   bc.mc_calibration_samples = spec.device.calibration_samples;
-  const bus::VerticalBus vbus(bc);
+  return bc;
+}
 
+TEST(ScenarioRunner, VerticalBusCountsEveryDiesDraws) {
+  // A bus point draws its receivers' construction from chunk 0's
+  // "process" fork, the broadcast's symbols from the chunk's "mc"
+  // stream, and each receiving die's window physics from its own fork
+  // of that stream and its kernel lanes. Hand-rolled recount of the one
+  // chunk, one driver run per die.
+  const ScenarioSpec spec = tiny_bus_spec();
+  const RunReport report = ScenarioRunner(1).run(spec);
+  const RunPoint& p = report.points.front();
+  ASSERT_EQ(p.chunks, 1u);
+
+  const bus::VerticalBus vbus(bus_config_of(spec));
   sim::BatchConfig sc;
   sc.threads = 1;
   sc.root_seed = report.seed;
-  util::RngStream mc =
-      sim::BatchRunner(sc).task_stream("scenario:" + spec.name, 0, 0).fork("mc");
+  util::RngStream rng = sim::BatchRunner(sc).task_stream("scenario:" + spec.name, 0, 0);
+  util::RngStream process = rng.fork("process");
+  const bus::BusReceivers receivers = vbus.build_receivers(process);
+  util::RngStream mc = rng.fork("mc");
+  const auto max_symbol =
+      static_cast<std::int64_t>((1u << receivers.front()->bits_per_symbol()) - 1);
+  std::vector<std::uint64_t> train(spec.budget.samples);
+  for (std::uint64_t& s : train) s = static_cast<std::uint64_t>(mc.uniform_int(0, max_symbol));
   std::uint64_t draws = 0;
-  std::vector<std::unique_ptr<link::OpticalLink>> links;
-  for (std::size_t die = 0; die < bc.dies; ++die) {
-    if (die == bc.master) continue;
-    util::RngStream process = mc.fork("bus-die-process");
-    links.push_back(std::make_unique<link::OpticalLink>(
-        vbus.receiver_link_config(bc.master, die), process));
-    draws += process.draws();
+  for (const auto& receiver : receivers) {
+    util::RngStream rx = mc.fork("bus-die-rx");
+    const link::LinkRunStats stats = link::LinkEngine(*receiver).run_sequence(
+        train, rx, [](std::size_t, const link::LinkEngine::SymbolOutcome&) {});
+    draws += rx.draws() + stats.rng_draws;
   }
-  const util::RngStream symbols = mc.fork("bus-symbols");
-  for (const auto& l : links) {
-    const link::LinkEngine engine(*l);
-    util::RngStream pick = symbols;
-    util::RngStream tx = mc.fork("bus-die-rx");
-    link::LinkRunStats stats;
-    util::Time t = util::Time::zero();
-    util::Time dead_until = util::Time::zero();
-    const auto max_symbol = static_cast<std::int64_t>((1u << l->bits_per_symbol()) - 1);
-    for (std::uint64_t s = 0; s < spec.budget.samples; ++s) {
-      const auto symbol = static_cast<std::uint64_t>(pick.uniform_int(0, max_symbol));
-      (void)engine.transmit_symbol(symbol, t, dead_until, stats, tx);
-      t += l->symbol_period();
-    }
-    draws += pick.draws() + tx.draws() + stats.rng_draws;
-  }
+  draws += process.draws() + mc.draws();
   EXPECT_GT(p.rng_draws, 0u);
   EXPECT_EQ(p.rng_draws, draws);
 }
@@ -816,6 +816,66 @@ TEST(ScenarioRealisation, EveryChunkMeasuresChunkZerosDevice) {
     EXPECT_EQ(p.metrics[m], state[m].estimate(report.confidence_z, p.samples).value)
         << report.metric_names[m];
   }
+}
+
+TEST(ScenarioRealisation, EveryBusChunkMeasuresChunkZerosReceivers) {
+  // The bus twin: ONE set of calibrated receivers from chunk 0's
+  // "process" fork, then each chunk's broadcast on its own "mc" fork.
+  // The runner must reproduce every metric and rng_draws bit for bit,
+  // the receivers' draws counted once.
+  ScenarioSpec spec = tiny_bus_spec();
+  spec.name = "chunked_bus";
+  spec.device.calibrate = true;
+  spec.device.calibration_samples = 2000;
+  spec.device.spad.jitter_sigma = util::Time::picoseconds(150.0);
+  spec.budget.samples = 400;
+  spec.precision.enabled = true;
+  spec.precision.metric = "mean_ser";
+  spec.precision.target_half_width = 1e-6;
+  spec.precision.chunk = 100;
+  spec.precision.max_samples = 400;
+  const RunReport report = ScenarioRunner(2).run(spec);
+  ASSERT_EQ(report.points.size(), 1u);
+  const RunPoint& p = report.points.front();
+  ASSERT_EQ(p.chunks, 4u);
+
+  const bus::VerticalBus vbus(bus_config_of(spec));
+  sim::BatchConfig bc;
+  bc.threads = 1;
+  bc.root_seed = report.seed;
+  const sim::BatchRunner runner(bc);
+  const std::string label = "scenario:" + spec.name;
+  util::RngStream process = runner.task_stream(label, 0, 0).fork("process");
+  const bus::BusReceivers receivers = vbus.build_receivers(process);
+  std::uint64_t draws = process.draws();
+  std::vector<scenario::MetricState> state;
+  for (const scenario::MetricDef& d : scenario::metrics_for(spec)) state.emplace_back(d.kind);
+  for (std::size_t k = 0; k < p.chunks; ++k) {
+    util::RngStream rng = runner.task_stream(label, 0, k);
+    (void)rng.fork("process");
+    util::RngStream mc = rng.fork("mc");
+    const bus::BusBroadcastResult run = vbus.monte_carlo_broadcast(receivers, 100, mc);
+    std::uint64_t sent = 0;
+    std::uint64_t errors = 0;
+    draws += mc.draws();
+    for (const link::LinkRunStats& d : run.per_die) {
+      sent += d.symbols_sent;
+      errors += d.symbol_errors;
+      draws += d.rng_draws;
+    }
+    const std::vector<double> chunk = {
+        run.worst_symbol_error_rate(), static_cast<double>(errors) / static_cast<double>(sent),
+        static_cast<double>(vbus.serviceable_dies()),
+        vbus.aggregate_broadcast_goodput().bits_per_second() / 1e9};
+    ASSERT_EQ(chunk.size(), state.size());
+    for (std::size_t m = 0; m < state.size(); ++m) state[m].add(chunk[m], 100);
+  }
+  EXPECT_EQ(p.rng_draws, draws);
+  for (std::size_t m = 0; m < state.size(); ++m) {
+    EXPECT_EQ(p.metrics[m], state[m].estimate(report.confidence_z, p.samples).value)
+        << report.metric_names[m];
+  }
+  EXPECT_GT(report.metric(p, "mean_ser"), 0.0);  // the jitter really costs symbols
 }
 
 TEST(ScenarioRealisation, FaultDrawsLandOnChunkZeroOnce) {
