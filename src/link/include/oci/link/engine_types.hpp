@@ -88,8 +88,9 @@ struct WindowInputs {
   /// wins the TDC conversion counts as a noise capture, exactly like
   /// the reference pipeline's interference photons.
   std::span<const double> aggressor_means = {};
-  /// Window-local pulse start [s] of aggressor k in window j, at
-  /// [j * aggressor_means.size() + k].
+  /// Window-local pulse start [s] of each aggressor: K =
+  /// aggressor_means.size() entries apply to every window (fixed
+  /// offsets); otherwise aggressor k in window j is at [j * K + k].
   std::span<const double> aggressor_starts_s = {};
   /// Tilted/conditioned proposal every window samples under; each
   /// window's log likelihood-ratio comes back in its

@@ -135,10 +135,11 @@ ChunkRecord run_p2p_symbols(const ScenarioSpec& s, std::uint64_t samples, RngStr
                             const ChunkContext& ctx) {
   const link::OpticalLink& link = *ctx.hw.link;
   const fault::Realisation* fr = ctx.fr;
-  // Chunk 0's "process" fork built the device. Every chunk still takes
-  // that fork, so its later ones ("tx", the rare-event streams) are
-  // the streams it drew from when it built a device of its own.
-  (void)rng.fork("process");
+  // Chunk 0's "process" fork built the device. Every chunk still steps
+  // its stream past that fork, so its later ones ("tx", the rare-event
+  // streams) are the streams it drew from when it built a device of its
+  // own.
+  rng.skip_fork();
   // Both chunk flavours fill one metric vector from these counts:
   // likelihood-ratio-weighted sums on a rare-event chunk, the plain
   // counts as doubles (exact below 2^53) on a crude one.
@@ -189,13 +190,10 @@ ChunkRecord run_p2p_symbols(const ScenarioSpec& s, std::uint64_t samples, RngStr
       r.rng_draws = wf.draws();
     }
     std::vector<double> means;
-    std::vector<double> starts;
-    for (const AggressorSpec& a : s.aggressors) means.push_back(a.mean_photons);
-    starts.reserve(samples * means.size());
-    for (std::uint64_t i = 0; i < samples; ++i) {
-      for (const AggressorSpec& a : s.aggressors) {
-        starts.push_back(Time::picoseconds(a.offset_ps).seconds());
-      }
+    std::vector<double> starts;  // one per aggressor, for every window
+    for (const AggressorSpec& a : s.aggressors) {
+      means.push_back(a.mean_photons);
+      starts.push_back(Time::picoseconds(a.offset_ps).seconds());
     }
     stats = link::LinkEngine(link).measure(
         samples, tx,
@@ -230,7 +228,7 @@ ChunkRecord run_p2p_symbols(const ScenarioSpec& s, std::uint64_t samples, RngStr
 ChunkRecord run_p2p_frames(const ScenarioSpec& s, std::uint64_t transfers, RngStream& rng,
                            const ChunkContext& ctx) {
   const link::OpticalLink& link = *ctx.hw.link;
-  (void)rng.fork("process");  // chunk 0's built the device
+  rng.skip_fork();  // chunk 0's "process" built the device
   RngStream tx = rng.fork("tx");
 
   const std::vector<std::uint8_t> payload(s.payload_bytes, 0x5A);
@@ -317,7 +315,7 @@ PointHardware realise_wdm(const ScenarioSpec& s, RngStream& rng, const fault::Re
 ChunkRecord run_wdm(const ScenarioSpec&, std::uint64_t samples, RngStream& rng,
                     const ChunkContext& ctx) {
   const link::WdmLink& wdm = *ctx.hw.wdm;
-  (void)rng.fork("process");  // chunk 0's built the link
+  rng.skip_fork();  // chunk 0's "process" built the link
   RngStream tx = rng.fork("tx");
   const auto run = wdm.measure(samples, tx);
 
@@ -367,7 +365,7 @@ PointHardware realise_bus(const ScenarioSpec& s, RngStream& rng, const fault::Re
 ChunkRecord run_bus(const ScenarioSpec&, std::uint64_t samples, RngStream& rng,
                     const ChunkContext& ctx) {
   const bus::VerticalBus& vbus = *ctx.hw.bus;
-  (void)rng.fork("process");  // chunk 0's built the receivers
+  rng.skip_fork();  // chunk 0's "process" built the receivers
   RngStream mc = rng.fork("mc");
   const auto run = vbus.monte_carlo_broadcast(ctx.hw.receivers, samples, mc);
 
@@ -537,12 +535,12 @@ ChunkRecord run_noc(const ScenarioSpec& s, std::uint64_t slots, RngStream& rng,
   }
 
   // Chunk 0's "link" and "probe" forks built the PHY and probed it;
-  // every chunk still takes them, so "run" stays the same fork.
-  (void)rng.fork("link");
+  // every chunk still steps past them, so "run" stays the same fork.
+  rng.skip_fork();  // "link"
   std::unique_ptr<link::SymbolDeliveryModel> phy_model;  // must outlive network.run()
   if (hw.link) {
     if (s.noc.delivery == NocDelivery::kFecProbe) {
-      (void)rng.fork("probe");
+      rng.skip_fork();  // "probe"
       cfg.delivery_probability = hw.delivery_probability;
     } else {
       phy_model = std::make_unique<link::SymbolDeliveryModel>(*hw.link);
