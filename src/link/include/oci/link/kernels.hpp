@@ -64,7 +64,13 @@ struct LaneInputs {
 /// pulse_start_s / dead_in_s and writes the outputs (see WindowResult).
 /// Draw order within a lane: the signal hazard (when its lambda > 0),
 /// each aggressor's (when its lambda > 0), then the first noise arrival
-/// (when the noise rate > 0). Ties go to the signal, then aggressors in
+/// (when the noise rate > 0); then, per avalanche, the first one's
+/// jitter, the afterpulse coin (and its delay on success), and the
+/// fired source's next candidate. Under active quench a fired pulse
+/// restarts at the new dead-time horizon, drawing only when envelope
+/// mass remains past it (a pulse shorter than the dead time draws
+/// nothing). A lane's TDC conversion continues its stream after
+/// WindowResult::rng_draws. Ties go to the signal, then aggressors in
 /// order, then noise, then afterpulses. Allocation-free.
 void simulate_windows(const BatchParams& p, std::span<WindowResult> windows,
                       const util::BatchRngStream& lanes, std::uint64_t first_lane,

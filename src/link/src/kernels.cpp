@@ -14,9 +14,11 @@
 // Restart: after any time t a Poisson process is again Poisson, so
 // each source's candidates stream lazily in time order (one Exp(1)
 // hazard step + one inverse-CDF each) and, under active quench,
-// fast-forward across the SPAD's dead time. A window merges the
-// victim's pulse, any aggressor pulses, flat noise and afterpulse
-// releases by a linear min-scan.
+// fast-forward across the SPAD's dead time; a pulse whose candidate
+// fires restarts at the new dead-time horizon at once, so a short
+// pulse that ends inside the dead time draws nothing more. A window
+// merges the victim's pulse, any aggressor pulses, flat noise and
+// afterpulse releases by a linear min-scan.
 #include "oci/link/kernels.hpp"
 
 #include <algorithm>
@@ -284,20 +286,21 @@ void run_lane(const BatchParams& p, const LaneSources& in, WindowResult& w,
   double first_obs = 0.0;
   double last = 0.0;
 
-  const auto fast_forward = [&](PulseSource& s) {
-    // Restart property: the stream resumes from the envelope mass
-    // already emitted by `dead`; the loop guards against the Gaussian
-    // envelope's approximate CDF/inverse-CDF pair.
-    while (!s.exhausted && s.next_s < dead) {
-      const double consumed = s.lambda * env_cdf<E>(p, dead - s.start_s);
-      s.hazard = std::max(s.hazard, consumed);
-      s.next_s = kInf;
-      if (s.hazard >= s.lambda) {
-        s.exhausted = true;
-        break;
-      }
-      advance(s);
+  // Restart property: the stream resumes from the envelope mass already
+  // emitted by `dead`.
+  const auto restart = [&](PulseSource& s) {
+    s.hazard = std::max(s.hazard, s.lambda * env_cdf<E>(p, dead - s.start_s));
+    s.next_s = kInf;
+    if (s.hazard >= s.lambda) {
+      s.exhausted = true;
+      return;
     }
+    advance(s);
+  };
+  // The loop guards against the Gaussian envelope's approximate
+  // CDF/inverse-CDF pair.
+  const auto fast_forward = [&](PulseSource& s) {
+    while (!s.exhausted && s.next_s < dead) restart(s);
   };
 
   enum class Kind { kSignal, kAggressor, kNoise, kAfterpulse };
@@ -340,13 +343,25 @@ void run_lane(const BatchParams& p, const LaneSources& in, WindowResult& w,
     }
     if (t >= p.window_s) break;
 
+    // A pulse source steps past the candidate it just spent. Under
+    // active quench that candidate fired: nothing before the new `dead`
+    // can fire, so the source restarts there, as the fast-forward
+    // would, instead of drawing a candidate the fast-forward discards.
+    const auto next_candidate = [&](PulseSource& s) {
+      if (p.passive_quench) {
+        advance(s);
+        return;
+      }
+      restart(s);
+      fast_forward(s);
+    };
     const auto consume = [&] {
       switch (kind) {
         case Kind::kSignal:
-          advance(sig);
+          next_candidate(sig);
           break;
         case Kind::kAggressor:
-          advance(aggressors[winner]);
+          next_candidate(aggressors[winner]);
           break;
         case Kind::kNoise:
           advance_noise(noise_next);

@@ -67,7 +67,14 @@ namespace oci::scenario {
 ///      calibrated link's trained offset and every formerly per-window
 ///      path within sampling noise; the bus realises its receivers once
 ///      per point and draws its symbols from the chunk's "mc" stream
-inline constexpr unsigned kEngineRevision = 10;
+///  11  one symbol, one lane: under active quench a fired pulse source
+///      restarts at the dead-time horizon instead of drawing a
+///      candidate the fast-forward discards, a conversion's racing-tap
+///      coins continue its window's lane, and the training positions
+///      come from a counter stream of their own, so every active-quench
+///      window and every calibrated link's trained offset move within
+///      sampling noise and rng_draws count the coins
+inline constexpr unsigned kEngineRevision = 11;
 
 /// Address of one simulation chunk.
 struct ChunkKey {

@@ -10,6 +10,7 @@
 #include <span>
 
 #include "oci/tdc/delay_line.hpp"
+#include "oci/util/batch_rng.hpp"
 
 namespace oci::tdc {
 
@@ -52,8 +53,13 @@ struct LatchRegimes {
 /// Consumes RNG draws in the same order as sample() and returns the
 /// identical decoded tap count (a property test pins this), at a few
 /// tap comparisons instead of N per conversion -- the TDC conversion
-/// hot path.
+/// hot path. When no tap races it draws nothing and returns the
+/// settled-1 count, which every decode method reads from a clean code.
 [[nodiscard]] std::size_t sample_and_decode(const DelayLine& line, Time interval,
                                             RngStream& rng, ThermometerDecode method);
+/// The same conversion with each racing tap's coin from the top bit of
+/// one counter draw (the link engine's lane streams).
+[[nodiscard]] std::size_t sample_and_decode(const DelayLine& line, Time interval,
+                                            util::CounterRng& coins, ThermometerDecode method);
 
 }  // namespace oci::tdc

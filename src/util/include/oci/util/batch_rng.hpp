@@ -15,7 +15,9 @@
 //    (root, i), never on the batch it was simulated in -- a W-window
 //    batch is draw-for-draw identical to W one-window batches, and a
 //    repaired lane (re-simulated with a corrected dead-time carry)
-//    replays its stream from the key alone.
+//    replays its stream from the key alone. A window's TDC conversion
+//    continues its lane past the window's draws, so a whole symbol is
+//    one lane.
 //  * Bit stability: the state is one u64 per lane, the update is
 //    add/xor/shift/multiply, and the uniform double uses only
 //    exactly-rounded operations, so a lane's draws are the same bits
@@ -78,13 +80,17 @@ class BatchRngStream {
   [[nodiscard]] std::uint64_t lane_key(std::uint64_t lane) const {
     // Golden-ratio stride into splitmix's own increment space, then two
     // mixing rounds so adjacent lanes share no low-bit structure.
-    std::uint64_t s = root_ + (lane + 1) * 0x9E3779B97F4A7C15ull;
+    std::uint64_t s = root_ + (lane + 1) * kSplitmixGamma;
     (void)splitmix64(s);
     return splitmix64(s);
   }
 
-  [[nodiscard]] CounterRng lane(std::uint64_t lane) const {
-    return CounterRng(lane_key(lane));
+  /// Lane `lane`'s stream from its `offset`-th draw on, with draws()
+  /// counting from there: a TDC conversion continues the lane its
+  /// window ran on past that window's draws. O(1): each splitmix64
+  /// step adds a constant to the state.
+  [[nodiscard]] CounterRng lane(std::uint64_t lane, std::uint64_t offset = 0) const {
+    return CounterRng(lane_key(lane) + offset * kSplitmixGamma);
   }
 
   [[nodiscard]] std::uint64_t root() const { return root_; }

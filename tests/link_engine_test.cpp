@@ -172,10 +172,22 @@ TEST_P(EngineVsReference, ErrorRatesConsistent) {
     case 2:
       cfg = passive_quench_config();
       break;
-    default:  // jitter-dominated narrow slots
+    case 3:  // jitter-dominated narrow slots
       cfg = base_config();
       cfg.bits_per_symbol = 8;
       cfg.spad.jitter_sigma = Time::picoseconds(150.0);
+      break;
+    default:  // active quench, paper-exact 106 ns windows and a dim
+              // 30 ns exponential pulse: a fired pulse restarts at the
+              // dead-time horizon, and its candidates past it set the
+              // carry that blinds the next window (a kernel that drops
+              // them reads 30% fewer symbol errors, z ~ -7.5)
+      cfg = base_config();
+      cfg.design.coarse_bits = 5;
+      cfg.inter_symbol_guard = Time::zero();
+      cfg.led.shape = photonics::PulseShape::kExponential;
+      cfg.led.pulse_width = Time::nanoseconds(30.0);
+      cfg.led.peak_power = Power::nanowatts(3.0);
       break;
   }
   RngStream process(907);
@@ -196,7 +208,7 @@ TEST_P(EngineVsReference, ErrorRatesConsistent) {
                           eng.total_bits, 1e-4);
 }
 
-INSTANTIATE_TEST_SUITE_P(Configs, EngineVsReference, ::testing::Values(0, 1, 2, 3));
+INSTANTIATE_TEST_SUITE_P(Configs, EngineVsReference, ::testing::Values(0, 1, 2, 3, 4));
 
 // ---------- engine-specific behaviours ----------
 

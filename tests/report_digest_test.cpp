@@ -55,18 +55,18 @@ struct Golden {
   const char* digest;  ///< sha256_hex of the stripped report JSON
 };
 
-constexpr unsigned kPinnedRevision = 10;
+constexpr unsigned kPinnedRevision = 11;
 constexpr Golden kGolden[] = {
     {"scenario_bench/specs/link_bulk.spec",
-     "e1e65d20707ed3e884bb2184ea91c434be7289294ff11c8e9dbff17a92ea312c"},
+     "332de852c7d08cff222152118dba36223d824f88c621124dd5234ab988841cf4"},
     {"scenario_bench/specs/link_rare.spec",
-     "0f163537fbb2307f3bf4a6c6a772eae7f91693c5167538ad02745413e0d564e8"},
+     "1472b9bdf50317dfa8e46ddb7761c4b674cd599f000786db6d2ee4973119e6dc"},
     {"scenarios/deep_ser.spec",
-     "7f46cee5f6c391e6ff1a040654d5bef004149b39fe889a0cb6eb678846cddfdc"},
+     "8c0f5c01de1ebfe9d46be40f3daa66bcb3a857d13c6205be87f21b3e76c5ea2b"},
     {"scenarios/degraded_link.spec",
-     "308e24177052263eac2e04a9a2f6070fbb2032a081c5434f84a003b5bfe5def1"},
+     "d0675f64b794601f6cdc1aa40db5ab4ab7e4196e8edda2aa9b1a09714c5c22a1"},
     {"scenarios/link_jitter.spec",
-     "c7b82c75d918f09816398e1dc8e10004e957bd69db12a1983f4231fb460a28e2"},
+     "21231f97bb89cb5c09c0ddc4baeb54df99fa30ca6840f398143b844777cf40a2"},
     {"scenarios/noc_node_failure.spec",
      "56afb0ca8e682e9d6c40661357ad04a8c3ae1d138c32e64dca389361a16a28dd"},
     {"scenarios/noc_saturation.spec",
@@ -189,25 +189,25 @@ repro_scaled = 0
 
 constexpr Golden kWrittenGolden[] = {
     {"code_bus",
-     "38139c5ab9ea42a3bff311ba2a2b03a89a85956a300907b44acf1397c66b42e6"},
+     "0daac6b3404cdcd74f15e0f7d4fda1719645cf0fd724e8fd4c4e5c35c583024c"},
     {"code_windows",
-     "60151346068432bbf4305230aa2475bafac74590a02e94c3cb0e0a11d70084ad"},
+     "17c5317073b5af9d801b84f455f525780104b3dfdb7f2d5a94b84ae954d1c79e"},
     {"code_aggressors",
-     "6b8463bf1f304ae37f993396d3ba803fbde39c35c5096dddd175010c8fcd15ac"},
+     "29b0544f06c0dabd44b1f60e0ef2f38e1f85812f26a0cdcc03b2177aefa25535"},
     {"code_split",
-     "0de20595902b174486f44aeec1c4c774032d9c51c1c37c6c746ee6e7825bca3b"},
+     "aaa126880376c294c4031c2692ff9e960c50e5562ef1aef9995d4e2795585aad"},
     {"code_frames",
-     "f55ba8fb51056ce02bab07a3aae750b6de2b3be20e2868b77f5b8e84aa3f6c58"},
+     "4efab0da703ab0b21c9fd9c40383bdbf614ef2371b56dcb47e2b8c69edb205b7"},
     {"code_wdm_faults",
-     "002dd02206a4fcf70f04d497c9a91a43c3675eb940e0da2f553054a551f68a11"},
+     "4040b3e94bf83b96ff053fb25bea0a5d543e601122084040c0f83ce29e49eb8e"},
     {"code_density",
      "717b8ff88d20b973d55c947622d5d695ca158a6736bc8ef766967b9eda242df3"},
     {"code_tdc_drift",
-     "2b8397bdbe2719b9740355bcc795b15bd5526fa7769dc40d51d407a5121ee88b"},
+     "9bffd33db75e8f3902a08028bcb01c73429f49c185642f763a945240abb3e320"},
     {"code_noc_engine",
-     "a15e6fcfa4c185d2692625e0fb53e39c127cecca343e890d53cf79df476f241e"},
+     "85eab874d3f8c13d0d93ad37c73ca099e797b109a9e6a60ece29989f82988088"},
     {"code_noc_fec_probe",
-     "32e4f5e61ecf9e7643ef2411ff980d4a24d6022bc85a2439fb560d35a0c6c9a8"},
+     "e6034a7dd38f52159531db735fe48c4af7a8c7bb66322171cd1d2a49de173276"},
 };
 
 constexpr double kReproScale = 0.02;
