@@ -5,8 +5,10 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
+#include "oci/util/math.hpp"
 #include "oci/util/units.hpp"
 
 namespace oci::modulation {
@@ -36,15 +38,28 @@ class PpmCodec {
   /// Symbol value (must be < 2^K) -> slot index.
   [[nodiscard]] std::uint64_t slot_for_symbol(std::uint64_t symbol) const;
   /// Slot index -> symbol value.
-  [[nodiscard]] std::uint64_t symbol_for_slot(std::uint64_t slot) const;
+  [[nodiscard]] std::uint64_t symbol_for_slot(std::uint64_t slot) const {
+    if (slot >= slots_) throw std::invalid_argument("PpmCodec: slot out of range");
+    return config_.labeling == SlotLabeling::kGray ? util::to_gray(slot) : slot;
+  }
 
   /// Symbol -> pulse emission time relative to symbol start.
   [[nodiscard]] Time encode(std::uint64_t symbol) const;
   /// TOA relative to symbol start -> decoded symbol. TOAs outside the
-  /// span clamp to the nearest slot.
-  [[nodiscard]] std::uint64_t decode(Time toa) const;
+  /// span clamp to the nearest slot. Inline with the two steps it
+  /// chains: the receiver decodes every symbol through it
+  /// (link::OpticalLink::decide).
+  [[nodiscard]] std::uint64_t decode(Time toa) const {
+    return symbol_for_slot(slot_for_toa(toa));
+  }
   /// Slot index a TOA lands in (clamped).
-  [[nodiscard]] std::uint64_t slot_for_toa(Time toa) const;
+  [[nodiscard]] std::uint64_t slot_for_toa(Time toa) const {
+    double s = toa.seconds() / config_.slot_width.seconds();
+    if (s < 0.0) s = 0.0;
+    auto slot = static_cast<std::uint64_t>(s);
+    if (slot >= slots_) slot = slots_ - 1;
+    return slot;
+  }
 
   /// Hamming distance between the bit patterns of two symbols; used to
   /// convert slot-error statistics into bit-error statistics.

@@ -29,26 +29,11 @@ std::uint64_t PpmCodec::slot_for_symbol(std::uint64_t symbol) const {
   return config_.labeling == SlotLabeling::kGray ? util::from_gray(symbol) : symbol;
 }
 
-std::uint64_t PpmCodec::symbol_for_slot(std::uint64_t slot) const {
-  if (slot >= slots_) throw std::invalid_argument("PpmCodec: slot out of range");
-  return config_.labeling == SlotLabeling::kGray ? util::to_gray(slot) : slot;
-}
-
 Time PpmCodec::encode(std::uint64_t symbol) const {
   const std::uint64_t slot = slot_for_symbol(symbol);
   return config_.slot_width *
          (static_cast<double>(slot) + config_.pulse_offset_fraction);
 }
-
-std::uint64_t PpmCodec::slot_for_toa(Time toa) const {
-  double s = toa.seconds() / config_.slot_width.seconds();
-  if (s < 0.0) s = 0.0;
-  auto slot = static_cast<std::uint64_t>(s);
-  if (slot >= slots_) slot = slots_ - 1;
-  return slot;
-}
-
-std::uint64_t PpmCodec::decode(Time toa) const { return symbol_for_slot(slot_for_toa(toa)); }
 
 unsigned PpmCodec::hamming(std::uint64_t a, std::uint64_t b) {
   return static_cast<unsigned>(std::popcount(a ^ b));

@@ -6,8 +6,10 @@
 // each bin's real width. DNL/INL (paper Figure 3) fall out directly.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "oci/tdc/tdc.hpp"
@@ -65,11 +67,20 @@ class CalibrationLut {
   [[nodiscard]] std::size_t codes() const { return centre_s_.size(); }
 
   /// Calibrated hit-to-edge interval for a fine code (bin centre).
-  [[nodiscard]] util::Time fine_interval(std::size_t fine_code) const;
+  [[nodiscard]] util::Time fine_interval(std::size_t fine_code) const {
+    if (centre_s_.empty()) throw std::logic_error("CalibrationLut: empty");
+    return util::Time::seconds(centre_s_[std::min(fine_code, centre_s_.size() - 1)]);
+  }
 
   /// Reconstructs the TOA for a TDC reading using this LUT: the latch
-  /// edge time minus the calibrated fine interval.
-  [[nodiscard]] util::Time correct(const TdcReading& reading, util::Time clock_period) const;
+  /// edge time minus the calibrated fine interval. Inline, like
+  /// fine_interval(): the receiver corrects every symbol's reading.
+  [[nodiscard]] util::Time correct(const TdcReading& reading, util::Time clock_period) const {
+    const util::Time edge = clock_period * static_cast<double>(reading.coarse);
+    util::Time toa = edge - fine_interval(reading.fine);
+    if (toa < util::Time::zero()) toa = util::Time::zero();
+    return toa;
+  }
 
  private:
   std::vector<double> centre_s_;  ///< bin-centre interval per fine code

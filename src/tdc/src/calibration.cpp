@@ -138,19 +138,6 @@ CalibrationLut::CalibrationLut(const NonlinearityReport& report) {
   }
 }
 
-util::Time CalibrationLut::fine_interval(std::size_t fine_code) const {
-  if (centre_s_.empty()) throw std::logic_error("CalibrationLut: empty");
-  const std::size_t k = std::min(fine_code, centre_s_.size() - 1);
-  return util::Time::seconds(centre_s_[k]);
-}
-
-util::Time CalibrationLut::correct(const TdcReading& reading, util::Time clock_period) const {
-  const util::Time edge = clock_period * static_cast<double>(reading.coarse);
-  util::Time toa = edge - fine_interval(reading.fine);
-  if (toa < util::Time::zero()) toa = util::Time::zero();
-  return toa;
-}
-
 double residual_rms_s(const Tdc& tdc, const CalibrationLut& lut, std::uint64_t probes,
                       util::RngStream& rng) {
   if (probes == 0) return 0.0;
