@@ -80,15 +80,10 @@ void BM_ArrayDetect(benchmark::State& state) {
   RngStream rng(kSeed, "bm-array");
   std::vector<photonics::PhotonArrival> photons;
   for (int i = 0; i < 500; ++i) photons.push_back({Time::nanoseconds(15.0 * i), true});
-  // Batch entry point: candidate heap and detection list reused across
-  // windows, so the steady state runs allocation-free.
-  spad::SpadArray::DetectScratch scratch;
-  std::vector<spad::Detection> detections;
   std::vector<Time> dead(params.diodes, Time::zero());
   for (auto _ : state) {
     std::fill(dead.begin(), dead.end(), Time::zero());
-    arr.detect_into(photons, Time::zero(), Time::microseconds(7.6), rng, dead, scratch,
-                    detections);
+    const auto detections = arr.detect(photons, Time::zero(), Time::microseconds(7.6), rng, dead);
     benchmark::DoNotOptimize(detections.size());
   }
 }

@@ -135,12 +135,10 @@ class OpticalLink {
   /// (the LUT's, or the raw estimate without a valid LUT) minus the
   /// trained detection offset, clamped at 0, PPM-decoded.
   [[nodiscard]] std::uint64_t decide(const tdc::TdcReading& reading) const {
-    const util::Time calibrated =
-        lut_.valid() ? lut_.correct(reading, tdc_.clock_period()) : reading.estimate;
     // Static offset: subtract the trained receive-chain bias so the slot
     // decision is centred on the encoder's pulse placement (slot centre,
     // so floor-based binning is symmetric around the true slot).
-    util::Time corrected = calibrated - detection_offset_;
+    util::Time corrected = lut_.correct(reading, tdc_.clock_period()) - detection_offset_;
     if (corrected < util::Time::zero()) corrected = util::Time::zero();
     return ppm_.decode(corrected);
   }

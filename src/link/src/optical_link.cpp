@@ -182,9 +182,7 @@ std::uint64_t OpticalLink::recalibrate(std::uint64_t samples, RngStream& rng) {
     util::CounterRng coins = lanes.lane(i, w.rng_draws);
     const tdc::TdcReading reading = tdc_.convert(Time::seconds(w.first_observed_s), coins);
     lane_draws += coins.draws();
-    const Time calibrated =
-        lut_.valid() ? lut_.correct(reading, tdc_.clock_period()) : reading.estimate;
-    residual_sum_s += calibrated.seconds() - w.pulse_start_s;
+    residual_sum_s += lut_.correct(reading, tdc_.clock_period()).seconds() - w.pulse_start_s;
     ++training_hits;
   }
   if (training_hits > 0) {

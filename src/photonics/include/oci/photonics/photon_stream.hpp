@@ -37,19 +37,10 @@ class PhotonStream {
   [[nodiscard]] std::vector<PhotonArrival> sample_pulse(Time pulse_start,
                                                         RngStream& rng) const;
 
-  /// Same, writing into a caller-provided buffer (cleared first) so a
-  /// symbol loop can reuse one allocation across pulses.
-  void sample_pulse_into(Time pulse_start, RngStream& rng,
-                         std::vector<PhotonArrival>& out) const;
-
   /// Draws background photons with the given mean rate over
   /// [window_start, window_start + window). Sorted by time.
   [[nodiscard]] static std::vector<PhotonArrival> sample_background(
       Frequency rate, Time window_start, Time window, RngStream& rng);
-
-  /// Buffer-reusing variant of sample_background (out is cleared first).
-  static void sample_background_into(Frequency rate, Time window_start, Time window,
-                                     RngStream& rng, std::vector<PhotonArrival>& out);
 
   /// Merges (by time) two arrival sequences. Steals instead of copying:
   /// an empty side moves the other out unchanged, and the general case

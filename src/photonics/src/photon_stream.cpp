@@ -36,13 +36,6 @@ PhotonStream::PhotonStream(const MicroLed& led, double channel_transmittance)
 std::vector<PhotonArrival> PhotonStream::sample_pulse(Time pulse_start,
                                                       RngStream& rng) const {
   std::vector<PhotonArrival> out;
-  sample_pulse_into(pulse_start, rng, out);
-  return out;
-}
-
-void PhotonStream::sample_pulse_into(Time pulse_start, RngStream& rng,
-                                     std::vector<PhotonArrival>& out) const {
-  out.clear();
   const auto n = pulse_count_.sample(rng);
   if (n <= kMaxSampledPhotons) {
     out.reserve(static_cast<std::size_t>(n));
@@ -52,7 +45,7 @@ void PhotonStream::sample_pulse_into(Time pulse_start, RngStream& rng,
     }
     std::sort(out.begin(), out.end(),
               [](const PhotonArrival& a, const PhotonArrival& b) { return a.time < b.time; });
-    return;
+    return out;
   }
   // Bright-pulse path: the k earliest of n uniform order statistics,
   // streamed in ascending order; sample_emission_time is a monotone
@@ -65,19 +58,13 @@ void PhotonStream::sample_pulse_into(Time pulse_start, RngStream& rng,
     out.push_back(
         PhotonArrival{pulse_start + led_->sample_emission_time(u), /*is_signal=*/true});
   }
+  return out;
 }
 
 std::vector<PhotonArrival> PhotonStream::sample_background(Frequency rate, Time window_start,
                                                            Time window, RngStream& rng) {
   std::vector<PhotonArrival> out;
-  sample_background_into(rate, window_start, window, rng, out);
-  return out;
-}
-
-void PhotonStream::sample_background_into(Frequency rate, Time window_start, Time window,
-                                          RngStream& rng, std::vector<PhotonArrival>& out) {
-  out.clear();
-  if (rate.hertz() <= 0.0 || window <= Time::zero()) return;
+  if (rate.hertz() <= 0.0 || window <= Time::zero()) return out;
   const auto n = rng.poisson(rate.hertz() * window.seconds());
   out.reserve(static_cast<std::size_t>(n));
   for (std::int64_t i = 0; i < n; ++i) {
@@ -85,6 +72,7 @@ void PhotonStream::sample_background_into(Frequency rate, Time window_start, Tim
   }
   std::sort(out.begin(), out.end(),
             [](const PhotonArrival& a, const PhotonArrival& b) { return a.time < b.time; });
+  return out;
 }
 
 std::vector<PhotonArrival> PhotonStream::merge(std::vector<PhotonArrival> a,

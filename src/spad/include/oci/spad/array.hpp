@@ -29,7 +29,7 @@ struct SpadArrayParams {
 /// Explicit never-recovers representation for a diode's blind horizon:
 /// a caller marks a diode that must never arm again by putting
 /// never_recovers() in its `dead_until` entry. is_never() also
-/// recognises Time::seconds(double::max), and detect_into guards every
+/// recognises Time::seconds(double::max), and detect() guards every
 /// passive-quench write with it, because `sentinel + dead_time` used to
 /// silently resurrect a permanently dead diode.
 [[nodiscard]] constexpr Time never_recovers() {
@@ -58,26 +58,6 @@ class SpadArray {
   [[nodiscard]] std::vector<Detection> detect(
       std::span<const photonics::PhotonArrival> photons, Time window_start, Time window,
       util::RngStream& rng, std::vector<Time>& dead_until) const;
-
-  /// Reusable working memory for detect_into (candidate heap + armed-
-  /// diode list). One scratch per calling thread.
-  struct DetectScratch {
-    struct Candidate {
-      Time time;
-      DetectionCause cause;
-      std::ptrdiff_t diode;  ///< -1: channel photon, routed when it fires
-    };
-    std::vector<Candidate> heap;
-    std::vector<std::size_t> armed;
-  };
-
-  /// Batch-oriented variant of detect(): writes the OR-ed detections
-  /// into `out` (cleared first) and reuses `scratch`, so a window loop
-  /// runs allocation-free after warm-up. Identical draws/results to
-  /// detect().
-  void detect_into(std::span<const photonics::PhotonArrival> photons, Time window_start,
-                   Time window, util::RngStream& rng, std::vector<Time>& dead_until,
-                   DetectScratch& scratch, std::vector<Detection>& out) const;
 
   /// Effective dead time of the OR-ed output under low flux: the window
   /// during which ALL diodes are simultaneously blind after a burst is

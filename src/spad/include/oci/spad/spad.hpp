@@ -24,13 +24,6 @@ struct Detection {
   DetectionCause cause = DetectionCause::kSignal;
 };
 
-/// Reusable working memory for detect_into: the candidate min-heap that
-/// detect() would otherwise allocate per call. One scratch per calling
-/// thread; the detector itself stays const and shareable.
-struct DetectScratch {
-  std::vector<Detection> heap;
-};
-
 class Spad {
  public:
   Spad(const SpadParams& params, Wavelength operating_wavelength,
@@ -54,14 +47,6 @@ class Spad {
                                               Time window_start, Time window,
                                               RngStream& rng,
                                               Time initially_dead_until = Time::zero()) const;
-
-  /// Batch-oriented variant: writes the detections into `out` (cleared
-  /// first) and reuses `scratch` instead of allocating, so a window
-  /// loop runs allocation-free after warm-up. Identical draws/results
-  /// to detect().
-  void detect_into(std::span<const PhotonArrival> photons, Time window_start, Time window,
-                   RngStream& rng, Time initially_dead_until, DetectScratch& scratch,
-                   std::vector<Detection>& out) const;
 
   /// Probability that a pulse delivering `mean_photons` (Poisson) yields
   /// at least one avalanche: 1 - exp(-mean_photons * PDP).

@@ -25,11 +25,14 @@ namespace {
 
 constexpr std::ptrdiff_t kAnyDiode = -1;
 
-struct LaterArrayCandidate {
-  bool operator()(const SpadArray::DetectScratch::Candidate& a,
-                  const SpadArray::DetectScratch::Candidate& b) const {
-    return a.time > b.time;
-  }
+struct Candidate {
+  Time time;
+  DetectionCause cause;
+  std::ptrdiff_t diode;  ///< kAnyDiode: channel photon, routed when it fires
+};
+
+struct LaterCandidate {
+  bool operator()(const Candidate& a, const Candidate& b) const { return a.time > b.time; }
 };
 
 }  // namespace
@@ -38,27 +41,16 @@ std::vector<Detection> SpadArray::detect(std::span<const photonics::PhotonArriva
                                          Time window_start, Time window,
                                          util::RngStream& rng,
                                          std::vector<Time>& dead_until) const {
-  DetectScratch scratch;
-  std::vector<Detection> merged;
-  detect_into(photons, window_start, window, rng, dead_until, scratch, merged);
-  return merged;
-}
-
-void SpadArray::detect_into(std::span<const photonics::PhotonArrival> photons,
-                            Time window_start, Time window, util::RngStream& rng,
-                            std::vector<Time>& dead_until, DetectScratch& scratch,
-                            std::vector<Detection>& merged) const {
   if (dead_until.size() != diodes_.size()) {
     throw std::invalid_argument("SpadArray: dead_until must have one entry per diode");
   }
   const Time window_end = window_start + window;
   const SpadParams& el = params_.element;
 
-  std::vector<DetectScratch::Candidate>& heap = scratch.heap;
-  heap.clear();
-  const LaterArrayCandidate later{};
+  std::vector<Candidate> heap;
+  const LaterCandidate later{};
   const auto push = [&](Time time, DetectionCause cause, std::ptrdiff_t diode) {
-    heap.push_back(DetectScratch::Candidate{time, cause, diode});
+    heap.push_back(Candidate{time, cause, diode});
     std::push_heap(heap.begin(), heap.end(), later);
   };
 
@@ -85,13 +77,13 @@ void SpadArray::detect_into(std::span<const photonics::PhotonArrival> photons,
     }
   }
 
-  std::vector<std::size_t>& armed = scratch.armed;
+  std::vector<std::size_t> armed;
   armed.reserve(diodes_.size());
-  merged.clear();
+  std::vector<Detection> merged;
 
   while (!heap.empty()) {
     std::pop_heap(heap.begin(), heap.end(), later);
-    const DetectScratch::Candidate c = heap.back();
+    const Candidate c = heap.back();
     heap.pop_back();
 
     std::size_t d;
@@ -143,6 +135,7 @@ void SpadArray::detect_into(std::span<const photonics::PhotonArrival> photons,
 
   std::sort(merged.begin(), merged.end(),
             [](const Detection& a, const Detection& b) { return a.time < b.time; });
+  return merged;
 }
 
 Time SpadArray::effective_dead_time() const {

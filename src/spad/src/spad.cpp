@@ -40,8 +40,8 @@ double Spad::required_mean_photons(double detection_probability) const {
 
 namespace {
 
-// Candidates live in the scratch heap as Detections with only
-// true_time/cause filled in; jitter is applied when one fires.
+// Candidates live in the heap as Detections with only true_time/cause
+// filled in; jitter is applied when one fires.
 struct LaterCandidate {
   bool operator()(const Detection& a, const Detection& b) const {
     return a.true_time > b.true_time;
@@ -53,21 +53,11 @@ struct LaterCandidate {
 std::vector<Detection> Spad::detect(std::span<const PhotonArrival> photons, Time window_start,
                                     Time window, RngStream& rng,
                                     Time initially_dead_until) const {
-  DetectScratch scratch;
-  std::vector<Detection> detections;
-  detect_into(photons, window_start, window, rng, initially_dead_until, scratch, detections);
-  return detections;
-}
-
-void Spad::detect_into(std::span<const PhotonArrival> photons, Time window_start, Time window,
-                       RngStream& rng, Time initially_dead_until, DetectScratch& scratch,
-                       std::vector<Detection>& detections) const {
   const Time window_end = window_start + window;
 
   // Min-heap of all candidate avalanche triggers: thinned photons, dark
   // counts, and dynamically spawned afterpulses.
-  std::vector<Detection>& heap = scratch.heap;
-  heap.clear();
+  std::vector<Detection> heap;
   const LaterCandidate later{};
   const auto push = [&](Time time, DetectionCause cause) {
     heap.push_back(Detection{Time::zero(), time, cause});
@@ -91,7 +81,7 @@ void Spad::detect_into(std::span<const PhotonArrival> photons, Time window_start
     }
   }
 
-  detections.clear();
+  std::vector<Detection> detections;
   Time dead_until = initially_dead_until;
 
   while (!heap.empty()) {
@@ -127,6 +117,7 @@ void Spad::detect_into(std::span<const PhotonArrival> photons, Time window_start
 
   std::sort(detections.begin(), detections.end(),
             [](const Detection& a, const Detection& b) { return a.time < b.time; });
+  return detections;
 }
 
 }  // namespace oci::spad

@@ -73,9 +73,11 @@ class CalibrationLut {
   }
 
   /// Reconstructs the TOA for a TDC reading using this LUT: the latch
-  /// edge time minus the calibrated fine interval. Inline, like
+  /// edge time minus the calibrated fine interval, or the reading's raw
+  /// estimate when the LUT is invalid (no calibration). Inline, like
   /// fine_interval(): the receiver corrects every symbol's reading.
   [[nodiscard]] util::Time correct(const TdcReading& reading, util::Time clock_period) const {
+    if (!valid()) return reading.estimate;
     const util::Time edge = clock_period * static_cast<double>(reading.coarse);
     util::Time toa = edge - fine_interval(reading.fine);
     if (toa < util::Time::zero()) toa = util::Time::zero();

@@ -82,11 +82,6 @@ class DelayLine {
   /// of the latch. May contain bubbles.
   [[nodiscard]] ThermometerCode sample(Time interval, RngStream& rng) const;
 
-  /// Same, writing into a caller-provided code buffer (resized to
-  /// size()) so conversion loops reuse one allocation. Consumes RNG
-  /// draws identically to sample().
-  void sample_into(Time interval, RngStream& rng, ThermometerCode& out) const;
-
   /// Tap switching instants as prefix sums in seconds (size N+1,
   /// boundary 0 first). Exposed for the fused sample-and-decode fast
   /// path in thermometer.hpp.

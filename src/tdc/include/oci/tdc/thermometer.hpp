@@ -23,8 +23,6 @@ enum class ThermometerDecode {
 /// Decodes a (possibly bubbled) thermometer code into a tap count.
 [[nodiscard]] std::size_t decode_thermometer(std::span<const std::uint8_t> code,
                                              ThermometerDecode method);
-[[nodiscard]] std::size_t decode_thermometer(const ThermometerCode& code,
-                                             ThermometerDecode method);
 
 /// The three latch regimes of a chain latched `interval` after the hit:
 /// taps [0, ones) read a settled 1, the next `racing` taps switched

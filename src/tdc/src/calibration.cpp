@@ -145,9 +145,7 @@ double residual_rms_s(const Tdc& tdc, const CalibrationLut& lut, std::uint64_t p
   for (std::uint64_t i = 0; i < probes; ++i) {
     const util::Time toa = rng.uniform_time(tdc.toa_window());
     const TdcReading reading = tdc.convert(toa, rng);
-    const util::Time estimate =
-        lut.valid() ? lut.correct(reading, tdc.clock_period()) : reading.estimate;
-    const double err = (estimate - toa).seconds();
+    const double err = (lut.correct(reading, tdc.clock_period()) - toa).seconds();
     sum_sq += err * err;
   }
   return std::sqrt(sum_sq / static_cast<double>(probes));

@@ -80,15 +80,9 @@ std::size_t DelayLine::ideal_code(Time interval) const {
 }
 
 ThermometerCode DelayLine::sample(Time interval, RngStream& rng) const {
-  ThermometerCode code;
-  sample_into(interval, rng, code);
-  return code;
-}
-
-void DelayLine::sample_into(Time interval, RngStream& rng, ThermometerCode& code) const {
   const double t = interval.seconds();
   const double meta = params_.metastability_window.seconds();
-  code.assign(size(), 0);
+  ThermometerCode code(size(), 0);
   for (std::size_t i = 0; i < size(); ++i) {
     // Tap i reads 1 iff the hit edge crossed boundary i+1 by latch time.
     const double switch_at = boundaries_s_[i + 1];
@@ -100,6 +94,7 @@ void DelayLine::sample_into(Time interval, RngStream& rng, ThermometerCode& code
       code[i] = margin > 0.0 ? 1 : 0;
     }
   }
+  return code;
 }
 
 bool DelayLine::covers(Time clock_period) const {

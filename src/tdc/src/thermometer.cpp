@@ -46,10 +46,6 @@ std::size_t decode_thermometer(std::span<const std::uint8_t> code, ThermometerDe
   return ones_count(code);
 }
 
-std::size_t decode_thermometer(const ThermometerCode& code, ThermometerDecode method) {
-  return decode_thermometer(std::span<const std::uint8_t>(code), method);
-}
-
 LatchRegimes latch_regimes(const DelayLine& line, Time interval, Time metastability_window) {
   const std::span<const double> b = line.boundaries_seconds();  // size N+1
   const std::size_t n = line.size();

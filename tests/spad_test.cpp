@@ -258,6 +258,38 @@ TEST(Spad, PhotonsOutsideWindowIgnored) {
   EXPECT_TRUE(dets.empty());
 }
 
+// The dead_until carry couples consecutive windows exactly like one
+// long window would.
+TEST(Spad, DeadUntilCarriesAcrossConsecutiveWindows) {
+  SpadParams p = quiet_spad();
+  p.pdp_peak = 1.0;  // every in-window photon is a candidate
+  p.excess_bias = p.nominal_excess_bias;
+  p.dead_time = Time::nanoseconds(40.0);
+  const Spad det(p, Wavelength::nanometres(480.0));
+  const Time window = Time::nanoseconds(50.0);
+
+  RngStream rng(101);
+  // Window 0: photon at 45 ns fires; blind until 85 ns.
+  std::vector<PhotonArrival> w0{{Time::nanoseconds(45.0), true}};
+  const auto d0 = det.detect(w0, Time::zero(), window, rng);
+  ASSERT_EQ(d0.size(), 1u);
+  const Time carried = d0.back().true_time + p.dead_time;
+
+  // Window 1 [50, 100): a photon at 60 ns sits inside the carried
+  // blind interval -> lost; one at 90 ns is past it -> detected.
+  RngStream rng_carry(103), rng_fresh(103);
+  std::vector<PhotonArrival> blind{{Time::nanoseconds(60.0), true}};
+  EXPECT_TRUE(det.detect(blind, window, window, rng_carry, carried).empty());
+  // The same photon fires when the previous window's avalanche is
+  // (incorrectly) forgotten -- the carry is what suppresses it.
+  EXPECT_EQ(det.detect(blind, window, window, rng_fresh).size(), 1u);
+
+  std::vector<PhotonArrival> recovered{{Time::nanoseconds(90.0), true}};
+  const auto past_carry = det.detect(recovered, window, window, rng_carry, carried);
+  ASSERT_EQ(past_carry.size(), 1u);
+  EXPECT_DOUBLE_EQ(past_carry.front().true_time.nanoseconds(), 90.0);
+}
+
 TEST(Spad, RejectsBadParams) {
   SpadParams p;
   p.dead_time = Time::zero();
@@ -284,11 +316,11 @@ TEST(Spad, DetectionsSortedByTimestamp) {
 
 // ---------- SPAD array ----------
 
-spad::SpadArrayParams quiet_array(std::size_t m) {
+spad::SpadArrayParams quiet_array(std::size_t m, double pdp_peak = 0.999) {
   spad::SpadArrayParams p;
   p.diodes = m;
   p.fill_factor = 1.0;
-  p.element.pdp_peak = 0.999;
+  p.element.pdp_peak = pdp_peak;
   p.element.dcr_at_ref = util::Frequency::hertz(0.0);
   p.element.afterpulse_probability = 0.0;
   p.element.jitter_sigma = Time::zero();
@@ -351,6 +383,37 @@ TEST(SpadArray, RejectsBadParams) {
   RngStream rng(719);
   EXPECT_THROW(arr.detect({}, Time::zero(), Time::microseconds(1.0), rng, wrong_size),
                std::invalid_argument);
+}
+
+TEST(SpadArray, DeadUntilVectorCarriesAcrossWindows) {
+  // One diode: the array degenerates to a single SPAD and the
+  // dead_until vector must behave exactly like the scalar carry. Every
+  // in-window photon is a candidate (PDP 1).
+  const spad::SpadArray arr(quiet_array(1, 1.0), Wavelength::nanometres(480.0));
+  const Time window = Time::nanoseconds(50.0);
+  RngStream rng(211);
+  std::vector<Time> dead(1, Time::zero());
+
+  std::vector<PhotonArrival> w0{{Time::nanoseconds(45.0), true}};
+  const auto d0 = arr.detect(w0, Time::zero(), window, rng, dead);
+  ASSERT_EQ(d0.size(), 1u);
+  EXPECT_DOUBLE_EQ(dead[0].nanoseconds(), 85.0);  // 45 ns + 40 ns dead
+
+  // Carried into window 1: the 60 ns photon is blind, the 90 ns fires.
+  std::vector<PhotonArrival> w1{{Time::nanoseconds(60.0), true},
+                                {Time::nanoseconds(90.0), true}};
+  const auto d1 = arr.detect(w1, window, window, rng, dead);
+  ASSERT_EQ(d1.size(), 1u);
+  EXPECT_DOUBLE_EQ(d1.front().true_time.nanoseconds(), 90.0);
+  EXPECT_DOUBLE_EQ(dead[0].nanoseconds(), 130.0);
+
+  // A second diode absorbs the blind photon instead: no loss.
+  const spad::SpadArray pair(quiet_array(2, 1.0), Wavelength::nanometres(480.0));
+  RngStream rng2(223);
+  std::vector<Time> dead2(2, Time::zero());
+  (void)pair.detect(w0, Time::zero(), window, rng2, dead2);
+  const auto d1_pair = pair.detect(w1, window, window, rng2, dead2);
+  EXPECT_EQ(d1_pair.size(), 2u);
 }
 
 // A caller marks a diode that never recovers with never_recovers() in

@@ -660,9 +660,18 @@ TEST(CodeProbabilities, WideWindowFallsBackToHitLoop) {
   EXPECT_EQ(rep.samples, 100000u);
 }
 
-TEST(Calibration, LutRejectsUse_WhenEmpty) {
+// Without a calibration the LUT corrects a reading to its raw estimate,
+// so a receiver corrects every reading through it; a bin lookup still
+// needs a calibration.
+TEST(Calibration, EmptyLutCorrectsToTheRawEstimate) {
   const CalibrationLut lut;
   EXPECT_FALSE(lut.valid());
+  const Tdc tdc = make_ideal_tdc(3);
+  RngStream rng(199);
+  for (int i = 0; i < 20; ++i) {
+    const TdcReading reading = tdc.convert(rng.uniform_time(tdc.toa_window()), rng);
+    EXPECT_EQ(lut.correct(reading, tdc.clock_period()).seconds(), reading.estimate.seconds());
+  }
   EXPECT_THROW((void)lut.fine_interval(0), std::logic_error);
 }
 
@@ -730,19 +739,6 @@ TEST(Thermometer, SampleAndDecodeMatchesMaterialisedPath) {
         }
       }
     }
-  }
-}
-
-TEST(Thermometer, SampleIntoReusesBuffer) {
-  DelayLineParams p = paper_line_params();
-  RngStream process(31);
-  const DelayLine line(p, process);
-  ThermometerCode buffer;
-  for (int i = 0; i < 5; ++i) {
-    RngStream a(100 + i), b(100 + i);
-    const Time interval = Time::picoseconds(52.0 * i * 7);
-    line.sample_into(interval, a, buffer);
-    EXPECT_EQ(buffer, line.sample(interval, b));
   }
 }
 
