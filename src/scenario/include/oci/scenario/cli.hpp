@@ -95,16 +95,11 @@ struct ShardSpec {
 /// consume_precision_args).
 [[nodiscard]] std::optional<ShardSpec> consume_shard_arg(int& argc, char** argv);
 
-/// -- Result-cache helpers --------------------------------------------
-/// OCI_SCENARIO_CACHE: directory of the content-addressed result store
-/// (store.hpp); unset/empty = no cache.
-[[nodiscard]] std::optional<std::string> cache_dir_from_env();
-
-/// Scans argv for --cache=DIR, REMOVES it, exports the value as
-/// OCI_SCENARIO_CACHE, and returns it. An empty value throws.
-[[nodiscard]] std::optional<std::string> consume_cache_arg(int& argc, char** argv);
-
-/// --cache= beats OCI_SCENARIO_CACHE beats "no cache" (nullopt).
+/// -- Result cache ----------------------------------------------------
+/// Directory of the content-addressed result store (store.hpp):
+/// --cache=DIR (or --cache DIR) beats OCI_SCENARIO_CACHE beats "no
+/// cache" (nullopt). The flag is removed from argv and exported as
+/// OCI_SCENARIO_CACHE; an empty DIR throws, an empty variable is no cache.
 [[nodiscard]] std::optional<std::string> resolve_cache_dir(int& argc, char** argv);
 
 }  // namespace oci::scenario

@@ -20,8 +20,9 @@ std::optional<std::uint64_t>& cli_seed_slot() {
 }
 
 /// Removes every `FLAG=V` and `FLAG V` from argv, compacting and
-/// re-terminating it, and returns the values in argv order. A trailing
-/// bare FLAG with no value is left in place.
+/// re-terminating it, and returns the values in argv order. A bare FLAG
+/// with no value -- trailing, or followed by another `--` flag -- is
+/// left in place.
 std::vector<std::string> consume_flag(int& argc, char** argv, std::string_view flag) {
   std::vector<std::string> values;
   int write = 1;
@@ -29,7 +30,7 @@ std::vector<std::string> consume_flag(int& argc, char** argv, std::string_view f
     const std::string_view arg = argv[i];
     if (arg.starts_with(flag) && arg.size() > flag.size() && arg[flag.size()] == '=') {
       values.emplace_back(arg.substr(flag.size() + 1));
-    } else if (arg == flag && i + 1 < argc) {
+    } else if (arg == flag && i + 1 < argc && !std::string_view(argv[i + 1]).starts_with("--")) {
       values.emplace_back(argv[++i]);
     } else {
       argv[write++] = argv[i];
@@ -53,6 +54,30 @@ void export_checked(const char* flag, const char* var, const std::string& value,
   unsetenv(var);
   throw std::invalid_argument(std::string("scenario: ") + flag + " needs a positive " + kind +
                               ", got '" + value + "'");
+}
+
+/// OCI_SCENARIO_CACHE: directory of the content-addressed result store
+/// (store.hpp); unset/empty = no cache.
+std::optional<std::string> cache_dir_from_env() {
+  const char* env = std::getenv("OCI_SCENARIO_CACHE");
+  if (env == nullptr || *env == '\0') return std::nullopt;
+  return std::string(env);
+}
+
+/// Removes every --cache=DIR (or --cache DIR) from argv, exports the
+/// last as OCI_SCENARIO_CACHE, and returns it. An empty value throws.
+std::optional<std::string> consume_cache_arg(int& argc, char** argv) {
+  std::optional<std::string> out;
+  for (const std::string& value : consume_flag(argc, argv, "--cache")) {
+    if (value.empty()) {
+      throw std::invalid_argument("scenario: --cache needs a directory, got ''");
+    }
+    out = value;
+  }
+  // Exported so every later resolve_cache_dir / run in the process
+  // sees the CLI value -- same precedence story as seeds.
+  if (out) setenv("OCI_SCENARIO_CACHE", out->c_str(), 1);
+  return out;
 }
 
 }  // namespace
@@ -162,26 +187,6 @@ std::optional<ShardSpec> consume_shard_arg(int& argc, char** argv) {
   for (const std::string& value : consume_flag(argc, argv, "--shard")) {
     out = parse_shard(value);  // strict: a garbled shard must not run the full sweep
   }
-  return out;
-}
-
-std::optional<std::string> cache_dir_from_env() {
-  const char* env = std::getenv("OCI_SCENARIO_CACHE");
-  if (env == nullptr || *env == '\0') return std::nullopt;
-  return std::string(env);
-}
-
-std::optional<std::string> consume_cache_arg(int& argc, char** argv) {
-  std::optional<std::string> out;
-  for (const std::string& value : consume_flag(argc, argv, "--cache")) {
-    if (value.empty()) {
-      throw std::invalid_argument("scenario: --cache needs a directory, got ''");
-    }
-    out = value;
-  }
-  // Exported so every later resolve_cache_dir / run in the process
-  // sees the CLI value -- same precedence story as seeds.
-  if (out) setenv("OCI_SCENARIO_CACHE", out->c_str(), 1);
   return out;
 }
 

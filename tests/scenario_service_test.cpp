@@ -1023,6 +1023,30 @@ TEST(ScenarioCli, ConsumesShardAndCacheArgs) {
                std::invalid_argument);
 }
 
+// A bare flag takes no other flag as its value: `--cache --seed=7` once
+// ran at the spec's seed and made a cache directory named "--seed=7".
+TEST(ScenarioCli, BareFlagLeavesTheNextFlagInPlace) {
+  const char* saved = std::getenv("OCI_SCENARIO_CACHE");
+  const std::string saved_value = saved ? saved : "";
+  ::unsetenv("OCI_SCENARIO_CACHE");
+
+  std::vector<std::string> args = {"tool", "--cache", "--seed=7"};
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  int argc = static_cast<int>(argv.size());
+
+  EXPECT_FALSE(scenario::resolve_cache_dir(argc, argv.data()).has_value());
+  EXPECT_EQ(std::getenv("OCI_SCENARIO_CACHE"), nullptr);
+  // The bare flag stays for the caller to report, and the seed stays
+  // consumable.
+  ASSERT_EQ(argc, 3);
+  EXPECT_STREQ(argv[1], "--cache");
+  EXPECT_EQ(scenario::consume_seed_arg(argc, argv.data()), std::optional<std::uint64_t>(7u));
+  EXPECT_EQ(argc, 2);
+  scenario::set_seed_override(std::nullopt);
+  if (saved) ::setenv("OCI_SCENARIO_CACHE", saved_value.c_str(), 1);
+}
+
 TEST(ScenarioService, RejectsInvalidShardOptions) {
   const ScenarioSpec spec = sweep_spec();
   RunOptions zero;

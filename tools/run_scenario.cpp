@@ -119,7 +119,9 @@ int cmd_run(int argc, char** argv) {
     } else if (arg.rfind("--seed=", 0) == 0) {
       // handled later by resolve_seed
     } else if (arg == "--seed") {
-      ++i;  // split form (--seed N); both handled later by resolve_seed
+      // Split form (--seed N), handled later by resolve_seed; a bare
+      // --seed before another flag takes no value there either.
+      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) ++i;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "run_scenario: unknown option '" << arg << "'\n";
       usage(std::cerr);
