@@ -75,8 +75,7 @@ void BM_SampleAndDecodeFused(benchmark::State& state) {
   const Time range = line.total_delay();
   for (auto _ : state) {
     const Time interval = rng.uniform_time(range);
-    benchmark::DoNotOptimize(
-        tdc::sample_and_decode(line, interval, rng, tdc::ThermometerDecode::kMajorityWindow));
+    benchmark::DoNotOptimize(tdc::sample_and_decode(line, interval, rng));
   }
 }
 BENCHMARK(BM_SampleAndDecodeFused);
@@ -87,9 +86,7 @@ void BM_SampleAndDecodeMaterialised(benchmark::State& state) {
   const Time range = line.total_delay();
   for (auto _ : state) {
     const Time interval = rng.uniform_time(range);
-    benchmark::DoNotOptimize(
-        tdc::decode_thermometer(line.sample(interval, rng),
-                                tdc::ThermometerDecode::kMajorityWindow));
+    benchmark::DoNotOptimize(tdc::decode_thermometer(line.sample(interval, rng)));
   }
 }
 BENCHMARK(BM_SampleAndDecodeMaterialised);

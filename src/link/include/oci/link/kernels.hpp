@@ -1,5 +1,6 @@
-// The window kernel: the one simulator of a SPAD symbol window. One
-// lane simulates one window on its own util::CounterRng stream; a batch
+// The window kernel: the one simulator of a SPAD symbol window -- a
+// rectangular micro-LED pulse on an actively quenched SPAD. One lane
+// simulates one window on its own util::CounterRng stream; a batch
 // runs windows[i] on lane (first_lane + i) of a (stream root, lane
 // index) family, with the engine's own sources or with per-lane inputs
 // (LaneInputs). Every LinkEngine driver runs its windows through it.
@@ -20,14 +21,6 @@
 
 namespace oci::link::kernels {
 
-/// Temporal envelope of the signal pulse, pre-resolved from
-/// photonics::PulseShape so the kernel stays free of model headers.
-enum class EnvelopeKind : int {
-  kRectangular = 0,
-  kExponential = 1,
-  kGaussian = 2,
-};
-
 /// Engine constants shared by every lane (window-local time: the window
 /// spans [0, window_s)). LinkEngine builds one at construction.
 struct BatchParams {
@@ -38,9 +31,7 @@ struct BatchParams {
   double afterpulse_p = 0.0;
   double afterpulse_tau_s = 0.0;
   double jitter_sigma_s = 0.0;
-  double envelope_width_s = 0.0;  ///< LED pulse width [s]
-  EnvelopeKind envelope = EnvelopeKind::kRectangular;
-  bool passive_quench = false;
+  double envelope_width_s = 0.0;  ///< LED pulse width [s]: rectangular pulse
 };
 
 /// Per-lane inputs of one batch beside the engine constants. Every
@@ -66,10 +57,10 @@ struct LaneInputs {
 /// each aggressor's (when its lambda > 0), then the first noise arrival
 /// (when the noise rate > 0); then, per avalanche, the first one's
 /// jitter, the afterpulse coin (and its delay on success), and the
-/// fired source's next candidate. Under active quench a fired pulse
-/// restarts at the new dead-time horizon, drawing only when envelope
-/// mass remains past it (a pulse shorter than the dead time draws
-/// nothing). A lane's TDC conversion continues its stream after
+/// fired source's next candidate. The SPAD is actively quenched: a
+/// fired pulse restarts at the new dead-time horizon, drawing only when
+/// envelope mass remains past it (a pulse shorter than the dead time
+/// draws nothing). A lane's TDC conversion continues its stream after
 /// WindowResult::rng_draws. Ties go to the signal, then aggressors in
 /// order, then noise, then afterpulses. Allocation-free.
 void simulate_windows(const BatchParams& p, std::span<WindowResult> windows,

@@ -33,7 +33,6 @@ struct OpticalLinkConfig {
   photonics::MicroLedParams led;
   spad::SpadParams spad;
   tdc::DelayLineParams delay_line;  ///< elements overridden by design.fine_elements
-  tdc::ThermometerDecode decode = tdc::ThermometerDecode::kMajorityWindow;
 
   /// End-to-end channel transmittance (set directly or via from_stack).
   double channel_transmittance = 0.5;
@@ -190,8 +189,9 @@ class OpticalLink {
   unsigned bits_per_symbol_;
   util::Time guard_;
   /// Static receive-chain TOA bias subtracted before slot binning.
-  /// Initialised to the analytic envelope mean; replaced by the
-  /// measured value whenever recalibrate() runs.
+  /// Initialised to the mean emission delay of the rectangular pulse
+  /// (half its width); replaced by the measured value whenever
+  /// recalibrate() runs.
   util::Time detection_offset_;
 };
 

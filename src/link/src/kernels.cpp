@@ -4,21 +4,22 @@
 //
 // Bit-stability rules (see kernels.hpp): only exactly-rounded IEEE
 // operations and the portable polynomial transcendentals below. No
-// libm. The polynomial log/exp/erfinv are FDLIBM/Giles forms accurate
-// to a few ulp / ~1e-7 -- statistically indistinguishable for Monte
-// Carlo sampling, and identical under every compiler and flag set.
+// libm. The polynomial log/erfinv are FDLIBM/Giles forms accurate to a
+// few ulp / ~1e-7 -- statistically indistinguishable for Monte Carlo
+// sampling, and identical under every compiler and flag set.
 //
 // Two point-process identities make a window cheap. Thinning: a
 // Poisson photon stream thinned per photon by PDP is Poisson at the
 // pre-multiplied rate, so avalanche CANDIDATES are drawn directly.
 // Restart: after any time t a Poisson process is again Poisson, so
 // each source's candidates stream lazily in time order (one Exp(1)
-// hazard step + one inverse-CDF each) and, under active quench,
-// fast-forward across the SPAD's dead time; a pulse whose candidate
-// fires restarts at the new dead-time horizon at once, so a short
-// pulse that ends inside the dead time draws nothing more. A window
-// merges the victim's pulse, any aggressor pulses, flat noise and
-// afterpulse releases by a linear min-scan.
+// hazard step + one inverse-CDF each) and fast-forward across the
+// SPAD's dead time (active quench: the diode is blind and an absorbed
+// carrier has no effect); a pulse whose candidate fires restarts at
+// the new dead-time horizon at once, so a short pulse that ends inside
+// the dead time draws nothing more. A window merges the victim's
+// pulse, any aggressor pulses, flat noise and afterpulse releases by a
+// linear min-scan.
 #include "oci/link/kernels.hpp"
 
 #include <algorithm>
@@ -79,31 +80,6 @@ double pm_log(double x) {
          ((hfsq - (s * (hfsq + r) + dk * 1.90821492927058770002e-10)) - f);
 }
 
-/// FDLIBM exp (main path): the envelope CDF fast-forward and erfc.
-double pm_exp(double x) {
-  if (x < -708.0) return 0.0;  // underflow guard; our args are <= 0
-  if (x > 708.0) return kInf;
-  const double half = x >= 0.0 ? 0.5 : -0.5;
-  const auto k = static_cast<long>(1.44269504088896338700e+00 * x + half);
-  const auto dk = static_cast<double>(k);
-  const double hi = x - dk * 6.93147180369123816490e-01;
-  const double lo = dk * 1.90821492927058770002e-10;
-  const double r = hi - lo;
-  const double t = r * r;
-  const double c =
-      r - t * (1.66666666666666019037e-01 +
-               t * (-2.77777777770155933842e-03 +
-                    t * (6.61375632143793436117e-05 +
-                         t * (-1.65339022054652515390e-06 +
-                              t * 4.13813679705723846039e-08))));
-  const double y = 1.0 - ((lo - (r * c) / (2.0 - c)) - hi);
-  // Scale by 2^k through the exponent bits; |k| < 1090 after the guards.
-  const std::uint64_t bits = std::bit_cast<std::uint64_t>(y) +
-                             (static_cast<std::uint64_t>(static_cast<std::int64_t>(k))
-                              << 52);
-  return std::bit_cast<double>(bits);
-}
-
 /// Giles (2012) inverse error function polynomial at x, given
 /// w = -log(1 - x^2).
 double giles_erfinv(double w, double x) {
@@ -134,8 +110,7 @@ double giles_erfinv(double w, double x) {
   return p * x;
 }
 
-/// Standard normal quantile of u in (0, 1) (jitter and Gaussian-envelope
-/// sampling).
+/// Standard normal quantile of u in (0, 1) (jitter sampling).
 double pm_probit(double u) {
   const double x = 2.0 * u - 1.0;
   return 1.4142135623730951 * giles_erfinv(-pm_log((1.0 - x) * (1.0 + x)), x);
@@ -164,51 +139,17 @@ double pm_tail_quantile(double u) {
   return z;
 }
 
-/// Complementary error function, Abramowitz & Stegun 7.1.26 (~1.5e-7
-/// absolute) -- Gaussian-envelope mass fast-forward.
-double pm_erfc(double x) {
-  const double y = x < 0.0 ? -x : x;
-  const double t = 1.0 / (1.0 + 0.3275911 * y);
-  const double poly =
-      t * (0.254829592 +
-           t * (-0.284496736 +
-                t * (1.421413741 + t * (-1.453152027 + t * 1.061405429))));
-  const double erfc_pos = poly * pm_exp(-y * y);
-  return x < 0.0 ? 2.0 - erfc_pos : erfc_pos;
-}
-
 // ---------------------------------------------------------------------
-// Envelope transforms (photonics::MicroLed::sample_emission_time's
-// distributions, portable primitives).
+// The rectangular pulse (photonics::MicroLed::sample_emission_time's
+// distribution).
 
-/// Inverse CDF of the envelope at mass fraction `frac` in [0, 1).
-template <EnvelopeKind E>
-double env_inv(const BatchParams& p, double frac) {
-  if constexpr (E == EnvelopeKind::kRectangular) {
-    return frac * p.envelope_width_s;
-  } else if constexpr (E == EnvelopeKind::kExponential) {
-    return -p.envelope_width_s * pm_log(1.0 - frac);
-  } else {
-    const double sigma = p.envelope_width_s / 6.0;
-    const double mu = p.envelope_width_s / 2.0;
-    const double t = mu + sigma * pm_probit(frac);
-    return t < 0.0 ? 0.0 : t;  // clip the tail below pulse start
-  }
-}
+/// Inverse CDF of the pulse at mass fraction `frac` in [0, 1).
+double env_inv(const BatchParams& p, double frac) { return frac * p.envelope_width_s; }
 
-/// Envelope CDF at time x from pulse start.
-template <EnvelopeKind E>
+/// The pulse's CDF at time x from pulse start.
 double env_cdf(const BatchParams& p, double x) {
   if (x <= 0.0) return 0.0;
-  if constexpr (E == EnvelopeKind::kRectangular) {
-    return x >= p.envelope_width_s ? 1.0 : x / p.envelope_width_s;
-  } else if constexpr (E == EnvelopeKind::kExponential) {
-    return 1.0 - pm_exp(-x / p.envelope_width_s);
-  } else {
-    const double sigma = p.envelope_width_s / 6.0;
-    const double mu = p.envelope_width_s / 2.0;
-    return 0.5 * pm_erfc(-(x - mu) / (sigma * 1.4142135623730951));
-  }
+  return x >= p.envelope_width_s ? 1.0 : x / p.envelope_width_s;
 }
 
 // ---------------------------------------------------------------------
@@ -217,7 +158,7 @@ double env_cdf(const BatchParams& p, double x) {
 // aggressors or proposal) sees neither at compile time, so their code
 // folds away from the hot loop.
 
-template <EnvelopeKind E, bool kMerged>
+template <bool kMerged>
 void run_lane(const BatchParams& p, const LaneSources& in, WindowResult& w,
               util::CounterRng rng, std::array<double, kMaxPending>& pending) {
   const std::span<PulseSource> aggressors = kMerged ? in.aggressors : std::span<PulseSource>();
@@ -225,7 +166,7 @@ void run_lane(const BatchParams& p, const LaneSources& in, WindowResult& w,
   const auto exp1 = [&rng] { return -pm_log(rng.uniform()); };
 
   // Each pulse's hazard walks the cumulative mass [0, lambda); the
-  // envelope's inverse CDF maps it back to a time. The victim's stream
+  // pulse's inverse CDF maps it back to a time. The victim's stream
   // lives here, the aggressors' in the caller's scratch.
   const auto advance = [&](PulseSource& s) {
     if (s.exhausted) return;
@@ -235,7 +176,7 @@ void run_lane(const BatchParams& p, const LaneSources& in, WindowResult& w,
       s.next_s = kInf;
       return;
     }
-    s.next_s = s.start_s + env_inv<E>(p, s.hazard / s.lambda);
+    s.next_s = s.start_s + env_inv(p, s.hazard / s.lambda);
   };
   const auto reset = [](PulseSource& s) {
     s.hazard = 0.0;
@@ -289,7 +230,7 @@ void run_lane(const BatchParams& p, const LaneSources& in, WindowResult& w,
   // Restart property: the stream resumes from the envelope mass already
   // emitted by `dead`.
   const auto restart = [&](PulseSource& s) {
-    s.hazard = std::max(s.hazard, s.lambda * env_cdf<E>(p, dead - s.start_s));
+    s.hazard = std::max(s.hazard, s.lambda * env_cdf(p, dead - s.start_s));
     s.next_s = kInf;
     if (s.hazard >= s.lambda) {
       s.exhausted = true;
@@ -297,26 +238,32 @@ void run_lane(const BatchParams& p, const LaneSources& in, WindowResult& w,
     }
     advance(s);
   };
-  // The loop guards against the Gaussian envelope's approximate
-  // CDF/inverse-CDF pair.
+  // The loop guards against rounding: a restarted candidate can land an
+  // ulp before `dead`.
   const auto fast_forward = [&](PulseSource& s) {
     while (!s.exhausted && s.next_s < dead) restart(s);
+  };
+  // A pulse source steps past the candidate that just fired: nothing
+  // before the new `dead` can fire, so the source restarts there, as
+  // the fast-forward would, instead of drawing a candidate the
+  // fast-forward discards.
+  const auto next_candidate = [&](PulseSource& s) {
+    restart(s);
+    fast_forward(s);
   };
 
   enum class Kind { kSignal, kAggressor, kNoise, kAfterpulse };
   while (true) {
-    if (!p.passive_quench) {
-      // Active quench: nothing fires before `dead` and absorbed
-      // carriers have no effect, so every stream fast-forwards.
-      fast_forward(sig);
-      for (PulseSource& a : aggressors) fast_forward(a);
-      if (noise_next < dead) advance_noise(dead);
-      for (std::uint32_t i = 0; i < np;) {
-        if (pending[i] < dead) {
-          pending[i] = pending[--np];
-        } else {
-          ++i;
-        }
+    // Nothing fires before `dead` and absorbed carriers have no effect,
+    // so every stream fast-forwards.
+    fast_forward(sig);
+    for (PulseSource& a : aggressors) fast_forward(a);
+    if (noise_next < dead) advance_noise(dead);
+    for (std::uint32_t i = 0; i < np;) {
+      if (pending[i] < dead) {
+        pending[i] = pending[--np];
+      } else {
+        ++i;
       }
     }
 
@@ -342,41 +289,6 @@ void run_lane(const BatchParams& p, const LaneSources& in, WindowResult& w,
       }
     }
     if (t >= p.window_s) break;
-
-    // A pulse source steps past the candidate it just spent. Under
-    // active quench that candidate fired: nothing before the new `dead`
-    // can fire, so the source restarts there, as the fast-forward
-    // would, instead of drawing a candidate the fast-forward discards.
-    const auto next_candidate = [&](PulseSource& s) {
-      if (p.passive_quench) {
-        advance(s);
-        return;
-      }
-      restart(s);
-      fast_forward(s);
-    };
-    const auto consume = [&] {
-      switch (kind) {
-        case Kind::kSignal:
-          next_candidate(sig);
-          break;
-        case Kind::kAggressor:
-          next_candidate(aggressors[winner]);
-          break;
-        case Kind::kNoise:
-          advance_noise(noise_next);
-          break;
-        case Kind::kAfterpulse:
-          pending[winner] = pending[--np];
-          break;
-      }
-    };
-
-    if (p.passive_quench && t < dead) {
-      dead = t + p.dead_s;  // paralyzable: the absorbed carrier restarts recharge
-      consume();
-      continue;
-    }
 
     // Avalanche fires. Only the first detection's timestamp reaches the
     // TDC, so the jitter draw is spent on that one alone.
@@ -416,7 +328,22 @@ void run_lane(const BatchParams& p, const LaneSources& in, WindowResult& w,
         pending[np++] = release;
       }
     }
-    consume();
+
+    // The fired candidate's source steps past it.
+    switch (kind) {
+      case Kind::kSignal:
+        next_candidate(sig);
+        break;
+      case Kind::kAggressor:
+        next_candidate(aggressors[winner]);
+        break;
+      case Kind::kNoise:
+        advance_noise(noise_next);
+        break;
+      case Kind::kAfterpulse:
+        pending[winner] = pending[--np];
+        break;
+    }
   }
 
   if (tilt_noise && noise_next < kInf) {
@@ -433,23 +360,6 @@ void run_lane(const BatchParams& p, const LaneSources& in, WindowResult& w,
   w.log_weight = log_weight;
 }
 
-/// run_lane on the engine's envelope.
-template <bool kMerged>
-void dispatch_lane(const BatchParams& p, const LaneSources& in, WindowResult& w,
-                   util::CounterRng rng, std::array<double, kMaxPending>& pending) {
-  switch (p.envelope) {
-    case EnvelopeKind::kRectangular:
-      run_lane<EnvelopeKind::kRectangular, kMerged>(p, in, w, rng, pending);
-      break;
-    case EnvelopeKind::kExponential:
-      run_lane<EnvelopeKind::kExponential, kMerged>(p, in, w, rng, pending);
-      break;
-    case EnvelopeKind::kGaussian:
-      run_lane<EnvelopeKind::kGaussian, kMerged>(p, in, w, rng, pending);
-      break;
-  }
-}
-
 }  // namespace
 
 void simulate_windows(const BatchParams& p, std::span<WindowResult> windows,
@@ -459,7 +369,7 @@ void simulate_windows(const BatchParams& p, std::span<WindowResult> windows,
   LaneSources src{.lambda_signal = p.lambda_signal, .noise_rate = p.noise_rate, .rare = in.rare};
   if (in.signal_scale.empty() && in.aggressors.empty() && in.rare == nullptr) {
     for (std::size_t i = 0; i < windows.size(); ++i) {
-      dispatch_lane<false>(p, src, windows[i], lanes.lane(first_lane + i), pending);
+      run_lane<false>(p, src, windows[i], lanes.lane(first_lane + i), pending);
     }
     return;
   }
@@ -472,9 +382,9 @@ void simulate_windows(const BatchParams& p, std::span<WindowResult> windows,
     }
     src.aggressors = in.aggressors.subspan(i * k, k);
     if (merged) {
-      dispatch_lane<true>(p, src, windows[i], lanes.lane(first_lane + i), pending);
+      run_lane<true>(p, src, windows[i], lanes.lane(first_lane + i), pending);
     } else {
-      dispatch_lane<false>(p, src, windows[i], lanes.lane(first_lane + i), pending);
+      run_lane<false>(p, src, windows[i], lanes.lane(first_lane + i), pending);
     }
   }
 }

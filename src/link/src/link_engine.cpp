@@ -12,7 +12,6 @@ using util::Time;
 
 kernels::BatchParams resolve_params(const OpticalLink& link) {
   const spad::SpadParams& det = link.detector().params();
-  const photonics::MicroLedParams& led = link.led().params();
   kernels::BatchParams p;
   p.lambda_signal =
       link.led().photons_per_pulse() * link.config().channel_transmittance * link.detector().pdp();
@@ -23,19 +22,7 @@ kernels::BatchParams resolve_params(const OpticalLink& link) {
   p.afterpulse_p = det.afterpulse_probability;
   p.afterpulse_tau_s = det.afterpulse_tau.seconds();
   p.jitter_sigma_s = det.jitter_sigma.seconds();
-  p.envelope_width_s = led.pulse_width.seconds();
-  switch (led.shape) {
-    case photonics::PulseShape::kRectangular:
-      p.envelope = kernels::EnvelopeKind::kRectangular;
-      break;
-    case photonics::PulseShape::kExponential:
-      p.envelope = kernels::EnvelopeKind::kExponential;
-      break;
-    case photonics::PulseShape::kGaussian:
-      p.envelope = kernels::EnvelopeKind::kGaussian;
-      break;
-  }
-  p.passive_quench = det.quench == spad::QuenchMode::kPassive;
+  p.envelope_width_s = link.led().params().pulse_width.seconds();
   return p;
 }
 

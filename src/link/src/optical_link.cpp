@@ -40,7 +40,6 @@ tdc::DelayLineParams line_params(const OpticalLinkConfig& c) {
 tdc::TdcConfig tdc_config(const OpticalLinkConfig& c) {
   tdc::TdcConfig t;
   t.coarse_bits = c.design.coarse_bits;
-  t.decode = c.decode;
   t.clock_period = c.design.element_delay * static_cast<double>(c.design.fine_elements);
   return t;
 }
@@ -56,19 +55,6 @@ modulation::PpmConfig ppm_config(const OpticalLinkConfig& c, unsigned bits) {
   p.labeling = c.labeling;
   p.pulse_offset_fraction = 0.5;
   return p;
-}
-
-/// Mean delay from pulse start to a photon's emission, per envelope.
-Time envelope_mean(const photonics::MicroLedParams& led) {
-  switch (led.shape) {
-    case photonics::PulseShape::kRectangular:
-      return led.pulse_width * 0.5;
-    case photonics::PulseShape::kExponential:
-      return led.pulse_width;
-    case photonics::PulseShape::kGaussian:
-      return led.pulse_width * 0.5;
-  }
-  return Time::zero();
 }
 
 }  // namespace
@@ -128,7 +114,7 @@ OpticalLink::OpticalLink(const OpticalLinkConfig& config, RngStream& process_rng
       framer_(ppm_, modulation::FrameConfig{}),
       stream_(led_, config.channel_transmittance),
       bits_per_symbol_(resolve_bits(config)),
-      detection_offset_(envelope_mean(config.led)) {
+      detection_offset_(config.led.pulse_width * 0.5) {
   if (config_.inter_symbol_guard >= Time::zero()) {
     guard_ = config_.inter_symbol_guard;
   } else {

@@ -18,17 +18,11 @@ using util::Time;
 using util::Voltage;
 using util::Wavelength;
 
-/// Temporal envelope of the emitted optical pulse.
-enum class PulseShape {
-  kRectangular,  ///< constant power over the pulse width
-  kExponential,  ///< instantaneous rise, exponential decay (RC-limited LED)
-  kGaussian,     ///< symmetric Gaussian centred at half the width
-};
-
+/// The emitted optical pulse is rectangular: constant peak power over
+/// the pulse width.
 struct MicroLedParams {
   Wavelength wavelength = Wavelength::nanometres(450.0);  ///< GaN blue emission
   Time pulse_width = Time::picoseconds(300.0);            ///< sub-ns demonstrated in [7]
-  PulseShape shape = PulseShape::kRectangular;
   Power peak_power = Power::microwatts(50.0);  ///< optical peak power into the channel
   double wall_plug_efficiency = 0.05;          ///< optical out / electrical in
   Capacitance driver_load = Capacitance::femtofarads(250.0);  ///< driver + stripe load
@@ -44,17 +38,16 @@ class MicroLed {
 
   [[nodiscard]] const MicroLedParams& params() const { return params_; }
 
-  /// Optical energy in one pulse (integral of the envelope).
+  /// Optical energy in one pulse: peak power x width.
   [[nodiscard]] Energy optical_pulse_energy() const;
   /// Electrical energy drawn per pulse: optical/WPE + CV^2 driver switching.
   [[nodiscard]] Energy electrical_pulse_energy() const;
   /// Mean number of photons emitted per pulse.
   [[nodiscard]] double photons_per_pulse() const;
 
-  /// Inverse-CDF sample of an emission time within the pulse envelope,
-  /// given a uniform u in [0,1). Used by PhotonStream; the link's window
-  /// kernel (link/src/kernels.cpp) samples the same distribution with
-  /// its own portable primitives.
+  /// Inverse-CDF sample of an emission time within the pulse, given a
+  /// uniform u in [0,1): u x width. Used by PhotonStream; the link's
+  /// window kernel (link/src/kernels.cpp) samples the same distribution.
   [[nodiscard]] Time sample_emission_time(double u) const;
 
  private:

@@ -1,18 +1,6 @@
 #include "oci/photonics/led.hpp"
 
-#include <cmath>
-
-#include "oci/util/math.hpp"
-
 namespace oci::photonics {
-
-namespace {
-// Gaussian sigma such that ~99.7% of the energy lies inside the pulse
-// width for the kGaussian shape (width = 6 sigma).
-constexpr double kGaussianWidthSigmas = 6.0;
-
-using util::erfinv;
-}  // namespace
 
 MicroLed::MicroLed(const MicroLedParams& params) : params_(params) {
   if (params_.pulse_width <= Time::zero()) {
@@ -27,7 +15,6 @@ MicroLed::MicroLed(const MicroLedParams& params) : params_(params) {
 }
 
 Energy MicroLed::optical_pulse_energy() const {
-  // All supported envelopes are normalised to carry peak_power x width.
   return params_.peak_power * params_.pulse_width;
 }
 
@@ -43,23 +30,7 @@ double MicroLed::photons_per_pulse() const {
 }
 
 Time MicroLed::sample_emission_time(double u) const {
-  const double w = params_.pulse_width.seconds();
-  switch (params_.shape) {
-    case PulseShape::kRectangular:
-      return Time::seconds(u * w);
-    case PulseShape::kExponential:
-      return Time::seconds(-w * std::log(1.0 - u));
-    case PulseShape::kGaussian: {
-      const double sigma = w / kGaussianWidthSigmas;
-      const double mu = w / 2.0;
-      // Inverse normal CDF via inverse error function.
-      const double z = std::sqrt(2.0) * erfinv(2.0 * u - 1.0);
-      double t = mu + sigma * z;
-      if (t < 0.0) t = 0.0;  // clip the (<0.2%) tail below pulse start
-      return Time::seconds(t);
-    }
-  }
-  return Time::zero();
+  return Time::seconds(u * params_.pulse_width.seconds());
 }
 
 }  // namespace oci::photonics

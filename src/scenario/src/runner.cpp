@@ -269,7 +269,6 @@ ChunkRecord run_p2p_code_density(const ScenarioSpec& s, std::uint64_t samples,
   const tdc::DelayLine line(s.device.delay_line, process);
   tdc::TdcConfig cfg;
   cfg.coarse_bits = s.device.design.coarse_bits;
-  cfg.decode = s.device.decode;
   // The system clock covers the design's fine range; the delay line may
   // carry margin elements beyond it (the production link's slow-corner
   // rule), exactly like the abl_scaling sweep this mode absorbs.

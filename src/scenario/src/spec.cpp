@@ -267,6 +267,13 @@ constexpr Row text(const char* name, Renderer render) {
   return {.name = name, .render = render};
 }
 
+/// A canonical line that always reads N: a receiver-model choice with
+/// one value, kept in the text so that no spec hash moves.
+template <int N>
+constexpr Row fixed(const char* name) {
+  return text(name, [](const Row& row, const S&, std::string& out) { line(out, row.name, N); });
+}
+
 void render_aggressors(const Row& row, const S& s, std::string& out) {
   line(out, row.name, s.aggressors.size());
   for (std::size_t i = 0; i < s.aggressors.size(); ++i) {
@@ -347,7 +354,7 @@ constexpr Row kRows[] = {
     // -- device: LED / SPAD ---------------------------------------------
     num<nm>(OCI_SPEC_FIELD(device.led.wavelength), "wavelength_nm"),
     num<ps>(OCI_SPEC_FIELD(device.led.pulse_width), "pulse_width_ps"),
-    field(OCI_SPEC_FIELD(device.led.shape)),
+    fixed<0>("device.led.shape"),  // rectangular
     num<uw>(OCI_SPEC_FIELD(device.led.peak_power), "peak_power_uw"),
     field(OCI_SPEC_FIELD(device.led.wall_plug_efficiency)),
     field(OCI_SPEC_FIELD(device.led.driver_load)),
@@ -357,7 +364,7 @@ constexpr Row kRows[] = {
     field(OCI_SPEC_FIELD(device.spad.excess_bias)),
     field(OCI_SPEC_FIELD(device.spad.nominal_excess_bias)),
     num<ns>(OCI_SPEC_FIELD(device.spad.dead_time), "dead_time_ns"),
-    field(OCI_SPEC_FIELD(device.spad.quench)),
+    fixed<0>("device.spad.quench"),  // active
     num<hz>(OCI_SPEC_FIELD(device.spad.dcr_at_ref), "dcr_hz"),
     field(OCI_SPEC_FIELD(device.spad.dcr_ref_temperature)),
     field(OCI_SPEC_FIELD(device.spad.dcr_doubling_kelvin)),
@@ -384,7 +391,7 @@ constexpr Row kRows[] = {
     field(OCI_SPEC_FIELD(device.delay_line.voltage_coefficient)),
     field(OCI_SPEC_FIELD(device.delay_line.nominal_supply)),
     field(OCI_SPEC_FIELD(device.delay_line.metastability_window)),
-    field(OCI_SPEC_FIELD(device.decode)),
+    fixed<2>("device.decode"),  // 3-tap majority window
     num(OCI_SPEC_FIELD(device.channel_transmittance), "channel_transmittance"),
     num<mhz>(OCI_SPEC_FIELD(device.background_rate), "background_mhz"),
     field(OCI_SPEC_FIELD(device.temperature)),

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstddef>
-#include <limits>
 #include <vector>
 
 #include "oci/spad/spad.hpp"
@@ -21,23 +20,9 @@ struct SpadArrayParams {
   /// optical spot is assumed to cover the whole array, so an arriving
   /// photon is absorbed by a uniformly chosen ARMED diode when one
   /// exists (ideal load balancing -- the dead-time/M multiplexed-bank
-  /// model); only when every diode is recovering is the photon lost to
-  /// a uniformly chosen dead cell.
+  /// model); only when every diode is recovering is the photon lost.
   double fill_factor = 0.8;
 };
-
-/// Explicit never-recovers representation for a diode's blind horizon:
-/// a caller marks a diode that must never arm again by putting
-/// never_recovers() in its `dead_until` entry. is_never() also
-/// recognises Time::seconds(double::max), and detect() guards every
-/// passive-quench write with it, because `sentinel + dead_time` used to
-/// silently resurrect a permanently dead diode.
-[[nodiscard]] constexpr Time never_recovers() {
-  return Time::seconds(std::numeric_limits<double>::infinity());
-}
-[[nodiscard]] constexpr bool is_never(Time t) {
-  return t.seconds() >= std::numeric_limits<double>::max();
-}
 
 class SpadArray {
  public:

@@ -14,12 +14,6 @@ using util::Time;
 using util::Voltage;
 using util::Wavelength;
 
-/// Quenching style determines the dead-time semantics.
-enum class QuenchMode {
-  kActive,   ///< non-paralyzable: photons during dead time are simply lost
-  kPassive,  ///< paralyzable: photons during recharge restart the dead period
-};
-
 struct SpadParams {
   /// Photon detection probability at the curve peak and nominal excess bias.
   double pdp_peak = 0.30;
@@ -28,8 +22,9 @@ struct SpadParams {
   Voltage nominal_excess_bias = Voltage::volts(3.3);
   /// Detection cycle: time after an avalanche during which the diode is
   /// blind (quench + recharge). Tens of ns for this device generation.
+  /// The diode is actively quenched, so the dead time is
+  /// non-paralyzable: a photon absorbed while blind is simply lost.
   Time dead_time = Time::nanoseconds(40.0);
-  QuenchMode quench = QuenchMode::kActive;
   /// Dark-count rate at the reference temperature.
   Frequency dcr_at_ref = Frequency::hertz(350.0);
   Temperature dcr_ref_temperature = Temperature::celsius(25.0);

@@ -1,6 +1,7 @@
 // Stochastic SPAD detector: converts photon arrivals into avalanche
-// detection events, modelling PDP thinning, dark counts, dead time
-// (active or passive quench), afterpulsing, and timing jitter.
+// detection events, modelling PDP thinning, dark counts, the
+// non-paralyzable dead time of active quench, afterpulsing, and timing
+// jitter.
 #pragma once
 
 #include <span>

@@ -92,30 +92,12 @@ std::vector<Detection> SpadArray::detect(std::span<const photonics::PhotonArriva
       for (std::size_t i = 0; i < diodes_.size(); ++i) {
         if (dead_until[i] <= c.time) armed.push_back(i);
       }
-      if (armed.empty()) {
-        // Every cell is recovering; the photon is absorbed by a
-        // recovering cell and, under passive quench, restarts its
-        // recharge -- unless that cell never recovers (the old
-        // `sentinel + dead_time` write silently resurrected it).
-        if (el.quench == QuenchMode::kPassive) {
-          const auto victim = static_cast<std::size_t>(
-              rng.uniform_int(0, static_cast<std::int64_t>(diodes_.size()) - 1));
-          if (!is_never(dead_until[victim])) {
-            dead_until[victim] = c.time + el.dead_time;
-          }
-        }
-        continue;
-      }
+      if (armed.empty()) continue;  // every cell is recovering: the photon is lost
       d = armed[static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(armed.size()) - 1))];
     } else {
       d = static_cast<std::size_t>(c.diode);
-      if (c.time < dead_until[d]) {
-        if (el.quench == QuenchMode::kPassive && !is_never(dead_until[d])) {
-          dead_until[d] = c.time + el.dead_time;
-        }
-        continue;
-      }
+      if (c.time < dead_until[d]) continue;
     }
 
     Detection det;

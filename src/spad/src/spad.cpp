@@ -88,14 +88,7 @@ std::vector<Detection> Spad::detect(std::span<const PhotonArrival> photons, Time
     std::pop_heap(heap.begin(), heap.end(), later);
     const Detection c = heap.back();
     heap.pop_back();
-    if (c.true_time < dead_until) {
-      // Blind interval. Passive quench: the absorbed carrier restarts
-      // the recharge (paralyzable dead time).
-      if (params_.quench == QuenchMode::kPassive) {
-        dead_until = c.true_time + params_.dead_time;
-      }
-      continue;
-    }
+    if (c.true_time < dead_until) continue;  // blind: the photon is lost
     // Avalanche fires.
     Detection det;
     det.true_time = c.true_time;

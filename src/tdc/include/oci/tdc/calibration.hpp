@@ -29,26 +29,24 @@ struct NonlinearityReport {
 };
 
 /// The fine-code distribution π of one hit uniform in [0, clock period)
-/// at the line's current conditions and the TDC's decode method (codes
-/// past the used taps clamp to the last one, as in the code-density
-/// test). The switching instants ± the metastability window cut the
-/// period into segments of constant settled 1s and racing taps; each
-/// segment's mass spreads evenly over its racing taps' 2^m coin
-/// patterns, decoded by decode_latched. Empty when some segment races
-/// more than 8 taps (a window wider than a few tap delays), where the
-/// enumeration would blow up. Without metastability m is always 0.
-[[nodiscard]] std::optional<std::vector<double>> code_probabilities(const Tdc& tdc,
-                                                                    bool with_metastability);
+/// at the line's current conditions (codes past the used taps clamp to
+/// the last one, as in the code-density test). The switching instants ±
+/// the line's metastability window cut the period into segments of
+/// constant settled 1s and racing taps; each segment's mass spreads
+/// evenly over its racing taps' 2^m coin patterns, decoded by
+/// decode_latched. Empty when some segment races more than 8 taps (a
+/// window wider than a few tap delays), where the enumeration would
+/// blow up. With a zero window m is always 0.
+[[nodiscard]] std::optional<std::vector<double>> code_probabilities(const Tdc& tdc);
 
 /// Runs a code-density test over one clock period of the TDC's delay
 /// line: `samples` hits uniform in [0, clock period), fine codes
 /// histogrammed, bin widths estimated as count fractions of the period.
 /// Hits are iid, so the histogram is Multinomial(samples, π): it is
 /// drawn exactly from code_probabilities as one binomial per code, and
-/// hit by hit only when π is not enumerable.
+/// hit by hit (sample_and_decode) only when π is not enumerable.
 [[nodiscard]] NonlinearityReport code_density_test(const Tdc& tdc, std::uint64_t samples,
-                                                   util::RngStream& rng,
-                                                   bool with_metastability = true);
+                                                   util::RngStream& rng);
 
 /// Computes DNL/INL in LSB directly from known bin widths (used both by
 /// the code-density estimator and by tests against ground-truth element

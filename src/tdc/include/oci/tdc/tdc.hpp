@@ -22,7 +22,6 @@ using util::Frequency;
 
 struct TdcConfig {
   unsigned coarse_bits = 5;  ///< C
-  ThermometerDecode decode = ThermometerDecode::kMajorityWindow;
   /// The system clock period. The paper ties the clock to the fine
   /// range: the chain must cover at least one period (200 MHz -> 5 ns
   /// needing 96 x ~52 ps). If unset (zero), the nominal fine range

@@ -49,12 +49,11 @@ constexpr std::size_t kMaxRacingTaps = 8;
 
 }  // namespace
 
-std::optional<std::vector<double>> code_probabilities(const Tdc& tdc,
-                                                      bool with_metastability) {
+std::optional<std::vector<double>> code_probabilities(const Tdc& tdc) {
   const DelayLine& line = tdc.line();
   const double period = tdc.clock_period().seconds();
   const std::size_t used = line.elements_used(tdc.clock_period());
-  const Time meta = with_metastability ? line.params().metastability_window : Time::zero();
+  const Time meta = line.params().metastability_window;
 
   // Between consecutive cut points (each switching instant ± the
   // window) the latch regimes are constant.
@@ -78,8 +77,7 @@ std::optional<std::vector<double>> code_probabilities(const Tdc& tdc,
     const double mass = width / period / static_cast<double>(patterns);
     for (std::size_t pattern = 0; pattern < patterns; ++pattern) {
       for (std::size_t i = 0; i < r.racing; ++i) bits[i] = (pattern >> i) & 1U;
-      const std::size_t code = decode_latched(line.size(), r.ones,
-                                              {bits.data(), r.racing}, tdc.config().decode);
+      const std::size_t code = decode_latched(line.size(), r.ones, {bits.data(), r.racing});
       pi[std::min(code, used - 1)] += mass;
     }
   }
@@ -87,13 +85,13 @@ std::optional<std::vector<double>> code_probabilities(const Tdc& tdc,
 }
 
 NonlinearityReport code_density_test(const Tdc& tdc, std::uint64_t samples,
-                                     util::RngStream& rng, bool with_metastability) {
+                                     util::RngStream& rng) {
   if (samples == 0) throw std::invalid_argument("code_density_test: samples must be > 0");
   const Time period = tdc.clock_period();
   const std::size_t used = tdc.line().elements_used(period);
 
   std::vector<std::uint64_t> counts(used, 0);
-  if (const auto pi = code_probabilities(tdc, with_metastability)) {
+  if (const auto pi = code_probabilities(tdc)) {
     // Multinomial(samples, π) as sequential binomials: code k takes its
     // share of the hits left over, with probability π_k over the mass of
     // codes k and above (summed from the top so the last code with mass
@@ -108,14 +106,8 @@ NonlinearityReport code_density_test(const Tdc& tdc, std::uint64_t samples,
   } else {
     for (std::uint64_t i = 0; i < samples; ++i) {
       const Time interval = rng.uniform_time(period);
-      std::size_t code;
-      if (with_metastability) {
-        code = sample_and_decode(tdc.line(), interval, rng, tdc.config().decode);
-      } else {
-        code = tdc.line().ideal_code(interval);
-      }
-      if (code >= used) code = used - 1;
-      ++counts[code];
+      const std::size_t code = sample_and_decode(tdc.line(), interval, rng);
+      ++counts[std::min(code, used - 1)];
     }
   }
 

@@ -90,12 +90,12 @@ TdcReading Tdc::convert(Time toa, RngStream& rng) const {
   // Fused fast path: identical draws and result to sample() + decode,
   // without materialising the thermometer code (conversion hot path).
   const Latch l = latch(toa);
-  return finish(toa, l.edge, sample_and_decode(line_, l.interval, rng, config_.decode));
+  return finish(toa, l.edge, sample_and_decode(line_, l.interval, rng));
 }
 
 TdcReading Tdc::convert(Time toa, util::CounterRng& coins) const {
   const Latch l = latch(toa);
-  return finish(toa, l.edge, sample_and_decode(line_, l.interval, coins, config_.decode));
+  return finish(toa, l.edge, sample_and_decode(line_, l.interval, coins));
 }
 
 }  // namespace oci::tdc

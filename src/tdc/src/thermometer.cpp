@@ -13,13 +13,9 @@ std::size_t ones_count(std::span<const std::uint8_t> code) {
   return static_cast<std::size_t>(std::count(code.begin(), code.end(), std::uint8_t{1}));
 }
 
-std::size_t leading_ones(std::span<const std::uint8_t> code) {
-  std::size_t k = 0;
-  while (k < code.size() && code[k] == 1) ++k;
-  return k;
-}
+}  // namespace
 
-std::size_t majority_window(std::span<const std::uint8_t> code) {
+std::size_t decode_thermometer(std::span<const std::uint8_t> code) {
   if (code.size() < 3) return ones_count(code);
   std::size_t filtered_ones = 0;
   for (std::size_t i = 0; i < code.size(); ++i) {
@@ -30,20 +26,6 @@ std::size_t majority_window(std::span<const std::uint8_t> code) {
     if (a + b + c >= 2) ++filtered_ones;
   }
   return filtered_ones;
-}
-
-}  // namespace
-
-std::size_t decode_thermometer(std::span<const std::uint8_t> code, ThermometerDecode method) {
-  switch (method) {
-    case ThermometerDecode::kOnesCount:
-      return ones_count(code);
-    case ThermometerDecode::kLeadingOnes:
-      return leading_ones(code);
-    case ThermometerDecode::kMajorityWindow:
-      return majority_window(code);
-  }
-  return ones_count(code);
 }
 
 LatchRegimes latch_regimes(const DelayLine& line, Time interval, Time metastability_window) {
@@ -70,20 +52,16 @@ LatchRegimes latch_regimes(const DelayLine& line, Time interval, Time metastabil
 }
 
 std::size_t decode_latched(std::size_t taps, std::size_t ones,
-                           std::span<const std::uint8_t> bits, ThermometerDecode method) {
+                           std::span<const std::uint8_t> bits) {
   const std::size_t zero_from = ones + bits.size();
 
-  // Degenerate chains fall back to population count, as majority_window
-  // does; ones-count just adds the racing taps' resolved 1s.
-  if (method == ThermometerDecode::kOnesCount ||
-      (method == ThermometerDecode::kMajorityWindow && taps < 3)) {
-    return ones + ones_count(bits);
-  }
-  if (method == ThermometerDecode::kLeadingOnes) return ones + leading_ones(bits);
+  // Degenerate chains fall back to population count, as
+  // decode_thermometer does.
+  if (taps < 3) return ones + ones_count(bits);
 
-  // kMajorityWindow: only positions whose 3-tap neighbourhood touches a
-  // racing tap can deviate from the clean prefix/suffix; evaluate just
-  // those against the racing bits and count the rest analytically.
+  // Only positions whose 3-tap neighbourhood touches a racing tap can
+  // deviate from the clean prefix/suffix; evaluate just those against
+  // the racing bits and count the rest analytically.
   const auto bit_at = [&](std::ptrdiff_t i) -> int {
     // Edge replication, as the full filter applies at the chain ends.
     if (i < 0) i = 0;
@@ -112,10 +90,9 @@ namespace {
 
 /// sample_and_decode with `coin()` resolving each racing tap.
 template <typename Coin>
-std::size_t latch_and_decode(const DelayLine& line, Time interval, ThermometerDecode method,
-                             Coin&& coin) {
+std::size_t latch_and_decode(const DelayLine& line, Time interval, Coin&& coin) {
   const LatchRegimes r = latch_regimes(line, interval, line.params().metastability_window);
-  // No tap races: every decode method reads a clean code as its count
+  // No tap races: the majority filter reads a clean code as its count
   // of ones, and no coin is drawn.
   if (r.racing == 0) return r.ones;
   constexpr std::size_t kInlineBits = 64;
@@ -126,23 +103,20 @@ std::size_t latch_and_decode(const DelayLine& line, Time interval, ThermometerDe
     spill_bits.resize(r.racing);
     bits = spill_bits.data();
   }
-  // One coin per racing tap, in tap order -- sample()'s draws exactly,
-  // whatever the decode method later reads of them.
+  // One coin per racing tap, in tap order -- sample()'s draws exactly.
   for (std::size_t i = 0; i < r.racing; ++i) bits[i] = coin();
-  return decode_latched(line.size(), r.ones, {bits, r.racing}, method);
+  return decode_latched(line.size(), r.ones, {bits, r.racing});
 }
 
 }  // namespace
 
-std::size_t sample_and_decode(const DelayLine& line, Time interval, RngStream& rng,
-                              ThermometerDecode method) {
-  return latch_and_decode(line, interval, method,
+std::size_t sample_and_decode(const DelayLine& line, Time interval, RngStream& rng) {
+  return latch_and_decode(line, interval,
                           [&rng] { return static_cast<std::uint8_t>(rng.bernoulli(0.5)); });
 }
 
-std::size_t sample_and_decode(const DelayLine& line, Time interval, util::CounterRng& coins,
-                              ThermometerDecode method) {
-  return latch_and_decode(line, interval, method,
+std::size_t sample_and_decode(const DelayLine& line, Time interval, util::CounterRng& coins) {
+  return latch_and_decode(line, interval,
                           [&coins] { return static_cast<std::uint8_t>(coins.next_u64() >> 63); });
 }
 

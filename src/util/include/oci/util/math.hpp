@@ -2,7 +2,6 @@
 #pragma once
 
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 
@@ -38,46 +37,6 @@ namespace oci::util {
   std::uint64_t n = g;
   for (std::uint64_t shift = 1; shift < 64; shift <<= 1) n ^= n >> shift;
   return n;
-}
-
-/// Inverse error function, rational approximation (Giles 2012
-/// single-precision form; ~1e-7 absolute error, adequate for envelope
-/// sampling and confidence-interval z values).
-[[nodiscard]] inline double erfinv(double x) {
-  const double w = -std::log((1.0 - x) * (1.0 + x));
-  if (w < 5.0) {
-    const double ww = w - 2.5;
-    double p = 2.81022636e-08;
-    p = 3.43273939e-07 + p * ww;
-    p = -3.5233877e-06 + p * ww;
-    p = -4.39150654e-06 + p * ww;
-    p = 0.00021858087 + p * ww;
-    p = -0.00125372503 + p * ww;
-    p = -0.00417768164 + p * ww;
-    p = 0.246640727 + p * ww;
-    p = 1.50140941 + p * ww;
-    return p * x;
-  }
-  const double ww = std::sqrt(w) - 3.0;
-  double p = -0.000200214257;
-  p = 0.000100950558 + p * ww;
-  p = 0.00134934322 + p * ww;
-  p = -0.00367342844 + p * ww;
-  p = 0.00573950773 + p * ww;
-  p = -0.0076224613 + p * ww;
-  p = 0.00943887047 + p * ww;
-  p = 1.00167406 + p * ww;
-  p = 2.83297682 + p * ww;
-  return p * x;
-}
-
-/// Standard normal quantile: z with Phi(z) = p, p in (0, 1). Used to
-/// turn a confidence level into the z of a Wilson interval.
-[[nodiscard]] inline double normal_quantile(double p) {
-  if (p <= 0.0 || p >= 1.0) {
-    throw std::invalid_argument("normal_quantile: p must be in (0,1)");
-  }
-  return std::sqrt(2.0) * erfinv(2.0 * p - 1.0);
 }
 
 }  // namespace oci::util

@@ -98,8 +98,7 @@ InterferenceCase interference_case(int id) {
       c.aggressor_fractions = {0.1, 0.35, 0.6, 0.85};
       c.symbols = 3000;
       break;
-    default:  // passive quench, one strong early aggressor
-      c.cfg.spad.quench = spad::QuenchMode::kPassive;
+    default:  // heavy afterpulsing, one strong early aggressor
       c.cfg.spad.afterpulse_probability = 0.05;
       c.aggressor_means = {20.0};
       c.aggressor_fractions = {0.15};

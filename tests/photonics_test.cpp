@@ -132,31 +132,6 @@ TEST(MicroLed, RectangularSamplingUniform) {
   EXPECT_NEAR(led.sample_emission_time(0.5).picoseconds(), 150.0, 1e-9);
 }
 
-TEST(MicroLed, ExponentialSamplingMean) {
-  MicroLedParams p = default_led();
-  p.shape = PulseShape::kExponential;
-  const MicroLed led(p);
-  RngStream rng(101);
-  RunningStats s;
-  for (int i = 0; i < 50000; ++i) {
-    s.add(led.sample_emission_time(rng.uniform()).picoseconds());
-  }
-  EXPECT_NEAR(s.mean(), 300.0, 6.0);  // mean of Exp(width)
-}
-
-TEST(MicroLed, GaussianSamplingCentred) {
-  MicroLedParams p = default_led();
-  p.shape = PulseShape::kGaussian;
-  const MicroLed led(p);
-  RngStream rng(103);
-  RunningStats s;
-  for (int i = 0; i < 50000; ++i) {
-    s.add(led.sample_emission_time(rng.uniform()).picoseconds());
-  }
-  EXPECT_NEAR(s.mean(), 150.0, 2.0);       // centred at width/2
-  EXPECT_NEAR(s.stddev(), 50.0, 2.0);      // sigma = width/6
-}
-
 // ---------- die stack ----------
 
 DieSpec thin_die() {

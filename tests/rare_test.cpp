@@ -131,7 +131,7 @@ WeightedRate weighted_ser(const rare::ChunkResult& r) {
     return ::testing::AssertionFailure() << "degenerate rates differ";
   }
   const double z = (a.p - b.p) / se;
-  const double z_crit = util::normal_quantile(1.0 - alpha / 2.0);
+  const double z_crit = oci::test::normal_quantile(1.0 - alpha / 2.0);
   if (std::abs(z) <= z_crit) return ::testing::AssertionSuccess();
   return ::testing::AssertionFailure()
          << "weighted rates " << a.p << " and " << b.p << " differ with |z| = "

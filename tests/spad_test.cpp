@@ -106,7 +106,6 @@ TEST(Spad, NonParalyzableDeadTime) {
   SpadParams p = quiet_spad();
   p.pdp_peak = 0.999;  // detect everything
   p.dead_time = Time::nanoseconds(40.0);
-  p.quench = QuenchMode::kActive;
   const Spad spad(p, Wavelength::nanometres(480.0));
   RngStream rng(37);
   // Photons every 10 ns for 400 ns: only every 4th can fire.
@@ -119,23 +118,6 @@ TEST(Spad, NonParalyzableDeadTime) {
   for (std::size_t i = 1; i < dets.size(); ++i) {
     EXPECT_GE((dets[i].true_time - dets[i - 1].true_time).nanoseconds(), 40.0 - 1e-9);
   }
-}
-
-TEST(Spad, ParalyzableDeadTimeExtends) {
-  SpadParams p = quiet_spad();
-  p.pdp_peak = 0.999;
-  p.dead_time = Time::nanoseconds(40.0);
-  p.quench = QuenchMode::kPassive;
-  const Spad spad(p, Wavelength::nanometres(480.0));
-  RngStream rng(41);
-  // Photons every 10 ns continuously re-trigger the recharge: after the
-  // first detection the detector never recovers within the window.
-  std::vector<PhotonArrival> photons;
-  for (int i = 0; i < 40; ++i) {
-    photons.push_back({Time::nanoseconds(10.0 * i), true});
-  }
-  const auto dets = spad.detect(photons, Time::zero(), Time::nanoseconds(400.0), rng);
-  EXPECT_EQ(dets.size(), 1u);
 }
 
 TEST(Spad, PoissonCountRateMatchesNonParalyzableLaw) {
@@ -414,23 +396,6 @@ TEST(SpadArray, DeadUntilVectorCarriesAcrossWindows) {
   (void)pair.detect(w0, Time::zero(), window, rng2, dead2);
   const auto d1_pair = pair.detect(w1, window, window, rng2, dead2);
   EXPECT_EQ(d1_pair.size(), 2u);
-}
-
-// A caller marks a diode that never recovers with never_recovers() in
-// dead_until. Under passive quench a photon that finds every cell
-// recovering restarts a random cell's recharge; that write must leave
-// the never-recovering cell dead instead of resurrecting it.
-TEST(SpadArray, PassiveQuenchKeepsNeverRecoveringDiodeDead) {
-  auto p = quiet_array(2);
-  p.element.quench = spad::QuenchMode::kPassive;
-  const spad::SpadArray arr(p, Wavelength::nanometres(480.0));
-  RngStream rng(761);
-  std::vector<photonics::PhotonArrival> photons;
-  for (int i = 0; i < 400; ++i) photons.push_back({Time::nanoseconds(5.0 * i), true});
-  std::vector<Time> dead = {spad::never_recovers(), Time::zero()};
-  const auto dets = arr.detect(photons, Time::zero(), Time::microseconds(2.0), rng, dead);
-  EXPECT_FALSE(dets.empty());  // the live diode fired
-  EXPECT_TRUE(spad::is_never(dead[0]));
 }
 
 // ---------- SPAD dead-time invariant across photon rates ----------

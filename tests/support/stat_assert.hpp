@@ -17,6 +17,7 @@
 //   EXPECT_Z_NEAR(observed, expected, sd, alpha)
 //       two-sided z-test of an estimate with known standard deviation
 //
+// normal_quantile turns a significance level into a critical z, and
 // chi_square_quantile gives the critical value of a goodness-of-fit test.
 #pragma once
 
@@ -24,17 +25,57 @@
 
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 
 #include "oci/analysis/sequential.hpp"
-#include "oci/util/math.hpp"
 
 namespace oci::test {
+
+/// Inverse error function, rational approximation (Giles 2012
+/// single-precision form; ~1e-7 absolute error, adequate for
+/// confidence-interval z values).
+[[nodiscard]] inline double erfinv(double x) {
+  const double w = -std::log((1.0 - x) * (1.0 + x));
+  if (w < 5.0) {
+    const double ww = w - 2.5;
+    double p = 2.81022636e-08;
+    p = 3.43273939e-07 + p * ww;
+    p = -3.5233877e-06 + p * ww;
+    p = -4.39150654e-06 + p * ww;
+    p = 0.00021858087 + p * ww;
+    p = -0.00125372503 + p * ww;
+    p = -0.00417768164 + p * ww;
+    p = 0.246640727 + p * ww;
+    p = 1.50140941 + p * ww;
+    return p * x;
+  }
+  const double ww = std::sqrt(w) - 3.0;
+  double p = -0.000200214257;
+  p = 0.000100950558 + p * ww;
+  p = 0.00134934322 + p * ww;
+  p = -0.00367342844 + p * ww;
+  p = 0.00573950773 + p * ww;
+  p = -0.0076224613 + p * ww;
+  p = 0.00943887047 + p * ww;
+  p = 1.00167406 + p * ww;
+  p = 2.83297682 + p * ww;
+  return p * x;
+}
+
+/// Standard normal quantile: z with Phi(z) = p, p in (0, 1). Used to
+/// turn a confidence level into the z of a Wilson interval.
+[[nodiscard]] inline double normal_quantile(double p) {
+  if (p <= 0.0 || p >= 1.0) {
+    throw std::invalid_argument("normal_quantile: p must be in (0,1)");
+  }
+  return std::sqrt(2.0) * erfinv(2.0 * p - 1.0);
+}
 
 /// Two-sided Wilson interval at significance alpha (confidence 1-alpha).
 inline analysis::Estimate rate_interval(std::uint64_t hits, std::uint64_t trials,
                                         double alpha) {
   return analysis::wilson_estimate(static_cast<double>(hits), trials,
-                                   util::normal_quantile(1.0 - alpha / 2.0));
+                                   normal_quantile(1.0 - alpha / 2.0));
 }
 
 inline ::testing::AssertionResult RateNear(std::uint64_t hits, std::uint64_t trials,
@@ -90,7 +131,7 @@ inline ::testing::AssertionResult RatesConsistent(std::uint64_t h1, std::uint64_
            << "degenerate rates differ: " << p1 << " vs " << p2;
   }
   const double z = (p1 - p2) / se;
-  const double z_crit = util::normal_quantile(1.0 - alpha / 2.0);
+  const double z_crit = normal_quantile(1.0 - alpha / 2.0);
   if (std::abs(z) <= z_crit) return ::testing::AssertionSuccess();
   return ::testing::AssertionFailure()
          << "rates " << h1 << "/" << n1 << " = " << p1 << " and " << h2 << "/" << n2 << " = "
@@ -104,7 +145,7 @@ inline ::testing::AssertionResult RatesConsistent(std::uint64_t h1, std::uint64_
 inline ::testing::AssertionResult ZNear(double observed, double expected, double sd,
                                         double alpha) {
   const double z = (observed - expected) / sd;
-  const double z_crit = util::normal_quantile(1.0 - alpha / 2.0);
+  const double z_crit = normal_quantile(1.0 - alpha / 2.0);
   if (std::abs(z) <= z_crit) return ::testing::AssertionSuccess();
   return ::testing::AssertionFailure() << "observed " << observed << " vs expected " << expected
                                        << " (sd " << sd << ") gives |z| = " << std::abs(z)
@@ -116,7 +157,7 @@ inline ::testing::AssertionResult ZNear(double observed, double expected, double
 /// (relative error well under 1% for dof >= 10).
 inline double chi_square_quantile(double dof, double p) {
   const double c = 2.0 / (9.0 * dof);
-  const double root = 1.0 - c + util::normal_quantile(p) * std::sqrt(c);
+  const double root = 1.0 - c + normal_quantile(p) * std::sqrt(c);
   return dof * root * root * root;
 }
 

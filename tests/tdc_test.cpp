@@ -172,7 +172,7 @@ TEST(DelayLine, SampleCleanWithoutMetastability) {
   RngStream sample_rng(109);
   const auto code = line.sample(Time::picoseconds(52.0 * 20 + 26.0), sample_rng);
   EXPECT_TRUE(std::is_sorted(code.begin(), code.end(), std::greater<>()));  // 1s, then 0s
-  EXPECT_EQ(decode_thermometer(code, ThermometerDecode::kOnesCount), 20u);
+  EXPECT_EQ(decode_thermometer(code), 20u);
 }
 
 TEST(DelayLine, MetastabilityCreatesBubblesNearBoundary) {
@@ -185,7 +185,7 @@ TEST(DelayLine, MetastabilityCreatesBubblesNearBoundary) {
   int flips = 0;
   for (int i = 0; i < 200; ++i) {
     const auto code = line.sample(Time::picoseconds(52.0 * 20), sample_rng);
-    const auto k = decode_thermometer(code, ThermometerDecode::kOnesCount);
+    const auto k = decode_thermometer(code);
     if (k != 20u) ++flips;
   }
   EXPECT_GT(flips, 40);   // ~50% of samples flip the racing tap
@@ -213,35 +213,27 @@ ThermometerCode make_code(std::initializer_list<int> bits) {
   return c;
 }
 
-TEST(Thermometer, CleanCodeAllMethodsAgree) {
-  const auto code = make_code({1, 1, 1, 1, 0, 0, 0, 0});
-  EXPECT_EQ(decode_thermometer(code, ThermometerDecode::kOnesCount), 4u);
-  EXPECT_EQ(decode_thermometer(code, ThermometerDecode::kLeadingOnes), 4u);
-  EXPECT_EQ(decode_thermometer(code, ThermometerDecode::kMajorityWindow), 4u);
+TEST(Thermometer, CleanCodeReadsItsOnes) {
+  EXPECT_EQ(decode_thermometer(make_code({1, 1, 1, 1, 0, 0, 0, 0})), 4u);
 }
 
 TEST(Thermometer, BubbleBelowTransition) {
-  // One zero bubble inside the ones run.
-  const auto code = make_code({1, 1, 0, 1, 1, 0, 0, 0});
-  EXPECT_EQ(decode_thermometer(code, ThermometerDecode::kOnesCount), 4u);
-  EXPECT_EQ(decode_thermometer(code, ThermometerDecode::kLeadingOnes), 2u);  // truncates
-  // The majority filter heals the bubble into 11111000 -> 5: it treats
-  // the bubble as a late transition rather than dropping a tap.
-  EXPECT_EQ(decode_thermometer(code, ThermometerDecode::kMajorityWindow), 5u);
+  // One zero bubble inside the ones run. The majority filter heals it
+  // into 11111000 -> 5: it treats the bubble as a late transition
+  // rather than dropping a tap.
+  EXPECT_EQ(decode_thermometer(make_code({1, 1, 0, 1, 1, 0, 0, 0})), 5u);
 }
 
 TEST(Thermometer, IsolatedHighTap) {
-  const auto code = make_code({1, 1, 0, 0, 0, 1, 0, 0});
-  // Majority filter suppresses the stray 1.
-  EXPECT_EQ(decode_thermometer(code, ThermometerDecode::kMajorityWindow), 2u);
-  EXPECT_EQ(decode_thermometer(code, ThermometerDecode::kOnesCount), 3u);
+  // The majority filter suppresses the stray 1.
+  EXPECT_EQ(decode_thermometer(make_code({1, 1, 0, 0, 0, 1, 0, 0})), 2u);
 }
 
 TEST(Thermometer, EdgeCases) {
-  EXPECT_EQ(decode_thermometer(make_code({}), ThermometerDecode::kOnesCount), 0u);
-  EXPECT_EQ(decode_thermometer(make_code({1, 1}), ThermometerDecode::kMajorityWindow), 2u);
-  EXPECT_EQ(decode_thermometer(make_code({0, 0, 0}), ThermometerDecode::kLeadingOnes), 0u);
-  EXPECT_EQ(decode_thermometer(make_code({1, 1, 1}), ThermometerDecode::kLeadingOnes), 3u);
+  EXPECT_EQ(decode_thermometer(make_code({})), 0u);
+  EXPECT_EQ(decode_thermometer(make_code({1, 1})), 2u);  // too short to filter
+  EXPECT_EQ(decode_thermometer(make_code({0, 0, 0})), 0u);
+  EXPECT_EQ(decode_thermometer(make_code({1, 1, 1})), 3u);
 }
 
 // ---------- TDC conversion ----------
@@ -251,7 +243,6 @@ Tdc make_ideal_tdc(unsigned coarse_bits = 3) {
   DelayLine line(ideal_line_params(), rng);
   TdcConfig cfg;
   cfg.coarse_bits = coarse_bits;
-  cfg.decode = ThermometerDecode::kOnesCount;
   return Tdc(std::move(line), cfg);
 }
 
@@ -397,7 +388,7 @@ TEST(Calibration, DnlSumsToZeroOverInteriorBins) {
 TEST(Calibration, IdealLineHasTinyDnl) {
   const Tdc tdc = make_ideal_tdc(2);
   RngStream rng(157);
-  const auto rep = code_density_test(tdc, 2000000, rng, /*with_metastability=*/false);
+  const auto rep = code_density_test(tdc, 2000000, rng);
   // Pure estimator noise on an ideal line: per-bin sigma ~ sqrt(N/M) and
   // the INL random walk stays well under a tenth of an LSB at 2M hits.
   EXPECT_LT(rep.max_abs_dnl, 0.04);
@@ -428,7 +419,7 @@ TEST(Calibration, EstimatedWidthsMatchGroundTruth) {
   cfg.clock_period = Time::nanoseconds(4.5);
   Tdc tdc(std::move(line), cfg);
   RngStream cal_rng(179);
-  const auto rep = code_density_test(tdc, 2000000, cal_rng, false);
+  const auto rep = code_density_test(tdc, 2000000, cal_rng);
   // Compare estimated bin widths against the line's true element delays.
   const auto b = tdc.line().boundaries_seconds();
   for (std::size_t k = 1; k + 1 < rep.codes; ++k) {
@@ -468,42 +459,35 @@ TEST(Calibration, LutCorrectionReducesError) {
 
 // ---------- exact code distribution ----------
 
-const ThermometerDecode kAllDecodes[] = {ThermometerDecode::kOnesCount,
-                                         ThermometerDecode::kLeadingOnes,
-                                         ThermometerDecode::kMajorityWindow};
-
-Tdc make_tdc(const DelayLineParams& p, std::uint64_t process_seed, Time period,
-             ThermometerDecode decode) {
+Tdc make_tdc(const DelayLineParams& p, std::uint64_t process_seed, Time period) {
   RngStream process(process_seed);
   DelayLine line(p, process);
   TdcConfig cfg;
   cfg.coarse_bits = 5;
-  cfg.decode = decode;
   cfg.clock_period = period;
   return Tdc(std::move(line), cfg);
 }
 
 // The link_jitter device's TDC: a 108-tap line (96 code taps plus the
-// production link's margin) clocked at 96 x 52 ps, majority decode.
+// production link's margin) clocked at 96 x 52 ps.
 Tdc link_jitter_tdc(Time window) {
   DelayLineParams p;
   p.elements = 108;
   p.nominal_delay = Time::picoseconds(52.0);
   p.metastability_window = window;
-  return make_tdc(p, 20260726, Time::picoseconds(52.0 * 96),
-                  ThermometerDecode::kMajorityWindow);
+  return make_tdc(p, 20260726, Time::picoseconds(52.0 * 96));
 }
 
 // The code distribution rebuilt independently of the library's latch
 // lookup and decoder: cut the period at every switching instant +/- the
-// window, latch each segment's midpoint tap by tap as DelayLine::sample
-// does, and decode every pattern of the racing taps as an explicit
-// ThermometerCode.
-std::vector<double> materialised_probabilities(const Tdc& tdc, Time window) {
+// line's window, latch each segment's midpoint tap by tap as
+// DelayLine::sample does, and decode every pattern of the racing taps as
+// an explicit ThermometerCode.
+std::vector<double> materialised_probabilities(const Tdc& tdc) {
   const DelayLine& line = tdc.line();
   const auto b = line.boundaries_seconds();
   const double period = tdc.clock_period().seconds();
-  const double w = window.seconds();
+  const double w = line.params().metastability_window.seconds();
   const std::size_t used = line.elements_used(tdc.clock_period());
   std::vector<double> cuts = {0.0, period};
   for (std::size_t i = 1; i <= line.size(); ++i) {
@@ -530,45 +514,38 @@ std::vector<double> materialised_probabilities(const Tdc& tdc, Time window) {
     const double mass = (cuts[j + 1] - cuts[j]) / period / static_cast<double>(patterns);
     for (std::size_t pattern = 0; pattern < patterns; ++pattern) {
       for (std::size_t r = 0; r < racing.size(); ++r) code[racing[r]] = (pattern >> r) & 1U;
-      pi[std::min(decode_thermometer(code, tdc.config().decode), used - 1)] += mass;
+      pi[std::min(decode_thermometer(code), used - 1)] += mass;
     }
   }
   return pi;
 }
 
-// Exhaustive: every small line, window and decode method, with and
-// without metastability, on a period inside the chain and one exactly
-// on its last boundary.
+// Exhaustive: every small line and window (0 ps: no metastability), on
+// a period inside the chain and one exactly on its last boundary.
 TEST(CodeProbabilities, MatchDecodingEveryRacingPattern) {
   const double windows_ps[] = {0.0, 4.0, 60.0};
   for (const std::size_t n : {1u, 2u, 3u, 5u, 8u}) {
     for (const double window_ps : windows_ps) {
-      for (const ThermometerDecode method : kAllDecodes) {
-        DelayLineParams p = paper_line_params();
-        p.elements = n;
-        p.odd_even_skew = 0.2;
-        p.metastability_window = Time::picoseconds(window_ps);
-        RngStream process(300 + n);
-        const DelayLine probe(p, process);
-        for (const double fraction : {0.9, 1.0}) {
-          const Tdc tdc = make_tdc(p, 300 + n, probe.total_delay() * fraction, method);
-          for (const bool meta : {true, false}) {
-            const auto pi = code_probabilities(tdc, meta);
-            ASSERT_TRUE(pi.has_value());
-            const std::vector<double> expected =
-                materialised_probabilities(tdc, meta ? p.metastability_window : Time::zero());
-            ASSERT_EQ(pi->size(), expected.size());
-            double total = 0.0;
-            for (std::size_t k = 0; k < expected.size(); ++k) {
-              EXPECT_NEAR((*pi)[k], expected[k], 1e-12)
-                  << "n=" << n << " window=" << window_ps << " method="
-                  << static_cast<int>(method) << " fraction=" << fraction << " meta=" << meta
-                  << " code=" << k;
-              total += (*pi)[k];
-            }
-            EXPECT_NEAR(total, 1.0, 1e-12);
-          }
+      DelayLineParams p = paper_line_params();
+      p.elements = n;
+      p.odd_even_skew = 0.2;
+      p.metastability_window = Time::picoseconds(window_ps);
+      RngStream process(300 + n);
+      const DelayLine probe(p, process);
+      for (const double fraction : {0.9, 1.0}) {
+        const Tdc tdc = make_tdc(p, 300 + n, probe.total_delay() * fraction);
+        const auto pi = code_probabilities(tdc);
+        ASSERT_TRUE(pi.has_value());
+        const std::vector<double> expected = materialised_probabilities(tdc);
+        ASSERT_EQ(pi->size(), expected.size());
+        double total = 0.0;
+        for (std::size_t k = 0; k < expected.size(); ++k) {
+          EXPECT_NEAR((*pi)[k], expected[k], 1e-12)
+              << "n=" << n << " window=" << window_ps << " fraction=" << fraction
+              << " code=" << k;
+          total += (*pi)[k];
         }
+        EXPECT_NEAR(total, 1.0, 1e-12);
       }
     }
   }
@@ -577,8 +554,8 @@ TEST(CodeProbabilities, MatchDecodingEveryRacingPattern) {
 TEST(CodeProbabilities, ZeroWindowGivesElementDelays) {
   DelayLineParams p = paper_line_params();
   p.metastability_window = Time::zero();
-  const Tdc tdc = make_tdc(p, 311, Time::nanoseconds(4.5), ThermometerDecode::kMajorityWindow);
-  const auto pi = code_probabilities(tdc, true);
+  const Tdc tdc = make_tdc(p, 311, Time::nanoseconds(4.5));
+  const auto pi = code_probabilities(tdc);
   ASSERT_TRUE(pi.has_value());
   const double period = tdc.clock_period().seconds();
   for (std::size_t k = 1; k + 1 < pi->size(); ++k) {
@@ -611,7 +588,7 @@ TEST(CodeProbabilities, MatchMonteCarloHits) {
   constexpr std::uint64_t kHits = 1000000;
   for (const double window_ps : {4.0, 30.0}) {
     const Tdc tdc = link_jitter_tdc(Time::picoseconds(window_ps));
-    const auto pi = code_probabilities(tdc, true);
+    const auto pi = code_probabilities(tdc);
     ASSERT_TRUE(pi.has_value());
     const std::size_t used = pi->size();
     const double limit = oci::test::chi_square_quantile(static_cast<double>(used - 1), 0.999);
@@ -620,8 +597,7 @@ TEST(CodeProbabilities, MatchMonteCarloHits) {
     std::vector<std::uint64_t> counts(used, 0);
     for (std::uint64_t i = 0; i < kHits; ++i) {
       const Time interval = hits.uniform_time(tdc.clock_period());
-      const std::size_t code =
-          sample_and_decode(tdc.line(), interval, hits, tdc.config().decode);
+      const std::size_t code = sample_and_decode(tdc.line(), interval, hits);
       ++counts[std::min(code, used - 1)];
     }
     EXPECT_LT(chi_square(counts, *pi, kHits), limit) << "window " << window_ps << " ps";
@@ -643,9 +619,8 @@ TEST(CodeProbabilities, MatchMonteCarloHits) {
 TEST(CodeProbabilities, WideWindowFallsBackToHitLoop) {
   DelayLineParams p = paper_line_params();
   p.metastability_window = Time::picoseconds(5000.0);
-  const Tdc wide = make_tdc(p, 313, Time::nanoseconds(4.5), ThermometerDecode::kMajorityWindow);
-  EXPECT_FALSE(code_probabilities(wide, true).has_value());
-  EXPECT_TRUE(code_probabilities(wide, false).has_value());  // nothing races
+  const Tdc wide = make_tdc(p, 313, Time::nanoseconds(4.5));
+  EXPECT_FALSE(code_probabilities(wide).has_value());
   constexpr std::uint64_t kSamples = 20000;
   RngStream hit_loop(317);
   (void)code_density_test(wide, kSamples, hit_loop);
@@ -685,13 +660,10 @@ TEST(Calibration, ZeroSamplesThrows) {
 
 // The conversion hot path (sample_and_decode) must be draw-for-draw and
 // result-for-result identical to materialising the thermometer code and
-// decoding it, across every decode method, metastability width (zero,
-// paper-scale, absurdly wide), chain length, and interval -- including
-// intervals pinned exactly onto tap boundaries and the window edges.
+// decoding it, across every metastability width (zero, paper-scale,
+// absurdly wide), chain length, and interval -- including intervals
+// pinned exactly onto tap boundaries and the window edges.
 TEST(Thermometer, SampleAndDecodeMatchesMaterialisedPath) {
-  const ThermometerDecode methods[] = {ThermometerDecode::kOnesCount,
-                                       ThermometerDecode::kLeadingOnes,
-                                       ThermometerDecode::kMajorityWindow};
   const double meta_ps[] = {0.0, 4.0, 60.0, 5000.0};
   const std::size_t sizes[] = {1, 2, 3, 17, 96};
 
@@ -707,36 +679,33 @@ TEST(Thermometer, SampleAndDecodeMatchesMaterialisedPath) {
       const DelayLine line(p, process);
 
       RngStream pick(2000 + n + static_cast<std::uint64_t>(meta));
-      for (const ThermometerDecode method : methods) {
-        for (int trial = 0; trial < 60; ++trial) {
-          Time interval;
-          switch (trial % 4) {
-            case 0:  // uniform over the chain
-              interval = pick.uniform_time(line.total_delay() * 1.1);
-              break;
-            case 1:  // exactly on a tap boundary
-              interval = Time::seconds(line.boundaries_seconds()[static_cast<std::size_t>(
-                  pick.uniform_int(0, static_cast<std::int64_t>(n)))]);
-              break;
-            case 2:  // exactly meta below a boundary
-              interval = Time::seconds(line.boundaries_seconds()[static_cast<std::size_t>(
-                             pick.uniform_int(0, static_cast<std::int64_t>(n)))]) -
-                         p.metastability_window;
-              break;
-            default:  // before the chain / negative margins everywhere
-              interval = Time::seconds(-1e-12);
-              break;
-          }
-          RngStream fused(static_cast<std::uint64_t>(trial) * 7919 + 13);
-          RngStream naive(static_cast<std::uint64_t>(trial) * 7919 + 13);
-          const std::size_t fast = sample_and_decode(line, interval, fused, method);
-          const std::size_t slow = decode_thermometer(line.sample(interval, naive), method);
-          ASSERT_EQ(fast, slow) << "n=" << n << " meta=" << meta
-                                << " method=" << static_cast<int>(method)
-                                << " interval=" << interval.seconds();
-          // Identical RNG consumption: the next raw draw must agree.
-          ASSERT_EQ(fused.engine()(), naive.engine()());
+      for (int trial = 0; trial < 180; ++trial) {
+        Time interval;
+        switch (trial % 4) {
+          case 0:  // uniform over the chain
+            interval = pick.uniform_time(line.total_delay() * 1.1);
+            break;
+          case 1:  // exactly on a tap boundary
+            interval = Time::seconds(line.boundaries_seconds()[static_cast<std::size_t>(
+                pick.uniform_int(0, static_cast<std::int64_t>(n)))]);
+            break;
+          case 2:  // exactly meta below a boundary
+            interval = Time::seconds(line.boundaries_seconds()[static_cast<std::size_t>(
+                           pick.uniform_int(0, static_cast<std::int64_t>(n)))]) -
+                       p.metastability_window;
+            break;
+          default:  // before the chain / negative margins everywhere
+            interval = Time::seconds(-1e-12);
+            break;
         }
+        RngStream fused(static_cast<std::uint64_t>(trial) * 7919 + 13);
+        RngStream naive(static_cast<std::uint64_t>(trial) * 7919 + 13);
+        const std::size_t fast = sample_and_decode(line, interval, fused);
+        const std::size_t slow = decode_thermometer(line.sample(interval, naive));
+        ASSERT_EQ(fast, slow) << "n=" << n << " meta=" << meta
+                              << " interval=" << interval.seconds();
+        // Identical RNG consumption: the next raw draw must agree.
+        ASSERT_EQ(fused.engine()(), naive.engine()());
       }
     }
   }
@@ -789,7 +758,7 @@ TdcReading reference_convert(const Tdc& tdc, Time toa, RngStream& rng) {
 
   TdcReading out;
   out.coarse = edge;
-  out.fine = std::min(decode_latched(line.size(), r.ones, bits, tdc.config().decode), taps);
+  out.fine = std::min(decode_latched(line.size(), r.ones, bits), taps);
   const auto max_code =
       static_cast<std::int64_t>((std::uint64_t{1} << tdc.config().coarse_bits) * taps - 1);
   const std::int64_t raw = static_cast<std::int64_t>(edge) * static_cast<std::int64_t>(taps) -

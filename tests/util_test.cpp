@@ -438,6 +438,7 @@ TEST(Samplers, AscendingUniformStreamIsSortedAndMatchesSortedUniforms) {
 }
 
 TEST(Math, NormalQuantileKnownValues) {
+  using oci::test::normal_quantile;
   EXPECT_NEAR(normal_quantile(0.5), 0.0, 1e-7);
   EXPECT_NEAR(normal_quantile(0.975), 1.959964, 1e-4);
   EXPECT_NEAR(normal_quantile(0.025), -1.959964, 1e-4);

@@ -108,6 +108,8 @@ ORACLES = {
         "PaperClaims.DeepStackMachinery reads the reach through a 200-die stack",
     "oci::tdc::Tdc::convert_ideal(oci::util::Time) const":
         "Tdc.StochasticMatchesIdealAwayFromBoundaries compares convert() against it",
+    "oci::tdc::DelayLine::ideal_code(oci::util::Time) const":
+        "Tdc::convert_ideal's latch; DelayLine.IdealCodeCountsBoundaries reads it",
 }
 
 NM_RE = re.compile(r"^[0-9a-fA-F]+ ([A-Za-z]) (oci::.*)$")
