@@ -201,6 +201,9 @@ void save(const RunReport& report, const std::string& path) {
     os << " } }";
   }
   os << "\n  ]\n}\n";
+  // A full disk or a closed pipe fails the write, not the open.
+  os.flush();
+  if (!os) throw std::runtime_error("scenario report_io: failed writing '" + path + "'");
 }
 
 // ---------------------------------------------------------------------

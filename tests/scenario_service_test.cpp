@@ -854,6 +854,14 @@ TEST(ReportIo, ControlCharactersRoundTripEscaped) {
   EXPECT_EQ(back.points[0].coordinate[0], report.points[0].coordinate[0]);
 }
 
+TEST(ReportIo, SaveThrowsWhenTheWriteFails) {
+  // /dev/full opens but fails every write: a report that never reached
+  // the disk must not read as saved.
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full on this system";
+  const RunReport report = ScenarioRunner(2).run(sweep_spec());
+  EXPECT_THROW(scenario::report_io::save(report, "/dev/full"), std::runtime_error);
+}
+
 TEST(ReportIo, EmptyAccumulatorStateRoundTrips) {
   // Zero-chunk accumulator state is legal on disk (a point whose mean
   // metrics never accumulated): the loader must reconstruct the EMPTY
