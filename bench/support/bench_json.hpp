@@ -131,14 +131,17 @@ inline void write_trajectory(const std::string& path, const std::string& binary,
 }
 
 /// Drop-in BENCHMARK_MAIN() body: runs the selected benchmarks with
-/// the trajectory reporter and writes `out_path` on the way out.
+/// the trajectory reporter and writes `out_path` on the way out, when
+/// at least one ran (a tables-only run, --benchmark_filter=__none__,
+/// leaves an earlier document alone).
 inline int run_and_export(int argc, char** argv, const std::string& binary,
                           const std::string& out_path) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   TrajectoryReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  write_trajectory(out_path, binary, reporter.entries());
+  if (benchmark::RunSpecifiedBenchmarks(&reporter) > 0) {
+    write_trajectory(out_path, binary, reporter.entries());
+  }
   return 0;
 }
 

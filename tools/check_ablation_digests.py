@@ -19,7 +19,8 @@ a kEngineRevision bump", as report_digest_test does for the scenario
 reports; after a bump the check fails until PINNED_REVISION and PINNED
 are re-pinned from the table it prints. The benches compile with
 -ffp-contract=off like the libraries, so the digests do not depend on
--march.
+-march. Each binary runs in an empty temporary directory, and one that
+leaves a file there fails the check: a tables-only run writes nothing.
 
 Exit status: 0 when every digest matches, 1 otherwise.
 """
@@ -90,9 +91,11 @@ def main(argv):
     for var in UNSET:
         env.pop(var, None)
     digests = {}
-    with tempfile.TemporaryDirectory() as cwd:  # abl_rare writes BENCH_rare.json
-        for name, binary in sorted(binaries.items()):
+    litter = {}
+    for name, binary in sorted(binaries.items()):
+        with tempfile.TemporaryDirectory() as cwd:
             digests[name] = table_digest(binary, env, cwd)
+            litter[name] = sorted(os.listdir(cwd))
 
     table = "PINNED = {\n" + "".join(
         f'    "{name}": "{digest}",\n' for name, digest in sorted(digests.items())) + "}"
@@ -100,6 +103,10 @@ def main(argv):
     if set(binaries) != set(PINNED):
         print("a bench was added or removed; re-pin the table")
         failed = True
+    for name, files in sorted(litter.items()):
+        if files:
+            print(f"{name} left {', '.join(files)} in its working directory")
+            failed = True
     if revision != PINNED_REVISION:
         print(f"kEngineRevision is {revision} but the digests are pinned at "
               f"{PINNED_REVISION}; re-pin PINNED_REVISION = {revision} and the table:\n"
