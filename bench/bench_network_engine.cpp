@@ -3,10 +3,11 @@
 // co-channel aggressor pulses (engine k-way hazard merge vs the
 // materialise/sort/thin reference pipeline), full WDM windows, the
 // photon-level vertical-bus broadcast and contended-upstream paths,
-// the LinkEngine-coupled NoC slot simulation and the scalar NoC slot
-// loop at 64-1024 dies. The binary writes
-// the stable-schema BENCH_network.json trajectory document (see
-// support/bench_json.hpp) that CI uploads and diffs across runs.
+// the LinkEngine-coupled NoC slot simulation, the scalar NoC slot
+// loop at 64-1024 dies and the CAC allocation of those stacks. The
+// binary writes the stable-schema BENCH_network.json trajectory
+// document (see support/bench_json.hpp) that CI uploads and diffs
+// across runs.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -21,6 +22,7 @@
 #include "oci/link/link_engine.hpp"
 #include "oci/link/symbol_delivery.hpp"
 #include "oci/link/wdm_link.hpp"
+#include "oci/net/cac.hpp"
 #include "oci/net/stack_network.hpp"
 
 namespace {
@@ -256,6 +258,25 @@ void BM_NocSlots(benchmark::State& state) {
       static_cast<double>(rng.draws() - draws_before), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_NocSlots)->Arg(64)->Arg(256)->Arg(1024);
+
+// ---------- NoC: CAC allocation at scale ----------
+
+// The noc_thousand_node schedule: 4 wavelengths, weight 2, up to 8
+// refinement rounds. One op is one whole allocation from the same
+// stream seed, so every op does the same work.
+void BM_CacAllocate(benchmark::State& state) {
+  net::cac::AllocConfig ac;
+  ac.nodes = static_cast<std::size_t>(state.range(0));
+  ac.wavelengths = 4;
+  ac.weight = 2;
+  ac.rounds = 8;
+  const net::cac::DistributedAllocator allocator(ac);
+  for (auto _ : state) {
+    RngStream rng(kSeed, "alloc/0");
+    benchmark::DoNotOptimize(allocator.allocate(rng).conflict_mass);
+  }
+}
+BENCHMARK(BM_CacAllocate)->Arg(64)->Arg(256)->Arg(1024)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

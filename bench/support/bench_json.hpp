@@ -30,6 +30,7 @@
 
 #include <fstream>
 #include <iomanip>
+#include <iostream>
 #include <string>
 #include <vector>
 
@@ -110,7 +111,9 @@ inline std::string json_escape(const std::string& s) {
   return out;
 }
 
-inline void write_trajectory(const std::string& path, const std::string& binary,
+/// Writes the document to `path`; false (with the path named on
+/// stderr) when it could not be opened, written or flushed.
+inline bool write_trajectory(const std::string& path, const std::string& binary,
                              const std::vector<TrajectoryReporter::Entry>& entries) {
   std::ofstream os(path);
   os << std::setprecision(12);
@@ -128,19 +131,27 @@ inline void write_trajectory(const std::string& path, const std::string& binary,
     os << " }";
   }
   os << "\n  ]\n}\n";
+  os.close();  // flushes the buffer: a full device shows here at the latest
+  if (os.fail()) {
+    std::cerr << "bench_json: could not write " << path << "\n";
+    return false;
+  }
+  return true;
 }
 
 /// Drop-in BENCHMARK_MAIN() body: runs the selected benchmarks with
 /// the trajectory reporter and writes `out_path` on the way out, when
 /// at least one ran (a tables-only run, --benchmark_filter=__none__,
-/// leaves an earlier document alone).
+/// leaves an earlier document alone). Exits 1 when that write fails,
+/// so no caller mistakes a stale document for this run's.
 inline int run_and_export(int argc, char** argv, const std::string& binary,
                           const std::string& out_path) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   TrajectoryReporter reporter;
-  if (benchmark::RunSpecifiedBenchmarks(&reporter) > 0) {
-    write_trajectory(out_path, binary, reporter.entries());
+  if (benchmark::RunSpecifiedBenchmarks(&reporter) > 0 &&
+      !write_trajectory(out_path, binary, reporter.entries())) {
+    return 1;
   }
   return 0;
 }

@@ -57,7 +57,10 @@ struct LaneInputs {
 /// each aggressor's (when its lambda > 0), then the first noise arrival
 /// (when the noise rate > 0); then, per avalanche, the first one's
 /// jitter, the afterpulse coin (and its delay on success), and the
-/// fired source's next candidate. The SPAD is actively quenched: a
+/// fired source's next candidate. A noise arrival's uniform is always
+/// drawn, but without a noise tilt it is turned into a time only when
+/// it can land before the horizon max(window + dead time, dead_in_s);
+/// past it the arrival reads as never. The SPAD is actively quenched: a
 /// fired pulse restarts at the new dead-time horizon, drawing only when
 /// envelope mass remains past it (a pulse shorter than the dead time
 /// draws nothing). A lane's TDC conversion continues its stream after

@@ -17,9 +17,11 @@
 // SPAD's dead time (active quench: the diode is blind and an absorbed
 // carrier has no effect); a pulse whose candidate fires restarts at
 // the new dead-time horizon at once, so a short pulse that ends inside
-// the dead time draws nothing more. A window merges the victim's
-// pulse, any aggressor pulses, flat noise and afterpulse releases by a
-// linear min-scan.
+// the dead time draws nothing more. A flat-noise uniform is always
+// drawn, but outside a noise tilt it is turned into an arrival time
+// only when it can land before the window's horizon. A window merges
+// the victim's pulse, any aggressor pulses, flat noise and afterpulse
+// releases by a linear min-scan.
 #include "oci/link/kernels.hpp"
 
 #include <algorithm>
@@ -209,13 +211,23 @@ void run_lane(const BatchParams& p, const LaneSources& in, WindowResult& w,
   const double noise_log_ratio = tilt_noise ? -pm_log(rare->noise_scale) : 0.0;  // log(nat/tilt)
   double noise_next = kInf;
   double noise_from = 0.0;  // origin of the outstanding draw
+  // Untilted noise reads its arrival only against `dead` and the window
+  // end, and neither passes the horizon. Since -log u >= 1 - u, a
+  // uniform with 1 - u > rate x (horizon - from) (the 1e-9 covers
+  // pm_log's few-ulp error) lands past the horizon: it stays drawn but
+  // is never transformed. Tilted noise weighs every arrival, so it
+  // always transforms.
+  const double horizon = std::max(p.window_s + p.dead_s, w.dead_in_s);
   const auto advance_noise = [&](double from) {
     if (noise_rate <= 0.0) return;
     if (tilt_noise && noise_next < kInf) {
       log_weight += noise_log_ratio + (noise_rate - noise_nat) * (noise_next - noise_from);
     }
     noise_from = from;
-    noise_next = from + exp1() / noise_rate;
+    const double u = rng.uniform();
+    noise_next = !tilt_noise && 1.0 - u > noise_rate * (1.0 + 1e-9) * (horizon - from)
+                     ? kInf
+                     : from + -pm_log(u) / noise_rate;
   };
   advance_noise(0.0);
 

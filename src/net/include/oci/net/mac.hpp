@@ -16,7 +16,9 @@
 // CAC allocations may span several WDM wavelengths, so one slot can
 // carry several clean transfers at once (one per wavelength); every
 // policy reports its decision as a structured SlotOutcome so the
-// network never has to guess which transmitters collided.
+// network never has to guess which transmitters collided. The outcome
+// lives in a buffer the policy owns and reuses, so arbitration
+// allocates nothing once the buffer has room for every die.
 #pragma once
 
 #include <cstddef>
@@ -46,14 +48,30 @@ struct SlotOutcome {
 /// Abstract MAC policy. `backlogged[i]` says whether die i has a
 /// packet ready; arbitrate_slot() returns who transmits in this slot,
 /// split into clean and collided transmitters (both empty = idle slot).
+/// The returned outcome is the policy's own buffer: it stays valid
+/// until the policy's next arbitrate_slot() call, which overwrites it.
 class MacPolicy {
  public:
   virtual ~MacPolicy() = default;
-  [[nodiscard]] virtual SlotOutcome arbitrate_slot(std::uint64_t slot,
-                                                   const std::vector<bool>& backlogged,
-                                                   util::RngStream& rng) = 0;
+  [[nodiscard]] virtual const SlotOutcome& arbitrate_slot(std::uint64_t slot,
+                                                          const std::vector<bool>& backlogged,
+                                                          util::RngStream& rng) = 0;
   /// Human-readable policy name for reports.
   [[nodiscard]] virtual const char* name() const = 0;
+
+ protected:
+  /// The outcome buffer, emptied, with room for `dies` grants in each
+  /// list: only a policy's first call (or a larger die count) allocates.
+  SlotOutcome& fresh_outcome(std::size_t dies) {
+    outcome_.clean.clear();
+    outcome_.collided.clear();
+    outcome_.clean.reserve(dies);
+    outcome_.collided.reserve(dies);
+    return outcome_;
+  }
+
+ private:
+  SlotOutcome outcome_;
 };
 
 /// Static weighted TDMA on top of bus::TdmaSchedule. Non-work-
@@ -61,9 +79,9 @@ class MacPolicy {
 class TdmaMac final : public MacPolicy {
  public:
   explicit TdmaMac(bus::TdmaSchedule schedule);
-  [[nodiscard]] SlotOutcome arbitrate_slot(std::uint64_t slot,
-                                           const std::vector<bool>& backlogged,
-                                           util::RngStream& rng) override;
+  [[nodiscard]] const SlotOutcome& arbitrate_slot(std::uint64_t slot,
+                                                  const std::vector<bool>& backlogged,
+                                                  util::RngStream& rng) override;
   [[nodiscard]] const char* name() const override { return "tdma"; }
 
  private:
@@ -76,9 +94,9 @@ class TdmaMac final : public MacPolicy {
 class TokenMac final : public MacPolicy {
  public:
   TokenMac(std::size_t participants, unsigned pass_slots = 0);
-  [[nodiscard]] SlotOutcome arbitrate_slot(std::uint64_t slot,
-                                           const std::vector<bool>& backlogged,
-                                           util::RngStream& rng) override;
+  [[nodiscard]] const SlotOutcome& arbitrate_slot(std::uint64_t slot,
+                                                  const std::vector<bool>& backlogged,
+                                                  util::RngStream& rng) override;
   [[nodiscard]] const char* name() const override { return "token"; }
 
  private:
@@ -106,10 +124,11 @@ class SubsetMac final : public MacPolicy {
   SubsetMac(std::unique_ptr<MacPolicy> inner, std::vector<std::size_t> members,
             std::size_t dies);
   /// Delegates to the inner policy (preserving multi-wavelength clean
-  /// grants) and remaps both lists back to the full die space.
-  [[nodiscard]] SlotOutcome arbitrate_slot(std::uint64_t slot,
-                                           const std::vector<bool>& backlogged,
-                                           util::RngStream& rng) override;
+  /// grants) and remaps both lists back to the full die space, into
+  /// this policy's own buffer.
+  [[nodiscard]] const SlotOutcome& arbitrate_slot(std::uint64_t slot,
+                                                  const std::vector<bool>& backlogged,
+                                                  util::RngStream& rng) override;
   [[nodiscard]] const char* name() const override { return "subset"; }
   [[nodiscard]] const MacPolicy& inner() const { return *inner_; }
   [[nodiscard]] const std::vector<std::size_t>& members() const { return members_; }
@@ -128,9 +147,9 @@ class SubsetMac final : public MacPolicy {
 class AlohaMac final : public MacPolicy {
  public:
   explicit AlohaMac(double attempt_probability);
-  [[nodiscard]] SlotOutcome arbitrate_slot(std::uint64_t slot,
-                                           const std::vector<bool>& backlogged,
-                                           util::RngStream& rng) override;
+  [[nodiscard]] const SlotOutcome& arbitrate_slot(std::uint64_t slot,
+                                                  const std::vector<bool>& backlogged,
+                                                  util::RngStream& rng) override;
   [[nodiscard]] const char* name() const override { return "aloha"; }
   [[nodiscard]] double attempt_probability() const { return p_; }
 
@@ -158,9 +177,9 @@ class CacMac final : public MacPolicy {
   /// `allocation` must cover exactly the dies the network arbitrates
   /// (allocation.slots.size() participants).
   explicit CacMac(cac::Allocation allocation);
-  [[nodiscard]] SlotOutcome arbitrate_slot(std::uint64_t slot,
-                                           const std::vector<bool>& backlogged,
-                                           util::RngStream& rng) override;
+  [[nodiscard]] const SlotOutcome& arbitrate_slot(std::uint64_t slot,
+                                                  const std::vector<bool>& backlogged,
+                                                  util::RngStream& rng) override;
   [[nodiscard]] const char* name() const override { return "cac"; }
   [[nodiscard]] std::uint64_t frame() const { return allocation_.frame; }
   [[nodiscard]] std::size_t wavelengths() const { return allocation_.wavelengths; }

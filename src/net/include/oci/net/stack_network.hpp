@@ -14,9 +14,11 @@
 // Per-slot work follows the traffic, not the die count. Arrivals are
 // drawn by Poisson superposition: one aggregate count from Poisson of
 // the summed rates, then one uniform per arrival picks its source in
-// proportion to its rate, which leaves every die's count an exact,
+// proportion to its rate (RateSums: an exact inverse of the running
+// sums in expected O(1)), which leaves every die's count an exact,
 // independent Poisson of its own rate. Backlog flags are kept on
-// enqueue and pop; the rest is the MAC's work and the grants'.
+// enqueue and pop; the rest is the MAC's work and the grants', which
+// land in the MAC's reused outcome buffer.
 #pragma once
 
 #include <cstddef>
@@ -98,6 +100,40 @@ struct NetworkRunResult {
   [[nodiscard]] double fairness_index() const;
 };
 
+/// Running sums of the arrival sources' rates and their exact inverse:
+/// upper_bound(x) equals std::upper_bound over the sums for every x,
+/// ties included. A guess table of one bucket per sum over
+/// [0, total()) holds the upper_bound of each bucket's lower edge; a
+/// query starts at its bucket's guess and walks down, then up, with
+/// upper_bound's own predicate (sums[k] > x), so it lands on the answer
+/// or a step from it unless many sums tie.
+class RateSums {
+ public:
+  RateSums() = default;
+  /// `sums` must be non-empty and non-decreasing, with a positive last
+  /// entry (the total rate).
+  explicit RateSums(std::vector<double> sums);
+
+  [[nodiscard]] double total() const { return sums_.back(); }
+
+  [[nodiscard]] std::size_t upper_bound(double x) const {
+    const double b = x * bucket_scale_;
+    const std::size_t last = guess_.size() - 1;
+    // Clamped before the cast, which only sees [0, last).
+    std::size_t k =
+        guess_[b > 0.0 ? (b < static_cast<double>(last) ? static_cast<std::size_t>(b) : last)
+                       : 0];
+    while (k > 0 && sums_[k - 1] > x) --k;
+    while (k < sums_.size() && !(sums_[k] > x)) ++k;
+    return k;
+  }
+
+ private:
+  std::vector<double> sums_;
+  std::vector<std::uint32_t> guess_;  ///< upper_bound of each bucket's lower edge
+  double bucket_scale_ = 0.0;         ///< buckets per unit of rate
+};
+
 class StackNetwork {
  public:
   /// The network owns its MAC policy. Throws std::invalid_argument on
@@ -151,7 +187,7 @@ class StackNetwork {
   /// Arrival sources (live dies with a positive rate), their running
   /// rate sums, and the sampler of the slot's aggregate arrival count.
   std::vector<std::size_t> sources_;
-  std::vector<double> cumulative_rate_;
+  RateSums cumulative_rate_;
   util::PoissonSampler aggregate_arrivals_;
   std::uint64_t next_packet_id_ = 0;
   std::uint64_t slot_cursor_ = 0;  ///< absolute slot index across run() calls

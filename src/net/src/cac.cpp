@@ -150,61 +150,69 @@ Allocation DistributedAllocator::allocate(util::RngStream& rng) const {
     out.phase[i] = static_cast<std::uint32_t>(rng.uniform_int(0, static_cast<std::int64_t>(p) - 1));
   }
 
-  // Per-(wavelength, slot) occupancy the local moves steer against.
-  std::vector<std::uint32_t> load(wls * p, 0);
-  auto cell = [&](std::size_t wl, std::size_t slot) -> std::uint32_t& {
-    return load[wl * p + slot];
-  };
+  // Per-(wavelength, slot) occupancy the local moves steer against,
+  // stored twice: wavelength wl's row holds slot s at cells s and
+  // s + p, so the cells of a codeword at any phase, phase + c < 2p,
+  // need no wrap.
+  std::vector<std::uint32_t> load(wls * 2 * p, 0);
+  auto row = [&](std::size_t wl) { return load.data() + wl * 2 * p; };
   // (phase + c) mod p for a phase and a codeword slot both below p: one
-  // conditional subtract instead of a division in the phase search.
+  // conditional subtract instead of a division.
   auto wrap = [p](std::size_t phase, std::uint32_t c) -> std::size_t {
     const std::size_t slot = phase + c;
     return slot >= p ? slot - p : slot;
   };
-  for (std::size_t i = 0; i < n; ++i) {
+  // Adds node i's pulses (delta 1) or withdraws them (delta -1: the
+  // unsigned sum wraps to a decrement).
+  auto occupy = [&](std::size_t i, int delta) {
+    const auto step = static_cast<std::uint32_t>(delta);
+    std::uint32_t* cells = row(out.wavelength[i]);
     for (const std::uint32_t c : base[i]) {
-      ++cell(out.wavelength[i], wrap(out.phase[i], c));
+      const std::size_t slot = wrap(out.phase[i], c);
+      cells[slot] += step;
+      cells[slot + p] += step;
     }
-  }
+  };
+  for (std::size_t i = 0; i < n; ++i) occupy(i, 1);
 
   // C-CoCoA-style refinement: a fixed node order, each node in turn
   // withdrawing its pulses and re-picking the phase with the smallest
   // conflict count against the neighbours currently sharing its
   // wavelength. Ties keep the current phase (no oscillation), then
-  // prefer the smallest phase -- fully deterministic.
+  // prefer the smallest phase -- fully deterministic. A phase's cost
+  // sums one contiguous run of the doubled row per codeword slot; it
+  // is at most weight x nodes, so 32 bits hold it exactly.
+  std::vector<std::uint32_t> cost(p);
   out.rounds_used = 0;
   for (unsigned round = 0; round < config_.rounds; ++round) {
     bool changed = false;
     for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t wl = out.wavelength[i];
+      occupy(i, -1);
+      const std::uint32_t* cells = row(out.wavelength[i]);
+      std::fill(cost.begin(), cost.end(), 0u);
       for (const std::uint32_t c : base[i]) {
-        --cell(wl, wrap(out.phase[i], c));
+        const std::uint32_t* shifted = cells + c;
+        for (std::size_t phase = 0; phase < p; ++phase) cost[phase] += shifted[phase];
       }
-      std::size_t best_phase = out.phase[i];
-      std::uint64_t best_cost = ~0ULL;
-      for (std::size_t phase = 0; phase < p; ++phase) {
-        std::uint64_t cost = 0;
-        for (const std::uint32_t c : base[i]) cost += cell(wl, wrap(phase, c));
-        if (cost < best_cost || (cost == best_cost && phase == out.phase[i])) {
-          best_cost = cost;
-          best_phase = phase;
-        }
-      }
-      if (best_phase != out.phase[i]) {
-        out.phase[i] = static_cast<std::uint32_t>(best_phase);
+      std::uint32_t least = cost[0];
+      for (const std::uint32_t v : cost) least = std::min(least, v);
+      if (cost[out.phase[i]] != least) {
+        out.phase[i] = static_cast<std::uint32_t>(
+            std::find(cost.begin(), cost.end(), least) - cost.begin());
         changed = true;
       }
-      for (const std::uint32_t c : base[i]) {
-        ++cell(wl, wrap(out.phase[i], c));
-      }
+      occupy(i, 1);
     }
     ++out.rounds_used;
     if (!changed) break;
   }
 
   out.conflict_mass = 0;
-  for (const std::uint32_t occupancy : load) {
-    if (occupancy > 1) out.conflict_mass += occupancy - 1;
+  for (std::size_t wl = 0; wl < wls; ++wl) {
+    for (std::size_t slot = 0; slot < p; ++slot) {
+      const std::uint32_t occupancy = row(wl)[slot];
+      if (occupancy > 1) out.conflict_mass += occupancy - 1;
+    }
   }
   for (std::size_t i = 0; i < n; ++i) {
     auto& slots = out.slots[i];

@@ -8,9 +8,10 @@ namespace oci::net {
 
 TdmaMac::TdmaMac(bus::TdmaSchedule schedule) : schedule_(std::move(schedule)) {}
 
-SlotOutcome TdmaMac::arbitrate_slot(std::uint64_t slot, const std::vector<bool>& backlogged,
-                                    util::RngStream& /*rng*/) {
-  SlotOutcome out;
+const SlotOutcome& TdmaMac::arbitrate_slot(std::uint64_t slot,
+                                           const std::vector<bool>& backlogged,
+                                           util::RngStream& /*rng*/) {
+  SlotOutcome& out = fresh_outcome(backlogged.size());
   const std::size_t owner = schedule_.owner(slot);
   if (owner < backlogged.size() && backlogged[owner]) out.clean.push_back(owner);
   return out;
@@ -21,13 +22,13 @@ TokenMac::TokenMac(std::size_t participants, unsigned pass_slots)
   if (participants_ == 0) throw std::invalid_argument("TokenMac: need >= 1 participant");
 }
 
-SlotOutcome TokenMac::arbitrate_slot(std::uint64_t /*slot*/,
-                                     const std::vector<bool>& backlogged,
-                                     util::RngStream& /*rng*/) {
+const SlotOutcome& TokenMac::arbitrate_slot(std::uint64_t /*slot*/,
+                                            const std::vector<bool>& backlogged,
+                                            util::RngStream& /*rng*/) {
   if (backlogged.size() != participants_) {
     throw std::invalid_argument("TokenMac: backlog vector size mismatch");
   }
-  SlotOutcome out;
+  SlotOutcome& out = fresh_outcome(participants_);
   if (passing_ > 0) {
     // A token exchange is in flight; the medium is dead this slot.
     --passing_;
@@ -66,17 +67,19 @@ SubsetMac::SubsetMac(std::unique_ptr<MacPolicy> inner, std::vector<std::size_t> 
   inner_backlogged_.resize(members_.size());
 }
 
-SlotOutcome SubsetMac::arbitrate_slot(std::uint64_t slot, const std::vector<bool>& backlogged,
-                                      util::RngStream& rng) {
+const SlotOutcome& SubsetMac::arbitrate_slot(std::uint64_t slot,
+                                             const std::vector<bool>& backlogged,
+                                             util::RngStream& rng) {
   if (backlogged.size() != dies_) {
     throw std::invalid_argument("SubsetMac: backlog vector size mismatch");
   }
   for (std::size_t i = 0; i < members_.size(); ++i) {
     inner_backlogged_[i] = backlogged[members_[i]];
   }
-  SlotOutcome out = inner_->arbitrate_slot(slot, inner_backlogged_, rng);
-  for (std::size_t& g : out.clean) g = members_[g];
-  for (std::size_t& g : out.collided) g = members_[g];
+  const SlotOutcome& inner = inner_->arbitrate_slot(slot, inner_backlogged_, rng);
+  SlotOutcome& out = fresh_outcome(members_.size());
+  for (const std::size_t g : inner.clean) out.clean.push_back(members_[g]);
+  for (const std::size_t g : inner.collided) out.collided.push_back(members_[g]);
   return out;
 }
 
@@ -86,16 +89,19 @@ AlohaMac::AlohaMac(double attempt_probability) : p_(attempt_probability) {
   }
 }
 
-SlotOutcome AlohaMac::arbitrate_slot(std::uint64_t /*slot*/,
-                                     const std::vector<bool>& backlogged,
-                                     util::RngStream& rng) {
+const SlotOutcome& AlohaMac::arbitrate_slot(std::uint64_t /*slot*/,
+                                            const std::vector<bool>& backlogged,
+                                            util::RngStream& rng) {
   // One Bernoulli attempt per backlogged die, in die order; a lone
   // attempt goes through, two or more collide.
-  SlotOutcome out;
+  SlotOutcome& out = fresh_outcome(backlogged.size());
   for (std::size_t i = 0; i < backlogged.size(); ++i) {
     if (backlogged[i] && rng.bernoulli(p_)) out.collided.push_back(i);
   }
-  if (out.collided.size() == 1) out.clean.swap(out.collided);
+  if (out.collided.size() == 1) {
+    out.clean.push_back(out.collided.front());
+    out.collided.clear();
+  }
   return out;
 }
 
@@ -125,12 +131,13 @@ CacMac::CacMac(cac::Allocation allocation)
   }
 }
 
-SlotOutcome CacMac::arbitrate_slot(std::uint64_t slot, const std::vector<bool>& backlogged,
-                                   util::RngStream& /*rng*/) {
+const SlotOutcome& CacMac::arbitrate_slot(std::uint64_t slot,
+                                          const std::vector<bool>& backlogged,
+                                          util::RngStream& /*rng*/) {
   if (backlogged.size() != dies_) {
     throw std::invalid_argument("CacMac: backlog vector size mismatch");
   }
-  SlotOutcome out;
+  SlotOutcome& out = fresh_outcome(dies_);
   const auto& owners = slot_owners_[static_cast<std::size_t>(slot % allocation_.frame)];
   std::size_t begin = 0;
   while (begin < owners.size()) {

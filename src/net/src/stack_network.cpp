@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace oci::net {
 
@@ -42,6 +43,18 @@ double NetworkRunResult::fairness_index() const {
   }
   if (n == 0 || sum_sq == 0.0) return 1.0;
   return sum * sum / (static_cast<double>(n) * sum_sq);
+}
+
+RateSums::RateSums(std::vector<double> sums)
+    : sums_(std::move(sums)), guess_(sums_.size()) {
+  bucket_scale_ = static_cast<double>(sums_.size()) / sums_.back();
+  // Bucket edges rise with the bucket, so the answers do too.
+  std::size_t k = 0;
+  for (std::size_t b = 0; b < guess_.size(); ++b) {
+    const double edge = static_cast<double>(b) / bucket_scale_;
+    while (k < sums_.size() && !(sums_[k] > edge)) ++k;
+    guess_[b] = static_cast<std::uint32_t>(k);
+  }
 }
 
 StackNetwork::StackNetwork(const StackNetworkConfig& config, std::unique_ptr<MacPolicy> mac)
@@ -88,14 +101,18 @@ StackNetwork::StackNetwork(const StackNetworkConfig& config, std::unique_ptr<Mac
   // Arrival sources: the live dies with a positive rate. A dead die's
   // transmitter is gone, so it sources nothing.
   double total_rate = 0.0;
+  std::vector<double> sums;
   for (std::size_t die = 0; die < config_.dies; ++die) {
     const double rate = config_.traffic[die].packets_per_slot;
     if (rate <= 0.0 || node_dead(die)) continue;
     total_rate += rate;
     sources_.push_back(die);
-    cumulative_rate_.push_back(total_rate);
+    sums.push_back(total_rate);
   }
-  if (total_rate > 0.0) aggregate_arrivals_ = util::PoissonSampler(total_rate);
+  if (total_rate > 0.0) {
+    cumulative_rate_ = RateSums(std::move(sums));
+    aggregate_arrivals_ = util::PoissonSampler(total_rate);
+  }
 }
 
 std::size_t StackNetwork::backlog() const {
@@ -111,10 +128,8 @@ void StackNetwork::inject_arrivals(std::uint64_t slot, util::RngStream& rng,
   // counts are then exactly independent Poisson(rate).
   const std::int64_t arrivals = aggregate_arrivals_.sample(rng);
   for (std::int64_t a = 0; a < arrivals; ++a) {
-    const double x = rng.uniform() * cumulative_rate_.back();
-    const auto pick = static_cast<std::size_t>(
-        std::upper_bound(cumulative_rate_.begin(), cumulative_rate_.end(), x) -
-        cumulative_rate_.begin());
+    const std::size_t pick =
+        cumulative_rate_.upper_bound(rng.uniform() * cumulative_rate_.total());
     // u * total can round up to total itself: clamp to the last source.
     const std::size_t die = sources_[std::min(pick, sources_.size() - 1)];
     enqueue_arrival(die, slot, rng, stats[die]);
@@ -183,7 +198,7 @@ NetworkRunResult StackNetwork::run(std::uint64_t slots, util::RngStream& rng) {
     // transfers in one slot, resolved in the policy's deterministic
     // grant order. All per-slot work below is proportional to the
     // grant sizes, never to the die count.
-    const SlotOutcome outcome = mac_->arbitrate_slot(slot, backlogged_, rng);
+    const SlotOutcome& outcome = mac_->arbitrate_slot(slot, backlogged_, rng);
 
     if (outcome.clean.empty() && outcome.collided.empty()) {
       ++result.idle_slots;

@@ -12,7 +12,8 @@
 //   * the same driver with per-window inputs: aggressor pulses (WdmLink,
 //     bus contention), a rare-event proposal on independent windows
 //     (oci::rare drivers) and launch scales (dark/flaky windows),
-//   * the LinkEngine-coupled NoC delivery model (StackNetwork sweeps).
+//   * the LinkEngine-coupled NoC delivery model (StackNetwork sweeps),
+//   * MAC arbitration, which fills the policy's own outcome buffer.
 //
 // After a warm-up pass (which may size scratch buffers), the loops
 // must perform no allocation at all. Under ASan/UBSan the sanitizer
@@ -24,12 +25,17 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <span>
+#include <string_view>
 #include <vector>
 
+#include "oci/bus/arbitration.hpp"
 #include "oci/link/link_engine.hpp"
 #include "oci/link/symbol_delivery.hpp"
+#include "oci/net/cac.hpp"
+#include "oci/net/mac.hpp"
 
 #if defined(__SANITIZE_ADDRESS__)
 #define OCI_ALLOC_GUARD_ACTIVE 0
@@ -268,6 +274,66 @@ TEST(AllocGuard, NocDeliveryModelLoopIsAllocationFree) {
 
   EXPECT_GT(phy.cumulative().symbols_sent, 512u);
   expect_no_allocations(before, after, "NoC symbol-delivery loop");
+}
+
+TEST(AllocGuard, MacArbitrationIsAllocationFree) {
+  // Every policy the slot loop runs, on backlog patterns that change
+  // from slot to slot: after one warm-up frame, arbitration refills
+  // the policy's outcome buffer and allocates nothing.
+  constexpr std::size_t kDies = 40;
+  const auto cac_mac = [](std::size_t nodes) {
+    net::cac::AllocConfig ac;
+    ac.nodes = nodes;
+    ac.wavelengths = 2;
+    ac.weight = 2;
+    ac.rounds = 0;  // random phases, unrefined: slots with collisions
+    RngStream rng(1249, "alloc/0");
+    return std::make_unique<net::CacMac>(net::cac::DistributedAllocator(ac).allocate(rng));
+  };
+  std::vector<std::size_t> members;
+  for (std::size_t die = 0; die < kDies; ++die) {
+    if (die % 5 != 2) members.push_back(die);
+  }
+  std::vector<std::unique_ptr<net::MacPolicy>> policies;
+  policies.push_back(std::make_unique<net::TdmaMac>(bus::TdmaSchedule::equal(kDies)));
+  policies.push_back(std::make_unique<net::TokenMac>(kDies, 2));
+  policies.push_back(std::make_unique<net::AlohaMac>(0.1));
+  policies.push_back(cac_mac(kDies));
+  policies.push_back(
+      std::make_unique<net::SubsetMac>(cac_mac(members.size()), members, kDies));
+
+  std::array<std::vector<bool>, 4> patterns;
+  for (std::size_t k = 0; k < patterns.size(); ++k) {
+    patterns[k].resize(kDies);
+    for (std::size_t die = 0; die < kDies; ++die) {
+      patterns[k][die] = (die * 7 + k * 3) % 4 != 0;
+    }
+  }
+  for (const auto& mac : policies) {
+    RngStream rng(1251);
+    constexpr std::uint64_t kWarmUp = 1000;  // past a CAC frame over 40 dies
+    const auto backlog = [&](std::uint64_t slot) -> const std::vector<bool>& {
+      return patterns[slot % patterns.size()];
+    };
+    for (std::uint64_t slot = 0; slot < kWarmUp; ++slot) {
+      (void)mac->arbitrate_slot(slot, backlog(slot), rng);
+    }
+    std::uint64_t clean = 0;
+    std::uint64_t collided = 0;
+    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    for (std::uint64_t slot = kWarmUp; slot < kWarmUp + 10000; ++slot) {
+      const net::SlotOutcome& out = mac->arbitrate_slot(slot, backlog(slot), rng);
+      clean += out.clean.size();
+      collided += out.collided.size();
+    }
+    const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_GT(clean, 0u) << mac->name();
+    const std::string_view name = mac->name();
+    if (name != "tdma" && name != "token") {
+      EXPECT_GT(collided, 0u) << name;  // ALOHA and the unrefined CAC collide
+    }
+    expect_no_allocations(before, after, mac->name());
+  }
 }
 
 }  // namespace

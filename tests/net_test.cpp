@@ -3,12 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "oci/bus/arbitration.hpp"
+#include "oci/net/cac.hpp"
 #include "oci/net/mac.hpp"
 #include "oci/net/packet.hpp"
 #include "oci/net/stack_network.hpp"
@@ -373,6 +378,238 @@ TEST(StackNetwork, ArrivalDrawsPerSlotDoNotScaleWithDies) {
   const double large = draws_per_slot(1024);
   EXPECT_LT(large, 2.0 * small) << small << " vs " << large;
   EXPECT_LT(large, 5.0);  // ~1 aggregate draw + 2 per arrival at 1.4 arrivals
+}
+
+// ---------- the source pick's inverse ----------
+
+TEST(RateSums, UpperBoundMatchesStdUpperBound) {
+  // Uniform, hotspot, master-broadcast, log-spread and tied tables of
+  // 1 to 1024 sums, queried at every sum and bucket edge and one ulp to
+  // either side, at both ends of the range and past them, at NaN, and
+  // at random points: the inverse is std::upper_bound's answer.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  RngStream rng(337);
+  for (const std::size_t n : {1, 2, 3, 7, 64, 255, 256, 257, 1000, 1024}) {
+    const auto size = static_cast<double>(n);
+    for (int shape = 0; shape < 6; ++shape) {
+      std::vector<double> sums;
+      double total = 0.0;
+      double spread = 3e-5;
+      for (std::size_t i = 0; i < n; ++i) {
+        const double rates[] = {
+            1.4 / size,                          // uniform
+            i == n / 3 ? 0.35 : 0.9 / size,      // hotspot
+            i == 0 ? 0.3 : 0.003,                // master-broadcast
+            spread,                              // three decades
+            i % 3 == 0 ? 0.01 : 0.0,             // runs of exact ties
+            i == 0 ? 1.0 : 1e-17,                // ties by rounding
+        };
+        spread *= 1.027;
+        total += rates[shape];
+        sums.push_back(total);
+      }
+      const net::RateSums table(sums);
+      ASSERT_EQ(table.total(), total);
+      std::vector<double> queries{0.0, -0.0, -1.0, total, 2.0 * total, kInf, -kInf,
+                                  std::numeric_limits<double>::quiet_NaN()};
+      const auto around = [&](double x) {
+        queries.push_back(std::nextafter(x, -kInf));
+        queries.push_back(x);
+        queries.push_back(std::nextafter(x, kInf));
+      };
+      for (const double sum : sums) around(sum);
+      for (std::size_t b = 0; b <= n; ++b) {
+        around(total * static_cast<double>(b) / static_cast<double>(n));
+      }
+      for (int k = 0; k < 2000; ++k) queries.push_back(rng.uniform() * total);
+      for (const double x : queries) {
+        const auto want =
+            static_cast<std::size_t>(std::upper_bound(sums.begin(), sums.end(), x) - sums.begin());
+        ASSERT_EQ(table.upper_bound(x), want) << "n " << n << " shape " << shape << " x " << x;
+      }
+    }
+  }
+}
+
+// ---------- golden traffic: the bits no report digest pins ----------
+
+/// FNV-1a over 64-bit words, low byte first: one number pins a long
+/// sequence of counts.
+std::uint64_t fnv1a(const std::vector<std::uint64_t>& words) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint64_t word : words) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+enum class GoldenRates { kHotspot, kMasterBroadcast, kLogSpread };
+enum class GoldenMac { kTdma, kToken, kCac };
+
+constexpr std::size_t kGoldenDies = 257;
+constexpr std::uint64_t kGoldenSeed = 20270101;
+
+/// 257 dies with a zero-rate die (3) and a dead die (200), so the
+/// source table holds 255 live sources: a 0.35 hotspot over uniform
+/// traffic, a 0.3 broadcast master over workers sending to it, or
+/// rates spread over three decades (built by repeated multiplication,
+/// exactly rounded, so no libm enters the rates).
+StackNetworkConfig golden_config(GoldenRates rates) {
+  auto cfg = uniform_config(kGoldenDies, 0.0);
+  double spread = 3e-5;
+  for (std::size_t die = 0; die < kGoldenDies; ++die) {
+    TrafficSpec& t = cfg.traffic[die];
+    switch (rates) {
+      case GoldenRates::kHotspot:
+        t.packets_per_slot = die == 17 ? 0.35 : 0.9 / static_cast<double>(kGoldenDies);
+        break;
+      case GoldenRates::kMasterBroadcast:
+        t.uniform_destinations = false;
+        t.packets_per_slot = die == 0 ? 0.3 : 0.003;
+        t.destination = die == 0 ? net::kBroadcast : 0;
+        break;
+      case GoldenRates::kLogSpread:
+        t.packets_per_slot = spread;
+        spread *= 1.027;
+        break;
+    }
+  }
+  cfg.traffic[3].packets_per_slot = 0.0;
+  cfg.dead_nodes.assign(kGoldenDies, 0);
+  cfg.dead_nodes[200] = 1;
+  cfg.delivery_probability = 0.9;
+  cfg.queue_capacity = 64;
+  return cfg;
+}
+
+/// The CAC schedule of the golden runs and of the 1024-node pin.
+net::cac::Allocation golden_allocation(std::size_t nodes) {
+  net::cac::AllocConfig ac;
+  ac.nodes = nodes;
+  ac.wavelengths = 4;
+  ac.weight = 2;
+  ac.rounds = 8;
+  RngStream rng(kGoldenSeed, "alloc/0");
+  return net::cac::DistributedAllocator(ac).allocate(rng);
+}
+
+struct GoldenRun {
+  GoldenRates rates;
+  GoldenMac mac;
+  std::uint64_t offered;
+  std::uint64_t delivered;
+  std::uint64_t per_die_fnv;  ///< fnv1a of (offered, delivered) per die
+  std::uint64_t idle_slots;
+  std::uint64_t collision_slots;
+  std::uint64_t draws;
+  std::size_t latency_samples;
+  double latency_mean;
+  double latency_p50;
+  double latency_p95;
+  double latency_p99;
+  double latency_max;
+};
+
+TEST(StackNetwork, GoldenTrafficMatchesPinnedCounts) {
+  // Hotspot, master-broadcast and log-spread rates under TDMA, token
+  // and a 4-wavelength CAC schedule, 20k slots each: per-die offered
+  // and delivered counts, the slot accounting, the stream's draws and
+  // the latency summary, pinned bit for bit. The checked-in specs run
+  // uniform rates only and abl_noc's one hotspot table is small, so
+  // these are the pins of the source pick on wide unequal rate tables.
+  const GoldenRun kPinned[] = {
+      // clang-format off
+      {GoldenRates::kHotspot, GoldenMac::kTdma, 24688, 16213, 0xf35516d0f015d1ceull, 1947, 0, 80758, 16213, 1336.5488188490717, 1031, 3468, 4770, 19586},
+      {GoldenRates::kHotspot, GoldenMac::kToken, 24942, 18027, 0x4e085531788a2886ull, 0, 0, 84265, 18027, 971.22577245243247, 868, 2251, 2469, 2668},
+      {GoldenRates::kHotspot, GoldenMac::kCac, 24790, 18146, 0x3796a645e4591ddaull, 6118, 208, 83230, 18146, 125.83952386200815, 56, 181, 4446, 4842},
+      {GoldenRates::kMasterBroadcast, GoldenMac::kTdma, 21362, 14745, 0x955cbd0afe89a117ull, 3595, 0, 57767, 14745, 861.97951848084097, 627, 2280, 3483, 18757},
+      {GoldenRates::kMasterBroadcast, GoldenMac::kToken, 21119, 17971, 0x8ad74ff14f0862b7ull, 0, 0, 61119, 17971, 323.55767625619052, 324, 655, 752, 861},
+      {GoldenRates::kMasterBroadcast, GoldenMac::kCac, 21371, 15587, 0x215ffa996e1244adull, 7545, 139, 58655, 15587, 132.02149226919869, 54, 167, 4452, 4716},
+      {GoldenRates::kLogSpread, GoldenMac::kTdma, 20592, 7792, 0x32978826f3eb04c8ull, 11295, 0, 61255, 7792, 4135.2435831622179, 2369, 13185, 15781, 17666},
+      {GoldenRates::kLogSpread, GoldenMac::kToken, 20948, 18023, 0x390a88f74f75a608ull, 0, 0, 81122, 18023, 1266.9502302613328, 1053, 3188, 3705, 4052},
+      {GoldenRates::kLogSpread, GoldenMac::kCac, 20751, 17121, 0xd5af0bffbe3ecaecull, 6399, 533, 78428, 17121, 1175.9390806611764, 218, 4641, 5375, 6415},
+      // clang-format on
+  };
+  static constexpr const char* kRateNames[] = {"kHotspot", "kMasterBroadcast", "kLogSpread"};
+  static constexpr const char* kMacNames[] = {"kTdma", "kToken", "kCac"};
+  for (const GoldenRun& pin : kPinned) {
+    std::unique_ptr<net::MacPolicy> mac;
+    switch (pin.mac) {
+      case GoldenMac::kTdma:
+        mac = std::make_unique<TdmaMac>(bus::TdmaSchedule::equal(kGoldenDies));
+        break;
+      case GoldenMac::kToken:
+        mac = std::make_unique<TokenMac>(kGoldenDies, 0);
+        break;
+      case GoldenMac::kCac:
+        mac = std::make_unique<net::CacMac>(golden_allocation(kGoldenDies));
+        break;
+    }
+    StackNetwork netw(golden_config(pin.rates), std::move(mac));
+    RngStream rng(kGoldenSeed, kRateNames[static_cast<int>(pin.rates)]);
+    const auto r = netw.run(20000, rng);
+    std::vector<std::uint64_t> per_die;
+    for (const auto& d : r.per_die) {
+      per_die.push_back(d.offered);
+      per_die.push_back(d.delivered);
+    }
+    const GoldenRun got{pin.rates,
+                        pin.mac,
+                        r.total_offered(),
+                        r.total_delivered(),
+                        fnv1a(per_die),
+                        r.idle_slots,
+                        r.collision_slots,
+                        rng.draws(),
+                        r.latency.samples,
+                        r.latency.mean_slots,
+                        r.latency.p50_slots,
+                        r.latency.p95_slots,
+                        r.latency.p99_slots,
+                        r.latency.max_slots};
+    char line[512];
+    std::snprintf(line, sizeof line,
+                  "{GoldenRates::%s, GoldenMac::%s, %llu, %llu, 0x%llxull, %llu, %llu, %llu, "
+                  "%zu, %.17g, %.17g, %.17g, %.17g, %.17g},",
+                  kRateNames[static_cast<int>(pin.rates)], kMacNames[static_cast<int>(pin.mac)],
+                  static_cast<unsigned long long>(got.offered),
+                  static_cast<unsigned long long>(got.delivered),
+                  static_cast<unsigned long long>(got.per_die_fnv),
+                  static_cast<unsigned long long>(got.idle_slots),
+                  static_cast<unsigned long long>(got.collision_slots),
+                  static_cast<unsigned long long>(got.draws), got.latency_samples,
+                  got.latency_mean, got.latency_p50, got.latency_p95, got.latency_p99,
+                  got.latency_max);
+    SCOPED_TRACE(line);
+    EXPECT_EQ(r.per_die[3].offered, 0u);    // zero rate
+    EXPECT_EQ(r.per_die[200].offered, 0u);  // dead
+    EXPECT_EQ(got.offered, pin.offered);
+    EXPECT_EQ(got.delivered, pin.delivered);
+    EXPECT_EQ(got.per_die_fnv, pin.per_die_fnv);
+    EXPECT_EQ(got.idle_slots, pin.idle_slots);
+    EXPECT_EQ(got.collision_slots, pin.collision_slots);
+    EXPECT_EQ(got.draws, pin.draws);
+    EXPECT_EQ(got.latency_samples, pin.latency_samples);
+    EXPECT_EQ(got.latency_mean, pin.latency_mean);
+    EXPECT_EQ(got.latency_p50, pin.latency_p50);
+    EXPECT_EQ(got.latency_p95, pin.latency_p95);
+    EXPECT_EQ(got.latency_p99, pin.latency_p99);
+    EXPECT_EQ(got.latency_max, pin.latency_max);
+  }
+}
+
+TEST(CacAllocatorGolden, ThousandNodePhasesMatchPins) {
+  // noc_thousand_node's largest schedule: 1024 nodes on 4 wavelengths,
+  // weight 2, 8 rounds. Every phase is pinned through one hash.
+  const net::cac::Allocation a = golden_allocation(1024);
+  const std::vector<std::uint64_t> phases(a.phase.begin(), a.phase.end());
+  EXPECT_EQ(a.frame, 521u);
+  EXPECT_EQ(a.rounds_used, 6u);
+  EXPECT_EQ(a.conflict_mass, 58u);
+  EXPECT_EQ(fnv1a(phases), 0xce11c023e280a481ull) << std::hex << "0x" << fnv1a(phases) << "ull";
 }
 
 // ---------- network conservation under every MAC ----------
