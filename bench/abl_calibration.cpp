@@ -21,7 +21,6 @@ using namespace oci;
 using util::RngStream;
 using util::Temperature;
 using util::Time;
-using util::Voltage;
 
 constexpr std::uint64_t kSeed = 20080608;
 
@@ -49,17 +48,16 @@ void print_reproduction() {
                          kSeed);
 
   tdc::Tdc tdc = make_tdc(kSeed);
-  const Voltage vdd = Voltage::volts(1.5);
 
   // LUT measured once at 20 C (the "stale" reference).
-  tdc.set_conditions(Temperature::celsius(20.0), vdd);
+  tdc.set_conditions(Temperature::celsius(20.0));
   RngStream cal20(kSeed, "cal-20C");
   const tdc::CalibrationLut stale(tdc::code_density_test(tdc, 500000, cal20));
 
   util::Table t({"T [C]", "elements used", "RMS err, no cal [ps]",
                  "RMS err, stale 20C LUT [ps]", "RMS err, fresh LUT [ps]"});
   for (double celsius : {-20.0, 0.0, 20.0, 40.0, 60.0, 80.0}) {
-    tdc.set_conditions(Temperature::celsius(celsius), vdd);
+    tdc.set_conditions(Temperature::celsius(celsius));
     RngStream fresh_rng(kSeed + static_cast<std::uint64_t>(celsius + 100), "cal-fresh");
     const tdc::CalibrationLut fresh(tdc::code_density_test(tdc, 500000, fresh_rng));
 
@@ -92,7 +90,7 @@ void print_reproduction() {
   int runs = 0;
   for (int step = 0; step <= 60; ++step) {
     const double temp = 20.0 + step;  // 1 C per step up to 80 C
-    tdc.set_conditions(Temperature::celsius(temp), vdd);
+    tdc.set_conditions(Temperature::celsius(temp));
     if (ctl.maybe_recalibrate(Time::milliseconds(10.0 * step), cal)) ++runs;
   }
   std::cout << "\nCalibrationController with 5 C drift budget over a 20->80 C ramp: "

@@ -106,7 +106,7 @@ tdc::Tdc bench_tdc(double window_ps = 4.0) {
 // with a metastability half-window of `window_ps`.
 void BM_TdcConvertAt(benchmark::State& state, double celsius, double window_ps) {
   tdc::Tdc tdc = bench_tdc(window_ps);
-  tdc.set_conditions(util::Temperature::celsius(celsius), tdc.line().params().nominal_supply);
+  tdc.set_conditions(util::Temperature::celsius(celsius));
   RngStream rng(kSeed, "bm-conv");
   for (auto _ : state) {
     const Time toa = rng.uniform_time(tdc.toa_window());

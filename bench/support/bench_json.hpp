@@ -24,9 +24,14 @@
 // compiler-independent cost metric that complements the noisy wall
 // clock. Aggregate rows (mean/median/stddev) and errored runs are
 // skipped so the result list is one row per benchmark instance.
+//
+// The console rows are coloured only when stdout is a terminal, as the
+// library's own reporter does under its default --benchmark_color=auto;
+// a custom reporter never sees that flag, so this one does not read it.
 #pragma once
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <fstream>
 #include <iomanip>
@@ -63,6 +68,9 @@ class TrajectoryReporter : public benchmark::ConsoleReporter {
     double rng_draws_per_op = 0.0;
     bool has_draws = false;
   };
+
+  TrajectoryReporter()
+      : ConsoleReporter(isatty(STDOUT_FILENO) != 0 ? OO_ColorTabular : OO_Tabular) {}
 
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {

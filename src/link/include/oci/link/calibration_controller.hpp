@@ -2,8 +2,8 @@
 // dynamically adjusted for temperature, voltage, or process variations.
 // To achieve correctness we rely on regular calibration so as to ensure
 // a fixed bound on resolution." This controller models that loop:
-// it owns a calibration LUT for a TDC, tracks how far conditions have
-// drifted since the LUT was built, and decides when to recalibrate.
+// it owns a calibration LUT for a TDC, tracks how far the temperature
+// has drifted since the LUT was built, and decides when to recalibrate.
 #pragma once
 
 #include <cstdint>
@@ -24,13 +24,14 @@ struct CalibrationPolicy {
   double max_temperature_drift_c = 5.0;
   /// Hits used per calibration run.
   std::uint64_t samples = 200000;
-  /// Minimum interval between calibrations (calibration occupies the
-  /// link, so back-to-back runs are wasteful).
-  Time min_interval = Time::milliseconds(1.0);
 };
 
 class CalibrationController {
  public:
+  /// Shortest time between two calibrations (back-to-back runs would
+  /// keep the link busy for nothing).
+  static constexpr Time kMinInterval = Time::milliseconds(1.0);
+
   CalibrationController(tdc::Tdc& tdc, const CalibrationPolicy& policy);
 
   [[nodiscard]] const tdc::CalibrationLut& lut() const { return lut_; }

@@ -8,6 +8,8 @@
 //                 BEFORE the signal slot and steals the conversion
 //  * jitter    -- detector + TDC timing noise pushes the TOA into a
 //                 neighbouring slot
+//
+// The model assumes Gray slot labels: a jitter error costs one bit of K.
 #pragma once
 
 #include "oci/util/units.hpp"
@@ -27,7 +29,6 @@ struct ErrorBudgetInputs {
   /// TDC quantisation combined (RSS).
   Time timing_sigma = Time::picoseconds(120.0);
   unsigned bits_per_symbol = 5;
-  bool gray_labels = true;
 };
 
 struct ErrorBudget {

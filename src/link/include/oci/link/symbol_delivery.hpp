@@ -30,11 +30,10 @@ namespace oci::link {
 
 class SymbolDeliveryModel {
  public:
-  /// `overhead_bytes` is the framing overhead (preamble + header +
-  /// CRC); sizing delegates to modulation::symbols_for_payload.
-  /// The link must outlive the model (the engine caches its rate
-  /// products).
-  explicit SymbolDeliveryModel(const OpticalLink& link, std::size_t overhead_bytes = 4);
+  /// Packets are sized by modulation::symbols_for_payload (payload
+  /// plus its fixed framing overhead). The link must outlive the model
+  /// (the engine caches its rate products).
+  explicit SymbolDeliveryModel(const OpticalLink& link);
 
   /// Transfer slots a packet of `payload_bytes` occupies on this link.
   [[nodiscard]] std::uint64_t symbols_for(std::size_t payload_bytes) const;
@@ -53,7 +52,6 @@ class SymbolDeliveryModel {
  private:
   const OpticalLink* link_;
   LinkEngine engine_;
-  std::size_t overhead_bytes_;
   LinkRunStats cumulative_;
 };
 

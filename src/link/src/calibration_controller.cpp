@@ -20,7 +20,7 @@ bool CalibrationController::maybe_recalibrate(Time sim_time, util::RngStream& rn
     calibrate_now(sim_time, rng);
     return true;
   }
-  if (sim_time - last_run_ < policy_.min_interval) return false;
+  if (sim_time - last_run_ < kMinInterval) return false;
   const double drift =
       std::abs(tdc_->line().temperature().celsius() - calibrated_at_.celsius());
   if (drift < policy_.max_temperature_drift_c) return false;

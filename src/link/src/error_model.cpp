@@ -45,12 +45,9 @@ ErrorBudget compute_error_budget(const ErrorBudgetInputs& in) {
 
   // Bit error mapping. Misses and captures land in an (effectively)
   // random slot: half the bits are wrong. Jitter lands in an adjacent
-  // slot: Gray labels flip exactly 1 of K bits, binary labels flip ~2
-  // on average (trailing-carry statistics).
+  // slot, whose Gray label differs in exactly 1 of K bits.
   const double k = static_cast<double>(in.bits_per_symbol);
-  const double adjacent_bits = in.gray_labels ? 1.0 : std::min(2.0, k);
-  out.bit_error_rate = (out.p_miss + out.p_capture) * 0.5 +
-                       out.p_jitter * (adjacent_bits / k);
+  out.bit_error_rate = (out.p_miss + out.p_capture) * 0.5 + out.p_jitter * (1.0 / k);
   if (out.bit_error_rate > 1.0) out.bit_error_rate = 1.0;
   return out;
 }

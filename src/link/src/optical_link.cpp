@@ -53,7 +53,6 @@ modulation::PpmConfig ppm_config(const OpticalLinkConfig& c, unsigned bits) {
   p.slot_width = Time::seconds(window.seconds() /
                                static_cast<double>(std::uint64_t{1} << bits));
   p.labeling = c.labeling;
-  p.pulse_offset_fraction = 0.5;
   return p;
 }
 
@@ -106,12 +105,12 @@ OpticalLink::OpticalLink(const OpticalLinkConfig& config, RngStream& process_rng
       tdc_(
           [&] {
             tdc::DelayLine line(line_params(config), process_rng);
-            line.set_conditions(config.temperature, line_params(config).nominal_supply);
+            line.set_conditions(config.temperature);
             return line;
           }(),
           tdc_config(config)),
       ppm_(ppm_config(config, resolve_bits(config))),
-      framer_(ppm_, modulation::FrameConfig{}),
+      framer_(ppm_),
       stream_(led_, config.channel_transmittance),
       bits_per_symbol_(resolve_bits(config)),
       detection_offset_(config.led.pulse_width * 0.5) {
@@ -180,7 +179,7 @@ std::uint64_t OpticalLink::recalibrate(std::uint64_t samples, RngStream& rng) {
 void OpticalLink::set_temperature(util::Temperature t) {
   // The delay line first: it rejects a temperature that gives it a
   // non-positive delay, and then nothing has changed.
-  tdc_.set_conditions(t, tdc_.line().params().nominal_supply);
+  tdc_.set_conditions(t);
   spad_.set_temperature(t);
 }
 

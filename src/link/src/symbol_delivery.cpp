@@ -4,13 +4,11 @@
 
 namespace oci::link {
 
-SymbolDeliveryModel::SymbolDeliveryModel(const OpticalLink& link,
-                                         std::size_t overhead_bytes)
-    : link_(&link), engine_(link), overhead_bytes_(overhead_bytes) {}
+SymbolDeliveryModel::SymbolDeliveryModel(const OpticalLink& link)
+    : link_(&link), engine_(link) {}
 
 std::uint64_t SymbolDeliveryModel::symbols_for(std::size_t payload_bytes) const {
-  return modulation::symbols_for_payload(payload_bytes, link_->bits_per_symbol(),
-                                         overhead_bytes_);
+  return modulation::symbols_for_payload(payload_bytes, link_->bits_per_symbol());
 }
 
 bool SymbolDeliveryModel::deliver(std::size_t payload_bytes, util::RngStream& rng) {

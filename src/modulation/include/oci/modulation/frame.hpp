@@ -15,22 +15,13 @@ namespace oci::modulation {
 /// frames of an on-chip link.
 [[nodiscard]] std::uint8_t crc8(const std::vector<std::uint8_t>& data);
 
-/// Transfer symbols a packet of `payload_bytes` plus `overhead_bytes`
-/// of framing (preamble + header + CRC) occupies at K bits per PPM
-/// symbol: the photon-level delivery model's (link::SymbolDeliveryModel)
+/// Transfer symbols a packet of `payload_bytes` plus 4 bytes of framing
+/// (preamble + header + CRC) occupies at K bits per PPM symbol: the
+/// photon-level delivery model's (link::SymbolDeliveryModel)
 /// packet-on-air sizing. Throws std::invalid_argument when
 /// bits_per_symbol is zero.
 [[nodiscard]] std::uint64_t symbols_for_payload(std::size_t payload_bytes,
-                                                unsigned bits_per_symbol,
-                                                std::size_t overhead_bytes = 4);
-
-struct FrameConfig {
-  /// Number of preamble symbols; the pattern alternates the extreme
-  /// slots (0 and 2^K-1), which no payload misdecode can fake for long.
-  unsigned preamble_symbols = 4;
-  /// Maximum payload size an implementation accepts.
-  std::size_t max_payload = 4096;
-};
+                                                unsigned bits_per_symbol);
 
 struct Frame {
   std::vector<std::uint8_t> payload;
@@ -41,9 +32,13 @@ struct Frame {
 /// where every field after the preamble is carried in K-bit symbols.
 class FrameCodec {
  public:
-  FrameCodec(const PpmCodec& ppm, const FrameConfig& config);
+  /// Preamble length; the pattern alternates the extreme slots (0 and
+  /// 2^K-1), which no payload misdecode can fake for long.
+  static constexpr std::size_t kPreambleSymbols = 4;
+  /// Largest payload serialize accepts and deserialize believes.
+  static constexpr std::size_t kMaxPayload = 4096;
 
-  [[nodiscard]] const FrameConfig& config() const { return config_; }
+  explicit FrameCodec(const PpmCodec& ppm) : ppm_(&ppm) {}
 
   /// Symbol stream for one frame (preamble + header + payload + CRC).
   [[nodiscard]] std::vector<std::uint64_t> serialize(const Frame& frame) const;
@@ -67,7 +62,6 @@ class FrameCodec {
 
  private:
   const PpmCodec* ppm_;
-  FrameConfig config_;
 };
 
 }  // namespace oci::modulation

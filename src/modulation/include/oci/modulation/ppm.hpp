@@ -23,9 +23,6 @@ struct PpmConfig {
   unsigned bits_per_symbol = 4;                 ///< K
   Time slot_width = Time::nanoseconds(1.0);     ///< one TOA slot
   SlotLabeling labeling = SlotLabeling::kGray;
-  /// Pulse placement within the slot, as a fraction of slot width
-  /// (0.5 = slot centre, maximising margin against jitter both ways).
-  double pulse_offset_fraction = 0.5;
 };
 
 class PpmCodec {
@@ -43,7 +40,9 @@ class PpmCodec {
     return config_.labeling == SlotLabeling::kGray ? util::to_gray(slot) : slot;
   }
 
-  /// Symbol -> pulse emission time relative to symbol start.
+  /// Symbol -> pulse emission time relative to symbol start: the centre
+  /// of the symbol's slot, which leaves the most margin against jitter
+  /// both ways.
   [[nodiscard]] Time encode(std::uint64_t symbol) const;
   /// TOA relative to symbol start -> decoded symbol. TOAs outside the
   /// span clamp to the nearest slot. Inline with the two steps it

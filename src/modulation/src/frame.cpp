@@ -15,28 +15,17 @@ std::uint8_t crc8(const std::vector<std::uint8_t>& data) {
   return crc;
 }
 
-std::uint64_t symbols_for_payload(std::size_t payload_bytes, unsigned bits_per_symbol,
-                                  std::size_t overhead_bytes) {
+std::uint64_t symbols_for_payload(std::size_t payload_bytes, unsigned bits_per_symbol) {
   if (bits_per_symbol == 0) {
     throw std::invalid_argument("symbols_for_payload: bits_per_symbol must be > 0");
   }
-  const std::uint64_t bits = (payload_bytes + overhead_bytes) * 8;
+  const std::uint64_t bits = (payload_bytes + 4) * 8;
   return (bits + bits_per_symbol - 1) / bits_per_symbol;
-}
-
-FrameCodec::FrameCodec(const PpmCodec& ppm, const FrameConfig& config)
-    : ppm_(&ppm), config_(config) {
-  if (config_.preamble_symbols == 0) {
-    throw std::invalid_argument("FrameCodec: need at least one preamble symbol");
-  }
-  if (config_.max_payload == 0 || config_.max_payload > 65535) {
-    throw std::invalid_argument("FrameCodec: max_payload must be in [1,65535]");
-  }
 }
 
 std::vector<std::uint64_t> FrameCodec::preamble() const {
   const std::uint64_t hi = ppm_->slot_count() - 1;
-  std::vector<std::uint64_t> p(config_.preamble_symbols);
+  std::vector<std::uint64_t> p(kPreambleSymbols);
   for (std::size_t i = 0; i < p.size(); ++i) p[i] = (i % 2 == 0) ? 0 : hi;
   return p;
 }
@@ -45,12 +34,12 @@ std::size_t FrameCodec::frame_symbols(std::size_t payload_bytes) const {
   const unsigned k = ppm_->config().bits_per_symbol;
   const std::size_t body_bytes = 2 + payload_bytes + 1;  // length, payload, crc
   const std::size_t body_symbols = (body_bytes * 8 + k - 1) / k;
-  return config_.preamble_symbols + body_symbols;
+  return kPreambleSymbols + body_symbols;
 }
 
 std::vector<std::uint64_t> FrameCodec::serialize(const Frame& frame) const {
-  if (frame.payload.size() > config_.max_payload) {
-    throw std::invalid_argument("FrameCodec: payload exceeds max_payload");
+  if (frame.payload.size() > kMaxPayload) {
+    throw std::invalid_argument("FrameCodec: payload exceeds kMaxPayload");
   }
   std::vector<std::uint8_t> body;
   body.reserve(frame.payload.size() + 3);
@@ -80,7 +69,7 @@ std::optional<FrameCodec::ParseResult> FrameCodec::deserialize(
   const std::vector<std::uint8_t> head = ppm_->unpack_bytes(body_symbols, 2);
   if (head.size() < 2) return std::nullopt;
   const std::size_t len = (static_cast<std::size_t>(head[0]) << 8) | head[1];
-  if (len > config_.max_payload) return std::nullopt;
+  if (len > kMaxPayload) return std::nullopt;
 
   const std::size_t body_bytes = 2 + len + 1;
   const std::vector<std::uint8_t> body = ppm_->unpack_bytes(body_symbols, body_bytes);

@@ -15,9 +15,6 @@ PpmCodec::PpmCodec(const PpmConfig& config) : config_(config) {
   if (config_.slot_width <= Time::zero()) {
     throw std::invalid_argument("PpmCodec: slot width must be positive");
   }
-  if (config_.pulse_offset_fraction < 0.0 || config_.pulse_offset_fraction >= 1.0) {
-    throw std::invalid_argument("PpmCodec: pulse offset fraction must be in [0,1)");
-  }
   slots_ = std::uint64_t{1} << config_.bits_per_symbol;
 }
 
@@ -31,8 +28,7 @@ std::uint64_t PpmCodec::slot_for_symbol(std::uint64_t symbol) const {
 
 Time PpmCodec::encode(std::uint64_t symbol) const {
   const std::uint64_t slot = slot_for_symbol(symbol);
-  return config_.slot_width *
-         (static_cast<double>(slot) + config_.pulse_offset_fraction);
+  return config_.slot_width * (static_cast<double>(slot) + 0.5);
 }
 
 unsigned PpmCodec::hamming(std::uint64_t a, std::uint64_t b) {

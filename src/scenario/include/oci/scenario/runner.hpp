@@ -166,8 +166,9 @@ struct RunReport {
   [[nodiscard]] const analysis::Estimate& estimate(const RunPoint& point,
                                                    const std::string& name) const;
 
-  /// Axis columns then metric columns, one row per point.
-  [[nodiscard]] util::Table to_table(int precision = 4) const;
+  /// Axis columns then metric columns, one row per point, numbers to
+  /// four digits.
+  [[nodiscard]] util::Table to_table() const;
   /// Table plus a one-line run summary (deterministic output only).
   void print(std::ostream& os) const;
 };

@@ -560,8 +560,17 @@ RunReport load(const std::string& path) {
     RunPoint p;
     p.point_index = static_cast<std::size_t>(uint_or(row, "point_index", i, path));
     if (const JValue* coord = row.find("coordinate");
-        coord != nullptr && coord->type == JValue::T::kArr) {
-      for (const JValue& c : coord->arr) p.coordinate.push_back(c.text);
+        coord != nullptr && coord->type != JValue::T::kNull) {
+      if (coord->type != JValue::T::kArr) {
+        throw std::runtime_error("scenario report_io: " + path + ": coordinate must be an array");
+      }
+      for (const JValue& c : coord->arr) {
+        if (c.type != JValue::T::kStr) {
+          throw std::runtime_error("scenario report_io: " + path +
+                                   ": coordinate entries must be strings");
+        }
+        p.coordinate.push_back(c.text);
+      }
     }
     p.samples = uint_or(row, "iterations", 0, path);
     p.chunks = uint_or(row, "chunks", 1, path);

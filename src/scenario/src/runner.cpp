@@ -813,7 +813,8 @@ const analysis::Estimate& RunReport::estimate(const RunPoint& point,
   throw std::out_of_range("scenario report '" + scenario + "' has no metric '" + name + "'");
 }
 
-util::Table RunReport::to_table(int precision) const {
+util::Table RunReport::to_table() const {
+  constexpr int kPrecision = 4;
   std::vector<std::string> headers = axis_names;
   headers.insert(headers.end(), metric_names.begin(), metric_names.end());
   util::Table t(headers);
@@ -830,7 +831,7 @@ util::Table RunReport::to_table(int precision) const {
           metric_kinds[m] == MetricKind::kRate && p.estimates[m].n_samples > 0 &&
           p.estimates[m].ci_high > 0.0) {
         std::ostringstream cell;
-        cell << "<" << std::scientific << std::setprecision(precision - 1)
+        cell << "<" << std::scientific << std::setprecision(kPrecision - 1)
              << p.estimates[m].ci_high;
         t.add_cell(cell.str());
         continue;
@@ -840,9 +841,9 @@ util::Table RunReport::to_table(int precision) const {
       // rendering a pure function of the value (CI diffs row text).
       const double mag = std::fabs(v);
       if (v != 0.0 && (mag >= 1e5 || mag < 1e-3)) {
-        t.add_sci(v, precision);
+        t.add_sci(v, kPrecision);
       } else {
-        t.add_cell(v, precision);
+        t.add_cell(v, kPrecision);
       }
     }
   }

@@ -267,9 +267,10 @@ constexpr Row text(const char* name, Renderer render) {
   return {.name = name, .render = render};
 }
 
-/// A canonical line that always reads N: a receiver-model choice with
-/// one value, kept in the text so that no spec hash moves.
-template <int N>
+/// A canonical line that always reads N: a receiver-model choice or a
+/// device parameter with one value, kept in the text so that no spec
+/// hash moves.
+template <auto N>
 constexpr Row fixed(const char* name) {
   return text(name, [](const Row& row, const S&, std::string& out) { line(out, row.name, N); });
 }
@@ -361,8 +362,8 @@ constexpr Row kRows[] = {
     field(OCI_SPEC_FIELD(device.led.supply)),
     field(OCI_SPEC_FIELD(device.led.footprint)),
     num(OCI_SPEC_FIELD(device.spad.pdp_peak), "pdp_peak"),
-    field(OCI_SPEC_FIELD(device.spad.excess_bias)),
-    field(OCI_SPEC_FIELD(device.spad.nominal_excess_bias)),
+    fixed<3.3>("device.spad.excess_bias"),          // V above breakdown
+    fixed<3.3>("device.spad.nominal_excess_bias"),  // V
     num<ns>(OCI_SPEC_FIELD(device.spad.dead_time), "dead_time_ns"),
     fixed<0>("device.spad.quench"),  // active
     num<hz>(OCI_SPEC_FIELD(device.spad.dcr_at_ref), "dcr_hz"),
@@ -388,8 +389,8 @@ constexpr Row kRows[] = {
           }),
     field(OCI_SPEC_FIELD(device.delay_line.odd_even_skew)),
     field(OCI_SPEC_FIELD(device.delay_line.temperature_coefficient)),
-    field(OCI_SPEC_FIELD(device.delay_line.voltage_coefficient)),
-    field(OCI_SPEC_FIELD(device.delay_line.nominal_supply)),
+    fixed<0.25>("device.delay_line.voltage_coefficient"),  // per V of droop
+    fixed<1.5>("device.delay_line.nominal_supply"),        // V
     field(OCI_SPEC_FIELD(device.delay_line.metastability_window)),
     fixed<2>("device.decode"),  // 3-tap majority window
     num(OCI_SPEC_FIELD(device.channel_transmittance), "channel_transmittance"),
@@ -895,12 +896,19 @@ void ScenarioSpec::validate() const {
   // Sweep axes. Structural keys are settable but not sweepable: they
   // would change the metric set (topology, mode) or the run identity
   // (name, seed) mid-sweep, misaligning every point's metric vector
-  // with the report's metric_names.
+  // with the report's metric_names. Two axes over one key would label
+  // each point with both values while the later one overwrote the
+  // earlier.
   static constexpr const char* kNotSweepable[] = {"topology", "mode", "name",
                                                   "description", "seed"};
-  for (const SweepAxis& a : sweep) {
+  for (auto it = sweep.begin(); it != sweep.end(); ++it) {
+    const SweepAxis& a = *it;
     if (a.param.empty()) {
       err("sweep axis with empty parameter name");
+      continue;
+    }
+    if (std::any_of(sweep.begin(), it, [&](const SweepAxis& b) { return b.param == a.param; })) {
+      err("parameter '" + a.param + "' has more than one sweep axis");
       continue;
     }
     if (!is_known_param(a.param)) {

@@ -11,15 +11,12 @@ using util::Area;
 using util::Frequency;
 using util::Temperature;
 using util::Time;
-using util::Voltage;
 using util::Wavelength;
 
 struct SpadParams {
-  /// Photon detection probability at the curve peak and nominal excess bias.
+  /// Photon detection probability at the curve peak, at the one excess
+  /// bias the diode runs at (3.3 V above breakdown).
   double pdp_peak = 0.30;
-  /// Excess bias above breakdown; PDP and DCR both scale with it.
-  Voltage excess_bias = Voltage::volts(3.3);
-  Voltage nominal_excess_bias = Voltage::volts(3.3);
   /// Detection cycle: time after an avalanche during which the diode is
   /// blind (quench + recharge). Tens of ns for this device generation.
   /// The diode is actively quenched, so the dead time is

@@ -1,7 +1,8 @@
-// Photon detection probability (PDP) of a CMOS SPAD versus wavelength
-// and excess bias. The spectral shape is a normalised tabulation typical
-// of shallow-junction CMOS SPADs (peak near 480 nm, long red tail); the
-// absolute scale is set by SpadParams::pdp_peak and the excess bias.
+// Photon detection probability (PDP) of a CMOS SPAD versus wavelength.
+// The spectral shape is a normalised tabulation typical of
+// shallow-junction CMOS SPADs (peak near 480 nm, long red tail); the
+// absolute scale is SpadParams::pdp_peak, the PDP at the diode's one
+// excess bias.
 #pragma once
 
 #include "oci/spad/params.hpp"
@@ -10,10 +11,6 @@ namespace oci::spad {
 
 /// Normalised spectral response in [0,1]; 1.0 at the curve peak.
 [[nodiscard]] double pdp_spectral_shape(Wavelength lambda);
-
-/// Excess-bias scaling factor: avalanche trigger probability saturates
-/// as 1 - exp(-Veb/V0), normalised to 1 at the nominal excess bias.
-[[nodiscard]] double pdp_bias_factor(Voltage excess_bias, Voltage nominal);
 
 /// Absolute PDP for the given device parameters and wavelength.
 [[nodiscard]] double pdp(const SpadParams& params, Wavelength lambda);

@@ -34,9 +34,6 @@ constexpr std::array<PdpPoint, 15> kPdpShape{{
     {1000.0, 0.005},
 }};
 
-// Excess-bias saturation scale [V].
-constexpr double kBiasSaturation = 2.5;
-
 }  // namespace
 
 double pdp_spectral_shape(Wavelength lambda) {
@@ -50,17 +47,8 @@ double pdp_spectral_shape(Wavelength lambda) {
   return lo->relative * (1.0 - t) + hi->relative * t;
 }
 
-double pdp_bias_factor(Voltage excess_bias, Voltage nominal) {
-  if (excess_bias.volts() <= 0.0) return 0.0;
-  const double trig = 1.0 - std::exp(-excess_bias.volts() / kBiasSaturation);
-  const double trig_nominal = 1.0 - std::exp(-nominal.volts() / kBiasSaturation);
-  return trig / trig_nominal;
-}
-
 double pdp(const SpadParams& params, Wavelength lambda) {
-  const double value = params.pdp_peak * pdp_spectral_shape(lambda) *
-                       pdp_bias_factor(params.excess_bias, params.nominal_excess_bias);
-  return std::clamp(value, 0.0, 1.0);
+  return std::clamp(params.pdp_peak * pdp_spectral_shape(lambda), 0.0, 1.0);
 }
 
 Frequency dark_count_rate(const SpadParams& params, Temperature t) {

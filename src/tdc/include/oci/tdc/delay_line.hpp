@@ -2,9 +2,10 @@
 // (Figure 2-B). A hit signal propagates down a chain of N buffer
 // elements; on the next rising clock edge the chain state is latched,
 // yielding a thermometer code of the hit-to-edge interval. Element
-// delays carry process mismatch and shift with temperature and supply
-// voltage -- the paper explicitly does NOT tune the line dynamically and
-// instead relies on periodic calibration (our calibration.hpp).
+// delays carry process mismatch and shift with temperature; the supply
+// is held at its nominal voltage, so it moves no delay. The paper
+// explicitly does NOT tune the line dynamically and instead relies on
+// periodic calibration (our calibration.hpp).
 #pragma once
 
 #include <cstddef>
@@ -20,7 +21,6 @@ namespace oci::tdc {
 using util::RngStream;
 using util::Temperature;
 using util::Time;
-using util::Voltage;
 
 struct DelayLineParams {
   std::size_t elements = 96;                   ///< N, chain length
@@ -34,9 +34,6 @@ struct DelayLineParams {
   /// Fractional delay change per kelvin away from 20 C (CMOS buffers slow
   /// down when hot).
   double temperature_coefficient = 2.0e-3;
-  /// Fractional delay change per volt of supply droop below nominal.
-  double voltage_coefficient = 0.25;
-  Voltage nominal_supply = Voltage::volts(1.5);
   /// Half-width of the metastability window around each tap boundary: if
   /// the latch edge lands within this of a tap's switching instant, that
   /// tap's sampled bit is random (may create bubbles).
@@ -65,8 +62,9 @@ class DelayLine {
   [[nodiscard]] const DelayLineParams& params() const { return params_; }
   [[nodiscard]] std::size_t size() const { return base_delays_s_.size(); }
 
-  /// Applies operating conditions; scales every element's delay.
-  void set_conditions(Temperature t, Voltage supply);
+  /// Applies the junction temperature; scales every element's delay by
+  /// 1 + temperature_coefficient x (T - 20 C).
+  void set_conditions(Temperature t);
   [[nodiscard]] Temperature temperature() const { return temperature_; }
 
   /// Total propagation delay through the whole chain (the fine range Rf
@@ -119,7 +117,6 @@ class DelayLine {
   std::vector<std::uint32_t> ones_guess_;  ///< settled-1 count per bucket edge
   double bucket_scale_ = 0.0;              ///< buckets per second of interval
   Temperature temperature_ = Temperature::celsius(20.0);
-  Voltage supply_ = Voltage::volts(1.5);
   double condition_scale_ = 1.0;
 };
 

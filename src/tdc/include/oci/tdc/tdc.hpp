@@ -47,10 +47,10 @@ class Tdc {
   [[nodiscard]] const DelayLine& line() const { return line_; }
   [[nodiscard]] const TdcConfig& config() const { return config_; }
 
-  /// Applies operating conditions to the delay line
+  /// Applies the junction temperature to the delay line
   /// (DelayLine::set_conditions) and re-derives the taps per period and
   /// the LSB. A rejected call changes nothing.
-  void set_conditions(Temperature t, Voltage supply);
+  void set_conditions(Temperature t);
 
   /// The clock period in force (configured or derived from N * delta).
   [[nodiscard]] Time clock_period() const { return clock_period_; }

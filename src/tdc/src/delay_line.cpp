@@ -7,7 +7,7 @@
 namespace oci::tdc {
 
 DelayLine::DelayLine(const DelayLineParams& params, RngStream& process_rng)
-    : params_(params), supply_(params.nominal_supply) {
+    : params_(params) {
   if (params_.elements == 0) throw std::invalid_argument("DelayLine: need >= 1 element");
   if (params_.nominal_delay <= Time::zero()) {
     throw std::invalid_argument("DelayLine: nominal delay must be positive");
@@ -28,18 +28,14 @@ DelayLine::DelayLine(const DelayLineParams& params, RngStream& process_rng)
   rebuild_boundaries();
 }
 
-void DelayLine::set_conditions(Temperature t, Voltage supply) {
-  const double dt = t.celsius() - 20.0;
-  const double dv = params_.nominal_supply.volts() - supply.volts();
-  const double scale = (1.0 + params_.temperature_coefficient * dt) *
-                       (1.0 + params_.voltage_coefficient * dv);
+void DelayLine::set_conditions(Temperature t) {
+  const double scale = 1.0 + params_.temperature_coefficient * (t.celsius() - 20.0);
   // Checked before anything is assigned: a rejected call leaves the
   // line at its previous conditions.
   if (!(scale > 0.0)) {
     throw std::invalid_argument("DelayLine: operating conditions give non-positive delay");
   }
   temperature_ = t;
-  supply_ = supply;
   condition_scale_ = scale;
   rebuild_boundaries();
 }

@@ -21,8 +21,8 @@ Tdc::Tdc(DelayLine line, const TdcConfig& config)
   derive_period_taps();
 }
 
-void Tdc::set_conditions(Temperature t, Voltage supply) {
-  line_.set_conditions(t, supply);
+void Tdc::set_conditions(Temperature t) {
+  line_.set_conditions(t);
   derive_period_taps();
 }
 

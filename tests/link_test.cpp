@@ -27,7 +27,6 @@ using oci::util::Power;
 using oci::util::RngStream;
 using oci::util::Temperature;
 using oci::util::Time;
-using oci::util::Voltage;
 using oci::util::Wavelength;
 
 // ---------- trade-off model (the paper's equations) ----------
@@ -199,21 +198,6 @@ TEST(ErrorModel, CaptureGrowsWithWindowAndNoise) {
   in.toa_window = Time::nanoseconds(300.0);
   const double large = compute_error_budget(in).p_capture;
   EXPECT_GT(large, small);
-}
-
-TEST(ErrorModel, GrayLabelsReduceJitterBer) {
-  ErrorBudgetInputs in;
-  in.pulse_detection_probability = 1.0;
-  in.noise_rate = Frequency::hertz(0.0);
-  in.afterpulse_probability = 0.0;
-  in.slot_width = Time::picoseconds(300.0);
-  in.timing_sigma = Time::picoseconds(150.0);
-  in.bits_per_symbol = 5;
-  in.gray_labels = true;
-  const double ber_gray = compute_error_budget(in).bit_error_rate;
-  in.gray_labels = false;
-  const double ber_binary = compute_error_budget(in).bit_error_rate;
-  EXPECT_LT(ber_gray, ber_binary);
 }
 
 TEST(ErrorModel, RejectsBadInputs) {
@@ -431,10 +415,10 @@ TEST(CalibrationController, RecalibratesOnDrift) {
   EXPECT_TRUE(ctl.maybe_recalibrate(Time::zero(), cal));  // first call always runs
   EXPECT_EQ(ctl.calibrations_run(), 1u);
 
-  tdc.set_conditions(Temperature::celsius(22.0), Voltage::volts(1.5));
+  tdc.set_conditions(Temperature::celsius(22.0));
   EXPECT_FALSE(ctl.maybe_recalibrate(Time::milliseconds(10.0), cal));
 
-  tdc.set_conditions(Temperature::celsius(45.0), Voltage::volts(1.5));
+  tdc.set_conditions(Temperature::celsius(45.0));
   EXPECT_TRUE(ctl.maybe_recalibrate(Time::milliseconds(20.0), cal));
   EXPECT_EQ(ctl.calibrations_run(), 2u);
   EXPECT_NEAR(ctl.calibrated_at().celsius(), 45.0, 1e-9);
@@ -443,12 +427,11 @@ TEST(CalibrationController, RecalibratesOnDrift) {
 TEST(CalibrationController, MinIntervalSuppressesRuns) {
   auto tdc = controller_tdc(409);
   CalibrationPolicy policy;
-  policy.min_interval = Time::milliseconds(1.0);
   policy.samples = 20000;
   CalibrationController ctl(tdc, policy);
   RngStream cal(419);
   ctl.calibrate_now(Time::zero(), cal);
-  tdc.set_conditions(Temperature::celsius(80.0), Voltage::volts(1.5));
+  tdc.set_conditions(Temperature::celsius(80.0));
   EXPECT_FALSE(ctl.maybe_recalibrate(Time::microseconds(10.0), cal));
   EXPECT_TRUE(ctl.maybe_recalibrate(Time::milliseconds(2.0), cal));
 }
@@ -464,7 +447,7 @@ TEST(CalibrationController, StaleLutHasWorseResidual) {
   const double fresh = oci::tdc::residual_rms_s(tdc, ctl.lut(), 3000, probe);
 
   // Heat the line 40 C without recalibrating: the stale LUT mis-scales.
-  tdc.set_conditions(Temperature::celsius(60.0), Voltage::volts(1.5));
+  tdc.set_conditions(Temperature::celsius(60.0));
   RngStream probe2(439);
   const double stale = oci::tdc::residual_rms_s(tdc, ctl.lut(), 3000, probe2);
   EXPECT_GT(stale, fresh * 1.5);

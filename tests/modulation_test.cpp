@@ -47,9 +47,7 @@ TEST(Ppm, EncodeDecodeRoundTripGray) {
 }
 
 TEST(Ppm, PulsePlacedAtSlotCentre) {
-  PpmConfig c = cfg(3, SlotLabeling::kBinary);
-  c.pulse_offset_fraction = 0.5;
-  const PpmCodec codec(c);
+  const PpmCodec codec(cfg(3, SlotLabeling::kBinary));
   EXPECT_DOUBLE_EQ(codec.encode(0).nanoseconds(), 0.5);
   EXPECT_DOUBLE_EQ(codec.encode(5).nanoseconds(), 5.5);
 }
@@ -87,9 +85,6 @@ TEST(Ppm, RejectsBadConfig) {
   EXPECT_THROW(PpmCodec(cfg(21)), std::invalid_argument);
   PpmConfig bad = cfg(4);
   bad.slot_width = Time::zero();
-  EXPECT_THROW(PpmCodec{bad}, std::invalid_argument);
-  bad = cfg(4);
-  bad.pulse_offset_fraction = 1.0;
   EXPECT_THROW(PpmCodec{bad}, std::invalid_argument);
 }
 
@@ -139,7 +134,7 @@ TEST(SymbolsForPayload, RoundsUp) {
   // (8 + 4 overhead) bytes = 96 bits; at 7 bits/symbol -> ceil = 14.
   EXPECT_EQ(symbols_for_payload(8, 7), 14u);
   EXPECT_EQ(symbols_for_payload(8, 8), 12u);
-  EXPECT_EQ(symbols_for_payload(0, 8, 4), 4u);
+  EXPECT_EQ(symbols_for_payload(0, 8), 4u);
 }
 
 TEST(SymbolsForPayload, RejectsZeroBits) {
@@ -148,7 +143,7 @@ TEST(SymbolsForPayload, RejectsZeroBits) {
 
 TEST(Frame, SerializeParseRoundTrip) {
   const PpmCodec codec(cfg(4));
-  const FrameCodec framer(codec, FrameConfig{});
+  const FrameCodec framer(codec);
   Frame f;
   f.payload = {0x01, 0x02, 0x03, 0xFF, 0x00, 0xAB};
   const auto symbols = framer.serialize(f);
@@ -160,7 +155,7 @@ TEST(Frame, SerializeParseRoundTrip) {
 
 TEST(Frame, EmptyPayloadRoundTrip) {
   const PpmCodec codec(cfg(5));
-  const FrameCodec framer(codec, FrameConfig{});
+  const FrameCodec framer(codec);
   const auto symbols = framer.serialize(Frame{});
   const auto parsed = framer.deserialize(symbols);
   ASSERT_TRUE(parsed.has_value());
@@ -169,7 +164,7 @@ TEST(Frame, EmptyPayloadRoundTrip) {
 
 TEST(Frame, CorruptedPayloadRejectedByCrc) {
   const PpmCodec codec(cfg(4));
-  const FrameCodec framer(codec, FrameConfig{});
+  const FrameCodec framer(codec);
   Frame f;
   f.payload = {0x55, 0x66, 0x77};
   auto symbols = framer.serialize(f);
@@ -179,7 +174,7 @@ TEST(Frame, CorruptedPayloadRejectedByCrc) {
 
 TEST(Frame, WrongPreambleRejected) {
   const PpmCodec codec(cfg(4));
-  const FrameCodec framer(codec, FrameConfig{});
+  const FrameCodec framer(codec);
   auto symbols = framer.serialize(Frame{.payload = {0x01}});
   symbols[0] ^= 0x3;
   EXPECT_FALSE(framer.deserialize(symbols).has_value());
@@ -187,7 +182,7 @@ TEST(Frame, WrongPreambleRejected) {
 
 TEST(Frame, TruncatedStreamRejected) {
   const PpmCodec codec(cfg(4));
-  const FrameCodec framer(codec, FrameConfig{});
+  const FrameCodec framer(codec);
   auto symbols = framer.serialize(Frame{.payload = {0x01, 0x02, 0x03, 0x04}});
   symbols.resize(symbols.size() - 2);
   EXPECT_FALSE(framer.deserialize(symbols).has_value());
@@ -195,17 +190,15 @@ TEST(Frame, TruncatedStreamRejected) {
 
 TEST(Frame, OversizedPayloadThrows) {
   const PpmCodec codec(cfg(4));
-  FrameConfig fc;
-  fc.max_payload = 4;
-  const FrameCodec framer(codec, fc);
+  const FrameCodec framer(codec);
   Frame f;
-  f.payload.assign(5, 0xAA);
+  f.payload.assign(FrameCodec::kMaxPayload + 1, 0xAA);
   EXPECT_THROW(framer.serialize(f), std::invalid_argument);
 }
 
 TEST(Frame, FrameSymbolsAccountsForEverything) {
   const PpmCodec codec(cfg(4));
-  const FrameCodec framer(codec, FrameConfig{});
+  const FrameCodec framer(codec);
   Frame f;
   f.payload = {1, 2, 3};
   EXPECT_EQ(framer.serialize(f).size(), framer.frame_symbols(3));
@@ -215,7 +208,7 @@ TEST(Frame, FrameSymbolsAccountsForEverything) {
 
 TEST(Frame, PreamblePattern) {
   const PpmCodec codec(cfg(3));
-  const FrameCodec framer(codec, FrameConfig{});
+  const FrameCodec framer(codec);
   const auto p = framer.preamble();
   ASSERT_EQ(p.size(), 4u);
   EXPECT_EQ(p[0], 0u);
@@ -347,7 +340,7 @@ TEST_P(FrameRoundTrip, PayloadSurvives) {
   modulation::PpmConfig c;
   c.bits_per_symbol = k;
   const modulation::PpmCodec codec(c);
-  const modulation::FrameCodec framer(codec, modulation::FrameConfig{});
+  const modulation::FrameCodec framer(codec);
   modulation::Frame f;
   f.payload.resize(payload_size);
   for (std::size_t i = 0; i < payload_size; ++i) {

@@ -90,6 +90,24 @@ TEST(ScenarioParse, CategoricalParamWithNumericLookingValues) {
   EXPECT_TRUE(spec.sweep[0].categorical());
 }
 
+// A second axis over one key once ran: every point was labelled with
+// both values and simulated at the later axis's.
+TEST(ScenarioParse, RepeatedSweepKeyFailsValidation) {
+  const ScenarioSpec spec = parse_text(
+      "topology = p2p\n"
+      "calibrate = 0\n"
+      "samples = 20000\n"
+      "sweep.jitter_ps = 40, 400\n"
+      "sweep.jitter_ps = 400\n");
+  ASSERT_EQ(spec.sweep.size(), 2u);
+  try {
+    spec.validate();
+    FAIL() << "expected the repeated sweep axis to be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'jitter_ps'"), std::string::npos) << e.what();
+  }
+}
+
 TEST(ScenarioParse, ErrorsCarryLineNumbers) {
   try {
     (void)parse_text("name = ok\nthis line has no equals\n", "demo.spec");

@@ -972,6 +972,34 @@ TEST(ReportIo, LoadRejectsMalformedDocuments) {
   }
 }
 
+TEST(ReportIo, LoadRejectsMistypedCoordinates) {
+  // Each once loaded, and merged into a document whose coordinates read
+  // "" and "40".
+  const fs::path dir = scratch_dir("report_io_coordinate");
+  const fs::path full = dir / "full.json";
+  scenario::report_io::save(ScenarioRunner(2).run(sweep_spec()), full.string());
+  std::ostringstream text;
+  text << std::ifstream(full).rdbuf();
+  const std::string key = "\"coordinate\": ";
+  const std::size_t found = text.str().find(key);
+  ASSERT_NE(found, std::string::npos);
+  const std::size_t at = found + key.size();
+  for (const std::string value : {"[{\"x\": 1}]", "[40]", "\"40\""}) {
+    std::string doc = text.str();
+    doc.replace(at, doc.find(']', at) + 1 - at, value);
+    const fs::path path = dir / "bad.json";
+    std::ofstream(path) << doc;
+    try {
+      (void)scenario::report_io::load(path.string());
+      ADD_FAILURE() << "loaded coordinate " << value;
+    } catch (const std::runtime_error& err) {
+      const std::string what = err.what();
+      EXPECT_NE(what.find(path.string()), std::string::npos) << what;
+      EXPECT_NE(what.find("coordinate"), std::string::npos) << what;
+    }
+  }
+}
+
 // -- CLI helpers --------------------------------------------------------
 
 TEST(ScenarioCli, ParsesShardSpecs) {

@@ -21,7 +21,6 @@ using oci::util::RngStream;
 using oci::util::RunningStats;
 using oci::util::Temperature;
 using oci::util::Time;
-using oci::util::Voltage;
 using oci::util::Wavelength;
 
 SpadParams quiet_spad() {
@@ -46,18 +45,6 @@ TEST(Pdp, AbsoluteScaleFromPeak) {
   p.pdp_peak = 0.30;
   EXPECT_NEAR(pdp(p, Wavelength::nanometres(480.0)), 0.30, 1e-12);
   EXPECT_NEAR(pdp(p, Wavelength::nanometres(450.0)), 0.27, 1e-12);
-}
-
-TEST(Pdp, BiasFactorSaturates) {
-  const Voltage nominal = Voltage::volts(3.3);
-  EXPECT_DOUBLE_EQ(pdp_bias_factor(nominal, nominal), 1.0);
-  EXPECT_LT(pdp_bias_factor(Voltage::volts(1.0), nominal), 1.0);
-  EXPECT_GT(pdp_bias_factor(Voltage::volts(6.0), nominal), 1.0);
-  EXPECT_DOUBLE_EQ(pdp_bias_factor(Voltage::volts(0.0), nominal), 0.0);
-  // Diminishing returns: going 3.3 -> 6 V gains less than 1 -> 3.3 V.
-  const double low_gain = pdp_bias_factor(nominal, nominal) - pdp_bias_factor(Voltage::volts(1.0), nominal);
-  const double high_gain = pdp_bias_factor(Voltage::volts(6.0), nominal) - 1.0;
-  EXPECT_GT(low_gain, high_gain);
 }
 
 TEST(Pdp, DcrDoublingLaw) {
@@ -245,7 +232,6 @@ TEST(Spad, PhotonsOutsideWindowIgnored) {
 TEST(Spad, DeadUntilCarriesAcrossConsecutiveWindows) {
   SpadParams p = quiet_spad();
   p.pdp_peak = 1.0;  // every in-window photon is a candidate
-  p.excess_bias = p.nominal_excess_bias;
   p.dead_time = Time::nanoseconds(40.0);
   const Spad det(p, Wavelength::nanometres(480.0));
   const Time window = Time::nanoseconds(50.0);

@@ -25,7 +25,6 @@ using namespace oci::tdc;
 using oci::util::RngStream;
 using oci::util::Temperature;
 using oci::util::Time;
-using oci::util::Voltage;
 
 DelayLineParams ideal_line_params(std::size_t n = 96) {
   DelayLineParams p;
@@ -82,17 +81,9 @@ TEST(DelayLine, TemperatureSlowsElements) {
   RngStream rng(89);
   DelayLine line(ideal_line_params(), rng);
   const double cold = line.total_delay().seconds();
-  line.set_conditions(Temperature::celsius(80.0), Voltage::volts(1.5));
+  line.set_conditions(Temperature::celsius(80.0));
   const double hot = line.total_delay().seconds();
   EXPECT_NEAR(hot / cold, 1.0 + 2.0e-3 * 60.0, 1e-9);
-}
-
-TEST(DelayLine, SupplyDroopSlowsElements) {
-  RngStream rng(97);
-  DelayLine line(ideal_line_params(), rng);
-  const double nominal = line.total_delay().seconds();
-  line.set_conditions(Temperature::celsius(20.0), Voltage::volts(1.3));
-  EXPECT_NEAR(line.total_delay().seconds() / nominal, 1.0 + 0.25 * 0.2, 1e-9);
 }
 
 TEST(DelayLine, ElementsUsedMatchesPaperScenario) {
@@ -154,11 +145,11 @@ TEST(DelayLine, ElementsUsedMatchesLinearScan) {
 TEST(DelayLine, RejectedConditionsLeaveLineUnchanged) {
   RngStream rng(227);
   DelayLine line(paper_line_params(), rng);
-  line.set_conditions(Temperature::celsius(50.0), Voltage::volts(1.4));
+  line.set_conditions(Temperature::celsius(50.0));
   const std::vector<double> before(line.boundaries_seconds().begin(),
                                    line.boundaries_seconds().end());
   // 1 + 2e-3 * (-720 K) < 0: no delay line can run this cold.
-  EXPECT_THROW(line.set_conditions(Temperature::celsius(-700.0), Voltage::volts(1.5)),
+  EXPECT_THROW(line.set_conditions(Temperature::celsius(-700.0)),
                std::invalid_argument);
   EXPECT_DOUBLE_EQ(line.temperature().celsius(), 50.0);
   EXPECT_EQ(std::vector<double>(line.boundaries_seconds().begin(),
@@ -343,11 +334,11 @@ TEST(Tdc, SetConditionsKeepsLsbInStep) {
   TdcConfig cfg;
   cfg.clock_period = Time::nanoseconds(4.5);  // covered despite mismatch
   Tdc tdc(DelayLine(paper_line_params(), rng), cfg);
-  tdc.set_conditions(Temperature::celsius(85.0), Voltage::volts(1.5));
+  tdc.set_conditions(Temperature::celsius(85.0));
   const Time hot = tdc.lsb();
   EXPECT_EQ(hot.seconds(), cfg.clock_period.seconds() /
                                static_cast<double>(tdc.line().elements_used(cfg.clock_period)));
-  EXPECT_THROW(tdc.set_conditions(Temperature::celsius(-700.0), Voltage::volts(1.5)),
+  EXPECT_THROW(tdc.set_conditions(Temperature::celsius(-700.0)),
                std::invalid_argument);
   EXPECT_EQ(tdc.line().temperature().celsius(), 85.0);
   EXPECT_EQ(tdc.lsb().seconds(), hot.seconds());
@@ -795,11 +786,8 @@ std::vector<double> regime_edges(const DelayLine& line, std::span<const double> 
 TEST(IndexedConversion, LatchRegimesAndConvertMatchTheSearchEverywhere) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const double windows_s[] = {0.0, 4e-12, 60e-12};
-  struct Condition {
-    double celsius;
-    double supply_v;
-  };
-  const Condition conditions[] = {{20.0, 1.5}, {85.0, 1.5}, {-20.0, 1.5}, {20.0, 1.35}};
+  // 38.75 C slows the line by 1 + 2e-3 x 18.75 = 1.0375.
+  const double conditions_c[] = {20.0, 85.0, -20.0, 38.75};
 
   std::uint64_t conversions = 0;
   std::uint64_t racing_several = 0;
@@ -819,8 +807,8 @@ TEST(IndexedConversion, LatchRegimesAndConvertMatchTheSearchEverywhere) {
       cfg.clock_period = Time::picoseconds(52.0 * 96);
       Tdc tdc(DelayLine(p, process), cfg);
 
-      for (const Condition& c : conditions) {
-        tdc.set_conditions(Temperature::celsius(c.celsius), Voltage::volts(c.supply_v));
+      for (const double celsius : conditions_c) {
+        tdc.set_conditions(Temperature::celsius(celsius));
         const DelayLine& line = tdc.line();
         const double chain = line.total_delay().seconds();
         std::vector<double> intervals = regime_edges(line, windows_s);
@@ -838,10 +826,10 @@ TEST(IndexedConversion, LatchRegimesAndConvertMatchTheSearchEverywhere) {
           for (const double w : windows_s) {
             const LatchRegimes got = latch_regimes(line, Time::seconds(t), Time::seconds(w));
             const LatchRegimes want = reference_regimes(line, t, w);
-            ASSERT_EQ(got.ones, want.ones) << "device " << device << " at " << c.celsius
-                                           << " C, " << c.supply_v << " V, own window "
-                                           << own_window << ", window " << w << ", t " << t;
-            ASSERT_EQ(got.racing, want.racing) << "device " << device << " at " << c.celsius
+            ASSERT_EQ(got.ones, want.ones) << "device " << device << " at " << celsius
+                                           << " C, own window " << own_window << ", window "
+                                           << w << ", t " << t;
+            ASSERT_EQ(got.racing, want.racing) << "device " << device << " at " << celsius
                                                << " C, window " << w << ", t " << t;
             if (w == own_window && got.racing > 1) ++racing_several;
           }
